@@ -3,23 +3,31 @@
 A checkpoint is a single binary file: a magic line, an 8-byte little-endian
 header length, a JSON header (model config, node labels, config echo, and a
 slot table with shapes and payload offsets), then the raw little-endian
-float64 row-major payloads.  Writing the same model twice produces identical
-bytes, and a save/load round trip is bit-exact.
+float64 row-major payloads, one slot after the other in the slot table's
+order.  Writing the same model twice produces identical bytes, and a
+save/load round trip is bit-exact.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import struct
 
 import numpy as np
 
-from .errors import CheckpointError
-from .model import Model, ModelConfig, parameter_shapes
-from .numeric import ParameterStore
+from .errors import CheckpointError, NumericError
+from .model import Model, ModelConfig, parameter_layout
+from .numeric import Layout, ParameterStore
 from .version import TOOL_VERSION
 
 MAGIC = b"TOPOLSTM-CKPT-1\n"
+
+
+def _slot_table(packed: Layout) -> list[dict]:
+    """The header's slot table: each slot's bytes, one slot after the other."""
+    return [{"name": name, "shape": list(shape), "offset": 8 * offset,
+             "nbytes": 8 * math.prod(shape)} for name, shape, offset, _ in packed.slots]
 
 
 def save_model(path, model: Model, labels: tuple[str, ...],
@@ -28,15 +36,6 @@ def save_model(path, model: Model, labels: tuple[str, ...],
     if len(labels) != model.config.node_count:
         raise CheckpointError(
             f"{len(labels)} labels for a model over {model.config.node_count} nodes")
-    slots = []
-    payloads = []
-    offset = 0
-    for name, arr in model.params.items():
-        data = np.ascontiguousarray(arr, dtype="<f8").tobytes()
-        slots.append({"name": name, "shape": list(arr.shape),
-                      "offset": offset, "nbytes": len(data)})
-        payloads.append(data)
-        offset += len(data)
     header = {
         "format": 1,
         "tool_version": TOOL_VERSION,
@@ -47,53 +46,59 @@ def save_model(path, model: Model, labels: tuple[str, ...],
         },
         "labels": list(labels),
         "extra": extra or {},
-        "slots": slots,
+        "slots": _slot_table(Layout.packed(model.params.shapes())),
     }
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<Q", len(blob)))
         fh.write(blob)
-        for data in payloads:
-            fh.write(data)
+        for _, arr in model.params.items():
+            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
 def load_model(path) -> tuple[Model, tuple[str, ...], dict]:
-    """Read a checkpoint; returns (model, labels, header)."""
+    """Read a checkpoint; returns (model, labels, header).
+
+    A truncated or corrupt file, or one holding non-finite parameters,
+    raises CheckpointError.
+    """
     with open(path, "rb") as fh:
-        magic = fh.read(len(MAGIC))
-        if magic != MAGIC:
-            raise CheckpointError(f"{path}: not a model checkpoint")
-        (header_len,) = struct.unpack("<Q", fh.read(8))
-        header = json.loads(fh.read(header_len).decode("utf-8"))
-        payload = fh.read()
-
-    cfg = header.get("config", {})
+        data = fh.read()
+    if not data.startswith(MAGIC):
+        raise CheckpointError(f"{path}: not a model checkpoint")
     try:
-        config = ModelConfig(hidden_dim=int(cfg["hidden_dim"]),
-                             node_count=int(cfg["node_count"]),
-                             score_mode=str(cfg["score_mode"]))
-    except (KeyError, ValueError) as exc:
-        raise CheckpointError(f"{path}: bad config in header: {exc}") from None
+        return _parse(data)
+    except (CheckpointError, NumericError) as exc:
+        raise CheckpointError(f"{path}: {exc}") from None
+    except (struct.error, UnicodeDecodeError, ValueError, KeyError, TypeError,
+            AttributeError, OverflowError, RecursionError) as exc:
+        raise CheckpointError(
+            f"{path}: corrupt header ({type(exc).__name__}: {exc})") from None
 
-    expected = parameter_shapes(config)
-    slots: dict[str, np.ndarray] = {}
-    for entry in header["slots"]:
-        name = entry["name"]
-        shape = tuple(entry["shape"])
-        if expected.get(name) != shape:
-            raise CheckpointError(
-                f"{path}: slot {name!r} has shape {shape}, expected {expected.get(name)}")
-        start, nbytes = entry["offset"], entry["nbytes"]
-        arr = np.frombuffer(payload[start:start + nbytes], dtype="<f8").copy()
-        if arr.size != int(np.prod(shape)):
-            raise CheckpointError(f"{path}: slot {name!r} payload truncated")
-        slots[name] = arr.reshape(shape)
-    if set(slots) != set(expected):
-        missing = sorted(set(expected) - set(slots))
-        raise CheckpointError(f"{path}: missing slots {missing}")
 
+def _parse(data: bytes) -> tuple[Model, tuple[str, ...], dict]:
+    start = len(MAGIC) + 8
+    (header_len,) = struct.unpack_from("<Q", data, len(MAGIC))
+    header = json.loads(data[start:start + header_len].decode("utf-8"))
+    cfg = header["config"]
+    config = ModelConfig(hidden_dim=int(cfg["hidden_dim"]),
+                         node_count=int(cfg["node_count"]),
+                         score_mode=str(cfg["score_mode"]))
+    # The table fixes every slot's shape and place, so a payload of its
+    # size holds each slot exactly once, back to back.
+    layout = parameter_layout(config)
+    packed = Layout.packed(layout.shapes())
+    if header["slots"] != _slot_table(packed):
+        raise CheckpointError("slot table does not match the model config")
+    payload = memoryview(data)[start + header_len:]
+    if len(payload) != 8 * packed.size:
+        raise CheckpointError(
+            f"payload holds {len(payload)} bytes, the slot table {8 * packed.size}")
     labels = tuple(header.get("labels", ()))
     if len(labels) != config.node_count:
-        raise CheckpointError(f"{path}: label table does not match node count")
-    return Model(config, ParameterStore(slots)), labels, header
+        raise CheckpointError("label table does not match node count")
+    values = np.frombuffer(payload, dtype="<f8").astype(np.float64)
+    params = ParameterStore(packed.views(values, packed.slots), layout)
+    params.check_finite()
+    return Model(config, params), labels, header

@@ -1,7 +1,7 @@
 """Command-line pipeline: generate synthetic data, train, evaluate, predict.
 
 Exit codes: 0 success, 2 usage or data error, 3 training divergence,
-4 checkpoint/graph mismatch.  Every run is reproducible under a fixed seed;
+4 malformed checkpoint or checkpoint/graph mismatch.  Every run is reproducible under a fixed seed;
 with --deterministic the primary outputs (dataset files, checkpoint, report,
 split files, metrics) are byte-identical across reruns.
 """

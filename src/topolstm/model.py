@@ -19,6 +19,17 @@ Parameter slots (d = hidden_dim, m = node_count):
 
 U_f_xy multiplies aggregate y inside forget gate x (x, y in {p, q}).
 
+All slots are views into one flat float64 vector, laid out as
+
+    Wx (4d,m) = [W_i; W_f; W_c; W_o] | U (5d,2d) | b (4d,) = [b_i; b_f; b_c; b_o] | G | b_act
+
+where U's row blocks are the gates [i, f_p, f_q, c, o] and its column
+blocks [h_p | h_q].  One cell step is one matvec,
+z = U @ [h_p; h_q] + (Wx[:, v] + b)[gate_rows(d)]; the gather reads the
+W_f/b_f block for both forget gates, and backward adds their two rows of dz
+back onto it.  Slot names, order and shapes, and so the checkpoint bytes,
+do not depend on this layout.
+
 Scoring an inactive candidate v takes the inner product of a pooled sender
 state with v's receiver embedding plus v's bias, then a softmax over all
 inactive nodes.  Two pooling modes exist: "precedent-only" pools the sender
@@ -36,11 +47,10 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.sparse import csr_matrix
 
 from .errors import DataError, NumericError, TopoLstmError
 from .graph import Cascade, DataGraph, DiffusionTopology, build_topologies
-from .numeric import (GradientStore, ParameterStore, affine, mean_pool,
+from .numeric import (GradientStore, Layout, ParameterStore, mean_pool,
                       nll_from_scores, sigmoid, softmax)
 
 SCORE_MODES = ("all-active", "precedent-only")
@@ -69,34 +79,48 @@ class ModelConfig:
             raise ValueError(f"score_mode must be one of {SCORE_MODES}")
 
 
-def parameter_shapes(config: ModelConfig) -> dict[str, tuple]:
+# Blocks of the fused U: a row per gate [i, f_p, f_q, c, o], columns [h_p | h_q].
+U_BLOCKS = (("U_i_p", "U_i_q"), ("U_f_pp", "U_f_pq"), ("U_f_qp", "U_f_qq"),
+            ("U_c_p", "U_c_q"), ("U_o_p", "U_o_q"))
+
+
+def gate_rows(d: int) -> np.ndarray:
+    """Rows of Wx and b feeding the gates [i, f_p, f_q, c, o]."""
+    return np.r_[0:2 * d, d:4 * d]
+
+
+def parameter_layout(config: ModelConfig) -> Layout:
+    """The flat layout described in the module docstring."""
     d, m = config.hidden_dim, config.node_count
-    shapes: dict[str, tuple] = {}
-    for name in EMBEDDING_SLOTS:
-        if name.startswith("W_"):
-            shapes[name] = (d, m)
-        elif name.startswith("U_"):
-            shapes[name] = (d, d)
-        else:
-            shapes[name] = (d,)
-    shapes["G"] = (m, d)
-    shapes["b_act"] = (m,)
-    return shapes
+    u, b = 4 * d * m, 4 * d * m + 10 * d * d
+    g = b + 4 * d
+    place = {"G": ((m, d), g, (d, 1)), "b_act": ((m,), g + m * d, (1,))}
+    for k, gate in enumerate("ifco"):
+        place[f"W_{gate}"] = ((d, m), k * d * m, (m, 1))
+        place[f"b_{gate}"] = ((d,), b + k * d, (1,))
+    for row, names in enumerate(U_BLOCKS):
+        for col, name in enumerate(names):
+            place[name] = ((d, d), u + row * 2 * d * d + col * d, (2 * d, 1))
+    return Layout(g + m * d + m,
+                  tuple((name, *place[name]) for name in EMBEDDING_SLOTS + ACTIVATION_SLOTS),
+                  (("Wx", (4 * d, m), 0, (m, 1)), ("U", (5 * d, 2 * d), u, (2 * d, 1)),
+                   ("b", (4 * d,), b, (1,))))
 
 
 def init_parameters(config: ModelConfig, rng: np.random.Generator) -> ParameterStore:
     """Uniform(+-1/sqrt(d)) recurrent matrices, uniform(+-0.1) embeddings, zero biases."""
     d = config.hidden_dim
     u_scale = 1.0 / np.sqrt(d)
+    layout = parameter_layout(config)
     slots: dict[str, np.ndarray] = {}
-    for name, shape in parameter_shapes(config).items():
+    for name, shape in layout.shapes().items():
         if name.startswith("U_"):
             slots[name] = rng.uniform(-u_scale, u_scale, size=shape)
         elif name.startswith("W_") or name == "G":
             slots[name] = rng.uniform(-0.1, 0.1, size=shape)
         else:
             slots[name] = np.zeros(shape)
-    return ParameterStore(slots)
+    return ParameterStore(slots, layout)
 
 
 @dataclass
@@ -131,11 +155,7 @@ class AggregatedInputs:
 
 @dataclass
 class CellTrace:
-    """Everything the backward pass needs from one cell step."""
-    node: int
-    prec_pos: np.ndarray   # positions (within the cascade) of the precedents
-    rest_pos: np.ndarray   # positions of the other active nodes
-    agg: AggregatedInputs
+    """Gate activations of one cell step."""
     i: np.ndarray
     f_p: np.ndarray
     f_q: np.ndarray
@@ -144,26 +164,13 @@ class CellTrace:
     tanh_c: np.ndarray
 
 
-class _GraphOps:
-    """Per-graph numeric helpers for the scoring hot path."""
-
-    def __init__(self, graph: DataGraph):
-        self.out_arrays = [np.asarray(s, dtype=np.intp) for s in graph.out]
-        indptr = np.zeros(graph.node_count + 1, dtype=np.intp)
-        for u, succ in enumerate(graph.out):
-            indptr[u + 1] = indptr[u] + len(succ)
-        indices = np.concatenate(self.out_arrays) if indptr[-1] else np.empty(0, np.intp)
-        data = np.ones(indptr[-1])
-        self.adjacency = csr_matrix((data, indices, indptr),
-                                    shape=(graph.node_count, graph.node_count))
-
-
-def _graph_ops(graph: DataGraph) -> _GraphOps:
-    ops = getattr(graph, "_numeric_ops", None)
-    if ops is None:
-        ops = _GraphOps(graph)
-        object.__setattr__(graph, "_numeric_ops", ops)
-    return ops
+def _out_arrays(graph: DataGraph) -> list[np.ndarray]:
+    """Each node's out-neighbours as an index array, cached on the graph."""
+    out = getattr(graph, "_out_arrays", None)
+    if out is None:
+        out = [np.asarray(s, dtype=np.intp) for s in graph.out]
+        object.__setattr__(graph, "_out_arrays", out)
+    return out
 
 
 @dataclass
@@ -175,18 +182,30 @@ class StepScore:
     target_cand_pos: int
     loss: float
     mean_active: np.ndarray | None = None   # all-active pooled state
-    prec_means: np.ndarray | None = None    # precedent-only: per-candidate pooled state
     prec_counts: np.ndarray | None = None   # precedent-only: per-candidate |P|
 
 
 @dataclass
 class CascadeForwardResult:
+    """Sender states of a cascade plus what the backward pass needs.
+
+    Row t-1 of every array belongs to v_t.  In precedent-only mode
+    ``prec_num``/``prec_cnt`` hold each node's running G[w] . (sum of its
+    precedents' states) and precedent count after the last activation.
+    """
     cascade: Cascade
     graph: DataGraph
-    H: np.ndarray               # (T, d) sender embeddings, row t-1 for v_t
+    H: np.ndarray               # (T, d) sender embeddings
     C: np.ndarray               # (T, d) memory cells
-    traces: list[CellTrace]
+    A: np.ndarray               # (T, 5d) gates [i, f_p, f_q, c_tilde, o]
+    tanh_C: np.ndarray          # (T, d)
+    HX: np.ndarray              # (T, 2d) pooled [h_p; h_q]
+    CX: np.ndarray              # (T, 2d) pooled [c_p; c_q]
+    prec_pos: list[np.ndarray]  # positions (within the cascade) of each step's precedents
+    rest_pos: list[np.ndarray]  # positions of each step's other active nodes
     steps: list[StepScore]      # one per t = 2..T (when losses were computed)
+    prec_num: np.ndarray | None = None
+    prec_cnt: np.ndarray | None = None
 
     @property
     def loss_terms(self) -> np.ndarray:
@@ -215,39 +234,45 @@ def aggregate(states: Mapping[int, CellState], precedent_set: Sequence[int],
     return AggregatedInputs(h_p, h_q, c_p, c_q)
 
 
+def _cell(z: np.ndarray, cx: np.ndarray, a: np.ndarray, tanh_c: np.ndarray,
+          h: np.ndarray, c: np.ndarray) -> None:
+    """The cell kernel: from the fused pre-activation z (5d) and the pooled
+    memories cx = [c_p; c_q], writes the gate activations into ``a``
+    (c_tilde in the c block), then c, tanh(c) and h."""
+    d = h.size
+    sigmoid(z, out=a)
+    np.tanh(z[3 * d:4 * d], out=a[3 * d:4 * d])
+    np.multiply(a[:d], a[3 * d:4 * d], out=c)
+    c += a[d:2 * d] * cx[:d]
+    c += a[2 * d:3 * d] * cx[d:]
+    np.tanh(c, out=tanh_c)
+    np.multiply(a[4 * d:], tanh_c, out=h)
+
+
+def _raise_nonfinite(node: int, a: np.ndarray, c: np.ndarray) -> None:
+    d = c.size
+    names = ("input gate", "forget gate (p)", "forget gate (q)", "candidate cell",
+             "output gate")
+    for k, gate_name in enumerate(names):
+        if not np.all(np.isfinite(a[k * d:(k + 1) * d])):
+            raise NumericError(f"non-finite {gate_name} at node {node}")
+    if not np.all(np.isfinite(c)):
+        raise NumericError(f"non-finite cell state at node {node}")
+    raise NumericError(f"non-finite cell output at node {node}")
+
+
 def cell_forward(node: int, agg: AggregatedInputs,
                  params: ParameterStore) -> tuple[CellState, CellTrace]:
     """One memory-cell step for the node activated with the given aggregates."""
-    h_p, h_q, c_p, c_q = agg.h_p, agg.h_q, agg.c_p, agg.c_q
-    i = sigmoid(affine(params["W_i"], node,
-                       [(params["U_i_p"], h_p), (params["U_i_q"], h_q)],
-                       params["b_i"]))
-    f_p = sigmoid(affine(params["W_f"], node,
-                         [(params["U_f_pp"], h_p), (params["U_f_pq"], h_q)],
-                         params["b_f"]))
-    f_q = sigmoid(affine(params["W_f"], node,
-                         [(params["U_f_qp"], h_p), (params["U_f_qq"], h_q)],
-                         params["b_f"]))
-    c_tilde = np.tanh(affine(params["W_c"], node,
-                             [(params["U_c_p"], h_p), (params["U_c_q"], h_q)],
-                             params["b_c"]))
-    c = i * c_tilde + f_p * c_p + f_q * c_q
-    o = sigmoid(affine(params["W_o"], node,
-                       [(params["U_o_p"], h_p), (params["U_o_q"], h_q)],
-                       params["b_o"]))
-    tanh_c = np.tanh(c)
-    h = o * tanh_c
+    d = agg.h_p.size
+    z = (params.fused("U") @ np.concatenate((agg.h_p, agg.h_q))
+         + (params.fused("Wx")[:, node] + params.fused("b"))[gate_rows(d)])
+    a, tanh_c, h, c = np.empty(5 * d), np.empty(d), np.empty(d), np.empty(d)
+    _cell(z, np.concatenate((agg.c_p, agg.c_q)), a, tanh_c, h, c)
     if not (np.all(np.isfinite(h)) and np.all(np.isfinite(c))):
-        for gate_name, arr in (("input gate", i), ("forget gate (p)", f_p),
-                               ("forget gate (q)", f_q), ("candidate cell", c_tilde),
-                               ("output gate", o), ("cell state", c)):
-            if not np.all(np.isfinite(arr)):
-                raise NumericError(f"non-finite {gate_name} at node {node}")
-        raise NumericError(f"non-finite cell output at node {node}")
-    trace = CellTrace(node=node, prec_pos=np.empty(0, np.intp),
-                      rest_pos=np.empty(0, np.intp), agg=agg, i=i, f_p=f_p,
-                      f_q=f_q, c_tilde=c_tilde, o=o, tanh_c=tanh_c)
-    return CellState(h=h, c=c), trace
+        _raise_nonfinite(node, a, c)
+    i, f_p, f_q, c_tilde, o = a.reshape(5, d)
+    return CellState(h=h, c=c), CellTrace(i, f_p, f_q, c_tilde, o, tanh_c)
 
 
 def score_inactive(states: Mapping[int, CellState], topo: DiffusionTopology,
@@ -281,6 +306,19 @@ def score_inactive(states: Mapping[int, CellState], topo: DiffusionTopology,
     return scores
 
 
+def _candidate_scores(params: ParameterStore, cand: np.ndarray, H_active: np.ndarray,
+                      prec_num: np.ndarray | None, prec_cnt: np.ndarray | None):
+    """(scores, pooled state, None) of the inactive candidates ``cand`` under
+    all-active pooling, or with running precedent sums (precedent-only)
+    (scores, None, |P_w| per candidate): G[w] . mean precedent state is
+    prec_num[w] / |P_w|."""
+    if prec_num is None:
+        pooled = H_active.mean(axis=0)
+        return (params["G"] @ pooled + params["b_act"])[cand], pooled, None
+    cnt = prec_cnt[cand]
+    return prec_num[cand] / np.where(cnt > 0, cnt, 1.0) + params["b_act"][cand], None, cnt
+
+
 def forward_cascade(model: Model, graph: DataGraph, cascade: Cascade,
                     topologies: Sequence[DiffusionTopology] | None = None,
                     compute_loss: bool = True) -> CascadeForwardResult:
@@ -301,79 +339,73 @@ def forward_cascade(model: Model, graph: DataGraph, cascade: Cascade,
         topologies = build_topologies(graph, cascade)
 
     params = model.params
-    G, b_act = params["G"], params["b_act"]
-    H = np.zeros((T, d))
-    C = np.zeros((T, d))
+    U = params.fused("U")
+    nodes = np.asarray(cascade.nodes, dtype=np.intp)
+    # Input and bias terms of every step's five gates, gathered at once.
+    XB = (params.fused("Wx")[:, nodes] + params.fused("b")[:, None])[gate_rows(d)].T
+    H, C, tanh_C = np.zeros((T, d)), np.zeros((T, d)), np.empty((T, d))
+    HX, CX, A = np.zeros((T, 2 * d)), np.zeros((T, 2 * d)), np.empty((T, 5 * d))
     active_mask = np.zeros(m, dtype=bool)
     pos_of: dict[int, int] = {}
-    traces: list[CellTrace] = []
+    prec_list: list[np.ndarray] = []
+    rest_list: list[np.ndarray] = []
     steps: list[StepScore] = []
-    zeros = np.zeros(d)
 
-    precedent_scoring = compute_loss and config.score_mode == "precedent-only"
-    if precedent_scoring:
-        # Running sum/count of active in-neighbour states per node; rows of
-        # active nodes go stale but are never read.
-        ops = _graph_ops(graph)
-        prec_sum = np.zeros((m, d))
+    prec_num = prec_cnt = None
+    if config.score_mode == "precedent-only":
+        # Running G[w] . (sum of active in-neighbour states) and count per
+        # node w; entries of active nodes go stale but are never read.
+        G = params["G"]
+        out_arrays = _out_arrays(graph)
+        prec_num = np.zeros(m)
         prec_cnt = np.zeros(m)
 
     for t in range(1, T + 1):
         v = cascade[t - 1]
-        topo = topologies[t - 1]
-        n_act = t - 1
+        row = t - 1
 
         if compute_loss and t >= 2:
             cand = np.flatnonzero(~active_mask)
             target_cand_pos = int(np.searchsorted(cand, v))
-            if config.score_mode == "all-active":
-                pooled = H[: t - 1].mean(axis=0)
-                scores = G[cand] @ pooled + b_act[cand]
-                loss, probs = nll_from_scores(scores, target_cand_pos)
-                steps.append(StepScore(t=t, cand=cand, probs=probs,
-                                       target_cand_pos=target_cand_pos,
-                                       loss=loss, mean_active=pooled))
-            else:
-                cnt = prec_cnt[cand]
-                means = prec_sum[cand] / np.where(cnt > 0, cnt, 1.0)[:, None]
-                scores = np.einsum("jd,jd->j", means, G[cand]) + b_act[cand]
-                loss, probs = nll_from_scores(scores, target_cand_pos)
-                steps.append(StepScore(t=t, cand=cand, probs=probs,
-                                       target_cand_pos=target_cand_pos,
-                                       loss=loss, prec_means=means,
-                                       prec_counts=cnt))
+            scores, pooled, counts = _candidate_scores(params, cand, H[:row],
+                                                       prec_num, prec_cnt)
+            loss, probs = nll_from_scores(scores, target_cand_pos)
+            steps.append(StepScore(t=t, cand=cand, probs=probs,
+                                   target_cand_pos=target_cand_pos, loss=loss,
+                                   mean_active=pooled, prec_counts=counts))
 
-        prec_nodes = topo.precedents(v)
+        prec_nodes = topologies[row].precedents(v)
         prec_pos = np.fromiter((pos_of[u] for u in prec_nodes),
                                dtype=np.intp, count=len(prec_nodes))
-        if n_act:
-            rest_mask = np.ones(n_act, dtype=bool)
-            rest_mask[prec_pos] = False
-            rest_pos = np.flatnonzero(rest_mask)
-        else:
-            rest_pos = np.empty(0, np.intp)
+        rest_mask = np.ones(row, dtype=bool)
+        rest_mask[prec_pos] = False
+        rest_pos = np.flatnonzero(rest_mask)
+        hx, cx = HX[row], CX[row]
+        if prec_pos.size:
+            hx[:d] = H[prec_pos].sum(axis=0) / prec_pos.size
+            cx[:d] = C[prec_pos].sum(axis=0) / prec_pos.size
+        if rest_pos.size:
+            hx[d:] = H[rest_pos].sum(axis=0) / rest_pos.size
+            cx[d:] = C[rest_pos].sum(axis=0) / rest_pos.size
 
-        h_p = H[prec_pos].mean(axis=0) if prec_pos.size else zeros
-        c_p = C[prec_pos].mean(axis=0) if prec_pos.size else zeros
-        h_q = H[rest_pos].mean(axis=0) if rest_pos.size else zeros
-        c_q = C[rest_pos].mean(axis=0) if rest_pos.size else zeros
-
-        state, trace = cell_forward(v, AggregatedInputs(h_p, h_q, c_p, c_q), params)
-        trace.prec_pos = prec_pos
-        trace.rest_pos = rest_pos
-        H[t - 1] = state.h
-        C[t - 1] = state.c
-        traces.append(trace)
+        _cell(U @ hx + XB[row], cx, A[row], tanh_C[row], H[row], C[row])
+        prec_list.append(prec_pos)
+        rest_list.append(rest_pos)
         active_mask[v] = True
-        pos_of[v] = t - 1
-        if precedent_scoring:
-            succ = ops.out_arrays[v]
+        pos_of[v] = row
+        if prec_num is not None:
+            succ = out_arrays[v]
             if succ.size:
-                prec_sum[succ] += state.h
+                prec_num[succ] += G[succ] @ H[row]
                 prec_cnt[succ] += 1.0
 
-    return CascadeForwardResult(cascade=cascade, graph=graph, H=H, C=C,
-                                traces=traces, steps=steps)
+    if not (np.all(np.isfinite(H)) and np.all(np.isfinite(C))):
+        bad = int(np.flatnonzero(~(np.isfinite(H) & np.isfinite(C)).all(axis=1))[0])
+        _raise_nonfinite(cascade[bad], A[bad], C[bad])
+    return CascadeForwardResult(cascade=cascade, graph=graph, H=H, C=C, A=A,
+                                tanh_C=tanh_C, HX=HX, CX=CX, prec_pos=prec_list,
+                                rest_pos=rest_list, steps=steps,
+                                prec_num=prec_num, prec_cnt=prec_cnt)
 
 
 def backward_cascade(result: CascadeForwardResult, model: Model,
@@ -383,95 +415,96 @@ def backward_cascade(result: CascadeForwardResult, model: Model,
     Accumulates into ``out`` (a fresh store when omitted) without any
     normalisation, so contributions from repeated cascades add up.  Handles
     the fan-out of every sender state into all later aggregates and all
-    later scoring steps.
+    later scoring steps.  The loop carries only the sequential part: gate
+    derivatives, the U^T dz matvec, the dH/dC scatter and, in precedent-only
+    mode, the running scoring gradient.  The cell weight gradients of all
+    steps are then added with one matmul and one scatter.
     """
     if out is None:
         out = model.zero_grads()
     config = model.config
     params = model.params
     T = len(result.cascade)
-    d = config.hidden_dim
-    G = params["G"]
+    d, m = config.hidden_dim, config.node_count
+    G, U = params["G"], params.fused("U")
+    gG, gb_act = out["G"], out["b_act"]
     dH = np.zeros((T, d))
     dC = np.zeros((T, d))
-    steps_by_t = {s.t: s for s in result.steps}
-    if config.score_mode == "precedent-only" and result.steps:
-        adjacency = _graph_ops(result.graph).adjacency
-        cascade_ids = np.asarray(result.cascade.nodes, dtype=np.intp)
+    DZ = np.zeros((T, 5 * d))
+    DZ_dc = DZ[:, :4 * d].reshape(T, 4, d)   # gate blocks driven by dc
+    steps = result.steps                     # step t sits at index t - 2
+    precedent_only = config.score_mode == "precedent-only"
+    if precedent_only:
+        # A step scores candidate w with G[w] . h_u / |P_w| for each
+        # precedent u, so alpha_w = gvec_w / |P_w| is summed per w over
+        # the later steps as the loop goes, and applied when u comes up.
+        out_arrays = _out_arrays(result.graph)
+        alpha_sum = np.zeros(m)
+    elif steps:
+        # All-active scoring gradients, all steps at once.  Row s of GV is
+        # d loss / d scores of step t = s + 2 over all nodes (0 at active
+        # ones); its d_pooled / (t - 1) reaches every state active before t.
+        GV = np.zeros((len(steps), m))
+        for s, step in enumerate(steps):
+            GV[s, step.cand] = step.probs
+            GV[s, step.cand[step.target_cand_pos]] -= 1.0
+        gb_act += GV.sum(axis=0)
+        gG += GV.T @ np.array([step.mean_active for step in steps])
+        DP = (GV @ G) / np.arange(1, len(steps) + 1)[:, None]
+        dH[:len(steps)] += np.cumsum(DP[::-1], axis=0)[::-1]
 
-    u_i_p, u_i_q = params["U_i_p"], params["U_i_q"]
-    u_f_pp, u_f_pq = params["U_f_pp"], params["U_f_pq"]
-    u_f_qp, u_f_qq = params["U_f_qp"], params["U_f_qq"]
-    u_c_p, u_c_q = params["U_c_p"], params["U_c_q"]
-    u_o_p, u_o_q = params["U_o_p"], params["U_o_q"]
+    # dz = [dc, dc, dc, dc, dh] * K row by row; dc picks up dh * dc_dh.
+    i, f_p, f_q, c_tilde, o = (result.A[:, k * d:(k + 1) * d] for k in range(5))
+    c_p, c_q = result.CX[:, :d], result.CX[:, d:]
+    K = np.concatenate((c_tilde * i * (1.0 - i), c_p * f_p * (1.0 - f_p),
+                        c_q * f_q * (1.0 - f_q), i * (1.0 - c_tilde ** 2),
+                        result.tanh_C * o * (1.0 - o)), axis=1)
+    K_dc = K[:, :4 * d].reshape(T, 4, d)
+    dc_dh = o * (1.0 - result.tanh_C ** 2)
 
     for t in range(T, 0, -1):
-        step = steps_by_t.get(t)
-        if step is not None:
-            gvec = step.probs.copy()
-            gvec[step.target_cand_pos] -= 1.0
-            cand = step.cand
-            out["b_act"][cand] += gvec
-            if config.score_mode == "all-active":
-                out["G"][cand] += gvec[:, None] * step.mean_active[None, :]
-                d_pooled = G[cand].T @ gvec
-                dH[: t - 1] += d_pooled / (t - 1)
-            else:
-                out["G"][cand] += gvec[:, None] * step.prec_means
-                # Each active node u feeds dH[u] with sum over its inactive
-                # out-neighbours w of gvec_w / |P_w| * G[w]; alpha is zero for
-                # active targets and for candidates without precedents.
-                alpha = np.zeros(config.node_count)
-                nz = step.prec_counts > 0
-                alpha[cand[nz]] = gvec[nz] / step.prec_counts[nz]
-                contrib = adjacency @ (alpha[:, None] * G)
-                dH[: t - 1] += contrib[cascade_ids[: t - 1]]
-
         pos = t - 1
+        if precedent_only:
+            # Steps after t see v_t's state; step t itself does not.
+            succ = out_arrays[result.cascade[pos]]
+            if succ.size:
+                alpha = alpha_sum[succ]
+                dH[pos] += alpha @ G[succ]
+                gG[succ] += alpha[:, None] * result.H[pos]
+            if steps and t >= 2:
+                step = steps[t - 2]
+                gvec = step.probs.copy()
+                gvec[step.target_cand_pos] -= 1.0
+                gb_act[step.cand] += gvec
+                # Candidates without precedents pool nothing: alpha is 0.
+                alpha_sum[step.cand] += gvec / np.where(step.prec_counts > 0,
+                                                        step.prec_counts, np.inf)
+
         dh = dH[pos]
         if not (dh.any() or dC[pos].any()):
             continue
-        tr = result.traces[pos]
-        agg = tr.agg
-        dc = dC[pos] + dh * tr.o * (1.0 - tr.tanh_c ** 2)
-        dzo = dh * tr.tanh_c * tr.o * (1.0 - tr.o)
-        dzi = dc * tr.c_tilde * tr.i * (1.0 - tr.i)
-        dzc = dc * tr.i * (1.0 - tr.c_tilde ** 2)
-        dzf_p = dc * agg.c_p * tr.f_p * (1.0 - tr.f_p)
-        dzf_q = dc * agg.c_q * tr.f_q * (1.0 - tr.f_q)
+        dc = dC[pos] + dh * dc_dh[pos]
+        np.multiply(K_dc[pos], dc, out=DZ_dc[pos])
+        np.multiply(K[pos, 4 * d:], dh, out=DZ[pos, 4 * d:])
 
-        v = tr.node
-        out["W_i"][:, v] += dzi
-        out["b_i"] += dzi
-        out["U_i_p"] += np.outer(dzi, agg.h_p)
-        out["U_i_q"] += np.outer(dzi, agg.h_q)
-        dzf_sum = dzf_p + dzf_q
-        out["W_f"][:, v] += dzf_sum
-        out["b_f"] += dzf_sum
-        out["U_f_pp"] += np.outer(dzf_p, agg.h_p)
-        out["U_f_pq"] += np.outer(dzf_p, agg.h_q)
-        out["U_f_qp"] += np.outer(dzf_q, agg.h_p)
-        out["U_f_qq"] += np.outer(dzf_q, agg.h_q)
-        out["W_c"][:, v] += dzc
-        out["b_c"] += dzc
-        out["U_c_p"] += np.outer(dzc, agg.h_p)
-        out["U_c_q"] += np.outer(dzc, agg.h_q)
-        out["W_o"][:, v] += dzo
-        out["b_o"] += dzo
-        out["U_o_p"] += np.outer(dzo, agg.h_p)
-        out["U_o_q"] += np.outer(dzo, agg.h_q)
+        prec_pos, rest_pos = result.prec_pos[pos], result.rest_pos[pos]
+        if prec_pos.size or rest_pos.size:
+            dhx = U.T @ DZ[pos]
+            if prec_pos.size:
+                dH[prec_pos] += dhx[:d] / prec_pos.size
+                dC[prec_pos] += dc * f_p[pos] / prec_pos.size
+            if rest_pos.size:
+                dH[rest_pos] += dhx[d:] / rest_pos.size
+                dC[rest_pos] += dc * f_q[pos] / rest_pos.size
 
-        if tr.prec_pos.size or tr.rest_pos.size:
-            dh_p = (u_i_p.T @ dzi + u_f_pp.T @ dzf_p + u_f_qp.T @ dzf_q
-                    + u_c_p.T @ dzc + u_o_p.T @ dzo)
-            dh_q = (u_i_q.T @ dzi + u_f_pq.T @ dzf_p + u_f_qq.T @ dzf_q
-                    + u_c_q.T @ dzc + u_o_q.T @ dzo)
-            if tr.prec_pos.size:
-                dH[tr.prec_pos] += dh_p / tr.prec_pos.size
-                dC[tr.prec_pos] += dc * tr.f_p / tr.prec_pos.size
-            if tr.rest_pos.size:
-                dH[tr.rest_pos] += dh_q / tr.rest_pos.size
-                dC[tr.rest_pos] += dc * tr.f_q / tr.rest_pos.size
+    gU = out.fused("U")
+    gU += DZ.T @ result.HX
+    # Both forget-gate rows of dz feed the shared W_f / b_f block.
+    DZ4 = np.concatenate((DZ[:, :2 * d], DZ[:, 3 * d:]), axis=1)
+    DZ4[:, d:2 * d] += DZ[:, 2 * d:3 * d]
+    out.fused("Wx")[:, np.asarray(result.cascade.nodes, dtype=np.intp)] += DZ4.T
+    gb = out.fused("b")
+    gb += DZ4.sum(axis=0)
     return out
 
 
@@ -493,19 +526,6 @@ def predict_next(model: Model, graph: DataGraph, prefix: Cascade,
     cand = np.flatnonzero(~active_mask)
     if cand.size == 0:
         raise ValueError("no inactive nodes left to predict")
-    G, b_act = model.params["G"], model.params["b_act"]
-    if model.config.score_mode == "all-active":
-        pooled = result.H.mean(axis=0)
-        scores = G[cand] @ pooled + b_act[cand]
-    else:
-        topo = topologies[len(prefix)]  # time T+1
-        pos_of = {v: i for i, v in enumerate(prefix.nodes)}
-        scores = np.empty(cand.size)
-        for j, u in enumerate(cand):
-            prec = topo.precedents(int(u))
-            if prec:
-                ppos = [pos_of[x] for x in prec]
-                scores[j] = G[u] @ result.H[ppos].mean(axis=0) + b_act[u]
-            else:
-                scores[j] = b_act[u]
+    scores, _, _ = _candidate_scores(model.params, cand, result.H,
+                                     result.prec_num, result.prec_cnt)
     return cand, softmax(scores)

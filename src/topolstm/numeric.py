@@ -1,6 +1,6 @@
-"""Dense numeric substrate: named parameter slots, the small set of
-operations the model needs, the Adam optimizer, and a central-difference
-gradient checker.
+"""Dense numeric substrate: named parameter slots over one flat vector, the
+small set of operations the model needs, the Adam optimizer, and a
+central-difference gradient checker.
 
 Everything is float64.  Gradients for the model are hand-derived elsewhere;
 this module only provides the carriers and the verification tooling.
@@ -8,19 +8,29 @@ this module only provides the carriers and the verification tooling.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy.special import expit as sigmoid  # numerically stable logistic
 
 from .errors import NumericError, ShapeError
 
 __all__ = [
-    "ParameterStore", "GradientStore", "sigmoid", "affine", "mean_pool",
+    "Layout", "ParameterStore", "GradientStore", "sigmoid", "affine", "mean_pool",
     "softmax", "softmax_over_subset", "nll_from_scores", "Adam", "adam_step",
     "FdCheckResult", "finite_difference_check", "assert_all_finite",
 ]
+
+
+def sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Elementwise logistic 1 / (1 + exp(-z)) as (1 + tanh(z/2)) / 2, which
+    cannot overflow; its absolute error is an ulp or two."""
+    out = np.multiply(z, 0.5, out=out)
+    np.tanh(out, out=out)
+    out *= 0.5
+    out += 0.5
+    return out
 
 
 def assert_all_finite(name: str, arr: np.ndarray) -> None:
@@ -28,13 +38,70 @@ def assert_all_finite(name: str, arr: np.ndarray) -> None:
         raise NumericError(f"non-finite values in {name}")
 
 
-class ParameterStore:
-    """Named float64 slots with a fixed shape signature and deterministic order."""
+@dataclass(frozen=True)
+class Layout:
+    """Where each named slot sits in one flat float64 vector.
 
-    def __init__(self, slots: Mapping[str, np.ndarray]):
-        self._slots: dict[str, np.ndarray] = {}
-        for name, arr in slots.items():
-            self._slots[name] = np.asarray(arr, dtype=np.float64)
+    An entry is (name, shape, offset, strides), with offset and strides
+    counted in elements; a slot may be a strided view.  ``fused`` entries
+    name extra views spanning several slots.  ``slots`` must cover the
+    vector exactly once, so whole-store arithmetic can run on the vector.
+    """
+    size: int
+    slots: tuple
+    fused: tuple = ()
+
+    @classmethod
+    def packed(cls, shapes: Mapping[str, tuple]) -> "Layout":
+        """Row-major slots one after the other, in mapping order."""
+        entries, offset = [], 0
+        for name, shape in shapes.items():
+            shape = tuple(int(n) for n in shape)
+            strides = tuple(math.prod(shape[k + 1:]) for k in range(len(shape)))
+            entries.append((name, shape, offset, strides))
+            offset += math.prod(shape)
+        return cls(offset, tuple(entries))
+
+    def shapes(self) -> dict[str, tuple]:
+        return {name: shape for name, shape, _, _ in self.slots}
+
+    def views(self, flat: np.ndarray, entries) -> dict[str, np.ndarray]:
+        """Views of ``entries`` into ``flat``; numpy checks they stay inside it."""
+        return {name: np.ndarray(shape, np.float64, flat, 8 * offset,
+                                 tuple(8 * s for s in strides))
+                for name, shape, offset, strides in entries}
+
+
+class ParameterStore:
+    """Named float64 slots with a fixed shape signature and deterministic order.
+
+    All slots live in one contiguous vector, ``flat``; each named slot is a
+    view into it, so bulk arithmetic is one vector operation.  Assigning to
+    a slot copies into its view and never rebinds it.
+    """
+
+    def __init__(self, slots: Mapping[str, np.ndarray], layout: Layout | None = None):
+        arrays = {name: np.asarray(arr, dtype=np.float64) for name, arr in slots.items()}
+        if layout is None:
+            layout = Layout.packed({name: arr.shape for name, arr in arrays.items()})
+        elif list(arrays) != list(layout.shapes()):
+            raise ShapeError(f"slots {list(arrays)} do not match the layout's "
+                             f"{list(layout.shapes())}")
+        self._bind(np.zeros(layout.size), layout)
+        for name, arr in arrays.items():
+            self[name] = arr
+
+    @classmethod
+    def _wrap(cls, flat: np.ndarray, layout: Layout) -> "ParameterStore":
+        store = cls.__new__(cls)
+        store._bind(flat, layout)
+        return store
+
+    def _bind(self, flat: np.ndarray, layout: Layout) -> None:
+        self.flat = flat
+        self.layout = layout
+        self._slots = layout.views(flat, layout.slots)
+        self._fused = layout.views(flat, layout.fused)
 
     def __contains__(self, name: str) -> bool:
         return name in self._slots
@@ -51,7 +118,14 @@ class ParameterStore:
         if value.shape != current.shape:
             raise ShapeError(
                 f"slot {name!r}: expected shape {current.shape}, got {value.shape}")
-        self._slots[name] = value
+        current[...] = value
+
+    def fused(self, name: str) -> np.ndarray:
+        """A view spanning several slots, as declared by the layout."""
+        try:
+            return self._fused[name]
+        except KeyError:
+            raise ShapeError(f"no fused view {name!r} in this layout") from None
 
     def names(self) -> list[str]:
         return list(self._slots)
@@ -60,44 +134,39 @@ class ParameterStore:
         return self._slots.items()
 
     def shapes(self) -> dict[str, tuple]:
-        return {k: v.shape for k, v in self._slots.items()}
+        return self.layout.shapes()
 
     @property
     def total_size(self) -> int:
-        return sum(v.size for v in self._slots.values())
+        return self.layout.size
 
     def zeros_like(self) -> "ParameterStore":
-        return ParameterStore({k: np.zeros_like(v) for k, v in self._slots.items()})
+        return ParameterStore._wrap(np.zeros_like(self.flat), self.layout)
 
     def copy(self) -> "ParameterStore":
-        return ParameterStore({k: v.copy() for k, v in self._slots.items()})
+        return ParameterStore._wrap(self.flat.copy(), self.layout)
 
     def _require_congruent(self, other: "ParameterStore") -> None:
-        if self.shapes() != other.shapes():
-            ours, theirs = self.shapes(), other.shapes()
-            for k in set(ours) | set(theirs):
-                if ours.get(k) != theirs.get(k):
-                    raise ShapeError(
-                        f"slot {k!r}: shapes {ours.get(k)} vs {theirs.get(k)}")
+        if self.layout is not other.layout and self.layout != other.layout:
+            raise ShapeError(f"stores differ in layout: slot shapes {self.shapes()} "
+                             f"vs {other.shapes()}")
 
     def accumulate(self, other: "ParameterStore", scale: float = 1.0) -> None:
         self._require_congruent(other)
-        for k, v in self._slots.items():
-            v += scale * other._slots[k]
+        self.flat += scale * other.flat
 
     def scale(self, alpha: float) -> None:
-        for v in self._slots.values():
-            v *= alpha
+        self.flat *= alpha
 
     def fill(self, value: float) -> None:
-        for v in self._slots.values():
-            v.fill(value)
+        self.flat.fill(value)
 
     def squared_l2(self) -> float:
-        return float(sum(np.dot(v.ravel(), v.ravel()) for v in self._slots.values()))
+        return float(np.dot(self.flat, self.flat))
 
     def flat_coordinate(self, k: int) -> tuple[str, tuple]:
-        """Map a flat coordinate in [0, total_size) to (slot name, multi-index)."""
+        """Map a coordinate in [0, total_size), counted slot by slot in name
+        order, to (slot name, multi-index)."""
         if not (0 <= k < self.total_size):
             raise IndexError(k)
         for name, arr in self._slots.items():
@@ -107,6 +176,8 @@ class ParameterStore:
         raise AssertionError("unreachable")
 
     def check_finite(self) -> None:
+        if np.isfinite(self.flat).all():
+            return
         for name, arr in self._slots.items():
             assert_all_finite(f"slot {name!r}", arr)
 
@@ -178,21 +249,19 @@ def adam_step(params: ParameterStore, grads: GradientStore,
               moment1: ParameterStore, moment2: ParameterStore, step_count: int,
               lr: float, beta1: float = 0.9, beta2: float = 0.999,
               eps: float = 1e-8) -> None:
-    """One bias-corrected Adam update applied in place to every slot."""
+    """One bias-corrected Adam update applied in place to the whole vector."""
     if step_count < 1:
         raise ValueError("step_count must be >= 1")
-    params._require_congruent(grads)
+    for other in (grads, moment1, moment2):
+        params._require_congruent(other)
     bc1 = 1.0 - beta1 ** step_count
     bc2 = 1.0 - beta2 ** step_count
-    for name, theta in params.items():
-        g = grads[name]
-        m = moment1[name]
-        v = moment2[name]
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * np.square(g)
-        theta -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+    g, m, v = grads.flat, moment1.flat, moment2.flat
+    m *= beta1
+    m += (1.0 - beta1) * g
+    v *= beta2
+    v += (1.0 - beta2) * np.square(g)
+    params.flat -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
 
 
 class Adam:

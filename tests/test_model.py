@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from topolstm.errors import NumericError, TopoLstmError
+from topolstm.errors import NumericError, ShapeError, TopoLstmError
 from topolstm.graph import Cascade, DataGraph, build_topology
 from topolstm.model import (AggregatedInputs, CellState, Model, ModelConfig,
-                            aggregate, backward_cascade, cell_forward,
+                            U_BLOCKS, aggregate, backward_cascade, cell_forward,
                             forward_cascade, predict_next, score_inactive)
-from topolstm.numeric import finite_difference_check, softmax_over_subset
+from topolstm.numeric import (ParameterStore, finite_difference_check,
+                              softmax_over_subset)
 from topolstm.training import objective_and_gradient
 
 from conftest import random_cascade, random_graph
@@ -51,6 +52,72 @@ def random_instance(rng, m=12, d=4, T=6, mode="all-active"):
     cascade = random_cascade(rng, m, T)
     model = perturbed_model(ModelConfig(d, m, mode), rng)
     return graph, cascade, model
+
+
+class TestParameterLayout:
+    def _model(self, d=3, m=5):
+        return perturbed_model(ModelConfig(d, m), np.random.default_rng(30))
+
+    def test_every_slot_is_a_view_and_covers_the_vector_once(self):
+        model = self._model()
+        params = model.params
+        cover = np.zeros(params.total_size)
+        for name, arr in params.items():
+            assert np.shares_memory(arr, params.flat), name
+            view = params.layout.views(cover, [e for e in params.layout.slots
+                                               if e[0] == name])[name]
+            view += 1.0
+        np.testing.assert_array_equal(cover, 1.0)
+
+    def test_fused_views_hold_the_slots(self):
+        model = self._model()
+        p, d = model.params, 3
+        Wx, U, b = p.fused("Wx"), p.fused("U"), p.fused("b")
+        for k, gate in enumerate("ifco"):
+            np.testing.assert_array_equal(Wx[k * d:(k + 1) * d], p[f"W_{gate}"])
+            np.testing.assert_array_equal(b[k * d:(k + 1) * d], p[f"b_{gate}"])
+        for row, names in enumerate(U_BLOCKS):
+            for col, name in enumerate(names):
+                np.testing.assert_array_equal(
+                    U[row * d:(row + 1) * d, col * d:(col + 1) * d], p[name])
+
+    def test_setitem_writes_through_to_fused_view(self):
+        model = self._model()
+        d = 3
+        value = np.arange(d * d, dtype=float).reshape(d, d)
+        model.params["U_c_q"] = value
+        np.testing.assert_array_equal(model.params.fused("U")[3 * d:4 * d, d:], value)
+        model.params["W_f"] = np.full((d, 5), 2.5)
+        np.testing.assert_array_equal(model.params.fused("Wx")[d:2 * d], 2.5)
+
+    def test_copy_and_zeros_like_keep_the_layout(self):
+        model = self._model()
+        for other in (model.copy().params, model.zero_grads()):
+            assert other.layout == model.params.layout
+            assert not np.shares_memory(other.flat, model.params.flat)
+            assert np.shares_memory(other.fused("U"), other.flat)
+        copied = model.copy()
+        copied.params["b_o"] = np.ones(3)
+        assert not np.any(model.params["b_o"] == 1.0)
+
+    def test_fd_perturbation_reaches_the_fused_matrix(self):
+        # finite_difference_check perturbs slots in place; the cell must see it.
+        model = self._model()
+        d = 3
+        U = model.params.fused("U")
+        before = U[2 * d + 1, 2].copy()
+        model.params["U_f_qp"][1, 2] += 1e-3
+        assert U[2 * d + 1, 2] == before + 1e-3
+        agg = AggregatedInputs(*(np.full(d, 0.5) for _ in range(4)))
+        state, _ = cell_forward(0, agg, model.params)
+        h_ref, _ = scalar_cell_oracle(0, agg, model.params, d)
+        np.testing.assert_allclose(state.h, h_ref, atol=1e-12)
+
+    def test_packed_store_is_not_a_model_store(self):
+        model = self._model()
+        packed = ParameterStore(dict(model.params.items()))
+        with pytest.raises(ShapeError, match="fused"):
+            cell_forward(0, AggregatedInputs(*(np.zeros(3) for _ in range(4))), packed)
 
 
 class TestCellForward:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from topolstm.errors import NumericError, ShapeError
-from topolstm.numeric import (Adam, FdCheckResult, GradientStore,
+from topolstm.numeric import (Adam, FdCheckResult, GradientStore, Layout,
                               ParameterStore, adam_step, affine,
                               finite_difference_check, mean_pool, softmax,
                               softmax_over_subset)
@@ -42,6 +42,68 @@ class TestParameterStore:
             name, idx = store.flat_coordinate(k)
             seen.append(float(store[name][idx]))
         assert seen == [0, 1, 2, 3, 4, 5, 0, 1]
+
+
+class TestFlatBuffer:
+    def _store(self):
+        return ParameterStore({"a": np.arange(6, dtype=float).reshape(2, 3),
+                               "b": np.array([7.0, 8.0])})
+
+    def test_slots_are_views_into_the_flat_vector(self):
+        store = self._store()
+        for _, arr in store.items():
+            assert np.shares_memory(arr, store.flat)
+        np.testing.assert_array_equal(store.flat, [0, 1, 2, 3, 4, 5, 7, 8])
+
+    def test_setitem_writes_through(self):
+        store = self._store()
+        view = store["a"]
+        store["a"] = np.ones((2, 3))
+        assert store["a"] is view
+        np.testing.assert_array_equal(store.flat[:6], np.ones(6))
+
+    def test_copy_and_zeros_like_are_independent(self):
+        store = self._store()
+        for other in (store.copy(), store.zeros_like()):
+            assert other.layout == store.layout
+            assert not np.shares_memory(other.flat, store.flat)
+            other["b"] = [-1.0, -1.0]
+            np.testing.assert_array_equal(store["b"], [7.0, 8.0])
+        np.testing.assert_array_equal(store.copy().flat, store.flat)
+        assert not store.zeros_like().flat.any()
+
+    def test_bulk_ops_act_on_every_slot(self):
+        store = self._store()
+        store.accumulate(store.copy(), scale=2.0)
+        np.testing.assert_array_equal(store["b"], [21.0, 24.0])
+        store.scale(0.5)
+        np.testing.assert_array_equal(store["a"][1], [4.5, 6.0, 7.5])
+        store.fill(1.5)
+        assert store.squared_l2() == pytest.approx(8 * 2.25)
+
+    def test_same_slots_in_another_layout_rejected(self):
+        a = ParameterStore({"w": np.zeros(2), "v": np.zeros(2)})
+        swapped = Layout(4, (("w", (2,), 2, (1,)), ("v", (2,), 0, (1,))))
+        b = ParameterStore({"w": np.ones(2), "v": np.zeros(2)}, swapped)
+        np.testing.assert_array_equal(b.flat, [0.0, 0.0, 1.0, 1.0])
+        with pytest.raises(ShapeError, match="layout"):
+            a.accumulate(b)
+
+    def test_views_must_fit_the_vector(self):
+        overhanging = Layout(4, (("w", (3,), 2, (1,)),))
+        with pytest.raises(ValueError):
+            overhanging.views(np.zeros(4), overhanging.slots)
+
+    def test_fused_view_must_exist(self):
+        with pytest.raises(ShapeError, match="'U'"):
+            self._store().fused("U")
+
+    def test_check_finite_names_the_slot(self):
+        store = self._store()
+        store.check_finite()
+        store["b"][1] = np.inf
+        with pytest.raises(NumericError, match="'b'"):
+            store.check_finite()
 
 
 class TestAffine:
