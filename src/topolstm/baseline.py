@@ -84,7 +84,7 @@ def fit_static_bernoulli(graph: DataGraph,
 def icsb_score(probs: EdgeProbabilities,
                topo: DiffusionTopology) -> dict[int, float]:
     """Noisy-OR activation score for each inactive node at the topology's time."""
-    graph = topo._timeline.graph
+    graph = topo.graph
     active = set(topo.active_prefix)
     scores: dict[int, float] = {}
     for v in range(graph.node_count):

@@ -1,7 +1,8 @@
 """Command-line pipeline: generate synthetic data, train, evaluate, predict.
 
-Exit codes: 0 success, 2 usage or data error, 3 training divergence,
-4 malformed checkpoint or checkpoint/graph mismatch.  Every run is reproducible under a fixed seed;
+Exit codes: 0 success, 2 usage or data error (a missing or unreadable path
+included), 3 training divergence, 4 malformed checkpoint or checkpoint/graph
+mismatch.  Every run is reproducible under a fixed seed;
 with --deterministic the primary outputs (dataset files, checkpoint, report,
 split files, metrics) are byte-identical across reruns.
 """
@@ -20,8 +21,8 @@ from . import datagen, evaluation, training
 from .baseline import EdgeProbabilities, ICSBScorer, fit_static_bernoulli
 from .errors import (CheckpointError, ConfigError, DataError, DivergenceError,
                      TopoLstmError)
-from .graph import (Cascade, build_topologies, load_cascades_file,
-                    load_graph_file, save_cascades_file, save_labels)
+from .graph import (Cascade, load_cascades_file, load_graph_file,
+                    save_cascades_file, save_labels)
 from .model import ModelConfig, predict_next
 from .version import TOOL_VERSION
 
@@ -331,8 +332,7 @@ def cmd_predict(args) -> int:
     prefix = Cascade(tuple(ids))
     if args.top_n < 1:
         raise DataError("--top-n must be >= 1")
-    cand, probs = predict_next(model, graph, prefix,
-                               topologies=build_topologies(graph, prefix))
+    cand, probs = predict_next(model, graph, prefix)
     order = sorted(range(cand.size), key=lambda j: (-probs[j], cand[j]))
     for j in order[: args.top_n]:
         print(f"{graph.labels[cand[j]]} {float(probs[j])!r}")
@@ -350,7 +350,7 @@ def main(argv=None) -> int:
     except CheckpointError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
-    except (DataError, ConfigError, ValueError) as exc:
+    except (DataError, ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except TopoLstmError as exc:

@@ -3,16 +3,16 @@
 A cascade is an ordered sequence of distinct activated nodes over a static
 directed graph.  At time step t the "activation attempt" edges seen so far
 form a DAG: every edge runs from a node activated before t to a node that is
-either still inactive or was activated later than the source.  These DAGs
-grow monotonically as the cascade proceeds, so consecutive snapshots share a
-single append-only timeline instead of copying edge sets at every step.
+either still inactive or was activated later than the source.  So the whole
+DAG at any t follows from the graph, the activation order and t, and a
+topology is an immutable view over those three: the snapshots of one cascade
+share its order and copy no edge sets.  A node's precedents at t are
+filtered from its in-neighbour list.
 """
 
 from __future__ import annotations
 
 import logging
-import threading
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -234,95 +234,49 @@ def save_cascades_file(path, cascades: Iterable[Cascade], graph: DataGraph,
             fh.write(" ".join(graph.labels[v] for v in cascade) + "\n")
 
 
-class _TopologyTimeline:
-    """Append-only edge/precedent log shared by the snapshots of one cascade.
-
-    Edges out of the node activated at time t become visible at time t+1.
-    Snapshots read only prefixes of the logs fixed by their time stamp, so
-    later appends never change what an earlier snapshot observes.
-    """
-
-    __slots__ = ("graph", "order", "time_of", "edge_src", "edge_dst",
-                 "edge_counts", "prec_nodes", "prec_times", "head_lock")
-
-    def __init__(self, graph: DataGraph):
-        self.graph = graph
-        self.order: list[NodeId] = []
-        self.time_of: dict[NodeId, int] = {}
-        self.edge_src: list[NodeId] = []
-        self.edge_dst: list[NodeId] = []
-        self.edge_counts: list[int] = [0]  # edge_counts[t-1] == |E*_t|
-        self.prec_nodes: dict[NodeId, list[NodeId]] = {}
-        self.prec_times: dict[NodeId, list[int]] = {}
-        # Guards head extension only; snapshot reads touch settled prefixes
-        # of the logs and need no lock.
-        self.head_lock = threading.Lock()
-
-    @property
-    def max_time(self) -> int:
-        return len(self.order) + 1
-
-    def append(self, node: NodeId) -> None:
-        t = len(self.order) + 1
-        self.order.append(node)
-        self.time_of[node] = t
-        for u in self.graph.out[node]:
-            if u in self.time_of:
-                continue  # target activated earlier: never an attempt edge
-            self.edge_src.append(node)
-            self.edge_dst.append(u)
-            self.prec_nodes.setdefault(u, []).append(node)
-            self.prec_times.setdefault(u, []).append(t + 1)
-        self.edge_counts.append(len(self.edge_src))
-
-    def precedents_at(self, v: NodeId, time: int) -> tuple[NodeId, ...]:
-        times = self.prec_times.get(v)
-        if not times:
-            return ()
-        k = bisect_right(times, time)
-        return tuple(self.prec_nodes[v][:k])
-
-    def branch_copy(self, upto_time: int) -> "_TopologyTimeline":
-        fresh = _TopologyTimeline(self.graph)
-        for node in self.order[: upto_time - 1]:
-            fresh.append(node)
-        return fresh
-
-
 class DiffusionTopology:
     """The DAG of activation attempts at one time step of a cascade.
 
-    Exposes the active prefix Q (nodes activated strictly before ``time``), the
-    attempt edge set, and per-node precedent lists ordered by the precedents'
-    activation times.  Instances are immutable snapshots.
+    An immutable view over a graph, an activation order, the order's
+    node -> position map and a time.  The view sees the active prefix Q
+    (the nodes activated strictly before ``time``), the attempt edges out of
+    them, and per-node precedent lists ordered by the precedents' activation
+    times.  The views of one cascade share its order and position map; nodes
+    placed at or after ``time`` count as inactive.
     """
 
-    __slots__ = ("_timeline", "time")
+    __slots__ = ("graph", "_order", "_pos", "time")
 
-    def __init__(self, timeline: _TopologyTimeline, time: int):
-        self._timeline = timeline
+    def __init__(self, graph: DataGraph, order: tuple[NodeId, ...],
+                 pos: dict[NodeId, int], time: int):
+        self.graph = graph
+        self._order = order
+        self._pos = pos
         self.time = time
 
     @property
     def active_prefix(self) -> tuple[NodeId, ...]:
-        return tuple(self._timeline.order[: self.time - 1])
+        return self._order[: self.time - 1]
 
     @property
     def edge_count(self) -> int:
-        return self._timeline.edge_counts[self.time - 1]
+        return len(self.edges)
 
     @property
     def edges(self) -> frozenset[tuple[NodeId, NodeId]]:
-        k = self.edge_count
-        tl = self._timeline
-        return frozenset(zip(tl.edge_src[:k], tl.edge_dst[:k]))
+        # An edge out of u is an attempt unless its target activated before u.
+        pos, never = self._pos, len(self._order)
+        return frozenset((u, w) for u in self.active_prefix for w in self.graph.out[u]
+                         if pos.get(w, never) > pos[u])
 
     def precedents(self, v: NodeId) -> tuple[NodeId, ...]:
-        return self._timeline.precedents_at(v, self.time)
+        pos = self._pos
+        limit = min(self.time - 1, pos.get(v, self.time))
+        return tuple(sorted((u for u in self.graph.in_[v] if pos.get(u, limit) < limit),
+                            key=pos.__getitem__))
 
     def is_active(self, v: NodeId) -> bool:
-        t = self._timeline.time_of.get(v)
-        return t is not None and t < self.time
+        return self._pos.get(v, self.time) < self.time - 1
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DiffusionTopology):
@@ -339,49 +293,47 @@ class DiffusionTopology:
                 f"active={list(self.active_prefix)}, edges={self.edge_count})")
 
 
+def _check_node(graph: DataGraph, node: NodeId) -> None:
+    if not (0 <= node < graph.node_count):
+        raise ValueError(f"node {node} out of range")
+
+
 def build_topology(graph: DataGraph, cascade: Cascade, t: int) -> DiffusionTopology:
-    """Construct the diffusion topology of ``cascade`` at time ``t`` from scratch.
+    """The diffusion topology of ``cascade`` at time ``t``.
 
     ``t`` may range over 1..T+1; t = T+1 is the topology seen when predicting
     the activation after the full observed prefix.
     """
     if not (1 <= t <= len(cascade) + 1):
         raise ValueError(f"time {t} out of range for cascade of length {len(cascade)}")
-    timeline = _TopologyTimeline(graph)
     for node in cascade.nodes[: t - 1]:
-        timeline.append(node)
-    return DiffusionTopology(timeline, t)
+        _check_node(graph, node)
+    order = cascade.nodes
+    return DiffusionTopology(graph, order, {v: i for i, v in enumerate(order)}, t)
 
 
 def extend_topology(topo: DiffusionTopology, graph: DataGraph,
                     next_active: NodeId) -> DiffusionTopology:
     """Advance a topology one step by activating ``next_active``.
 
-    Only edges out of ``next_active`` (into not-yet-active targets) are added;
-    the result equals a fresh construction at time+1.
+    The result equals a fresh construction at time+1.  It shares ``topo``'s
+    order when that order already continues with ``next_active``, and
+    otherwise holds a new order that branches off at ``topo.time``.
     """
-    timeline = topo._timeline
-    if timeline.graph is not graph:
+    if topo.graph is not graph:
         raise ValueError("topology was built over a different graph")
-    if not (0 <= next_active < graph.node_count):
-        raise ValueError(f"node {next_active} out of range")
-    active_time = timeline.time_of.get(next_active)
-    if active_time is not None and active_time < topo.time:
+    _check_node(graph, next_active)
+    if topo.is_active(next_active):
         raise ValueError(f"node {next_active} is already active")
-    with timeline.head_lock:
-        extended_in_place = timeline.max_time == topo.time
-        if extended_in_place:
-            timeline.append(next_active)
-    if not extended_in_place:
-        # The shared timeline has advanced past this snapshot (or beyond the
-        # snapshot's own prefix); branch a private copy before appending.
-        timeline = timeline.branch_copy(topo.time)
-        timeline.append(next_active)
-    return DiffusionTopology(timeline, topo.time + 1)
+    order, pos = topo._order, topo._pos
+    if pos.get(next_active) != topo.time - 1:
+        order = topo.active_prefix + (next_active,)
+        pos = {v: i for i, v in enumerate(order)}
+    return DiffusionTopology(graph, order, pos, topo.time + 1)
 
 
 def build_topologies(graph: DataGraph, cascade: Cascade) -> list[DiffusionTopology]:
-    """Incrementally build the topology chain for t = 1..T+1 (shared timeline)."""
+    """The topology chain for t = 1..T+1, all views over one order."""
     topos = [build_topology(graph, cascade, 1)]
     for node in cascade:
         topos.append(extend_topology(topos[-1], graph, node))

@@ -37,6 +37,14 @@ states of v's precedents (bias-only when it has none) and "all-active"
 (the default) pools every active node's state, which keeps the score
 informative when graph edges are missing.
 
+A cascade's precedents are built once, as a CSR index over cascade
+positions.  The precedent aggregates read those rows; the other-active
+aggregates and the all-active pooled state come from running state sums,
+and the backward pass returns their gradients through one reverse running
+accumulator.  So a step costs O(|P| d) for pooling, O(d^2) for the cell and
+O(m d) for scoring its candidates, and nothing in a step grows with the
+number of nodes active before it.
+
 Gradients are derived by hand in `backward_cascade` and verified against
 central differences in the test suite.
 """
@@ -49,7 +57,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import DataError, NumericError, TopoLstmError
-from .graph import Cascade, DataGraph, DiffusionTopology, build_topologies
+from .graph import Cascade, DataGraph, DiffusionTopology
 from .numeric import (GradientStore, Layout, ParameterStore, mean_pool,
                       nll_from_scores, sigmoid, softmax)
 
@@ -189,9 +197,12 @@ class StepScore:
 class CascadeForwardResult:
     """Sender states of a cascade plus what the backward pass needs.
 
-    Row t-1 of every array belongs to v_t.  In precedent-only mode
-    ``prec_num``/``prec_cnt`` hold each node's running G[w] . (sum of its
-    precedents' states) and precedent count after the last activation.
+    Row t-1 of every array belongs to v_t.  The precedents of v_t are the
+    cascade positions ``prec_pos[prec_ptr[t-1]:prec_ptr[t]]``, ascending; every
+    other earlier position is one of its other active nodes.  In
+    precedent-only mode ``prec_num``/``prec_cnt`` hold each node's running
+    G[w] . (sum of its precedents' states) and precedent count after the last
+    activation.
     """
     cascade: Cascade
     graph: DataGraph
@@ -201,8 +212,8 @@ class CascadeForwardResult:
     tanh_C: np.ndarray          # (T, d)
     HX: np.ndarray              # (T, 2d) pooled [h_p; h_q]
     CX: np.ndarray              # (T, 2d) pooled [c_p; c_q]
-    prec_pos: list[np.ndarray]  # positions (within the cascade) of each step's precedents
-    rest_pos: list[np.ndarray]  # positions of each step's other active nodes
+    prec_ptr: np.ndarray        # (T+1,) row offsets into prec_pos
+    prec_pos: np.ndarray        # precedent positions, row by row
     steps: list[StepScore]      # one per t = 2..T (when losses were computed)
     prec_num: np.ndarray | None = None
     prec_cnt: np.ndarray | None = None
@@ -306,49 +317,64 @@ def score_inactive(states: Mapping[int, CellState], topo: DiffusionTopology,
     return scores
 
 
-def _candidate_scores(params: ParameterStore, cand: np.ndarray, H_active: np.ndarray,
+def _candidate_scores(params: ParameterStore, cand: np.ndarray, pooled: np.ndarray | None,
                       prec_num: np.ndarray | None, prec_cnt: np.ndarray | None):
-    """(scores, pooled state, None) of the inactive candidates ``cand`` under
-    all-active pooling, or with running precedent sums (precedent-only)
-    (scores, None, |P_w| per candidate): G[w] . mean precedent state is
+    """(scores, None) of the inactive candidates ``cand`` under all-active
+    pooling of ``pooled``, or with running precedent sums (precedent-only)
+    (scores, |P_w| per candidate): G[w] . mean precedent state is
     prec_num[w] / |P_w|."""
     if prec_num is None:
-        pooled = H_active.mean(axis=0)
-        return (params["G"] @ pooled + params["b_act"])[cand], pooled, None
+        return (params["G"] @ pooled + params["b_act"])[cand], None
     cnt = prec_cnt[cand]
-    return prec_num[cand] / np.where(cnt > 0, cnt, 1.0) + params["b_act"][cand], None, cnt
+    return prec_num[cand] / np.where(cnt > 0, cnt, 1.0) + params["b_act"][cand], cnt
+
+
+def _precedent_index(graph: DataGraph, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """CSR (prec_ptr, prec_pos) of a cascade's precedents: row r lists the
+    positions, ascending, of the in-neighbours of ``nodes[r]`` that activated
+    before it.  Built from the out-edges (pos[u] -> pos[w]) with pos[w] >
+    pos[u], stably sorted on the target."""
+    T = nodes.size
+    pos = np.full(graph.node_count, -1, dtype=np.intp)
+    pos[nodes] = np.arange(T)
+    out_arrays = _out_arrays(graph)
+    out = [out_arrays[v] for v in nodes.tolist()]
+    src = np.repeat(np.arange(T), [succ.size for succ in out])
+    dst = pos[np.concatenate(out)]
+    keep = dst > src
+    src, dst = src[keep], dst[keep]
+    prec_ptr = np.zeros(T + 1, dtype=np.intp)
+    np.cumsum(np.bincount(dst, minlength=T), out=prec_ptr[1:])
+    return prec_ptr, src[np.argsort(dst, kind="stable")]
 
 
 def forward_cascade(model: Model, graph: DataGraph, cascade: Cascade,
-                    topologies: Sequence[DiffusionTopology] | None = None,
                     compute_loss: bool = True) -> CascadeForwardResult:
     """Run the cell over a cascade in activation order.
 
     When ``compute_loss`` is set, each step t >= 2 first scores all inactive
     nodes against the prefix (the state *before* v_t activates) and records
-    the negative log-probability of the actual activation.  ``topologies``
-    may carry the cascade's precomputed topology chain (index t-1 holds time
-    t); it is rebuilt incrementally when absent.
+    the negative log-probability of the actual activation.  The precedent
+    aggregates read the precedents' rows, and the other-active aggregates
+    are running state sums minus the precedent sums, so step t costs
+    O(|P| d) for aggregation plus the cell and the scoring of its candidates.
     """
     config = model.config
     T = len(cascade)
     d, m = config.hidden_dim, config.node_count
     if max(cascade.nodes) >= m or min(cascade.nodes) < 0:
         raise DataError("cascade references nodes outside the graph")
-    if topologies is None:
-        topologies = build_topologies(graph, cascade)
 
     params = model.params
     U = params.fused("U")
     nodes = np.asarray(cascade.nodes, dtype=np.intp)
+    prec_ptr, prec_pos = _precedent_index(graph, nodes)
     # Input and bias terms of every step's five gates, gathered at once.
     XB = (params.fused("Wx")[:, nodes] + params.fused("b")[:, None])[gate_rows(d)].T
     H, C, tanh_C = np.zeros((T, d)), np.zeros((T, d)), np.empty((T, d))
     HX, CX, A = np.zeros((T, 2 * d)), np.zeros((T, 2 * d)), np.empty((T, 5 * d))
+    sum_h, sum_c = np.zeros(d), np.zeros(d)   # running sums of H[:row], C[:row]
     active_mask = np.zeros(m, dtype=bool)
-    pos_of: dict[int, int] = {}
-    prec_list: list[np.ndarray] = []
-    rest_list: list[np.ndarray] = []
     steps: list[StepScore] = []
 
     prec_num = prec_cnt = None
@@ -367,32 +393,26 @@ def forward_cascade(model: Model, graph: DataGraph, cascade: Cascade,
         if compute_loss and t >= 2:
             cand = np.flatnonzero(~active_mask)
             target_cand_pos = int(np.searchsorted(cand, v))
-            scores, pooled, counts = _candidate_scores(params, cand, H[:row],
-                                                       prec_num, prec_cnt)
+            pooled = sum_h / row if prec_num is None else None
+            scores, counts = _candidate_scores(params, cand, pooled, prec_num, prec_cnt)
             loss, probs = nll_from_scores(scores, target_cand_pos)
             steps.append(StepScore(t=t, cand=cand, probs=probs,
                                    target_cand_pos=target_cand_pos, loss=loss,
                                    mean_active=pooled, prec_counts=counts))
 
-        prec_nodes = topologies[row].precedents(v)
-        prec_pos = np.fromiter((pos_of[u] for u in prec_nodes),
-                               dtype=np.intp, count=len(prec_nodes))
-        rest_mask = np.ones(row, dtype=bool)
-        rest_mask[prec_pos] = False
-        rest_pos = np.flatnonzero(rest_mask)
+        prec = prec_pos[prec_ptr[row]:prec_ptr[row + 1]]
+        rest = row - prec.size
         hx, cx = HX[row], CX[row]
-        if prec_pos.size:
-            hx[:d] = H[prec_pos].sum(axis=0) / prec_pos.size
-            cx[:d] = C[prec_pos].sum(axis=0) / prec_pos.size
-        if rest_pos.size:
-            hx[d:] = H[rest_pos].sum(axis=0) / rest_pos.size
-            cx[d:] = C[rest_pos].sum(axis=0) / rest_pos.size
+        h_p, c_p = H[prec].sum(axis=0), C[prec].sum(axis=0)
+        if prec.size:
+            hx[:d], cx[:d] = h_p / prec.size, c_p / prec.size
+        if rest:
+            hx[d:], cx[d:] = (sum_h - h_p) / rest, (sum_c - c_p) / rest
 
         _cell(U @ hx + XB[row], cx, A[row], tanh_C[row], H[row], C[row])
-        prec_list.append(prec_pos)
-        rest_list.append(rest_pos)
+        sum_h += H[row]
+        sum_c += C[row]
         active_mask[v] = True
-        pos_of[v] = row
         if prec_num is not None:
             succ = out_arrays[v]
             if succ.size:
@@ -403,8 +423,8 @@ def forward_cascade(model: Model, graph: DataGraph, cascade: Cascade,
         bad = int(np.flatnonzero(~(np.isfinite(H) & np.isfinite(C)).all(axis=1))[0])
         _raise_nonfinite(cascade[bad], A[bad], C[bad])
     return CascadeForwardResult(cascade=cascade, graph=graph, H=H, C=C, A=A,
-                                tanh_C=tanh_C, HX=HX, CX=CX, prec_pos=prec_list,
-                                rest_pos=rest_list, steps=steps,
+                                tanh_C=tanh_C, HX=HX, CX=CX, prec_ptr=prec_ptr,
+                                prec_pos=prec_pos, steps=steps,
                                 prec_num=prec_num, prec_cnt=prec_cnt)
 
 
@@ -416,9 +436,11 @@ def backward_cascade(result: CascadeForwardResult, model: Model,
     normalisation, so contributions from repeated cascades add up.  Handles
     the fan-out of every sender state into all later aggregates and all
     later scoring steps.  The loop carries only the sequential part: gate
-    derivatives, the U^T dz matvec, the dH/dC scatter and, in precedent-only
-    mode, the running scoring gradient.  The cell weight gradients of all
-    steps are then added with one matmul and one scatter.
+    derivatives, the U^T dz matvec, the dH/dC scatter onto the step's
+    precedents, one reverse running accumulator for its other active nodes
+    and, in precedent-only mode, the running scoring gradient; so step t
+    costs O(|P| d) beyond the matvec.  The cell weight gradients of all steps
+    are then added with one matmul and one scatter.
     """
     if out is None:
         out = model.zero_grads()
@@ -461,6 +483,9 @@ def backward_cascade(result: CascadeForwardResult, model: Model,
                         result.tanh_C * o * (1.0 - o)), axis=1)
     K_dc = K[:, :4 * d].reshape(T, 4, d)
     dc_dh = o * (1.0 - result.tanh_C ** 2)
+    # Summed other-active gradient shares of the steps already passed: each
+    # is owed to every state before its step, so to the current one.
+    acc_h, acc_c = np.zeros(d), np.zeros(d)
 
     for t in range(T, 0, -1):
         pos = t - 1
@@ -481,21 +506,28 @@ def backward_cascade(result: CascadeForwardResult, model: Model,
                                                         step.prec_counts, np.inf)
 
         dh = dH[pos]
+        dh += acc_h
+        dC[pos] += acc_c
         if not (dh.any() or dC[pos].any()):
             continue
         dc = dC[pos] + dh * dc_dh[pos]
         np.multiply(K_dc[pos], dc, out=DZ_dc[pos])
         np.multiply(K[pos, 4 * d:], dh, out=DZ[pos, 4 * d:])
 
-        prec_pos, rest_pos = result.prec_pos[pos], result.rest_pos[pos]
-        if prec_pos.size or rest_pos.size:
+        prec = result.prec_pos[result.prec_ptr[pos]:result.prec_ptr[pos + 1]]
+        rest = pos - prec.size
+        if pos:
             dhx = U.T @ DZ[pos]
-            if prec_pos.size:
-                dH[prec_pos] += dhx[:d] / prec_pos.size
-                dC[prec_pos] += dc * f_p[pos] / prec_pos.size
-            if rest_pos.size:
-                dH[rest_pos] += dhx[d:] / rest_pos.size
-                dC[rest_pos] += dc * f_q[pos] / rest_pos.size
+            dh_q = dc_q = 0.0
+            if rest:
+                # Every earlier state takes the other-active share; the
+                # precedents hand theirs back below.
+                dh_q, dc_q = dhx[d:] / rest, dc * f_q[pos] / rest
+                acc_h += dh_q
+                acc_c += dc_q
+            if prec.size:
+                dH[prec] += dhx[:d] / prec.size - dh_q
+                dC[prec] += dc * f_p[pos] / prec.size - dc_q
 
     gU = out.fused("U")
     gU += DZ.T @ result.HX
@@ -508,24 +540,21 @@ def backward_cascade(result: CascadeForwardResult, model: Model,
     return out
 
 
-def predict_next(model: Model, graph: DataGraph, prefix: Cascade,
-                 topologies: Sequence[DiffusionTopology] | None = None
+def predict_next(model: Model, graph: DataGraph, prefix: Cascade
                  ) -> tuple[np.ndarray, np.ndarray]:
     """Distribution over the next activation after an observed prefix.
 
     Returns (candidate ids ascending, probabilities); candidates are all
     inactive nodes.
     """
-    if topologies is None:
-        topologies = build_topologies(graph, prefix)
-    result = forward_cascade(model, graph, prefix, topologies=topologies,
-                             compute_loss=False)
+    result = forward_cascade(model, graph, prefix, compute_loss=False)
     m = model.config.node_count
     active_mask = np.zeros(m, dtype=bool)
     active_mask[list(prefix.nodes)] = True
     cand = np.flatnonzero(~active_mask)
     if cand.size == 0:
         raise ValueError("no inactive nodes left to predict")
-    scores, _, _ = _candidate_scores(model.params, cand, result.H,
-                                     result.prec_num, result.prec_cnt)
+    pooled = result.H.mean(axis=0) if result.prec_num is None else None
+    scores, _ = _candidate_scores(model.params, cand, pooled,
+                                  result.prec_num, result.prec_cnt)
     return cand, softmax(scores)

@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DivergenceError
-from .graph import Cascade, DataGraph, build_topologies
+from .graph import Cascade, DataGraph
 from .model import Model, ModelConfig, backward_cascade, forward_cascade
 from .numeric import Adam, GradientStore
 
@@ -93,8 +93,7 @@ def objective(model: Model, cascades: Sequence[Cascade], graph: DataGraph,
               lam: float) -> float:
     """Mean per-step negative log-likelihood plus lam * sum of squared L2 norms."""
     cascades, _ = _drop_short(cascades, "objective")
-    total_nll, total_steps = _dataset_nll(model, graph,
-                                          [(c, None) for c in cascades])
+    total_nll, total_steps = _dataset_nll(model, graph, cascades)
     if total_steps == 0:
         raise ValueError("no cascade contributes prediction steps")
     return total_nll / total_steps + lam * model.params.squared_l2()
@@ -121,10 +120,10 @@ def objective_and_gradient(model: Model, graph: DataGraph,
     return total_nll / total_steps + lam * model.params.squared_l2(), grads
 
 
-def _dataset_nll(model, graph, prepared) -> tuple[float, int]:
+def _dataset_nll(model, graph, cascades) -> tuple[float, int]:
     total, steps = 0.0, 0
-    for cascade, topos in prepared:
-        result = forward_cascade(model, graph, cascade, topologies=topos)
+    for cascade in cascades:
+        result = forward_cascade(model, graph, cascade)
         total += result.total_loss
         steps += len(cascade) - 1
     return total, steps
@@ -170,7 +169,6 @@ def train(graph: DataGraph, train_cascades: Sequence[Cascade],
           epoch_callback=None) -> tuple[Model, TrainReport]:
     """Mini-batch Adam training; returns the best-validation model.
 
-    Topology chains are built once per cascade and reused across epochs.
     Batches shuffle under the config seed; early stopping fires after
     ``patience`` epochs without validation improvement.  Without a
     validation set the training loss is monitored instead.
@@ -185,9 +183,6 @@ def train(graph: DataGraph, train_cascades: Sequence[Cascade],
     optimizer = Adam(model.params, lr=config.learning_rate)
     report = TrainReport(dropped_short_cascades=dropped + dropped_val)
 
-    prepared_train = [(c, build_topologies(graph, c)) for c in train_cascades]
-    prepared_val = [(c, build_topologies(graph, c)) for c in val_cascades]
-
     grads = model.zero_grads()
     best_model = model.copy()
     best_monitor = np.inf
@@ -199,7 +194,7 @@ def train(graph: DataGraph, train_cascades: Sequence[Cascade],
         for epoch in range(1, config.max_epochs + 1):
             epoch_start = time.perf_counter()
             reg_before = config.lam * model.params.squared_l2()
-            order = rng.permutation(len(prepared_train))
+            order = rng.permutation(len(train_cascades))
             epoch_nll, epoch_steps = 0.0, 0
 
             for lo in range(0, len(order), config.batch_size):
@@ -208,7 +203,7 @@ def train(graph: DataGraph, train_cascades: Sequence[Cascade],
                 batch_nll, batch_steps = 0.0, 0
                 if pool is not None:
                     jobs = list(pool.map(
-                        lambda i: _cascade_grad(model, graph, prepared_train[i]),
+                        lambda i: _cascade_grad(model, graph, train_cascades[i]),
                         chunk))
                     for nll, steps, store in jobs:  # fixed order: deterministic sum
                         grads.accumulate(store)
@@ -216,9 +211,8 @@ def train(graph: DataGraph, train_cascades: Sequence[Cascade],
                         batch_steps += steps
                 else:
                     for i in chunk:
-                        cascade, topos = prepared_train[i]
-                        result = forward_cascade(model, graph, cascade,
-                                                 topologies=topos)
+                        cascade = train_cascades[i]
+                        result = forward_cascade(model, graph, cascade)
                         backward_cascade(result, model, out=grads)
                         batch_nll += result.total_loss
                         batch_steps += len(cascade) - 1
@@ -241,8 +235,8 @@ def train(graph: DataGraph, train_cascades: Sequence[Cascade],
                 epoch_steps += batch_steps
 
             train_loss = epoch_nll / epoch_steps + reg_before
-            if prepared_val:
-                val_nll, val_steps = _dataset_nll(model, graph, prepared_val)
+            if val_cascades:
+                val_nll, val_steps = _dataset_nll(model, graph, val_cascades)
                 val_loss = val_nll / val_steps
                 monitor = val_loss
             else:
@@ -282,9 +276,8 @@ def train(graph: DataGraph, train_cascades: Sequence[Cascade],
     return best_model, report
 
 
-def _cascade_grad(model, graph, prepared_entry):
-    cascade, topos = prepared_entry
+def _cascade_grad(model, graph, cascade):
     store = model.zero_grads()
-    result = forward_cascade(model, graph, cascade, topologies=topos)
+    result = forward_cascade(model, graph, cascade)
     backward_cascade(result, model, out=store)
     return result.total_loss, len(cascade) - 1, store

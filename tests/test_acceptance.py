@@ -124,6 +124,7 @@ def test_04_cell_equation_fidelity(running_example):
         assert topos[3].precedents(3) == ()       # fourth is unreachable
 
 
+@pytest.mark.slow
 def test_05_learnability_on_separable_data():
     with criterion(5, "chain preset trains to Hits@1 and MAP@10 >= 0.95"):
         started = time.perf_counter()
@@ -147,6 +148,7 @@ def test_05_learnability_on_separable_data():
         assert elapsed < 300.0, f"took {elapsed:.1f}s"
 
 
+@pytest.mark.slow
 def test_06_relative_ordering_vs_baseline():
     with criterion(6, "desk preset: model mean MAP@10 >= IC-SB mean MAP@10"):
         started = time.perf_counter()
@@ -262,6 +264,7 @@ def test_09_reproducibility(tmp_path):
                                tmp_path / "eval_b" / name, shallow=False), name
 
 
+@pytest.mark.slow
 def test_10_complexity_smoke():
     with criterion(10, "per-epoch time grows at most linearly in cascade count"):
         base = PRESETS["desk-default"]

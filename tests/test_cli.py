@@ -253,6 +253,38 @@ class TestPredict:
         assert code == 2
 
 
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+@pytest.mark.parametrize("command,flag", [
+    ("train", "--graph"), ("train", "--cascades"),
+    ("evaluate", "--checkpoint"), ("evaluate", "--graph"),
+    ("evaluate", "--test-cascades"), ("evaluate", "--train-cascades"),
+    ("predict", "--checkpoint"), ("predict", "--graph"),
+])
+def test_unreadable_input_path_exit_2_names_it(command, flag, kind, data_dir,
+                                               run_dir, tmp_path, capsys):
+    graph, ckpt = str(data_dir / "graph.txt"), str(run_dir / "checkpoint.bin")
+    args = {
+        "train": ["--graph", graph, "--cascades", str(data_dir / "cascades.txt"),
+                  "--hidden-dim", "4", "--epochs", "1", "--out", str(tmp_path / "t")],
+        "evaluate": ["--checkpoint", ckpt, "--graph", graph,
+                     "--test-cascades", str(run_dir / "split_test.txt"),
+                     "--baseline", "icsb",
+                     "--train-cascades", str(run_dir / "split_train.txt"),
+                     "--out", str(tmp_path / "e")],
+        "predict": ["--checkpoint", ckpt, "--graph", graph, "--prefix", "0"],
+    }[command]
+    bad = tmp_path / "input"
+    if kind == "directory":
+        bad.mkdir()
+    args[args.index(flag) + 1] = str(bad)
+    code = cli.main([command] + args)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and str(bad) in errors[0]
+
+
 class TestVersionFlag:
     def test_version_prints(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from topolstm.datagen import PRESETS, generate_graph
 from topolstm.errors import NumericError, ShapeError, TopoLstmError
-from topolstm.graph import Cascade, DataGraph, build_topology
-from topolstm.model import (AggregatedInputs, CellState, Model, ModelConfig,
-                            U_BLOCKS, aggregate, backward_cascade, cell_forward,
-                            forward_cascade, predict_next, score_inactive)
+from topolstm.graph import Cascade, DataGraph, build_topologies, build_topology
+from topolstm.model import (SCORE_MODES, AggregatedInputs, CellState, Model,
+                            ModelConfig, U_BLOCKS, aggregate, backward_cascade,
+                            cell_forward, forward_cascade, predict_next,
+                            score_inactive)
 from topolstm.numeric import (ParameterStore, finite_difference_check,
                               softmax_over_subset)
 from topolstm.training import objective_and_gradient
@@ -351,6 +353,58 @@ class TestForwardCascade:
             forward_cascade(model, g, Cascade((0, 5)))
 
 
+def precedent_rows(result):
+    """The precedent positions of every step, as lists, from the result's CSR."""
+    ptr = result.prec_ptr.tolist()
+    return [result.prec_pos[ptr[r]:ptr[r + 1]].tolist() for r in range(len(ptr) - 1)]
+
+
+class TestPrecedentIndex:
+    def _check_against_oracle(self, graph, cascade, rng):
+        model = Model.initialize(ModelConfig(2, graph.node_count), rng)
+        result = forward_cascade(model, graph, cascade, compute_loss=False)
+        topos = build_topologies(graph, cascade)
+        pos = {v: i for i, v in enumerate(cascade.nodes)}
+        assert result.prec_ptr[0] == 0
+        assert precedent_rows(result) == [[pos[u] for u in topos[i].precedents(v)]
+                                          for i, v in enumerate(cascade.nodes)]
+        return result
+
+    def test_matches_topology_oracle_on_random_pairs(self):
+        rng = np.random.default_rng(40)
+        for k in range(500):
+            m = int(rng.integers(2, 16))
+            # Every tenth graph is edgeless and every seventh cascade has T = 1.
+            graph = random_graph(rng, m, 0 if k % 10 == 0 else int(rng.integers(1, 4 * m)))
+            T = 1 if k % 7 == 0 else int(rng.integers(1, m + 1))
+            self._check_against_oracle(graph, random_cascade(rng, m, T), rng)
+
+    def test_in_neighbours_that_activate_later_are_not_precedents(self):
+        # Node 0's in-neighbours 1 and 2 both activate after it.
+        g = DataGraph.from_edges(4, [(1, 0), (2, 0), (0, 3), (1, 2)])
+        result = self._check_against_oracle(g, Cascade((0, 1, 2, 3)),
+                                            np.random.default_rng(41))
+        assert precedent_rows(result) == [[], [], [1], [0]]
+
+    @pytest.mark.parametrize("mode", SCORE_MODES)
+    def test_aggregates_are_direct_means_on_a_long_cascade(self, mode):
+        rng = np.random.default_rng(42)
+        graph = generate_graph(PRESETS["desk-default"])
+        cascade = random_cascade(rng, graph.node_count, 160)
+        model = perturbed_model(ModelConfig(4, graph.node_count, mode), rng)
+        result = forward_cascade(model, graph, cascade)
+        d = model.config.hidden_dim
+        for row, prec in enumerate(precedent_rows(result)):
+            rest = sorted(set(range(row)) - set(prec))
+            for got, S in ((result.HX[row], result.H), (result.CX[row], result.C)):
+                want = np.zeros(2 * d)
+                if prec:
+                    want[:d] = S[prec].mean(axis=0)
+                if rest:
+                    want[d:] = S[rest].mean(axis=0)
+                np.testing.assert_allclose(got, want, rtol=1e-12)
+
+
 class TestBackwardCascade:
     def test_zero_loss_cascade_has_zero_gradient(self):
         g = DataGraph.from_edges(2, [(0, 1)])
@@ -377,10 +431,11 @@ class TestBackwardCascade:
         # noise floor at h = 1e-5.
         rng = np.random.default_rng(17)
         lam = 1e-2
-        for _ in range(4):
-            m = int(rng.integers(8, 21))
-            d = int(rng.choice([2, 4, 8]))
-            T = int(rng.integers(3, 7))
+        # The last instance is a long cascade, so the backward pass's reverse
+        # running accumulators span many steps.
+        for size in [None] * 4 + [(40, 4, 30)]:
+            m, d, T = size or (int(rng.integers(8, 21)), int(rng.choice([2, 4, 8])),
+                               int(rng.integers(3, 7)))
             graph, cascade, model = random_instance(rng, m=m, d=d, T=T, mode=mode)
             _, grads = objective_and_gradient(model, graph, [cascade], lam)
             loss_fn = lambda p: objective_and_gradient(model, graph, [cascade],
