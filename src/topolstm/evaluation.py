@@ -164,9 +164,12 @@ class ModelScorer:
 
     def step_scores(self, cascade: Cascade):
         result = forward_cascade(self.model, self.graph, cascade)
-        for step in result.steps:
-            # Softmax is strictly increasing, so probabilities rank like scores.
-            yield step.cand, step.probs, cascade[step.t - 1]
+        for s in range(len(cascade) - 1):
+            # Candidates come from positions, not probs > 0: a probability
+            # can underflow to 0.  Softmax is strictly increasing, so
+            # probabilities rank like scores.
+            cand = np.flatnonzero(result.pos > s)
+            yield cand, result.probs[s, cand], cascade[s + 1]
 
 
 class OracleScorer:

@@ -38,12 +38,14 @@ states of v's precedents (bias-only when it has none) and "all-active"
 informative when graph edges are missing.
 
 A cascade's precedents are built once, as a CSR index over cascade
-positions.  The precedent aggregates read those rows; the other-active
-aggregates and the all-active pooled state come from running state sums,
-and the backward pass returns their gradients through one reverse running
-accumulator.  So a step costs O(|P| d) for pooling, O(d^2) for the cell and
-O(m d) for scoring its candidates, and nothing in a step grows with the
-number of nodes active before it.
+positions.  The per-step loop runs only the memory cell, pooling from those
+rows and from running state sums.  No score feeds back into the cell, so
+the T-1 prediction steps are then scored as one (T-1) x m block, from
+cumulative sums over its rows, and the backward pass takes every score
+gradient from that block with whole-cascade array operations; its reverse
+loop keeps only the cell's backward pass.  A loop step costs O(|P| d) for
+pooling and O(d^2) for the cell, and nothing grows with the number of nodes
+active before it.
 
 Gradients are derived by hand in `backward_cascade` and verified against
 central differences in the test suite.
@@ -58,8 +60,7 @@ import numpy as np
 
 from .errors import DataError, NumericError, TopoLstmError
 from .graph import Cascade, DataGraph, DiffusionTopology
-from .numeric import (GradientStore, Layout, ParameterStore, mean_pool,
-                      nll_from_scores, sigmoid, softmax)
+from .numeric import GradientStore, Layout, ParameterStore, mean_pool, sigmoid, softmax
 
 SCORE_MODES = ("all-active", "precedent-only")
 
@@ -182,27 +183,18 @@ def _out_arrays(graph: DataGraph) -> list[np.ndarray]:
 
 
 @dataclass
-class StepScore:
-    """Scoring cache for the prediction made at one time step."""
-    t: int
-    cand: np.ndarray            # inactive candidate ids, ascending
-    probs: np.ndarray           # softmax over cand
-    target_cand_pos: int
-    loss: float
-    mean_active: np.ndarray | None = None   # all-active pooled state
-    prec_counts: np.ndarray | None = None   # precedent-only: per-candidate |P|
-
-
-@dataclass
 class CascadeForwardResult:
     """Sender states of a cascade plus what the backward pass needs.
 
-    Row t-1 of every array belongs to v_t.  The precedents of v_t are the
-    cascade positions ``prec_pos[prec_ptr[t-1]:prec_ptr[t]]``, ascending; every
-    other earlier position is one of its other active nodes.  In
-    precedent-only mode ``prec_num``/``prec_cnt`` hold each node's running
-    G[w] . (sum of its precedents' states) and precedent count after the last
-    activation.
+    Row t-1 of every (T, .) array belongs to v_t.  The precedents of v_t are
+    the cascade positions ``prec_pos[prec_ptr[t-1]:prec_ptr[t]]``, ascending;
+    every other earlier position is one of its other active nodes.
+
+    With losses, the scoring of all T-1 steps is one block: row s of
+    ``probs`` is the softmax over all nodes at step t = s + 2, exactly 0 at
+    the nodes active by then (``pos <= s``).  ``backward_cascade`` reuses
+    ``probs`` and ``counts`` as its workspace, so a result is backpropagated
+    once.
     """
     cascade: Cascade
     graph: DataGraph
@@ -214,17 +206,18 @@ class CascadeForwardResult:
     CX: np.ndarray              # (T, 2d) pooled [c_p; c_q]
     prec_ptr: np.ndarray        # (T+1,) row offsets into prec_pos
     prec_pos: np.ndarray        # precedent positions, row by row
-    steps: list[StepScore]      # one per t = 2..T (when losses were computed)
-    prec_num: np.ndarray | None = None
-    prec_cnt: np.ndarray | None = None
+    pos: np.ndarray             # (m,) node -> cascade position, T if inactive
+    losses: np.ndarray          # (T-1,) per-step losses; empty without losses
+    probs: np.ndarray | None = None    # (T-1, m) step probabilities
+    counts: np.ndarray | None = None   # (T-1, m) precedent-only |P|, at least 1
 
     @property
     def loss_terms(self) -> np.ndarray:
-        return np.array([s.loss for s in self.steps])
+        return self.losses
 
     @property
     def total_loss(self) -> float:
-        return float(sum(s.loss for s in self.steps))
+        return float(self.losses.sum())
 
 
 def aggregate(states: Mapping[int, CellState], precedent_set: Sequence[int],
@@ -317,47 +310,50 @@ def score_inactive(states: Mapping[int, CellState], topo: DiffusionTopology,
     return scores
 
 
-def _candidate_scores(params: ParameterStore, cand: np.ndarray, pooled: np.ndarray | None,
-                      prec_num: np.ndarray | None, prec_cnt: np.ndarray | None):
-    """(scores, None) of the inactive candidates ``cand`` under all-active
-    pooling of ``pooled``, or with running precedent sums (precedent-only)
-    (scores, |P_w| per candidate): G[w] . mean precedent state is
-    prec_num[w] / |P_w|."""
-    if prec_num is None:
-        return (params["G"] @ pooled + params["b_act"])[cand], None
-    cnt = prec_cnt[cand]
-    return prec_num[cand] / np.where(cnt > 0, cnt, 1.0) + params["b_act"][cand], cnt
-
-
-def _precedent_index(graph: DataGraph, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """CSR (prec_ptr, prec_pos) of a cascade's precedents: row r lists the
-    positions, ascending, of the in-neighbours of ``nodes[r]`` that activated
-    before it.  Built from the out-edges (pos[u] -> pos[w]) with pos[w] >
-    pos[u], stably sorted on the target."""
-    T = nodes.size
-    pos = np.full(graph.node_count, -1, dtype=np.intp)
-    pos[nodes] = np.arange(T)
+def _out_edges(graph: DataGraph, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(source row, target node) of every out-edge of a cascade's nodes,
+    in row order."""
     out_arrays = _out_arrays(graph)
     out = [out_arrays[v] for v in nodes.tolist()]
-    src = np.repeat(np.arange(T), [succ.size for succ in out])
-    dst = pos[np.concatenate(out)]
-    keep = dst > src
+    return np.repeat(np.arange(nodes.size), [succ.size for succ in out]), np.concatenate(out)
+
+
+def _edge_terms(G: np.ndarray, H: np.ndarray, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """G[w] . h_u of every edge (row u -> node w): its share of w's
+    precedent-only score numerator."""
+    return np.einsum("ij,ij->i", G[dst], H[src])
+
+
+def _precedent_index(T: int, pos: np.ndarray, src: np.ndarray, dst: np.ndarray
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """CSR (prec_ptr, prec_pos) of the precedents of a cascade of length T:
+    row r lists the positions, ascending, of the in-neighbours of the node at
+    row r that activated before it.  Built from the out-edges (row src ->
+    node dst) with src < pos[dst] < T, stably sorted on the target."""
+    dst = pos[dst]
+    keep = (dst > src) & (dst < T)
     src, dst = src[keep], dst[keep]
     prec_ptr = np.zeros(T + 1, dtype=np.intp)
     np.cumsum(np.bincount(dst, minlength=T), out=prec_ptr[1:])
     return prec_ptr, src[np.argsort(dst, kind="stable")]
 
 
+def _all_active_pooled(H: np.ndarray, steps: int) -> np.ndarray:
+    """Row s: the mean of H[0..s], the pooled state of step t = s + 2."""
+    return np.cumsum(H[:steps], axis=0) / np.arange(1, steps + 1)[:, None]
+
+
 def forward_cascade(model: Model, graph: DataGraph, cascade: Cascade,
                     compute_loss: bool = True) -> CascadeForwardResult:
     """Run the cell over a cascade in activation order.
 
-    When ``compute_loss`` is set, each step t >= 2 first scores all inactive
-    nodes against the prefix (the state *before* v_t activates) and records
-    the negative log-probability of the actual activation.  The precedent
-    aggregates read the precedents' rows, and the other-active aggregates
-    are running state sums minus the precedent sums, so step t costs
-    O(|P| d) for aggregation plus the cell and the scoring of its candidates.
+    The loop runs only the cell: the precedent aggregates read the
+    precedents' rows, and the other-active aggregates are running state sums
+    minus the precedent sums, so step t costs O(|P| d) plus the cell.  When
+    ``compute_loss`` is set, all T-1 prediction steps are then scored as one
+    block: step t scores all inactive nodes against the prefix (the state
+    *before* v_t activates) and records the negative log-probability of the
+    actual activation.
     """
     config = model.config
     T = len(cascade)
@@ -368,38 +364,17 @@ def forward_cascade(model: Model, graph: DataGraph, cascade: Cascade,
     params = model.params
     U = params.fused("U")
     nodes = np.asarray(cascade.nodes, dtype=np.intp)
-    prec_ptr, prec_pos = _precedent_index(graph, nodes)
+    pos = np.full(m, T, dtype=np.intp)
+    pos[nodes] = np.arange(T)
+    src, dst = _out_edges(graph, nodes)
+    prec_ptr, prec_pos = _precedent_index(T, pos, src, dst)
     # Input and bias terms of every step's five gates, gathered at once.
     XB = (params.fused("Wx")[:, nodes] + params.fused("b")[:, None])[gate_rows(d)].T
     H, C, tanh_C = np.zeros((T, d)), np.zeros((T, d)), np.empty((T, d))
     HX, CX, A = np.zeros((T, 2 * d)), np.zeros((T, 2 * d)), np.empty((T, 5 * d))
     sum_h, sum_c = np.zeros(d), np.zeros(d)   # running sums of H[:row], C[:row]
-    active_mask = np.zeros(m, dtype=bool)
-    steps: list[StepScore] = []
 
-    prec_num = prec_cnt = None
-    if config.score_mode == "precedent-only":
-        # Running G[w] . (sum of active in-neighbour states) and count per
-        # node w; entries of active nodes go stale but are never read.
-        G = params["G"]
-        out_arrays = _out_arrays(graph)
-        prec_num = np.zeros(m)
-        prec_cnt = np.zeros(m)
-
-    for t in range(1, T + 1):
-        v = cascade[t - 1]
-        row = t - 1
-
-        if compute_loss and t >= 2:
-            cand = np.flatnonzero(~active_mask)
-            target_cand_pos = int(np.searchsorted(cand, v))
-            pooled = sum_h / row if prec_num is None else None
-            scores, counts = _candidate_scores(params, cand, pooled, prec_num, prec_cnt)
-            loss, probs = nll_from_scores(scores, target_cand_pos)
-            steps.append(StepScore(t=t, cand=cand, probs=probs,
-                                   target_cand_pos=target_cand_pos, loss=loss,
-                                   mean_active=pooled, prec_counts=counts))
-
+    for row in range(T):
         prec = prec_pos[prec_ptr[row]:prec_ptr[row + 1]]
         rest = row - prec.size
         hx, cx = HX[row], CX[row]
@@ -412,20 +387,41 @@ def forward_cascade(model: Model, graph: DataGraph, cascade: Cascade,
         _cell(U @ hx + XB[row], cx, A[row], tanh_C[row], H[row], C[row])
         sum_h += H[row]
         sum_c += C[row]
-        active_mask[v] = True
-        if prec_num is not None:
-            succ = out_arrays[v]
-            if succ.size:
-                prec_num[succ] += G[succ] @ H[row]
-                prec_cnt[succ] += 1.0
 
     if not (np.all(np.isfinite(H)) and np.all(np.isfinite(C))):
         bad = int(np.flatnonzero(~(np.isfinite(H) & np.isfinite(C)).all(axis=1))[0])
         _raise_nonfinite(cascade[bad], A[bad], C[bad])
+    losses, probs, counts = np.zeros(0), None, None
+    if compute_loss and T >= 2:
+        # Row s of the score block is step t = s + 2, which sees rows 0..s.
+        S, G = T - 1, params["G"]
+        if config.score_mode == "all-active":
+            X = _all_active_pooled(H, S) @ G.T
+        else:
+            # Cumulative sums over rows of the edge terms G[w] . h_u and of
+            # the edge counts; a count of 0 is clamped to 1 (bias-only).
+            keep = src < S
+            src, dst = src[keep], dst[keep]
+            X, counts = np.zeros((S, m)), np.zeros((S, m))
+            X[src, dst] = _edge_terms(G, H, src, dst)
+            counts[src, dst] = 1.0
+            np.cumsum(X, axis=0, out=X)
+            np.cumsum(counts, axis=0, out=counts)
+            np.maximum(counts, 1.0, out=counts)
+            X /= counts
+        X += params["b_act"]
+        # Active nodes score -inf, so the row-wise log-sum-exp gives them 0.
+        np.copyto(X, -np.inf, where=pos <= np.arange(S)[:, None])
+        X -= X.max(axis=1, keepdims=True)
+        target_shifted = X[np.arange(S), nodes[1:]]
+        np.exp(X, out=X)
+        z = X.sum(axis=1)
+        X /= z[:, None]
+        losses, probs = np.log(z) - target_shifted, X
     return CascadeForwardResult(cascade=cascade, graph=graph, H=H, C=C, A=A,
                                 tanh_C=tanh_C, HX=HX, CX=CX, prec_ptr=prec_ptr,
-                                prec_pos=prec_pos, steps=steps,
-                                prec_num=prec_num, prec_cnt=prec_cnt)
+                                prec_pos=prec_pos, pos=pos, losses=losses,
+                                probs=probs, counts=counts)
 
 
 def backward_cascade(result: CascadeForwardResult, model: Model,
@@ -435,45 +431,53 @@ def backward_cascade(result: CascadeForwardResult, model: Model,
     Accumulates into ``out`` (a fresh store when omitted) without any
     normalisation, so contributions from repeated cascades add up.  Handles
     the fan-out of every sender state into all later aggregates and all
-    later scoring steps.  The loop carries only the sequential part: gate
-    derivatives, the U^T dz matvec, the dH/dC scatter onto the step's
-    precedents, one reverse running accumulator for its other active nodes
-    and, in precedent-only mode, the running scoring gradient; so step t
-    costs O(|P| d) beyond the matvec.  The cell weight gradients of all steps
-    are then added with one matmul and one scatter.
+    later scoring steps.  The scoring gradients of all steps come first, as
+    whole-cascade array operations on the result's probability block; the
+    loop then carries only the cell: gate derivatives, the U^T dz matvec,
+    the dH/dC scatter onto the step's precedents and one reverse running
+    accumulator for its other active nodes, so step t costs O(|P| d) beyond
+    the matvec.  The cell weight gradients of all steps are then added with
+    one matmul and one scatter.
     """
     if out is None:
         out = model.zero_grads()
     config = model.config
     params = model.params
     T = len(result.cascade)
-    d, m = config.hidden_dim, config.node_count
-    G, U = params["G"], params.fused("U")
-    gG, gb_act = out["G"], out["b_act"]
+    d = config.hidden_dim
+    U = params.fused("U")
     dH = np.zeros((T, d))
     dC = np.zeros((T, d))
     DZ = np.zeros((T, 5 * d))
     DZ_dc = DZ[:, :4 * d].reshape(T, 4, d)   # gate blocks driven by dc
-    steps = result.steps                     # step t sits at index t - 2
-    precedent_only = config.score_mode == "precedent-only"
-    if precedent_only:
-        # A step scores candidate w with G[w] . h_u / |P_w| for each
-        # precedent u, so alpha_w = gvec_w / |P_w| is summed per w over
-        # the later steps as the loop goes, and applied when u comes up.
-        out_arrays = _out_arrays(result.graph)
-        alpha_sum = np.zeros(m)
-    elif steps:
-        # All-active scoring gradients, all steps at once.  Row s of GV is
-        # d loss / d scores of step t = s + 2 over all nodes (0 at active
-        # ones); its d_pooled / (t - 1) reaches every state active before t.
-        GV = np.zeros((len(steps), m))
-        for s, step in enumerate(steps):
-            GV[s, step.cand] = step.probs
-            GV[s, step.cand[step.target_cand_pos]] -= 1.0
+    if result.losses.size:
+        if result.probs is None:
+            raise ValueError("this forward result was already backpropagated")
+        # GV = probs - onehot(target), d loss / d scores, 0 at active nodes.
+        S, G, gG, gb_act = T - 1, params["G"], out["G"], out["b_act"]
+        GV, counts = result.probs, result.counts
+        result.probs = result.counts = None
+        GV[np.arange(S), result.cascade.nodes[1:]] -= 1.0
         gb_act += GV.sum(axis=0)
-        gG += GV.T @ np.array([step.mean_active for step in steps])
-        DP = (GV @ G) / np.arange(1, len(steps) + 1)[:, None]
-        dH[:len(steps)] += np.cumsum(DP[::-1], axis=0)[::-1]
+        if config.score_mode == "all-active":
+            # Row s's d pooled = GV[s] . G / (s + 1) reaches rows 0..s.
+            gG += GV.T @ _all_active_pooled(result.H, S)
+            DP = (GV @ G) / np.arange(1, S + 1)[:, None]
+            dH[:S] += np.cumsum(DP[::-1], axis=0)[::-1]
+        else:
+            # GV / |P| summed from the last step back to row s is what an
+            # edge u -> w from row s carries into dH[u] (times G[w]) and
+            # gG[w] (times h_u); kept at the edges only, it is applied with
+            # two matmuls.  A count clamped from 0 to 1 reaches no edge: an
+            # edge u -> w makes |P_w| >= 1 from u's row on.
+            alpha = np.divide(GV, counts, out=GV)
+            np.cumsum(alpha[::-1], axis=0, out=alpha[::-1])
+            src, dst = _out_edges(result.graph, np.asarray(result.cascade.nodes[:S]))
+            at_edges = alpha[src, dst]
+            alpha.fill(0.0)
+            alpha[src, dst] = at_edges
+            dH[:S] += alpha @ G
+            gG += alpha.T @ result.H[:S]
 
     # dz = [dc, dc, dc, dc, dh] * K row by row; dc picks up dh * dc_dh.
     i, f_p, f_q, c_tilde, o = (result.A[:, k * d:(k + 1) * d] for k in range(5))
@@ -487,24 +491,7 @@ def backward_cascade(result: CascadeForwardResult, model: Model,
     # is owed to every state before its step, so to the current one.
     acc_h, acc_c = np.zeros(d), np.zeros(d)
 
-    for t in range(T, 0, -1):
-        pos = t - 1
-        if precedent_only:
-            # Steps after t see v_t's state; step t itself does not.
-            succ = out_arrays[result.cascade[pos]]
-            if succ.size:
-                alpha = alpha_sum[succ]
-                dH[pos] += alpha @ G[succ]
-                gG[succ] += alpha[:, None] * result.H[pos]
-            if steps and t >= 2:
-                step = steps[t - 2]
-                gvec = step.probs.copy()
-                gvec[step.target_cand_pos] -= 1.0
-                gb_act[step.cand] += gvec
-                # Candidates without precedents pool nothing: alpha is 0.
-                alpha_sum[step.cand] += gvec / np.where(step.prec_counts > 0,
-                                                        step.prec_counts, np.inf)
-
+    for pos in range(T - 1, -1, -1):
         dh = dH[pos]
         dh += acc_h
         dC[pos] += acc_c
@@ -548,13 +535,16 @@ def predict_next(model: Model, graph: DataGraph, prefix: Cascade
     inactive nodes.
     """
     result = forward_cascade(model, graph, prefix, compute_loss=False)
-    m = model.config.node_count
-    active_mask = np.zeros(m, dtype=bool)
-    active_mask[list(prefix.nodes)] = True
-    cand = np.flatnonzero(~active_mask)
+    T = len(prefix)
+    cand = np.flatnonzero(result.pos == T)
     if cand.size == 0:
         raise ValueError("no inactive nodes left to predict")
-    pooled = result.H.mean(axis=0) if result.prec_num is None else None
-    scores, _ = _candidate_scores(model.params, cand, pooled,
-                                  result.prec_num, result.prec_cnt)
-    return cand, softmax(scores)
+    G, b_act = model.params["G"], model.params["b_act"]
+    if model.config.score_mode == "all-active":
+        scores = G[cand] @ result.H.mean(axis=0)
+    else:
+        m = model.config.node_count
+        src, dst = _out_edges(graph, np.asarray(prefix.nodes, dtype=np.intp))
+        num = np.bincount(dst, weights=_edge_terms(G, result.H, src, dst), minlength=m)
+        scores = (num / np.maximum(np.bincount(dst, minlength=m), 1))[cand]
+    return cand, softmax(scores + b_act[cand])

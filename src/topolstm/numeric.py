@@ -18,7 +18,7 @@ from .errors import NumericError, ShapeError
 
 __all__ = [
     "Layout", "ParameterStore", "GradientStore", "sigmoid", "affine", "mean_pool",
-    "softmax", "softmax_over_subset", "nll_from_scores", "Adam", "adam_step",
+    "softmax", "softmax_over_subset", "Adam", "adam_step",
     "FdCheckResult", "finite_difference_check", "assert_all_finite",
 ]
 
@@ -235,21 +235,15 @@ def softmax_over_subset(scores: Mapping[int, float], subset) -> dict[int, float]
     return dict(zip(nodes, softmax(vals)))
 
 
-def nll_from_scores(scores: np.ndarray, target_pos: int) -> tuple[float, np.ndarray]:
-    """(-log softmax(scores)[target], softmax(scores)) via a stable log-sum-exp."""
-    m = np.max(scores)
-    shifted = scores - m
-    e = np.exp(shifted)
-    z = e.sum()
-    loss = float(np.log(z) - shifted[target_pos])
-    return loss, e / z
-
-
 def adam_step(params: ParameterStore, grads: GradientStore,
               moment1: ParameterStore, moment2: ParameterStore, step_count: int,
               lr: float, beta1: float = 0.9, beta2: float = 0.999,
-              eps: float = 1e-8) -> None:
-    """One bias-corrected Adam update applied in place to the whole vector."""
+              eps: float = 1e-8, scratch: tuple[np.ndarray, np.ndarray] | None = None
+              ) -> None:
+    """One bias-corrected Adam update applied in place to the whole vector:
+    m = beta1 m + (1 - beta1) g, v = beta2 v + (1 - beta2) g^2, then
+    theta -= lr (m / bc1) / (sqrt(v / bc2) + eps).  Intermediates go through
+    the two flat-size ``scratch`` vectors (allocated when omitted)."""
     if step_count < 1:
         raise ValueError("step_count must be >= 1")
     for other in (grads, moment1, moment2):
@@ -257,11 +251,19 @@ def adam_step(params: ParameterStore, grads: GradientStore,
     bc1 = 1.0 - beta1 ** step_count
     bc2 = 1.0 - beta2 ** step_count
     g, m, v = grads.flat, moment1.flat, moment2.flat
+    a, b = scratch if scratch is not None else (np.empty_like(g), np.empty_like(g))
     m *= beta1
-    m += (1.0 - beta1) * g
+    m += np.multiply(g, 1.0 - beta1, out=a)
     v *= beta2
-    v += (1.0 - beta2) * np.square(g)
-    params.flat -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+    np.square(g, out=a)
+    v += np.multiply(a, 1.0 - beta2, out=a)
+    np.divide(m, bc1, out=a)
+    a *= lr
+    np.divide(v, bc2, out=b)
+    np.sqrt(b, out=b)
+    b += eps
+    a /= b
+    params.flat -= a
 
 
 class Adam:
@@ -275,12 +277,13 @@ class Adam:
         self.eps = eps
         self.moment1 = params.zeros_like()
         self.moment2 = params.zeros_like()
+        self.scratch = (np.empty(params.total_size), np.empty(params.total_size))
         self.step_count = 0
 
     def step(self, params: ParameterStore, grads: GradientStore) -> None:
         self.step_count += 1
         adam_step(params, grads, self.moment1, self.moment2, self.step_count,
-                  self.lr, self.beta1, self.beta2, self.eps)
+                  self.lr, self.beta1, self.beta2, self.eps, self.scratch)
 
 
 @dataclass

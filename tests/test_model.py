@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from topolstm.datagen import PRESETS, generate_graph
+from topolstm.datagen import PRESETS, generate_dataset, generate_graph
+from topolstm.evaluation import ModelScorer, target_rank
 from topolstm.errors import NumericError, ShapeError, TopoLstmError
 from topolstm.graph import Cascade, DataGraph, build_topologies, build_topology
 from topolstm.model import (SCORE_MODES, AggregatedInputs, CellState, Model,
@@ -302,7 +303,8 @@ class TestForwardCascade:
         rng = np.random.default_rng(11)
         graph, cascade, model = random_instance(rng, T=5)
         result = forward_cascade(model, graph, cascade)
-        assert len(result.steps) == len(cascade) - 1
+        assert result.losses.shape == (len(cascade) - 1,)
+        assert result.probs.shape == (len(cascade) - 1, model.config.node_count)
         assert result.H.shape == (len(cascade), model.config.hidden_dim)
         assert np.all(result.loss_terms >= 0.0)
 
@@ -351,6 +353,61 @@ class TestForwardCascade:
         from topolstm.errors import DataError
         with pytest.raises(DataError):
             forward_cascade(model, g, Cascade((0, 5)))
+
+
+class TestScoreBlock:
+    @pytest.mark.parametrize("mode", SCORE_MODES)
+    def test_block_matches_reference_at_every_step(self, mode):
+        # Long enough that an off-by-one in the cumulative rows shows.
+        rng = np.random.default_rng(50)
+        m, T = 60, 40
+        cascade = random_cascade(rng, m, T)
+        late = cascade[5]   # its in-neighbours all activate after it
+        edges = {e for e in random_graph(rng, m, 90).edges if e[1] != late}
+        edges |= {(cascade[k], late) for k in (6, 20, T - 1)}
+        # The last scored row reaches candidates too.
+        outside = sorted(set(range(m)) - set(cascade.nodes))
+        edges |= {(cascade[T - 2], w) for w in outside[:3]}
+        graph = DataGraph.from_edges(m, edges)
+        model = perturbed_model(ModelConfig(4, m, mode), rng)
+        result = forward_cascade(model, graph, cascade)
+        topos = build_topologies(graph, cascade)
+        assert result.probs.shape == (T - 1, m)
+        without_precedents = 0
+        for s in range(T - 1):
+            topo = topos[s + 1]   # rows 0..s active
+            states = {cascade[i]: CellState(result.H[i], result.C[i]) for i in range(s + 1)}
+            ref = score_inactive(states, topo, model)
+            ref_probs = softmax_over_subset(ref, ref.keys())
+            cand = np.flatnonzero(result.pos > s)
+            assert cand.tolist() == sorted(ref)
+            np.testing.assert_allclose(result.probs[s, cand], [ref_probs[v] for v in cand],
+                                       rtol=1e-12, atol=0)
+            np.testing.assert_array_equal(result.probs[s, list(cascade.nodes[:s + 1])], 0.0)
+            target = cascade[s + 1]
+            assert result.losses[s] == pytest.approx(-math.log(ref_probs[target]), rel=1e-12)
+            without_precedents += sum(not topo.precedents(v) for v in cand.tolist())
+        assert without_precedents > 0
+        assert not topos[6].precedents(late)
+
+    @pytest.mark.parametrize("mode, total_loss, grad_norm", [
+        ("all-active", 1486.8297286718043, 36.662871031057456),
+        ("precedent-only", 1485.872664431533, 36.87909090781418),
+    ])
+    def test_drift_guard_on_desk_default(self, mode, total_loss, grad_norm):
+        # Values recorded from the per-step scoring loop; any change in the
+        # reduction order of scoring or backward shows here.
+        graph, cascades, _ = generate_dataset(PRESETS["desk-default"])
+        model = perturbed_model(ModelConfig(8, graph.node_count, mode),
+                                np.random.default_rng(60))
+        grads = model.zero_grads()
+        total = 0.0
+        for cascade in cascades[:20]:
+            result = forward_cascade(model, graph, cascade)
+            total += result.total_loss
+            backward_cascade(result, model, out=grads)
+        assert total == pytest.approx(total_loss, rel=1e-10)
+        assert math.sqrt(grads.squared_l2()) == pytest.approx(grad_norm, rel=1e-10)
 
 
 def precedent_rows(result):
@@ -414,6 +471,14 @@ class TestBackwardCascade:
         for _, arr in grads.items():
             np.testing.assert_array_equal(arr, np.zeros_like(arr))
 
+    def test_result_is_backpropagated_once(self):
+        rng = np.random.default_rng(24)
+        graph, cascade, model = random_instance(rng, mode="precedent-only")
+        result = forward_cascade(model, graph, cascade)
+        backward_cascade(result, model)
+        with pytest.raises(ValueError):
+            backward_cascade(result, model)
+
     def test_duplicated_cascade_doubles_unnormalized_gradient(self):
         rng = np.random.default_rng(16)
         graph, cascade, model = random_instance(rng)
@@ -475,8 +540,40 @@ class TestPredictNext:
             # The step-t prediction inside a longer forward pass equals
             # predict_next on the corresponding prefix.
             result = forward_cascade(model, graph, cascade)
-            step = result.steps[-1]  # t = T, prefix length T-1
-            cand, probs = predict_next(model, graph,
-                                       Cascade(cascade.nodes[: len(cascade) - 1]))
-            np.testing.assert_array_equal(cand, step.cand)
-            np.testing.assert_allclose(probs, step.probs, atol=1e-12)
+            T = len(cascade)   # last block row: t = T, prefix length T-1
+            cand, probs = predict_next(model, graph, Cascade(cascade.nodes[:T - 1]))
+            np.testing.assert_array_equal(cand, np.flatnonzero(result.pos > T - 2))
+            np.testing.assert_allclose(probs, result.probs[-1, cand], atol=1e-12)
+
+    @pytest.mark.parametrize("mode", SCORE_MODES)
+    def test_every_prefix_matches_evaluate(self, mode):
+        # predict_next scores its last prefix from H.mean or a bincount of
+        # edge terms; evaluate reads the cumulative block.  Both must agree
+        # at every prefix length.
+        rng = np.random.default_rng(22)
+        graph, cascade, model = random_instance(rng, m=45, d=4, T=30, mode=mode)
+        steps = list(ModelScorer(model, graph).step_scores(cascade))
+        assert len(steps) == len(cascade) - 1
+        for k, (cand, probs, target) in enumerate(steps, start=1):
+            p_cand, p_probs = predict_next(model, graph, Cascade(cascade.nodes[:k]))
+            assert target == cascade[k]
+            np.testing.assert_array_equal(p_cand, cand)
+            np.testing.assert_allclose(p_probs, probs, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("mode", SCORE_MODES)
+    def test_underflowed_candidate_stays_a_candidate(self, mode):
+        rng = np.random.default_rng(23)
+        graph, cascade, model = random_instance(rng, m=12, d=4, T=6, mode=mode)
+        w = cascade[4]                      # inactive before step t = 5
+        model.params["b_act"][w] = -1e4
+        steps = list(ModelScorer(model, graph).step_scores(cascade))
+        for cand, probs, _ in steps[:4]:
+            assert w in cand
+            assert probs[np.searchsorted(cand, w)] == 0.0
+        cand, probs, target = steps[3]
+        assert target == w
+        assert target_rank(cand, probs, w) == cand.size
+        cand, probs = predict_next(model, graph, Cascade(cascade.nodes[:4]))
+        assert cand.size == model.config.node_count - 4
+        assert probs[np.searchsorted(cand, w)] == 0.0
+        assert np.all(np.isfinite(forward_cascade(model, graph, cascade).losses))

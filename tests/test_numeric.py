@@ -257,6 +257,21 @@ class TestAdam:
         assert norms[11] < 0.01
         assert norms[-1] < 0.01
 
+    def test_in_place_update_is_bit_identical_to_the_formula(self):
+        rng = np.random.default_rng(9)
+        params = self._store(rng.normal(size=64))
+        theta, m, v = params["w"].copy(), np.zeros(64), np.zeros(64)
+        lr, beta1, beta2, eps = 0.01, 0.9, 0.999, 1e-8
+        opt = Adam(params, lr=lr)
+        for k in range(1, 26):
+            g = rng.normal(size=64) * 10.0 ** rng.integers(-6, 3, size=64)
+            opt.step(params, ParameterStore({"w": g}))
+            m = beta1 * m + (1.0 - beta1) * g
+            v = beta2 * v + (1.0 - beta2) * np.square(g)
+            theta = theta - lr * (m / (1.0 - beta1 ** k)) / (
+                np.sqrt(v / (1.0 - beta2 ** k)) + eps)
+            np.testing.assert_array_equal(params["w"], theta)
+
     def test_shape_mismatch(self):
         params = self._store([1.0])
         opt = Adam(params, lr=0.1)
