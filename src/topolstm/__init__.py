@@ -22,7 +22,7 @@ from .graph import (Cascade, DataGraph, DiffusionTopology, build_topologies,
 from .model import (Model, ModelConfig, aggregate, backward_cascade,
                     cell_forward, forward_cascade, predict_next, score_inactive)
 from .numeric import (Adam, FdCheckResult, GradientStore, ParameterStore,
-                      adam_step, affine, finite_difference_check, mean_pool,
+                      adam_step, finite_difference_check, mean_pool,
                       softmax_over_subset)
 from .training import (TrainConfig, TrainReport, objective,
                        objective_and_gradient, split_dataset, train)

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import os
 import sys
 from pathlib import Path
 
@@ -32,13 +31,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DIVERGED = 3
 EXIT_MISMATCH = 4
-
-
-def _default_workers() -> int:
-    try:
-        return max(1, int(os.environ.get("TOPOLSTM_WORKERS", "1")))
-    except ValueError:
-        return 1
 
 
 def _parse_prob(text: str):
@@ -97,7 +89,6 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--train-frac", type=float, default=0.75)
     tr.add_argument("--val-frac", type=float, default=0.10)
     tr.add_argument("--seed", type=int, default=0)
-    tr.add_argument("--workers", type=int, default=_default_workers())
     tr.add_argument("--deterministic", action="store_true",
                     help="byte-identical primary outputs (timings nulled in report)")
 
@@ -115,7 +106,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="pre-fitted baseline probabilities (u v p file)")
     ev.add_argument("--length-csv", action="store_true",
                     help="also write per-prefix-length metric buckets")
-    ev.add_argument("--workers", type=int, default=_default_workers())
     ev.add_argument("--deterministic", action="store_true",
                     help="accepted for uniformity; evaluation is always "
                          "deterministic")
@@ -188,9 +178,7 @@ def cmd_train(args) -> int:
     train_config = training.TrainConfig(
         learning_rate=args.lr, lam=args.lam, batch_size=args.batch_size,
         max_epochs=args.epochs, patience=args.patience, seed=args.seed,
-        train_frac=args.train_frac, val_frac=args.val_frac,
-        clip_norm=args.clip_norm, workers=args.workers,
-        deterministic=args.deterministic)
+        clip_norm=args.clip_norm)
     model_config = ModelConfig(hidden_dim=args.hidden_dim,
                                node_count=graph.node_count,
                                score_mode=args.score_mode)
@@ -207,9 +195,9 @@ def cmd_train(args) -> int:
             "learning_rate": train_config.learning_rate, "lambda": train_config.lam,
             "batch_size": train_config.batch_size, "max_epochs": train_config.max_epochs,
             "patience": train_config.patience, "seed": train_config.seed,
-            "train_frac": train_config.train_frac, "val_frac": train_config.val_frac,
-            "clip_norm": train_config.clip_norm, "workers": train_config.workers,
-            "deterministic": train_config.deterministic},
+            "train_frac": args.train_frac, "val_frac": args.val_frac,
+            "clip_norm": train_config.clip_norm,
+            "deterministic": args.deterministic},
     }
 
     train_set, val_set, test_set = training.split_dataset(
@@ -297,8 +285,7 @@ def cmd_evaluate(args) -> int:
     }
 
     tables = [evaluation.evaluate(evaluation.ModelScorer(model, graph),
-                                  test_cascades, ks=args.ks,
-                                  workers=args.workers)]
+                                  test_cascades, ks=args.ks)]
     if args.baseline == "icsb":
         if args.edge_probs:
             probs = EdgeProbabilities.load(args.edge_probs, graph)
@@ -310,8 +297,7 @@ def cmd_evaluate(args) -> int:
         else:
             raise DataError("--baseline icsb needs --train-cascades or --edge-probs")
         tables.append(evaluation.evaluate(ICSBScorer(graph, probs),
-                                          test_cascades, ks=args.ks,
-                                          workers=args.workers))
+                                          test_cascades, ks=args.ks))
 
     evaluation.write_metrics_json(out / "metrics.json", tables, config_echo)
     evaluation.write_metrics_text(out / "metrics.txt", tables, config_echo)

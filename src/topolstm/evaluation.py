@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -99,8 +98,12 @@ def evaluate(scorer, cascades: Sequence[Cascade], ks: Iterable[int] = DEFAULT_KS
 
     ``scorer`` must provide ``step_scores(cascade)`` yielding, for each step
     t = 2..T, a triple (candidate ids ascending, scores aligned with them,
-    target id).  Results do not depend on cascade order or on ``workers``.
+    target id).  Results do not depend on cascade order.  ``workers`` has
+    one legal value, 1: evaluation runs on one thread, and the keyword stays
+    only because the benchmark harness passes ``workers=1``.
     """
+    if workers != 1:
+        raise ValueError("workers must be 1: evaluation runs on one thread")
     ks = tuple(sorted(set(int(k) for k in ks)))
     if not ks:
         raise ValueError("need at least one k")
@@ -111,25 +114,13 @@ def evaluate(scorer, cascades: Sequence[Cascade], ks: Iterable[int] = DEFAULT_KS
         if len(c) < 2:
             raise ValueError("test cascades must have length >= 2")
 
-    def cascade_ranks(cascade: Cascade) -> list[tuple[int, int]]:
-        out = []
-        prefix_len = 1
-        for cand, scores, target in scorer.step_scores(cascade):
-            out.append((prefix_len, target_rank(cand, scores, target)))
-            prefix_len += 1
-        return out
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_cascade = list(pool.map(cascade_ranks, cascades))
-    else:
-        per_cascade = [cascade_ranks(c) for c in cascades]
-
     sums = {(metric, k): 0.0 for metric in ("map", "hits") for k in ks}
     bucket_sums: dict[int, dict] = {}
     n = 0
-    for ranks in per_cascade:
-        for prefix_len, rank in ranks:
+    for cascade in cascades:
+        steps = scorer.step_scores(cascade)
+        for prefix_len, (cand, scores, target) in enumerate(steps, start=1):
+            rank = target_rank(cand, scores, target)
             n += 1
             bucket = bucket_sums.setdefault(
                 prefix_len, {"instances": 0, **{key: 0.0 for key in sums}})

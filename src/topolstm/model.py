@@ -53,6 +53,7 @@ central differences in the test suite.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -93,9 +94,15 @@ U_BLOCKS = (("U_i_p", "U_i_q"), ("U_f_pp", "U_f_pq"), ("U_f_qp", "U_f_qq"),
             ("U_c_p", "U_c_q"), ("U_o_p", "U_o_q"))
 
 
+@functools.lru_cache(maxsize=16)
 def gate_rows(d: int) -> np.ndarray:
-    """Rows of Wx and b feeding the gates [i, f_p, f_q, c, o]."""
-    return np.r_[0:2 * d, d:4 * d]
+    """Rows of Wx and b feeding the gates [i, f_p, f_q, c, o].
+
+    Built once per d and shared by every caller, so the array is read-only.
+    """
+    rows = np.r_[0:2 * d, d:4 * d]
+    rows.flags.writeable = False
+    return rows
 
 
 def parameter_layout(config: ModelConfig) -> Layout:

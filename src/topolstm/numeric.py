@@ -10,14 +10,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import NumericError, ShapeError
 
 __all__ = [
-    "Layout", "ParameterStore", "GradientStore", "sigmoid", "affine", "mean_pool",
+    "Layout", "ParameterStore", "GradientStore", "sigmoid", "mean_pool",
     "softmax", "softmax_over_subset", "Adam", "adam_step",
     "FdCheckResult", "finite_difference_check", "assert_all_finite",
 ]
@@ -184,26 +184,6 @@ class ParameterStore:
 
 # Gradients share the carrier: same slot names and shapes as their parameters.
 GradientStore = ParameterStore
-
-
-def affine(W: np.ndarray, x_index: int, u_terms: Iterable[tuple[np.ndarray, np.ndarray]],
-           bias: np.ndarray) -> np.ndarray:
-    """Pre-activation of one gate: W[:, x_index] + sum_i U_i @ v_i + bias.
-
-    The node feature is a one-hot id vector, so the W term reduces to a
-    column lookup.
-    """
-    d = W.shape[0]
-    if bias.shape != (d,):
-        raise ShapeError(f"bias: expected shape ({d},), got {bias.shape}")
-    if not (0 <= x_index < W.shape[1]):
-        raise ShapeError(f"one-hot index {x_index} out of range for W {W.shape}")
-    out = W[:, x_index] + bias
-    for i, (U, v) in enumerate(u_terms):
-        if U.shape != (d, v.shape[0]):
-            raise ShapeError(f"U_term {i}: U {U.shape} incompatible with v {v.shape}")
-        out = out + U @ v
-    return out
 
 
 def mean_pool(vectors: Sequence[np.ndarray], dim: int) -> np.ndarray:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import logging
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -28,31 +27,31 @@ log = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """Optimizer and stopping settings read by ``train``.
+
+    ``workers`` has one legal value, 1: training runs one serial path that
+    adds gradients in cascade order.  The keyword stays only because the
+    benchmark harness passes ``workers=1``.
+    """
+
     learning_rate: float = 1e-2
     lam: float = 1e-6              # L2 trade-off
     batch_size: int = 32
     max_epochs: int = 100
     patience: int = 10
     seed: int = 0
-    train_frac: float = 0.75
-    val_frac: float = 0.10
     clip_norm: float = 0.0         # 0 disables the global-norm cap
     workers: int = 1
-    deterministic: bool = False
 
     def __post_init__(self):
         if self.lam < 0:
             raise ValueError("lam must be >= 0")
-        if not (0.0 < self.train_frac < 1.0):
-            raise ValueError("train_frac must lie in (0, 1)")
-        if not (0.0 <= self.val_frac < 1.0):
-            raise ValueError("val_frac must lie in [0, 1)")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.max_epochs < 0 or self.patience < 0:
             raise ValueError("max_epochs and patience must be >= 0")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
+        if self.workers != 1:
+            raise ValueError("workers must be 1: training runs on one thread")
 
 
 def split_dataset(cascades: Sequence[Cascade], train_frac: float = 0.75,
@@ -93,7 +92,7 @@ def objective(model: Model, cascades: Sequence[Cascade], graph: DataGraph,
               lam: float) -> float:
     """Mean per-step negative log-likelihood plus lam * sum of squared L2 norms."""
     cascades, _ = _drop_short(cascades, "objective")
-    total_nll, total_steps = _dataset_nll(model, graph, cascades)
+    total_nll, total_steps = _cascades_nll(model, graph, cascades)
     if total_steps == 0:
         raise ValueError("no cascade contributes prediction steps")
     return total_nll / total_steps + lam * model.params.squared_l2()
@@ -105,13 +104,7 @@ def objective_and_gradient(model: Model, graph: DataGraph,
     """Objective value and its exact gradient over a cascade set."""
     cascades, _ = _drop_short(cascades, "objective")
     grads = model.zero_grads()
-    total_nll = 0.0
-    total_steps = 0
-    for cascade in cascades:
-        result = forward_cascade(model, graph, cascade)
-        backward_cascade(result, model, out=grads)
-        total_nll += result.total_loss
-        total_steps += len(cascade) - 1
+    total_nll, total_steps = _cascades_nll(model, graph, cascades, grads)
     if total_steps == 0:
         raise ValueError("no cascade contributes prediction steps")
     grads.scale(1.0 / total_steps)
@@ -120,10 +113,19 @@ def objective_and_gradient(model: Model, graph: DataGraph,
     return total_nll / total_steps + lam * model.params.squared_l2(), grads
 
 
-def _dataset_nll(model, graph, cascades) -> tuple[float, int]:
+def _cascades_nll(model: Model, graph: DataGraph, cascades: Sequence[Cascade],
+                  grads: GradientStore | None = None) -> tuple[float, int]:
+    """Summed NLL and prediction-step count over ``cascades``, in order.
+
+    With ``grads``, each cascade's backward pass also adds into it.
+    ``forward_cascade`` is looked up in this module on every call, so a
+    caller may rebind it (the benchmark times train() that way).
+    """
     total, steps = 0.0, 0
     for cascade in cascades:
         result = forward_cascade(model, graph, cascade)
+        if grads is not None:
+            backward_cascade(result, model, out=grads)
         total += result.total_loss
         steps += len(cascade) - 1
     return total, steps
@@ -189,95 +191,68 @@ def train(graph: DataGraph, train_cascades: Sequence[Cascade],
     since_improvement = 0
     started = time.perf_counter()
 
-    pool = ThreadPoolExecutor(config.workers) if config.workers > 1 else None
-    try:
-        for epoch in range(1, config.max_epochs + 1):
-            epoch_start = time.perf_counter()
-            reg_before = config.lam * model.params.squared_l2()
-            order = rng.permutation(len(train_cascades))
-            epoch_nll, epoch_steps = 0.0, 0
+    for epoch in range(1, config.max_epochs + 1):
+        epoch_start = time.perf_counter()
+        reg_before = config.lam * model.params.squared_l2()
+        order = rng.permutation(len(train_cascades))
+        epoch_nll, epoch_steps = 0.0, 0
 
-            for lo in range(0, len(order), config.batch_size):
-                chunk = order[lo: lo + config.batch_size]
-                grads.fill(0.0)
-                batch_nll, batch_steps = 0.0, 0
-                if pool is not None:
-                    jobs = list(pool.map(
-                        lambda i: _cascade_grad(model, graph, train_cascades[i]),
-                        chunk))
-                    for nll, steps, store in jobs:  # fixed order: deterministic sum
-                        grads.accumulate(store)
-                        batch_nll += nll
-                        batch_steps += steps
-                else:
-                    for i in chunk:
-                        cascade = train_cascades[i]
-                        result = forward_cascade(model, graph, cascade)
-                        backward_cascade(result, model, out=grads)
-                        batch_nll += result.total_loss
-                        batch_steps += len(cascade) - 1
-
-                batch_obj = batch_nll / batch_steps
-                if config.lam:
-                    batch_obj += config.lam * model.params.squared_l2()
-                if not np.isfinite(batch_obj):
-                    raise DivergenceError(
-                        f"non-finite batch loss at epoch {epoch}", report=report)
-                grads.scale(1.0 / batch_steps)
-                if config.lam:
-                    grads.accumulate(model.params, scale=2.0 * config.lam)
-                if config.clip_norm > 0:
-                    norm = np.sqrt(grads.squared_l2())
-                    if norm > config.clip_norm:
-                        grads.scale(config.clip_norm / norm)
-                optimizer.step(model.params, grads)
-                epoch_nll += batch_nll
-                epoch_steps += batch_steps
-
-            train_loss = epoch_nll / epoch_steps + reg_before
-            if val_cascades:
-                val_nll, val_steps = _dataset_nll(model, graph, val_cascades)
-                val_loss = val_nll / val_steps
-                monitor = val_loss
-            else:
-                val_loss = None
-                monitor = train_loss
-            if not np.isfinite(monitor):
+        for lo in range(0, len(order), config.batch_size):
+            batch = [train_cascades[i] for i in order[lo: lo + config.batch_size]]
+            grads.fill(0.0)
+            batch_nll, batch_steps = _cascades_nll(model, graph, batch, grads)
+            batch_obj = batch_nll / batch_steps
+            if config.lam:
+                batch_obj += config.lam * model.params.squared_l2()
+            if not np.isfinite(batch_obj):
                 raise DivergenceError(
-                    f"non-finite loss at epoch {epoch}", report=report)
+                    f"non-finite batch loss at epoch {epoch}", report=report)
+            grads.scale(1.0 / batch_steps)
+            if config.lam:
+                grads.accumulate(model.params, scale=2.0 * config.lam)
+            if config.clip_norm > 0:
+                norm = np.sqrt(grads.squared_l2())
+                if norm > config.clip_norm:
+                    grads.scale(config.clip_norm / norm)
+            optimizer.step(model.params, grads)
+            epoch_nll += batch_nll
+            epoch_steps += batch_steps
 
-            stats = EpochStats(epoch=epoch, train_loss=train_loss,
-                               val_loss=val_loss,
-                               seconds=time.perf_counter() - epoch_start,
-                               train_reg=reg_before if config.lam else None)
-            report.epochs.append(stats)
+        train_loss = epoch_nll / epoch_steps + reg_before
+        if val_cascades:
+            val_nll, val_steps = _cascades_nll(model, graph, val_cascades)
+            val_loss = val_nll / val_steps
+            monitor = val_loss
+        else:
+            val_loss = None
+            monitor = train_loss
+        if not np.isfinite(monitor):
+            raise DivergenceError(
+                f"non-finite loss at epoch {epoch}", report=report)
 
-            improved = monitor < best_monitor
-            if improved:
-                best_monitor = monitor
-                best_model = model.copy()
-                report.best_epoch = epoch
-                report.best_val_loss = None if val_loss is None else val_loss
-                since_improvement = 0
-            if epoch_callback is not None:
-                epoch_callback(stats, model, improved)
-            if not improved:
-                since_improvement += 1
-                if config.patience and since_improvement >= config.patience:
-                    report.stopped_early = True
-                    break
-    finally:
-        if pool is not None:
-            pool.shutdown()
+        stats = EpochStats(epoch=epoch, train_loss=train_loss,
+                           val_loss=val_loss,
+                           seconds=time.perf_counter() - epoch_start,
+                           train_reg=reg_before if config.lam else None)
+        report.epochs.append(stats)
+
+        improved = monitor < best_monitor
+        if improved:
+            best_monitor = monitor
+            best_model = model.copy()
+            report.best_epoch = epoch
+            report.best_val_loss = None if val_loss is None else val_loss
+            since_improvement = 0
+        if epoch_callback is not None:
+            epoch_callback(stats, model, improved)
+        if not improved:
+            since_improvement += 1
+            if config.patience and since_improvement >= config.patience:
+                report.stopped_early = True
+                break
 
     report.total_seconds = time.perf_counter() - started
     if not report.epochs:  # max_epochs == 0: the initialized model is the result
         best_model = model
     return best_model, report
 
-
-def _cascade_grad(model, graph, cascade):
-    store = model.zero_grads()
-    result = forward_cascade(model, graph, cascade)
-    backward_cascade(result, model, out=store)
-    return result.total_loss, len(cascade) - 1, store

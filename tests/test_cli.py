@@ -136,6 +136,15 @@ class TestTrain:
             assert filecmp.cmp(tmp_path / "a" / name, tmp_path / "b" / name,
                                shallow=False), name
 
+    def test_workers_flag_removed(self, data_dir, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["train", "--graph", str(data_dir / "graph.txt"),
+                      "--cascades", str(data_dir / "cascades.txt"),
+                      "--out", str(tmp_path / "w"), "--workers", "2"])
+        assert exc.value.code == 2
+        assert "--workers" in capsys.readouterr().err
+        assert not (tmp_path / "w").exists()
+
 
 class TestEvaluate:
     def test_metrics_files(self, data_dir, run_dir, tmp_path):

@@ -150,13 +150,14 @@ class TestEvaluate:
                 hits.append(1 if rank <= 5 else 0)
         assert table.value("hits", 5) == pytest.approx(np.mean(hits))
 
-    def test_workers_do_not_change_results(self):
+    def test_workers_other_than_one_rejected(self):
         rng = np.random.default_rng(48)
         graph, cascades = self._setup(rng)
         scorer = StaticScorer(graph, rng.normal(size=graph.node_count))
-        a = evaluate(scorer, cascades, workers=1)
-        b = evaluate(scorer, cascades, workers=4)
-        assert a.values == b.values
+        serial = evaluate(scorer, cascades, workers=1)
+        assert serial.values == evaluate(scorer, cascades).values
+        with pytest.raises(ValueError, match="workers must be 1"):
+            evaluate(scorer, cascades, workers=2)
 
     def test_empty_test_set_rejected(self):
         rng = np.random.default_rng(49)

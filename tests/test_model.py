@@ -9,8 +9,8 @@ from topolstm.errors import NumericError, ShapeError, TopoLstmError
 from topolstm.graph import Cascade, DataGraph, build_topologies, build_topology
 from topolstm.model import (SCORE_MODES, AggregatedInputs, CellState, Model,
                             ModelConfig, U_BLOCKS, aggregate, backward_cascade,
-                            cell_forward, forward_cascade, predict_next,
-                            score_inactive)
+                            cell_forward, forward_cascade, gate_rows,
+                            predict_next, score_inactive)
 from topolstm.numeric import (ParameterStore, finite_difference_check,
                               softmax_over_subset)
 from topolstm.training import objective_and_gradient
@@ -115,6 +115,15 @@ class TestParameterLayout:
         state, _ = cell_forward(0, agg, model.params)
         h_ref, _ = scalar_cell_oracle(0, agg, model.params, d)
         np.testing.assert_allclose(state.h, h_ref, atol=1e-12)
+
+    def test_gate_rows_built_once_and_read_only(self):
+        for d in (1, 3, 32):
+            rows = gate_rows(d)
+            assert rows is gate_rows(d)
+            np.testing.assert_array_equal(
+                rows, list(range(2 * d)) + list(range(d, 4 * d)))
+            with pytest.raises(ValueError):
+                rows[0] = 1
 
     def test_packed_store_is_not_a_model_store(self):
         model = self._model()

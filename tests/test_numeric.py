@@ -3,7 +3,7 @@ import pytest
 
 from topolstm.errors import NumericError, ShapeError
 from topolstm.numeric import (Adam, FdCheckResult, GradientStore, Layout,
-                              ParameterStore, adam_step, affine,
+                              ParameterStore, adam_step,
                               finite_difference_check, mean_pool, softmax,
                               softmax_over_subset)
 
@@ -104,52 +104,6 @@ class TestFlatBuffer:
         store["b"][1] = np.inf
         with pytest.raises(NumericError, match="'b'"):
             store.check_finite()
-
-
-class TestAffine:
-    def test_zero_parameters_give_zero(self):
-        W = np.zeros((3, 5))
-        out = affine(W, 2, [(np.zeros((3, 3)), np.ones(3))], np.zeros(3))
-        assert np.all(out == 0)
-
-    def test_no_recurrent_terms(self):
-        W = np.arange(15, dtype=float).reshape(3, 5)
-        bias = np.array([1.0, 1.0, 1.0])
-        out = affine(W, 4, [], bias)
-        np.testing.assert_allclose(out, W[:, 4] + bias)
-
-    def test_matches_dense_matvec_oracle(self):
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            d, m = 4, 6
-            W = rng.normal(size=(d, m))
-            idx = int(rng.integers(m))
-            terms = [(rng.normal(size=(d, d)), rng.normal(size=d)) for _ in range(2)]
-            bias = rng.normal(size=d)
-            got = affine(W, idx, terms, bias)
-            x = np.zeros(m)
-            x[idx] = 1.0
-            want = W @ x + bias
-            for U, v in terms:
-                want = want + U @ v
-            np.testing.assert_allclose(got, want, atol=1e-12)
-
-    def test_linear_in_each_recurrent_term(self):
-        rng = np.random.default_rng(1)
-        d = 5
-        for _ in range(10):
-            W, bias = rng.normal(size=(d, 3)), rng.normal(size=d)
-            U = rng.normal(size=(d, d))
-            v1, v2 = rng.normal(size=d), rng.normal(size=d)
-            lhs = affine(W, 0, [(U, v1 + v2)], bias)
-            rhs = (affine(W, 0, [(U, v1)], bias) + affine(W, 0, [(U, v2)], bias)
-                   - affine(W, 0, [], bias))
-            np.testing.assert_allclose(lhs, rhs, atol=1e-12)
-
-    def test_shape_mismatch_names_term(self):
-        with pytest.raises(ShapeError, match="U_term 0"):
-            affine(np.zeros((3, 2)), 0, [(np.zeros((3, 4)), np.zeros(3))],
-                   np.zeros(3))
 
 
 class TestMeanPool:
