@@ -16,11 +16,10 @@ from .errors import (CheckpointError, ConfigError, DataError, DivergenceError,
 from .evaluation import (MetricsTable, ModelScorer, evaluate, hits_at_k,
                          map_at_k, rank_candidates)
 from .graph import (Cascade, DataGraph, DiffusionTopology, build_topologies,
-                    build_topology, extend_topology, load_cascades,
-                    load_cascades_file, load_graph, load_graph_file,
-                    precedents)
-from .model import (Model, ModelConfig, aggregate, backward_cascade,
-                    cell_forward, forward_cascade, predict_next, score_inactive)
+                    load_cascades, load_cascades_file, load_graph,
+                    load_graph_file)
+from .model import (Model, ModelConfig, backward_cascade, forward_cascade,
+                    predict_next, score_inactive)
 from .numeric import (Adam, FdCheckResult, GradientStore, ParameterStore,
                       adam_step, finite_difference_check, mean_pool,
                       softmax_over_subset)

@@ -107,6 +107,8 @@ def evaluate(scorer, cascades: Sequence[Cascade], ks: Iterable[int] = DEFAULT_KS
     ks = tuple(sorted(set(int(k) for k in ks)))
     if not ks:
         raise ValueError("need at least one k")
+    if ks[0] < 1:
+        raise ValueError(f"every k must be >= 1, got {ks[0]}")
     cascades = list(cascades)
     if not cascades:
         raise ValueError("empty test set")
@@ -161,45 +163,6 @@ class ModelScorer:
             # probabilities rank like scores.
             cand = np.flatnonzero(result.pos > s)
             yield cand, result.probs[s, cand], cascade[s + 1]
-
-
-class OracleScorer:
-    """Always puts the true next activation first (evaluation sanity bound)."""
-
-    name = "oracle"
-
-    def __init__(self, graph: DataGraph):
-        self.graph = graph
-
-    def step_scores(self, cascade: Cascade):
-        m = self.graph.node_count
-        active_mask = np.zeros(m, dtype=bool)
-        for t, v in enumerate(cascade.nodes, start=1):
-            if t >= 2:
-                cand = np.flatnonzero(~active_mask)
-                scores = np.zeros(cand.size)
-                scores[np.searchsorted(cand, v)] = 1.0
-                yield cand, scores, v
-            active_mask[v] = True
-
-
-class ConstantScorer:
-    """Scores every candidate identically; ranking falls to the tie rule."""
-
-    name = "constant"
-
-    def __init__(self, graph: DataGraph, value: float = 0.0):
-        self.graph = graph
-        self.value = value
-
-    def step_scores(self, cascade: Cascade):
-        m = self.graph.node_count
-        active_mask = np.zeros(m, dtype=bool)
-        for t, v in enumerate(cascade.nodes, start=1):
-            if t >= 2:
-                cand = np.flatnonzero(~active_mask)
-                yield cand, np.full(cand.size, self.value), v
-            active_mask[v] = True
 
 
 def write_metrics_json(path, tables: Sequence[MetricsTable], config_echo: dict) -> None:

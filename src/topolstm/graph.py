@@ -1,13 +1,14 @@
-"""Data graph, cascades, and diffusion-topology construction.
+"""Data graph and cascades, plus the reference topology views.
 
 A cascade is an ordered sequence of distinct activated nodes over a static
 directed graph.  At time step t the "activation attempt" edges seen so far
 form a DAG: every edge runs from a node activated before t to a node that is
-either still inactive or was activated later than the source.  So the whole
-DAG at any t follows from the graph, the activation order and t, and a
-topology is an immutable view over those three: the snapshots of one cascade
-share its order and copy no edge sets.  A node's precedents at t are
-filtered from its in-neighbour list.
+either still inactive or was activated later than the source.  A node's
+precedents at t are the sources of its attempt edges, so the whole DAG at
+any t follows from the graph, the activation order and t.  The model keeps
+only the precedents, as one CSR index per cascade (see ``model``).
+``build_topologies`` gives the same precedents as per-step views for the
+dict-based reference scorers; only the benchmark's gates call them.
 """
 
 from __future__ import annotations
@@ -155,22 +156,6 @@ def save_labels(path, graph: DataGraph, header: str | None = None) -> None:
             fh.write(f"{lab} {i}\n")
 
 
-def load_labels(path) -> tuple[str, ...]:
-    labels: dict[int, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise DataError(f"labels line {lineno}: expected 'label id', got {line!r}")
-            labels[int(parts[1])] = parts[0]
-    if sorted(labels) != list(range(len(labels))):
-        raise DataError("label mapping ids are not dense zero-based")
-    return tuple(labels[i] for i in range(len(labels)))
-
-
 @dataclass(frozen=True)
 class Cascade:
     """Ordered sequence of distinct activated nodes; timestamps are implicit 1..T."""
@@ -235,14 +220,15 @@ def save_cascades_file(path, cascades: Iterable[Cascade], graph: DataGraph,
 
 
 class DiffusionTopology:
-    """The DAG of activation attempts at one time step of a cascade.
+    """The precedents of every node at one time step of a cascade.
 
-    An immutable view over a graph, an activation order, the order's
-    node -> position map and a time.  The view sees the active prefix Q
-    (the nodes activated strictly before ``time``), the attempt edges out of
-    them, and per-node precedent lists ordered by the precedents' activation
-    times.  The views of one cascade share its order and position map; nodes
-    placed at or after ``time`` count as inactive.
+    A view over a graph, an activation order, the order's node -> position
+    map and a time t: the active prefix is the nodes activated strictly
+    before t, and a node's precedents are its in-neighbours in that prefix
+    that activated before it, ordered by activation time.  The model does
+    not read these views; it builds one CSR precedent index per cascade
+    (``model._precedent_index``).  They serve the dict-based reference
+    scorers that the benchmark's gates compare against.
     """
 
     __slots__ = ("graph", "_order", "_pos", "time")
@@ -258,88 +244,18 @@ class DiffusionTopology:
     def active_prefix(self) -> tuple[NodeId, ...]:
         return self._order[: self.time - 1]
 
-    @property
-    def edge_count(self) -> int:
-        return len(self.edges)
-
-    @property
-    def edges(self) -> frozenset[tuple[NodeId, NodeId]]:
-        # An edge out of u is an attempt unless its target activated before u.
-        pos, never = self._pos, len(self._order)
-        return frozenset((u, w) for u in self.active_prefix for w in self.graph.out[u]
-                         if pos.get(w, never) > pos[u])
-
     def precedents(self, v: NodeId) -> tuple[NodeId, ...]:
         pos = self._pos
         limit = min(self.time - 1, pos.get(v, self.time))
         return tuple(sorted((u for u in self.graph.in_[v] if pos.get(u, limit) < limit),
                             key=pos.__getitem__))
 
-    def is_active(self, v: NodeId) -> bool:
-        return self._pos.get(v, self.time) < self.time - 1
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, DiffusionTopology):
-            return NotImplemented
-        return (self.time == other.time
-                and self.active_prefix == other.active_prefix
-                and self.edges == other.edges)
-
-    def __hash__(self):
-        return hash((self.time, self.active_prefix))
-
-    def __repr__(self):
-        return (f"DiffusionTopology(t={self.time}, "
-                f"active={list(self.active_prefix)}, edges={self.edge_count})")
-
-
-def _check_node(graph: DataGraph, node: NodeId) -> None:
-    if not (0 <= node < graph.node_count):
-        raise ValueError(f"node {node} out of range")
-
-
-def build_topology(graph: DataGraph, cascade: Cascade, t: int) -> DiffusionTopology:
-    """The diffusion topology of ``cascade`` at time ``t``.
-
-    ``t`` may range over 1..T+1; t = T+1 is the topology seen when predicting
-    the activation after the full observed prefix.
-    """
-    if not (1 <= t <= len(cascade) + 1):
-        raise ValueError(f"time {t} out of range for cascade of length {len(cascade)}")
-    for node in cascade.nodes[: t - 1]:
-        _check_node(graph, node)
-    order = cascade.nodes
-    return DiffusionTopology(graph, order, {v: i for i, v in enumerate(order)}, t)
-
-
-def extend_topology(topo: DiffusionTopology, graph: DataGraph,
-                    next_active: NodeId) -> DiffusionTopology:
-    """Advance a topology one step by activating ``next_active``.
-
-    The result equals a fresh construction at time+1.  It shares ``topo``'s
-    order when that order already continues with ``next_active``, and
-    otherwise holds a new order that branches off at ``topo.time``.
-    """
-    if topo.graph is not graph:
-        raise ValueError("topology was built over a different graph")
-    _check_node(graph, next_active)
-    if topo.is_active(next_active):
-        raise ValueError(f"node {next_active} is already active")
-    order, pos = topo._order, topo._pos
-    if pos.get(next_active) != topo.time - 1:
-        order = topo.active_prefix + (next_active,)
-        pos = {v: i for i, v in enumerate(order)}
-    return DiffusionTopology(graph, order, pos, topo.time + 1)
-
 
 def build_topologies(graph: DataGraph, cascade: Cascade) -> list[DiffusionTopology]:
-    """The topology chain for t = 1..T+1, all views over one order."""
-    topos = [build_topology(graph, cascade, 1)]
-    for node in cascade:
-        topos.append(extend_topology(topos[-1], graph, node))
-    return topos
-
-
-def precedents(topo: DiffusionTopology, v: NodeId) -> tuple[NodeId, ...]:
-    """Nodes with an attempt edge into ``v``, ordered by their activation time."""
-    return topo.precedents(v)
+    """The views for t = 1..T+1, all over one order and position map."""
+    order = cascade.nodes
+    for node in order:
+        if not 0 <= node < graph.node_count:
+            raise ValueError(f"node {node} out of range")
+    pos = {v: i for i, v in enumerate(order)}
+    return [DiffusionTopology(graph, order, pos, t) for t in range(1, len(order) + 2)]

@@ -55,11 +55,11 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
-from .errors import DataError, NumericError, TopoLstmError
+from .errors import DataError, NumericError
 from .graph import Cascade, DataGraph, DiffusionTopology
 from .numeric import GradientStore, Layout, ParameterStore, mean_pool, sigmoid, softmax
 
@@ -157,27 +157,9 @@ class Model:
 
 @dataclass
 class CellState:
+    """One active node's sender state, as the reference ``score_inactive`` reads it."""
     h: np.ndarray
     c: np.ndarray
-
-
-@dataclass
-class AggregatedInputs:
-    h_p: np.ndarray
-    h_q: np.ndarray
-    c_p: np.ndarray
-    c_q: np.ndarray
-
-
-@dataclass
-class CellTrace:
-    """Gate activations of one cell step."""
-    i: np.ndarray
-    f_p: np.ndarray
-    f_q: np.ndarray
-    c_tilde: np.ndarray
-    o: np.ndarray
-    tanh_c: np.ndarray
 
 
 def _out_arrays(graph: DataGraph) -> list[np.ndarray]:
@@ -227,24 +209,6 @@ class CascadeForwardResult:
         return float(self.losses.sum())
 
 
-def aggregate(states: Mapping[int, CellState], precedent_set: Sequence[int],
-              active_prefix: Sequence[int], d: int) -> AggregatedInputs:
-    """Mean-pool cell states into the precedent and other-active aggregates."""
-    prec = list(precedent_set)
-    prec_set = set(prec)
-    rest = [v for v in active_prefix if v not in prec_set]
-    if not prec_set <= set(active_prefix):
-        raise ValueError("precedent set is not a subset of the active prefix")
-    try:
-        h_p = mean_pool([states[v].h for v in prec], d)
-        h_q = mean_pool([states[v].h for v in rest], d)
-        c_p = mean_pool([states[v].c for v in prec], d)
-        c_q = mean_pool([states[v].c for v in rest], d)
-    except KeyError as exc:
-        raise TopoLstmError(f"missing cell state for active node {exc.args[0]}") from None
-    return AggregatedInputs(h_p, h_q, c_p, c_q)
-
-
 def _cell(z: np.ndarray, cx: np.ndarray, a: np.ndarray, tanh_c: np.ndarray,
           h: np.ndarray, c: np.ndarray) -> None:
     """The cell kernel: from the fused pre-activation z (5d) and the pooled
@@ -272,26 +236,14 @@ def _raise_nonfinite(node: int, a: np.ndarray, c: np.ndarray) -> None:
     raise NumericError(f"non-finite cell output at node {node}")
 
 
-def cell_forward(node: int, agg: AggregatedInputs,
-                 params: ParameterStore) -> tuple[CellState, CellTrace]:
-    """One memory-cell step for the node activated with the given aggregates."""
-    d = agg.h_p.size
-    z = (params.fused("U") @ np.concatenate((agg.h_p, agg.h_q))
-         + (params.fused("Wx")[:, node] + params.fused("b"))[gate_rows(d)])
-    a, tanh_c, h, c = np.empty(5 * d), np.empty(d), np.empty(d), np.empty(d)
-    _cell(z, np.concatenate((agg.c_p, agg.c_q)), a, tanh_c, h, c)
-    if not (np.all(np.isfinite(h)) and np.all(np.isfinite(c))):
-        _raise_nonfinite(node, a, c)
-    i, f_p, f_q, c_tilde, o = a.reshape(5, d)
-    return CellState(h=h, c=c), CellTrace(i, f_p, f_q, c_tilde, o, tanh_c)
-
-
 def score_inactive(states: Mapping[int, CellState], topo: DiffusionTopology,
                    model: Model, mode: str | None = None) -> dict[int, float]:
     """Activation score for every inactive node given the active states.
 
     "precedent-only" pools each candidate's precedent states (bias-only when
-    there are none); "all-active" pools the whole active prefix.
+    there are none); "all-active" pools the whole active prefix.  A dict-based
+    reference: the model scores through ``forward_cascade``'s block, and the
+    benchmark's gates compare it against this.
     """
     mode = mode or model.config.score_mode
     if mode not in SCORE_MODES:

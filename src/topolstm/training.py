@@ -11,6 +11,7 @@ batch's total step count.
 from __future__ import annotations
 
 import logging
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -29,6 +30,7 @@ log = logging.getLogger(__name__)
 class TrainConfig:
     """Optimizer and stopping settings read by ``train``.
 
+    A learning rate of 0 leaves the parameters as initialised.
     ``workers`` has one legal value, 1: training runs one serial path that
     adds gradients in cascade order.  The keyword stays only because the
     benchmark harness passes ``workers=1``.
@@ -44,8 +46,10 @@ class TrainConfig:
     workers: int = 1
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise ValueError("lam must be >= 0")
+        for name in ("learning_rate", "clip_norm", "lam"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.max_epochs < 0 or self.patience < 0:

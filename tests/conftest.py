@@ -31,3 +31,9 @@ def random_graph(rng, node_count, edge_target):
 def random_cascade(rng, node_count, length):
     perm = rng.permutation(node_count)[:length]
     return Cascade(tuple(int(x) for x in perm))
+
+
+def precedent_rows(result):
+    """The precedent positions of every step, as lists, from the result's CSR."""
+    ptr = result.prec_ptr.tolist()
+    return [result.prec_pos[ptr[r]:ptr[r + 1]].tolist() for r in range(len(ptr) - 1)]

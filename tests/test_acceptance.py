@@ -14,20 +14,20 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
+import oracle
 from topolstm import cli
 from topolstm.baseline import EdgeProbabilities, ICSBScorer, fit_static_bernoulli, icsb_score
 from topolstm.datagen import PRESETS, SynthConfig, generate_dataset
 from topolstm.evaluation import ModelScorer, evaluate, hits_at_k, map_at_k
-from topolstm.graph import (Cascade, DataGraph, build_topologies,
-                            build_topology)
-from topolstm.model import AggregatedInputs, ModelConfig, cell_forward
+from topolstm.graph import Cascade, DataGraph, build_topologies
+from topolstm.model import ModelConfig, forward_cascade
 from topolstm.numeric import finite_difference_check
 from topolstm.training import TrainConfig, objective, objective_and_gradient, split_dataset, train
 
 from conftest import random_cascade, random_graph
 from test_baseline import recount_oracle
-from test_graph import brute_force_edges
-from test_model import perturbed_model, scalar_cell_oracle
+from test_graph import assert_view_matches_oracle, index_rows
+from test_model import perturbed_model
 
 
 @contextmanager
@@ -65,7 +65,7 @@ def test_01_gradient_correctness():
 
 
 def test_02_topology_oracle_equivalence():
-    with criterion(2, "topology construction matches the brute-force oracle"):
+    with criterion(2, "precedent index and topology views match the brute-force oracle"):
         started = time.perf_counter()
         rng = np.random.default_rng(102)
         for _ in range(200):
@@ -74,21 +74,23 @@ def test_02_topology_oracle_equivalence():
             T = int(rng.integers(1, min(m, 8) + 1))
             cascade = random_cascade(rng, m, T)
             t = int(rng.integers(1, T + 2))
-            assert build_topology(graph, cascade, t).edges == \
-                brute_force_edges(graph, cascade, t)
+            pos = {v: i for i, v in enumerate(cascade.nodes)}
+            assert index_rows(graph, cascade) == [
+                [pos[u] for u in oracle.precedents(graph, cascade, r, v)]
+                for r, v in enumerate(cascade.nodes, start=1)]
+            assert_view_matches_oracle(graph, cascade, build_topologies(graph, cascade)[t - 1], t)
         for _ in range(40):
             m = int(rng.integers(5, 18))
             graph = random_graph(rng, m, int(rng.integers(6, 50)))
             cascade = random_cascade(rng, m, int(rng.integers(2, min(m, 8) + 1)))
-            chain = build_topologies(graph, cascade)
-            for t in range(1, len(cascade) + 2):
-                assert chain[t - 1] == build_topology(graph, cascade, t)
+            for t, view in enumerate(build_topologies(graph, cascade), start=1):
+                assert_view_matches_oracle(graph, cascade, view, t)
         elapsed = time.perf_counter() - started
         assert elapsed < 10.0, f"took {elapsed:.1f}s"
 
 
 def test_03_topology_invariants_on_synthetic_cascades():
-    with criterion(3, "DAG property and monotone growth on 500 cascades"):
+    with criterion(3, "DAG property, monotone growth and index order on 500 cascades"):
         config = SynthConfig(node_count=60, graph_model="uniform-random-edges",
                              edge_param=360, activation_prob=(0.2, 0.8),
                              cascade_count=500, max_cascade_length=12, seed=103)
@@ -96,26 +98,29 @@ def test_03_topology_invariants_on_synthetic_cascades():
         assert len(cascades) == 500
         for cascade in cascades:
             time_of = {v: i for i, v in enumerate(cascade.nodes)}
-            chain = build_topologies(graph, cascade)
+            chain = [oracle.attempt_edges(graph, cascade, t)
+                     for t in range(1, len(cascade) + 2)]
             for earlier, later in zip(chain, chain[1:]):
-                assert earlier.edges <= later.edges
-            for (src, dst) in chain[-1].edges:
+                assert earlier <= later
+            for (src, dst) in chain[-1]:
                 if dst in time_of:
                     assert time_of[src] < time_of[dst]
+            for row, prec in enumerate(index_rows(graph, cascade)):
+                assert prec == sorted(prec) and all(p < row for p in prec)
 
 
 def test_04_cell_equation_fidelity(running_example):
-    with criterion(4, "cell matches the scalar transcription; running example"):
+    with criterion(4, "forward_cascade matches the scalar transcription; running example"):
         rng = np.random.default_rng(104)
         d, m = 3, 5
         for _ in range(50):
             model = perturbed_model(ModelConfig(d, m), rng, spread=0.8)
-            agg = AggregatedInputs(*(rng.normal(size=d) for _ in range(4)))
-            node = int(rng.integers(m))
-            state, _ = cell_forward(node, agg, model.params)
-            h_ref, c_ref = scalar_cell_oracle(node, agg, model.params, d)
-            np.testing.assert_allclose(state.h, h_ref, atol=1e-12)
-            np.testing.assert_allclose(state.c, c_ref, atol=1e-12)
+            graph = random_graph(rng, m, int(rng.integers(0, 3 * m)))
+            cascade = random_cascade(rng, m, int(rng.integers(1, m + 1)))
+            result = forward_cascade(model, graph, cascade, compute_loss=False)
+            h_ref, c_ref = oracle.forward(model.params, graph, cascade, d)
+            np.testing.assert_allclose(result.H, h_ref, atol=1e-12)
+            np.testing.assert_allclose(result.C, c_ref, atol=1e-12)
 
         graph, cascade = running_example
         topos = build_topologies(graph, cascade)
@@ -219,7 +224,7 @@ def test_08_icsb_fidelity():
         probs = EdgeProbabilities(p_vals)
         for t, prefix in ((2, (0,)), (3, (0, 1)), (4, (0, 1, 2)),
                           (5, (0, 1, 2, 3))):
-            topo = build_topology(g, Cascade(prefix + (4,)), t)
+            topo = build_topologies(g, Cascade(prefix + (4,)))[t - 1]
             expected = 1.0
             for u in prefix:
                 expected *= 1.0 - p_vals[(u, 4)]

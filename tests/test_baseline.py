@@ -3,7 +3,7 @@ import pytest
 
 from topolstm.baseline import (EdgeProbabilities, ICSBScorer,
                                fit_static_bernoulli, icsb_score)
-from topolstm.graph import Cascade, DataGraph, build_topology
+from topolstm.graph import Cascade, DataGraph, build_topologies
 
 from conftest import random_cascade, random_graph
 
@@ -57,39 +57,36 @@ class TestFitStaticBernoulli:
 
 
 class TestIcsbScore:
-    def _topology(self, graph, cascade, t):
-        return build_topology(graph, cascade, t)
-
     def test_single_precedent(self):
         g = DataGraph.from_edges(3, [(0, 1), (0, 2)])
         probs = EdgeProbabilities({(0, 1): 0.3, (0, 2): 0.0})
-        scores = icsb_score(probs, self._topology(g, Cascade((0, 1)), 2))
+        scores = icsb_score(probs, build_topologies(g, Cascade((0, 1)))[1])
         assert scores[1] == pytest.approx(0.3)
         assert scores[2] == pytest.approx(0.0)
 
     def test_two_precedents_closed_form(self):
         g = DataGraph.from_edges(3, [(0, 2), (1, 2)])
         probs = EdgeProbabilities({(0, 2): 0.5, (1, 2): 0.5})
-        scores = icsb_score(probs, self._topology(g, Cascade((0, 1, 2)), 3))
+        scores = icsb_score(probs, build_topologies(g, Cascade((0, 1, 2)))[2])
         assert scores[2] == pytest.approx(0.75)
 
     def test_certain_edge_absorbs(self):
         g = DataGraph.from_edges(4, [(0, 3), (1, 3), (2, 3)])
         probs = EdgeProbabilities({(0, 3): 1.0, (1, 3): 0.2, (2, 3): 0.9})
-        scores = icsb_score(probs, self._topology(g, Cascade((0, 1, 2, 3)), 4))
+        scores = icsb_score(probs, build_topologies(g, Cascade((0, 1, 2, 3)))[3])
         assert scores[3] == pytest.approx(1.0)
 
     def test_empty_precedents_score_zero(self):
         g = DataGraph.from_edges(3, [(0, 1)])
         probs = EdgeProbabilities({(0, 1): 0.8})
-        scores = icsb_score(probs, self._topology(g, Cascade((0, 1)), 2))
+        scores = icsb_score(probs, build_topologies(g, Cascade((0, 1)))[1])
         assert scores[2] == 0.0
 
     def test_monotone_in_added_precedents(self):
         g = DataGraph.from_edges(4, [(0, 3), (1, 3), (2, 3)])
         probs = EdgeProbabilities({(0, 3): 0.4, (1, 3): 0.25, (2, 3): 0.6})
         cascade = Cascade((0, 1, 2))
-        values = [icsb_score(probs, self._topology(g, cascade, t))[3]
+        values = [icsb_score(probs, build_topologies(g, cascade)[t - 1])[3]
                   for t in (2, 3, 4)]
         assert values[0] <= values[1] <= values[2]
         assert all(0.0 <= s <= 1.0 for s in values)
@@ -97,8 +94,8 @@ class TestIcsbScore:
     def test_zero_probability_precedent_is_noop(self):
         g = DataGraph.from_edges(3, [(0, 2), (1, 2)])
         probs = EdgeProbabilities({(0, 2): 0.35, (1, 2): 0.0})
-        with_one = icsb_score(probs, self._topology(g, Cascade((0, 1)), 2))
-        with_two = icsb_score(probs, self._topology(g, Cascade((0, 1)), 3))
+        with_one = icsb_score(probs, build_topologies(g, Cascade((0, 1)))[1])
+        with_two = icsb_score(probs, build_topologies(g, Cascade((0, 1)))[2])
         assert with_one[2] == pytest.approx(with_two[2])
 
     def test_scorer_matches_contract_function(self):
@@ -111,7 +108,7 @@ class TestIcsbScore:
         for step_idx, (cand, scores, target) in enumerate(
                 scorer.step_scores(cascade)):
             t = step_idx + 2
-            want = icsb_score(probs, build_topology(g, cascade, t))
+            want = icsb_score(probs, build_topologies(g, cascade)[t - 1])
             assert target == cascade[t - 1]
             for node, score in zip(cand, scores):
                 assert score == pytest.approx(want[int(node)], abs=1e-12)

@@ -136,6 +136,23 @@ class TestTrain:
             assert filecmp.cmp(tmp_path / "a" / name, tmp_path / "b" / name,
                                shallow=False), name
 
+    @pytest.mark.parametrize("flag, value, name", [
+        ("--lr", "-1", "learning_rate"), ("--lr", "nan", "learning_rate"),
+        ("--lr", "inf", "learning_rate"), ("--clip-norm", "-1", "clip_norm"),
+        ("--clip-norm", "nan", "clip_norm"), ("--lambda", "nan", "lam"),
+        ("--lambda", "inf", "lam")])
+    def test_bad_learning_rate_clip_norm_or_lambda_exit_2(self, data_dir, tmp_path,
+                                                          capsys, flag, value, name):
+        out = tmp_path / "bad"
+        code = cli.main(["train", "--graph", str(data_dir / "graph.txt"),
+                         "--cascades", str(data_dir / "cascades.txt"),
+                         "--out", str(out), "--epochs", "2", flag, value])
+        assert code == 2
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("error:")]
+        assert len(errors) == 1 and name in errors[0]
+        assert list(out.iterdir()) == []
+
     def test_workers_flag_removed(self, data_dir, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["train", "--graph", str(data_dir / "graph.txt"),
@@ -192,6 +209,19 @@ class TestEvaluate:
                          "--test-cascades", str(empty),
                          "--out", str(tmp_path / "e")])
         assert code == 2
+
+    def test_k_below_one_exit_2(self, data_dir, run_dir, tmp_path, capsys):
+        out = tmp_path / "k"
+        code = cli.main(["evaluate", "--checkpoint",
+                         str(run_dir / "checkpoint.bin"),
+                         "--graph", str(data_dir / "graph.txt"),
+                         "--test-cascades", str(run_dir / "split_test.txt"),
+                         "--ks", "0,-3", "--out", str(out)])
+        assert code == 2
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("error:")]
+        assert len(errors) == 1 and "k must be >= 1" in errors[0]
+        assert not (out / "metrics.json").exists()
 
     def test_graph_checkpoint_mismatch_exit_4(self, run_dir, tmp_path):
         other = tmp_path / "other.txt"

@@ -3,8 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from topolstm.evaluation import (ConstantScorer, ModelScorer,
-                                 OracleScorer, evaluate, hits_at_k, map_at_k,
+from topolstm.evaluation import (ModelScorer, evaluate, hits_at_k, map_at_k,
                                  rank_candidates, target_rank,
                                  write_length_buckets_csv, write_metrics_json)
 from topolstm.graph import Cascade
@@ -84,8 +83,23 @@ class StaticScorer:
         for t, v in enumerate(cascade.nodes, start=1):
             if t >= 2:
                 cand = np.flatnonzero(~active)
-                yield cand, self.values[cand], v
+                yield cand, self._scores(cand, v), v
             active[v] = True
+
+    def _scores(self, cand, target):
+        return self.values[cand]
+
+
+class OracleScorer(StaticScorer):
+    """Always puts the true next activation first (evaluation sanity bound)."""
+
+    name = "oracle"
+
+    def __init__(self, graph):
+        super().__init__(graph, ())
+
+    def _scores(self, cand, target):
+        return (cand == target).astype(float)
 
 
 class TestEvaluate:
@@ -139,7 +153,7 @@ class TestEvaluate:
     def test_constant_scorer_matches_tie_rule(self):
         rng = np.random.default_rng(47)
         graph, cascades = self._setup(rng, m=15)
-        table = evaluate(ConstantScorer(graph), cascades, ks=(5,))
+        table = evaluate(StaticScorer(graph, np.zeros(graph.node_count)), cascades, ks=(5,))
         hits = []
         active_sets = []
         for c in cascades:
@@ -158,6 +172,13 @@ class TestEvaluate:
         assert serial.values == evaluate(scorer, cascades).values
         with pytest.raises(ValueError, match="workers must be 1"):
             evaluate(scorer, cascades, workers=2)
+
+    def test_k_below_one_rejected(self):
+        rng = np.random.default_rng(54)
+        graph, cascades = self._setup(rng)
+        for ks in ((0,), (10, -3), (0, 5)):
+            with pytest.raises(ValueError, match="k must be >= 1"):
+                evaluate(OracleScorer(graph), cascades, ks=ks)
 
     def test_empty_test_set_rejected(self):
         rng = np.random.default_rng(49)

@@ -3,27 +3,13 @@ import logging
 import numpy as np
 import pytest
 
+import oracle
 from topolstm.errors import DataError
-from topolstm.graph import (Cascade, DataGraph, build_topologies,
-                            build_topology, extend_topology, load_cascades,
-                            load_graph, precedents)
+from topolstm.graph import (Cascade, DataGraph, build_topologies, load_cascades,
+                            load_graph)
+from topolstm.model import Model, ModelConfig, forward_cascade
 
-from conftest import random_cascade, random_graph
-
-
-def brute_force_edges(graph, cascade, t):
-    """Literal membership predicate over every graph edge."""
-    prefix = list(cascade.nodes[: t - 1])
-    in_prefix = {v: i + 1 for i, v in enumerate(prefix)}  # node -> activation time
-    result = set()
-    for (src, dst) in graph.edges:
-        i = in_prefix.get(src)
-        if i is None:
-            continue
-        j = in_prefix.get(dst)
-        if j is None or i + 1 <= j <= t - 1:
-            result.add((src, dst))
-    return result
+from conftest import precedent_rows, random_cascade, random_graph
 
 
 class TestLoadGraph:
@@ -83,15 +69,12 @@ class TestLoadCascades:
 class TestLabelMapping:
     def test_round_trip(self, tmp_path):
         g = load_graph("alpha beta\nbeta gamma\n")
-        from topolstm.graph import load_labels, save_labels
+        from topolstm.graph import save_labels
         save_labels(tmp_path / "labels.txt", g, header="label id")
-        assert load_labels(tmp_path / "labels.txt") == g.labels
-
-    def test_non_dense_ids_rejected(self, tmp_path):
-        from topolstm.graph import load_labels
-        (tmp_path / "bad.txt").write_text("a 0\nb 2\n")
-        with pytest.raises(DataError):
-            load_labels(tmp_path / "bad.txt")
+        lines = (tmp_path / "labels.txt").read_text().splitlines()
+        assert lines[0] == "# label id"
+        assert [line.split() for line in lines[1:]] == [
+            [label, str(i)] for i, label in enumerate(g.labels)]
 
 
 class TestCascade:
@@ -104,17 +87,32 @@ class TestCascade:
             Cascade(())
 
 
+def index_rows(graph, cascade):
+    """The production CSR precedent index of a cascade, one row per activation."""
+    model = Model.initialize(ModelConfig(1, graph.node_count), np.random.default_rng(0))
+    return precedent_rows(forward_cascade(model, graph, cascade, compute_loss=False))
+
+
+def assert_view_matches_oracle(graph, cascade, view, t):
+    """The view's active prefix and every node's precedents, against brute force."""
+    assert view.time == t and view.active_prefix == cascade.nodes[: t - 1]
+    for v in range(graph.node_count):
+        assert list(view.precedents(v)) == oracle.precedents(graph, cascade, t, v)
+
+
 class TestTopologyRunningExample:
     def test_t2_edges(self, running_example):
         graph, cascade = running_example
-        topo = build_topology(graph, cascade, 2)
-        assert topo.edges == {(0, 1), (0, 2), (0, 5)}
-        assert precedents(topo, 1) == (0,)
+        assert oracle.attempt_edges(graph, cascade, 2) == {(0, 1), (0, 2), (0, 5)}
+        assert build_topologies(graph, cascade)[1].precedents(1) == (0,)
 
     def test_extend_to_t3(self, running_example):
         graph, cascade = running_example
-        topo3 = extend_topology(build_topology(graph, cascade, 2), graph, 1)
-        assert topo3.edges == {(0, 1), (0, 2), (0, 5), (1, 2), (1, 4)}
+        assert oracle.attempt_edges(graph, cascade, 3) == {
+            (0, 1), (0, 2), (0, 5), (1, 2), (1, 4)}
+        topo3 = build_topologies(graph, cascade)[2]
+        assert topo3.precedents(2) == (0, 1)
+        assert topo3.precedents(4) == (1,)
 
     def test_precedent_sets(self, running_example):
         graph, cascade = running_example
@@ -122,75 +120,49 @@ class TestTopologyRunningExample:
         assert topos[1].precedents(1) == (0,)      # B at t=2
         assert topos[2].precedents(2) == (0, 1)    # C at t=3
         assert topos[3].precedents(3) == ()        # D at t=4
+        assert index_rows(graph, cascade) == [[], [0], [0, 1], []]
 
     def test_late_activator_keeps_inbound_edges(self, running_example):
         # (A,B) stays in the topology after B activates.
         graph, cascade = running_example
-        topo4 = build_topology(graph, cascade, 4)
-        assert (0, 1) in topo4.edges
+        assert (0, 1) in oracle.attempt_edges(graph, cascade, 4)
+        assert build_topologies(graph, cascade)[3].precedents(1) == (0,)
 
     def test_edges_into_earlier_active_excluded(self, running_example):
         # D -> E joins when D activates; nothing points back into A..C.
         graph, cascade = running_example
-        topo5 = build_topology(graph, cascade, 5)
-        assert (3, 4) in topo5.edges
-        assert all(dst != 0 for (_, dst) in topo5.edges)
+        edges = oracle.attempt_edges(graph, cascade, 5)
+        assert (3, 4) in edges
+        assert all(dst != 0 for (_, dst) in edges)
+        assert build_topologies(graph, cascade)[4].precedents(0) == ()
 
 
 class TestTopologyContracts:
     def test_t1_is_empty(self, running_example):
         graph, cascade = running_example
-        topo = build_topology(graph, cascade, 1)
-        assert topo.edges == frozenset()
+        topo = build_topologies(graph, cascade)[0]
+        assert oracle.attempt_edges(graph, cascade, 1) == set()
         assert topo.active_prefix == ()
         assert all(topo.precedents(v) == () for v in range(graph.node_count))
 
-    def test_t_out_of_range(self, running_example):
-        graph, cascade = running_example
-        with pytest.raises(ValueError):
-            build_topology(graph, cascade, 0)
-        with pytest.raises(ValueError):
-            build_topology(graph, cascade, len(cascade) + 2)
-
-    def test_extend_rejects_already_active(self, running_example):
-        graph, cascade = running_example
-        topo = build_topology(graph, cascade, 3)
-        with pytest.raises(ValueError, match="already active"):
-            extend_topology(topo, graph, 0)
+    def test_node_outside_graph_rejected(self, running_example):
+        graph, _ = running_example
+        with pytest.raises(ValueError, match="node 7 out of range"):
+            build_topologies(graph, Cascade((0, 7, 1)))
 
     def test_extend_zero_outdegree_only_bumps_time(self):
         g = DataGraph.from_edges(3, [(0, 1)])
-        topo = build_topology(g, Cascade((0, 1)), 2)
-        extended = extend_topology(topo, g, 1)  # node 1 has no successors
-        assert extended.time == 3
-        assert extended.edges == topo.edges
-
-    def test_extend_branches_do_not_corrupt_snapshots(self, running_example):
-        graph, cascade = running_example
-        topo2 = build_topology(graph, cascade, 2)
-        a = extend_topology(topo2, graph, 1)
-        b = extend_topology(topo2, graph, 2)  # branch from the same snapshot
-        assert a.active_prefix == (0, 1)
-        assert b.active_prefix == (0, 2)
-        assert topo2.active_prefix == (0,)
-        assert (1, 2) in a.edges and (1, 2) not in b.edges
+        cascade = Cascade((0, 1))
+        before, after = build_topologies(g, cascade)[1:]
+        assert after.time == before.time + 1 == 3   # node 1 has no successors
+        assert oracle.attempt_edges(g, cascade, 3) == oracle.attempt_edges(g, cascade, 2)
+        assert all(after.precedents(v) == before.precedents(v) for v in range(3))
 
     def test_inactive_node_without_active_neighbors(self, running_example):
         graph, cascade = running_example
-        topo = build_topology(graph, cascade, 3)
-        assert precedents(topo, 6) == ()  # G's only in-neighbour C is inactive
-
-    def test_concurrent_extends_from_one_snapshot(self, running_example):
-        from concurrent.futures import ThreadPoolExecutor
-        graph, cascade = running_example
-        topo2 = build_topology(graph, cascade, 2)
-        nodes = [1, 2, 4, 5, 6] * 4
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            results = list(pool.map(
-                lambda v: extend_topology(topo2, graph, v), nodes))
-        for v, extended in zip(nodes, results):
-            assert extended.active_prefix == (0, v)
-            assert extended == build_topology(graph, Cascade((0, v)), 3)
+        # G's only in-neighbour C is inactive at t = 3.
+        assert build_topologies(graph, cascade)[2].precedents(6) == ()
+        assert oracle.precedents(graph, cascade, 3, 6) == []
 
 
 class TestTopologyOracle:
@@ -202,28 +174,26 @@ class TestTopologyOracle:
             T = int(rng.integers(1, min(m, 7) + 1))
             cascade = random_cascade(rng, m, T)
             t = int(rng.integers(1, T + 2))
-            topo = build_topology(graph, cascade, t)
-            assert topo.edges == brute_force_edges(graph, cascade, t)
+            assert_view_matches_oracle(graph, cascade, build_topologies(graph, cascade)[t - 1], t)
 
     def test_fixed_15_node_example(self):
         rng = np.random.default_rng(15)
         graph = random_graph(rng, 15, 40)
         cascade = random_cascade(rng, 15, 6)
-        topo = build_topology(graph, cascade, 4)
-        assert topo.edges == brute_force_edges(graph, cascade, 4)
+        assert_view_matches_oracle(graph, cascade, build_topologies(graph, cascade)[3], 4)
 
     def test_incremental_equals_fresh_everywhere(self):
+        # The chain of views against a fresh brute-force computation at every t.
         rng = np.random.default_rng(11)
         for _ in range(20):
             m = int(rng.integers(5, 20))
             graph = random_graph(rng, m, int(rng.integers(6, 50)))
             T = int(rng.integers(2, min(m, 8) + 1))
             cascade = random_cascade(rng, m, T)
-            chain = build_topologies(graph, cascade)
-            for t in range(1, T + 2):
-                fresh = build_topology(graph, cascade, t)
-                assert chain[t - 1] == fresh
-                assert chain[t - 1].precedents(cascade[0]) == fresh.precedents(cascade[0])
+            views = build_topologies(graph, cascade)
+            assert len(views) == T + 1
+            for t, view in enumerate(views, start=1):
+                assert_view_matches_oracle(graph, cascade, view, t)
 
 
 class TestTopologyInvariants:
@@ -237,27 +207,35 @@ class TestTopologyInvariants:
         rng = np.random.default_rng(3)
         for _ in range(50):
             graph, cascade = self._random_case(rng)
-            chain = build_topologies(graph, cascade)
+            chain = [oracle.attempt_edges(graph, cascade, t)
+                     for t in range(1, len(cascade) + 2)]
             for earlier, later in zip(chain, chain[1:]):
-                assert earlier.edges <= later.edges
-                assert later.edges <= graph.edges
+                assert earlier <= later
+                assert later <= graph.edges
+            views = build_topologies(graph, cascade)
+            for earlier, later in zip(views, views[1:]):
+                for v in range(graph.node_count):
+                    assert set(earlier.precedents(v)) <= set(later.precedents(v))
 
     def test_dag_property_over_active_nodes(self):
         rng = np.random.default_rng(4)
         for _ in range(50):
             graph, cascade = self._random_case(rng)
             time_of = {v: i for i, v in enumerate(cascade.nodes)}
-            topo = build_topology(graph, cascade, len(cascade) + 1)
-            for (src, dst) in topo.edges:
+            for (src, dst) in oracle.attempt_edges(graph, cascade, len(cascade) + 1):
                 if dst in time_of:
                     assert time_of[src] < time_of[dst]
+            for row, prec in enumerate(index_rows(graph, cascade)):
+                assert all(p < row for p in prec)
 
     def test_precedents_ordered_by_activation_time(self):
         rng = np.random.default_rng(5)
         for _ in range(30):
             graph, cascade = self._random_case(rng)
-            topo = build_topology(graph, cascade, len(cascade) + 1)
+            topo = build_topologies(graph, cascade)[-1]
             order = {v: i for i, v in enumerate(cascade.nodes)}
             for v in range(graph.node_count):
                 times = [order[u] for u in topo.precedents(v)]
                 assert times == sorted(times)
+            for prec in index_rows(graph, cascade):
+                assert prec == sorted(prec)

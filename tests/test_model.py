@@ -3,44 +3,19 @@ import math
 import numpy as np
 import pytest
 
+import oracle
 from topolstm.datagen import PRESETS, generate_dataset, generate_graph
 from topolstm.evaluation import ModelScorer, target_rank
-from topolstm.errors import NumericError, ShapeError, TopoLstmError
-from topolstm.graph import Cascade, DataGraph, build_topologies, build_topology
-from topolstm.model import (SCORE_MODES, AggregatedInputs, CellState, Model,
-                            ModelConfig, U_BLOCKS, aggregate, backward_cascade,
-                            cell_forward, forward_cascade, gate_rows,
+from topolstm.errors import NumericError, ShapeError
+from topolstm.graph import Cascade, DataGraph, build_topologies
+from topolstm.model import (SCORE_MODES, CellState, Model, ModelConfig, U_BLOCKS,
+                            backward_cascade, forward_cascade, gate_rows,
                             predict_next, score_inactive)
 from topolstm.numeric import (ParameterStore, finite_difference_check,
                               softmax_over_subset)
 from topolstm.training import objective_and_gradient
 
-from conftest import random_cascade, random_graph
-
-
-def scalar_cell_oracle(node, agg, params, d):
-    """Straight-line transcription of the cell equations in pure Python floats."""
-    def sig(z):
-        return 1.0 / (1.0 + math.exp(-z))
-
-    def pre(W, U_p, U_q, b, r):
-        z = float(W[r][node]) + float(b[r])
-        for c in range(d):
-            z += float(U_p[r][c]) * float(agg.h_p[c])
-            z += float(U_q[r][c]) * float(agg.h_q[c])
-        return z
-
-    p = params
-    i = [sig(pre(p["W_i"], p["U_i_p"], p["U_i_q"], p["b_i"], r)) for r in range(d)]
-    f_p = [sig(pre(p["W_f"], p["U_f_pp"], p["U_f_pq"], p["b_f"], r)) for r in range(d)]
-    f_q = [sig(pre(p["W_f"], p["U_f_qp"], p["U_f_qq"], p["b_f"], r)) for r in range(d)]
-    c_til = [math.tanh(pre(p["W_c"], p["U_c_p"], p["U_c_q"], p["b_c"], r))
-             for r in range(d)]
-    c = [i[r] * c_til[r] + f_p[r] * float(agg.c_p[r]) + f_q[r] * float(agg.c_q[r])
-         for r in range(d)]
-    o = [sig(pre(p["W_o"], p["U_o_p"], p["U_o_q"], p["b_o"], r)) for r in range(d)]
-    h = [o[r] * math.tanh(c[r]) for r in range(d)]
-    return np.array(h), np.array(c)
+from conftest import precedent_rows, random_cascade, random_graph
 
 
 def perturbed_model(config, rng, spread=0.3):
@@ -111,10 +86,13 @@ class TestParameterLayout:
         before = U[2 * d + 1, 2].copy()
         model.params["U_f_qp"][1, 2] += 1e-3
         assert U[2 * d + 1, 2] == before + 1e-3
-        agg = AggregatedInputs(*(np.full(d, 0.5) for _ in range(4)))
-        state, _ = cell_forward(0, agg, model.params)
-        h_ref, _ = scalar_cell_oracle(0, agg, model.params, d)
-        np.testing.assert_allclose(state.h, h_ref, atol=1e-12)
+        # Node 1 has a precedent (node 0) and another active node (node 3),
+        # so U_f_qp, which feeds h_p into the q forget gate, reaches its cell.
+        graph = DataGraph.from_edges(5, [(0, 1), (1, 2), (0, 2), (3, 4)])
+        cascade = Cascade((0, 3, 1, 2))
+        result = forward_cascade(model, graph, cascade, compute_loss=False)
+        h_ref, _ = oracle.forward(model.params, graph, cascade, d)
+        np.testing.assert_allclose(result.H, h_ref, atol=1e-12)
 
     def test_gate_rows_built_once_and_read_only(self):
         for d in (1, 3, 32):
@@ -128,8 +106,14 @@ class TestParameterLayout:
     def test_packed_store_is_not_a_model_store(self):
         model = self._model()
         packed = ParameterStore(dict(model.params.items()))
+        graph = DataGraph.from_edges(5, [(0, 1)])
         with pytest.raises(ShapeError, match="fused"):
-            cell_forward(0, AggregatedInputs(*(np.zeros(3) for _ in range(4))), packed)
+            forward_cascade(Model(model.config, packed), graph, Cascade((0, 1)))
+
+
+def gates(result, d):
+    """The (T, d) blocks [i, f_p, f_q, c_tilde, o] of a forward result's gates."""
+    return [result.A[:, k * d:(k + 1) * d] for k in range(5)]
 
 
 class TestCellForward:
@@ -137,34 +121,33 @@ class TestCellForward:
         config = ModelConfig(hidden_dim=3, node_count=4)
         model = Model(config, Model.initialize(config, np.random.default_rng(0)).params)
         model.params.fill(0.0)
-        zeros = np.zeros(3)
-        state, trace = cell_forward(1, AggregatedInputs(zeros, zeros, zeros, zeros),
-                                    model.params)
-        np.testing.assert_allclose(trace.i, 0.5)
-        np.testing.assert_allclose(trace.f_p, 0.5)
-        np.testing.assert_allclose(trace.f_q, 0.5)
-        np.testing.assert_allclose(trace.o, 0.5)
-        np.testing.assert_allclose(trace.c_tilde, 0.0)
-        np.testing.assert_allclose(state.c, 0.0)
-        np.testing.assert_allclose(state.h, 0.0)
+        graph = DataGraph.from_edges(4, [(0, 1), (1, 2)])
+        result = forward_cascade(model, graph, Cascade((1, 0, 2)), compute_loss=False)
+        i, f_p, f_q, c_tilde, o = gates(result, 3)
+        np.testing.assert_allclose(i, 0.5)
+        np.testing.assert_allclose(f_p, 0.5)
+        np.testing.assert_allclose(f_q, 0.5)
+        np.testing.assert_allclose(o, 0.5)
+        np.testing.assert_allclose(c_tilde, 0.0)
+        np.testing.assert_allclose(result.C, 0.0)
+        np.testing.assert_allclose(result.H, 0.0)
 
     def test_zero_aggregates_reduce_to_input_only_step(self):
-        # With empty aggregates the recurrent terms vanish: the step must
-        # equal the same equations evaluated with only the W column and bias.
+        # A T = 1 cascade has empty aggregates, so the recurrent terms vanish:
+        # the step must equal the equations with only the W column and bias.
         rng = np.random.default_rng(1)
         d, m = 4, 6
         model = perturbed_model(ModelConfig(d, m), rng)
-        zeros = np.zeros(d)
-        state, trace = cell_forward(2, AggregatedInputs(zeros, zeros, zeros, zeros),
-                                    model.params)
+        graph = random_graph(rng, m, 3 * m)
+        result = forward_cascade(model, graph, Cascade((2,)), compute_loss=False)
         p = model.params
         sig = lambda z: 1.0 / (1.0 + np.exp(-z))
         i = sig(p["W_i"][:, 2] + p["b_i"])
         c_til = np.tanh(p["W_c"][:, 2] + p["b_c"])
         o = sig(p["W_o"][:, 2] + p["b_o"])
-        np.testing.assert_allclose(state.c, i * c_til, atol=1e-12)
-        np.testing.assert_allclose(state.h, o * np.tanh(i * c_til), atol=1e-12)
-        np.testing.assert_allclose(trace.f_p, sig(p["W_f"][:, 2] + p["b_f"]),
+        np.testing.assert_allclose(result.C[0], i * c_til, atol=1e-12)
+        np.testing.assert_allclose(result.H[0], o * np.tanh(i * c_til), atol=1e-12)
+        np.testing.assert_allclose(gates(result, d)[1][0], sig(p["W_f"][:, 2] + p["b_f"]),
                                    atol=1e-12)
 
     def test_matches_scalar_oracle_on_random_instances(self):
@@ -172,85 +155,91 @@ class TestCellForward:
         d, m = 3, 5
         for _ in range(50):
             model = perturbed_model(ModelConfig(d, m), rng, spread=0.8)
-            agg = AggregatedInputs(*(rng.normal(size=d) for _ in range(4)))
-            node = int(rng.integers(m))
-            state, _ = cell_forward(node, agg, model.params)
-            h_ref, c_ref = scalar_cell_oracle(node, agg, model.params, d)
-            np.testing.assert_allclose(state.h, h_ref, atol=1e-12)
-            np.testing.assert_allclose(state.c, c_ref, atol=1e-12)
+            graph = random_graph(rng, m, int(rng.integers(0, 3 * m)))
+            cascade = random_cascade(rng, m, int(rng.integers(1, m + 1)))
+            result = forward_cascade(model, graph, cascade, compute_loss=False)
+            h_ref, c_ref = oracle.forward(model.params, graph, cascade, d)
+            np.testing.assert_allclose(result.H, h_ref, atol=1e-12)
+            np.testing.assert_allclose(result.C, c_ref, atol=1e-12)
 
     def test_gate_ranges(self):
         rng = np.random.default_rng(3)
-        d = 5
-        model = perturbed_model(ModelConfig(d, 7), rng, spread=2.0)
-        agg = AggregatedInputs(*(rng.normal(size=d) for _ in range(4)))
-        _, trace = cell_forward(0, agg, model.params)
-        for gate in (trace.i, trace.f_p, trace.f_q, trace.o):
+        d, m = 5, 7
+        model = perturbed_model(ModelConfig(d, m), rng, spread=2.0)
+        graph = random_graph(rng, m, 3 * m)
+        result = forward_cascade(model, graph, random_cascade(rng, m, m),
+                                 compute_loss=False)
+        i, f_p, f_q, c_tilde, o = gates(result, d)
+        for gate in (i, f_p, f_q, o):
             assert np.all(gate > 0.0) and np.all(gate < 1.0)
-        assert np.all(np.abs(trace.c_tilde) < 1.0)
-        assert np.all(np.abs(trace.tanh_c) < 1.0)
+        assert np.all(np.abs(c_tilde) < 1.0)
+        assert np.all(np.abs(result.tanh_C) < 1.0)
 
     def test_nonfinite_named(self):
         config = ModelConfig(hidden_dim=2, node_count=3)
         model = Model.initialize(config, np.random.default_rng(0))
         model.params["W_i"][0, 1] = np.nan
-        zeros = np.zeros(2)
-        with pytest.raises(NumericError, match="input gate"):
-            cell_forward(1, AggregatedInputs(zeros, zeros, zeros, zeros),
-                         model.params)
+        graph = DataGraph.from_edges(3, [(0, 1), (1, 2)])
+        with pytest.raises(NumericError, match="input gate at node 1"):
+            forward_cascade(model, graph, Cascade((0, 1, 2)))
 
 
 class TestAggregate:
-    def _states(self, rng, nodes, d):
-        return {v: CellState(h=rng.normal(size=d), c=rng.normal(size=d))
-                for v in nodes}
+    """The pooled aggregates [h_p; h_q] and [c_p; c_q] that forward_cascade
+    feeds each cell, in its HX and CX rows."""
+
+    def _forward(self, rng, graph, cascade, d):
+        model = perturbed_model(ModelConfig(d, graph.node_count), rng)
+        return forward_cascade(model, graph, cascade, compute_loss=False)
 
     def test_empty_prefix_gives_zeros(self):
-        agg = aggregate({}, [], [], 4)
-        for vec in (agg.h_p, agg.h_q, agg.c_p, agg.c_q):
-            np.testing.assert_array_equal(vec, np.zeros(4))
+        rng = np.random.default_rng(4)
+        result = self._forward(rng, random_graph(rng, 6, 12), Cascade((3, 1, 4)), 4)
+        np.testing.assert_array_equal(result.HX[0], np.zeros(8))
+        np.testing.assert_array_equal(result.CX[0], np.zeros(8))
 
     def test_singleton_precedent(self):
         rng = np.random.default_rng(4)
-        states = self._states(rng, [7], 3)
-        agg = aggregate(states, [7], [7], 3)
-        np.testing.assert_allclose(agg.h_p, states[7].h)
-        np.testing.assert_array_equal(agg.h_q, np.zeros(3))
+        graph = DataGraph.from_edges(8, [(7, 2)])
+        result = self._forward(rng, graph, Cascade((7, 2)), 3)
+        np.testing.assert_allclose(result.HX[1, :3], result.H[0])
+        np.testing.assert_allclose(result.CX[1, :3], result.C[0])
+        np.testing.assert_array_equal(result.HX[1, 3:], np.zeros(3))
 
     def test_matches_direct_summation(self):
         rng = np.random.default_rng(5)
         d = 4
-        states = self._states(rng, range(5), d)
-        agg = aggregate(states, [0, 2], [0, 1, 2, 3, 4], d)
-        np.testing.assert_allclose(
-            agg.h_p, (states[0].h + states[2].h) / 2.0, atol=1e-12)
-        np.testing.assert_allclose(
-            agg.c_q, (states[1].c + states[3].c + states[4].c) / 3.0, atol=1e-12)
+        # Node 5 activates last; its precedents are rows 0 and 2.
+        graph = DataGraph.from_edges(6, [(0, 5), (2, 5), (1, 3)])
+        result = self._forward(rng, graph, Cascade((0, 1, 2, 3, 4, 5)), d)
+        H, C = result.H, result.C
+        np.testing.assert_allclose(result.HX[5, :d], (H[0] + H[2]) / 2.0, atol=1e-12)
+        np.testing.assert_allclose(result.CX[5, d:], (C[1] + C[3] + C[4]) / 3.0,
+                                   atol=1e-12)
 
     def test_precedents_must_be_active(self):
+        # 1 -> 0 is no precedent edge of node 0, which activates first.
         rng = np.random.default_rng(6)
-        states = self._states(rng, [0], 2)
-        with pytest.raises(ValueError):
-            aggregate(states, [1], [0], 2)
-
-    def test_missing_state_is_internal_error(self):
-        with pytest.raises(TopoLstmError, match="missing cell state"):
-            aggregate({}, [0], [0], 2)
+        graph = DataGraph.from_edges(3, [(1, 0), (0, 1)])
+        result = self._forward(rng, graph, Cascade((0, 1)), 2)
+        assert precedent_rows(result) == [[], [0]]
+        np.testing.assert_array_equal(result.HX[0], np.zeros(4))
 
     def test_permutation_of_precedent_storage_is_neutral(self):
+        # The same graph with every adjacency list stored in reverse order.
         rng = np.random.default_rng(7)
-        d = 4
-        states = self._states(rng, range(6), d)
-        base_agg = aggregate(states, [1, 3, 5], list(range(6)), d)
-        base_state, _ = cell_forward(
-            0, base_agg, perturbed_model(ModelConfig(d, 6), rng).params)
-        model = perturbed_model(ModelConfig(d, 6), np.random.default_rng(7))
-        for perm in ([5, 1, 3], [3, 5, 1]):
-            agg = aggregate(states, perm, list(range(6)), d)
-            np.testing.assert_allclose(agg.h_p, base_agg.h_p, atol=1e-13)
-            state, _ = cell_forward(0, agg, model.params)
-            ref, _ = cell_forward(0, base_agg, model.params)
-            np.testing.assert_allclose(state.h, ref.h, atol=1e-13)
+        d, m = 4, 12
+        graph = random_graph(rng, m, 40)
+        shuffled = DataGraph(graph.labels, tuple(s[::-1] for s in graph.out),
+                             tuple(s[::-1] for s in graph.in_), graph.edges)
+        model = perturbed_model(ModelConfig(d, m), rng)
+        cascade = random_cascade(rng, m, 9)
+        base = forward_cascade(model, graph, cascade, compute_loss=False)
+        result = forward_cascade(model, shuffled, cascade, compute_loss=False)
+        assert precedent_rows(result) == precedent_rows(base)
+        assert any(len(prec) > 1 for prec in precedent_rows(base))
+        np.testing.assert_allclose(result.HX, base.HX, atol=1e-13)
+        np.testing.assert_allclose(result.H, base.H, atol=1e-13)
 
 
 class TestScoreInactive:
@@ -262,7 +251,7 @@ class TestScoreInactive:
         result = forward_cascade(model, graph, cascade, compute_loss=False)
         states = {v: CellState(result.H[i], result.C[i])
                   for i, v in enumerate(cascade.nodes)}
-        topo = build_topology(graph, cascade, 4)
+        topo = build_topologies(graph, cascade)[3]
         for mode in ("all-active", "precedent-only"):
             scores = score_inactive(states, topo, model, mode=mode)
             for v, s in scores.items():
@@ -275,7 +264,7 @@ class TestScoreInactive:
         cascade = Cascade((0,))
         result = forward_cascade(model, g, cascade, compute_loss=False)
         states = {0: CellState(result.H[0], result.C[0])}
-        topo = build_topology(g, cascade, 2)
+        topo = build_topologies(g, cascade)[1]
         scores = score_inactive(states, topo, model, mode="all-active")
         for v in (1, 2):
             want = float(result.H[0] @ model.params["G"][v]
@@ -291,7 +280,7 @@ class TestScoreInactive:
         result = forward_cascade(model, graph, cascade, compute_loss=False)
         states = {v: CellState(result.H[i], result.C[i])
                   for i, v in enumerate(cascade.nodes[:3])}
-        topo = build_topology(graph, cascade, 4)
+        topo = build_topologies(graph, cascade)[3]
         prec = score_inactive(states, topo, model, mode="precedent-only")
         allact = score_inactive(states, topo, model, mode="all-active")
         assert prec[3] == pytest.approx(float(model.params["b_act"][3]))
@@ -304,7 +293,7 @@ class TestScoreInactive:
         model = Model.initialize(ModelConfig(2, graph.node_count),
                                  np.random.default_rng(0))
         with pytest.raises(ValueError):
-            score_inactive({}, build_topology(graph, cascade, 1), model)
+            score_inactive({}, build_topologies(graph, cascade)[0], model)
 
 
 class TestForwardCascade:
@@ -325,26 +314,19 @@ class TestForwardCascade:
         assert result.total_loss == pytest.approx(0.0, abs=1e-15)
 
     def test_matches_monolithic_reconstruction(self):
-        # Independent re-implementation: fresh topology at every step,
-        # contract-level aggregate/cell/scoring, dict-based softmax.
+        # Independent re-implementation: the brute-force oracle's states and
+        # dense step scores, with a log-sum-exp over every inactive node.
         rng = np.random.default_rng(13)
         for mode in ("all-active", "precedent-only"):
             graph, cascade, model = random_instance(rng, m=8, d=3, T=5, mode=mode)
             result = forward_cascade(model, graph, cascade)
 
-            states = {}
+            H, _ = oracle.forward(model.params, graph, cascade, model.config.hidden_dim)
             total = 0.0
-            for t in range(1, len(cascade) + 1):
-                v = cascade[t - 1]
-                topo = build_topology(graph, cascade, t)
-                if t >= 2:
-                    scores = score_inactive(states, topo, model, mode=mode)
-                    probs = softmax_over_subset(scores, set(scores))
-                    total += -math.log(probs[v])
-                agg = aggregate(states, topo.precedents(v), topo.active_prefix,
-                                model.config.hidden_dim)
-                state, _ = cell_forward(v, agg, model.params)
-                states[v] = state
+            for t in range(2, len(cascade) + 1):
+                scores = oracle.step_scores(model.params, graph, cascade, H, t, mode)
+                total += (math.log(sum(math.exp(s) for s in scores.values()))
+                          - scores[cascade[t - 1]])
             assert result.total_loss == pytest.approx(total, rel=1e-9)
 
     def test_prefix_isolation_bit_identical(self):
@@ -419,21 +401,15 @@ class TestScoreBlock:
         assert math.sqrt(grads.squared_l2()) == pytest.approx(grad_norm, rel=1e-10)
 
 
-def precedent_rows(result):
-    """The precedent positions of every step, as lists, from the result's CSR."""
-    ptr = result.prec_ptr.tolist()
-    return [result.prec_pos[ptr[r]:ptr[r + 1]].tolist() for r in range(len(ptr) - 1)]
-
-
 class TestPrecedentIndex:
     def _check_against_oracle(self, graph, cascade, rng):
         model = Model.initialize(ModelConfig(2, graph.node_count), rng)
         result = forward_cascade(model, graph, cascade, compute_loss=False)
-        topos = build_topologies(graph, cascade)
         pos = {v: i for i, v in enumerate(cascade.nodes)}
         assert result.prec_ptr[0] == 0
-        assert precedent_rows(result) == [[pos[u] for u in topos[i].precedents(v)]
-                                          for i, v in enumerate(cascade.nodes)]
+        assert precedent_rows(result) == [
+            [pos[u] for u in oracle.precedents(graph, cascade, t, v)]
+            for t, v in enumerate(cascade.nodes, start=1)]
         return result
 
     def test_matches_topology_oracle_on_random_pairs(self):

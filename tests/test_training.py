@@ -183,6 +183,16 @@ class TestTrain:
             with pytest.raises(ValueError, match="workers must be 1"):
                 TrainConfig(workers=workers)
 
+    def test_bad_learning_rate_clip_norm_or_lam_rejected(self):
+        bad = [("learning_rate", v) for v in (-1.0, -1e-9, float("nan"), float("inf"))]
+        bad += [(name, v) for name in ("clip_norm", "lam")
+                for v in (-0.5, float("nan"), float("inf"))]
+        for name, value in bad:
+            with pytest.raises(ValueError, match=name):
+                TrainConfig(**{name: value})
+        zero = TrainConfig(learning_rate=0.0, clip_norm=0.0)
+        assert (zero.learning_rate, zero.clip_norm) == (0.0, 0.0)
+
     def test_full_batch_training_loss_monotone(self):
         # Full-batch run on the separable chain data: the logged loss equals
         # the objective at each epoch start and must not increase materially.
