@@ -4,11 +4,16 @@ Edge probabilities are estimated from training cascades by order-only
 counting: p(u, v) is the fraction of cascades containing u in which v shows
 up after u.  An inactive node's activation score is the noisy-OR of its
 precedents' edge probabilities.
+
+Fit and scorer read the graph's CSR out-adjacency (``DataGraph.out_csr``):
+a fit costs one array pass per chunk of out-edge occurrences, and scoring
+one slice update per activation.  ``icsb_score`` is the dict reference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable
 
 import numpy as np
@@ -39,7 +44,7 @@ class EdgeProbabilities:
             if header:
                 fh.write(f"# {header}\n")
             for (u, v) in sorted(self.probs):
-                fh.write(f"{graph.labels[u]} {graph.labels[v]} {self.probs[(u, v)]!r}\n")
+                fh.write(f"{graph.labels[u]} {graph.labels[v]} {float(self.probs[(u, v)])!r}\n")
 
     @classmethod
     def load(cls, path, graph: DataGraph) -> "EdgeProbabilities":
@@ -52,8 +57,16 @@ class EdgeProbabilities:
                 parts = line.split()
                 if len(parts) != 3:
                     raise DataError(f"probabilities line {lineno}: expected 'u v p'")
-                probs[(graph.id_of(parts[0]), graph.id_of(parts[1]))] = float(parts[2])
+                edge = (graph.id_of(parts[0]), graph.id_of(parts[1]))
+                if edge in probs or not graph.has_edge(*edge):
+                    why = "is given twice" if edge in probs else "is not an edge of the graph"
+                    raise DataError(f"probabilities line {lineno}: {parts[0]} -> {parts[1]} {why}")
+                probs[edge] = float(parts[2])
         return cls(probs)
+
+
+# Out-edges and (cascade, node) table cells per pass: bounds the fit's memory.
+FIT_CHUNK = 4096
 
 
 def fit_static_bernoulli(graph: DataGraph,
@@ -62,23 +75,38 @@ def fit_static_bernoulli(graph: DataGraph,
 
     "After" requires only activation order, not adjacency in the sequence.
     Edges whose source never appears in training get probability zero.
+    A pass reads its activations' targets from a position table of their cascades.
     """
-    active_count = np.zeros(graph.node_count, dtype=np.int64)
-    follow_count: dict[tuple[int, int], int] = {}
-    for cascade in train_cascades:
-        pos = {v: i for i, v in enumerate(cascade.nodes)}
-        for u in cascade.nodes:
-            active_count[u] += 1
-            pu = pos[u]
-            for v in graph.out[u]:
-                if pos.get(v, -1) > pu:
-                    follow_count[(u, v)] = follow_count.get((u, v), 0) + 1
-    probs = {}
-    for edge in graph.edges:
-        u = edge[0]
-        probs[edge] = (follow_count.get(edge, 0) / active_count[u]
-                       if active_count[u] else 0.0)
-    return EdgeProbabilities(probs)
+    out_ptr, out_idx = graph.out_csr()
+    m = graph.node_count
+    cascades = [c.nodes for c in train_cascades]
+    lengths = np.fromiter(map(len, cascades), np.intp, len(cascades))
+    nodes = np.fromiter(chain.from_iterable(cascades), np.intp, lengths.sum())
+    # Activation i is node nodes[i] at position pos[i] of cascade cid[i].
+    first = np.append(np.cumsum(lengths) - lengths, nodes.size)
+    cid = np.repeat(np.arange(len(cascades)), lengths)
+    pos = np.arange(nodes.size) - first[cid]
+    ends = np.cumsum(out_ptr[1:][nodes] - out_ptr[nodes])   # out-edges through activation i
+    follow_count = np.zeros(out_idx.size, dtype=np.intp)
+    lo = 0
+    while lo < nodes.size:   # a pass: activations lo..hi-1, from cascades c0..c1-1
+        c0 = cid[lo]
+        hi = min(first[min(c0 + max(1, FIT_CHUNK // m), len(cascades))],
+                 np.searchsorted(ends, FIT_CHUNK + (ends[lo - 1] if lo else 0), "right"))
+        hi = max(hi, lo + 1)
+        c1 = cid[hi - 1] + 1
+        table = np.full((c1 - c0) * m, -1, dtype=np.intp)   # position in cascade, -1: inactive
+        span = slice(first[c0], first[c1])
+        table[(cid[span] - c0) * m + nodes[span]] = pos[span]
+        row, target, edge = graph.out_edges(nodes[lo:hi])
+        row += lo
+        np.add.at(follow_count, edge[table[(cid[row] - c0) * m + target] > pos[row]], 1)
+        lo = hi
+    active_count = np.bincount(nodes, minlength=m)[np.repeat(np.arange(m), np.diff(out_ptr))]
+    probs = np.zeros(out_idx.size)
+    np.divide(follow_count, active_count, out=probs, where=active_count > 0)
+    edges = ((u, v) for u, succ in enumerate(graph.out) for v in succ)
+    return EdgeProbabilities(dict(zip(edges, probs.tolist())))
 
 
 def icsb_score(probs: EdgeProbabilities,
@@ -100,17 +128,19 @@ def icsb_score(probs: EdgeProbabilities,
 class ICSBScorer:
     """Step scorer over test cascades for the evaluation harness.
 
-    Maintains the running noisy-OR complements incrementally: activating u
-    multiplies every out-neighbour's complement by (1 - p(u, v)).
+    Keeps the running noisy-OR complements: activating u is one slice update
+    by the (1 - p(u, v)) of u's CSR out-edges, built once in ``__init__``.
     """
 
     name = "ic-sb"
 
     def __init__(self, graph: DataGraph, probs: EdgeProbabilities):
         self.graph = graph
-        self.probs = probs
+        self._complement = 1.0 - np.array(
+            [probs.get(u, v) for u, succ in enumerate(graph.out) for v in succ], dtype=float)
 
     def step_scores(self, cascade: Cascade):
+        out_ptr, out_idx = self.graph.out_csr()
         m = self.graph.node_count
         quiet = np.ones(m)
         active_mask = np.zeros(m, dtype=bool)
@@ -118,6 +148,6 @@ class ICSBScorer:
             if t >= 2:
                 cand = np.flatnonzero(~active_mask)
                 yield cand, 1.0 - quiet[cand], v
-            for w in self.graph.out[v]:
-                quiet[w] *= 1.0 - self.probs.get(v, w)
+            a, b = out_ptr[v], out_ptr[v + 1]
+            quiet[out_idx[a:b]] *= self._complement[a:b]
             active_mask[v] = True

@@ -13,6 +13,7 @@ import argparse
 import json
 import logging
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import checkpoint as ckpt
@@ -132,36 +133,23 @@ def _load_checkpoint_with_graph(args):
 
 
 def cmd_generate(args) -> int:
+    given = {"node_count": args.nodes, "graph_model": args.graph_model,
+             "edge_param": args.edge_param, "activation_prob": args.activation_prob,
+             "cascade_count": args.cascades, "max_cascade_length": args.max_len,
+             "seed": args.seed}
+    given = {name: value for name, value in given.items() if value is not None}
     if args.preset:
-        base = datagen.PRESETS[args.preset]
-        config = datagen.SynthConfig(
-            node_count=args.nodes if args.nodes is not None else base.node_count,
-            graph_model=args.graph_model or base.graph_model,
-            edge_param=(args.edge_param if args.edge_param is not None
-                        else base.edge_param),
-            activation_prob=(args.activation_prob
-                             if args.activation_prob is not None
-                             else base.activation_prob),
-            cascade_count=(args.cascades if args.cascades is not None
-                           else base.cascade_count),
-            max_cascade_length=(args.max_len if args.max_len is not None
-                                else base.max_cascade_length),
-            seed=args.seed if args.seed is not None else base.seed)
+        config = replace(datagen.PRESETS[args.preset], **given)
     else:
-        missing = [flag for flag, val in (("--nodes", args.nodes),
-                                          ("--graph-model", args.graph_model),
-                                          ("--activation-prob", args.activation_prob),
-                                          ("--cascades", args.cascades),
-                                          ("--max-len", args.max_len))
-                   if val is None]
+        missing = [flag for flag, name in (("--nodes", "node_count"),
+                                           ("--graph-model", "graph_model"),
+                                           ("--activation-prob", "activation_prob"),
+                                           ("--cascades", "cascade_count"),
+                                           ("--max-len", "max_cascade_length"))
+                   if name not in given]
         if missing:
             raise DataError("generate needs --preset or all of: " + ", ".join(missing))
-        config = datagen.SynthConfig(
-            node_count=args.nodes, graph_model=args.graph_model,
-            edge_param=args.edge_param if args.edge_param is not None else 0.0,
-            activation_prob=args.activation_prob,
-            cascade_count=args.cascades, max_cascade_length=args.max_len,
-            seed=args.seed if args.seed is not None else 0)
+        config = datagen.SynthConfig(**{"edge_param": 0.0, "seed": 0, **given})
 
     graph, cascades, _ = datagen.generate_dataset(config, out_dir=args.out)
     print(f"wrote {graph.node_count} nodes, {graph.edge_count} edges, "

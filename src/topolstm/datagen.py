@@ -45,6 +45,8 @@ class SynthConfig:
             raise ConfigError("cascade_count must be >= 0")
         if self.max_cascade_length < 1:
             raise ConfigError("max_cascade_length must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         p = self.activation_prob
         if isinstance(p, tuple):
             lo, hi = p

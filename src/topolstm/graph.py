@@ -15,7 +15,10 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .errors import DataError
 
@@ -57,6 +60,26 @@ class DataGraph:
             idx = {lab: i for i, lab in enumerate(self.labels)}
             object.__setattr__(self, "_label_idx", idx)
         return idx
+
+    def out_csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """(out_ptr, out_idx), read-only intp arrays built on first use: u's
+        successors are out_idx[out_ptr[u]:out_ptr[u + 1]], in ``out`` order."""
+        if not hasattr(self, "_out_csr"):
+            out_ptr = np.cumsum([0] + [len(s) for s in self.out], dtype=np.intp)
+            out_idx = np.fromiter(chain.from_iterable(self.out), np.intp, out_ptr[-1])
+            out_ptr.flags.writeable = out_idx.flags.writeable = False
+            object.__setattr__(self, "_out_csr", (out_ptr, out_idx))
+        return self._out_csr
+
+    def out_edges(self, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(row, target, edge) of every out-edge of ``nodes``, in row order:
+        CSR edge ``edge`` runs from nodes[row] to ``target``."""
+        out_ptr, out_idx = self.out_csr()
+        start = out_ptr[nodes]
+        count = out_ptr[1:][nodes] - start
+        row = np.repeat(np.arange(nodes.size), count)
+        edge = np.arange(row.size) + (start - np.cumsum(count) + count)[row]
+        return row, out_idx[edge], edge
 
     @classmethod
     def from_edges(

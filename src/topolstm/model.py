@@ -162,15 +162,6 @@ class CellState:
     c: np.ndarray
 
 
-def _out_arrays(graph: DataGraph) -> list[np.ndarray]:
-    """Each node's out-neighbours as an index array, cached on the graph."""
-    out = getattr(graph, "_out_arrays", None)
-    if out is None:
-        out = [np.asarray(s, dtype=np.intp) for s in graph.out]
-        object.__setattr__(graph, "_out_arrays", out)
-    return out
-
-
 @dataclass
 class CascadeForwardResult:
     """Sender states of a cascade plus what the backward pass needs.
@@ -199,10 +190,6 @@ class CascadeForwardResult:
     losses: np.ndarray          # (T-1,) per-step losses; empty without losses
     probs: np.ndarray | None = None    # (T-1, m) step probabilities
     counts: np.ndarray | None = None   # (T-1, m) precedent-only |P|, at least 1
-
-    @property
-    def loss_terms(self) -> np.ndarray:
-        return self.losses
 
     @property
     def total_loss(self) -> float:
@@ -269,14 +256,6 @@ def score_inactive(states: Mapping[int, CellState], topo: DiffusionTopology,
     return scores
 
 
-def _out_edges(graph: DataGraph, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(source row, target node) of every out-edge of a cascade's nodes,
-    in row order."""
-    out_arrays = _out_arrays(graph)
-    out = [out_arrays[v] for v in nodes.tolist()]
-    return np.repeat(np.arange(nodes.size), [succ.size for succ in out]), np.concatenate(out)
-
-
 def _edge_terms(G: np.ndarray, H: np.ndarray, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     """G[w] . h_u of every edge (row u -> node w): its share of w's
     precedent-only score numerator."""
@@ -325,7 +304,7 @@ def forward_cascade(model: Model, graph: DataGraph, cascade: Cascade,
     nodes = np.asarray(cascade.nodes, dtype=np.intp)
     pos = np.full(m, T, dtype=np.intp)
     pos[nodes] = np.arange(T)
-    src, dst = _out_edges(graph, nodes)
+    src, dst, _ = graph.out_edges(nodes)
     prec_ptr, prec_pos = _precedent_index(T, pos, src, dst)
     # Input and bias terms of every step's five gates, gathered at once.
     XB = (params.fused("Wx")[:, nodes] + params.fused("b")[:, None])[gate_rows(d)].T
@@ -431,7 +410,7 @@ def backward_cascade(result: CascadeForwardResult, model: Model,
             # edge u -> w makes |P_w| >= 1 from u's row on.
             alpha = np.divide(GV, counts, out=GV)
             np.cumsum(alpha[::-1], axis=0, out=alpha[::-1])
-            src, dst = _out_edges(result.graph, np.asarray(result.cascade.nodes[:S]))
+            src, dst, _ = result.graph.out_edges(np.asarray(result.cascade.nodes[:S]))
             at_edges = alpha[src, dst]
             alpha.fill(0.0)
             alpha[src, dst] = at_edges
@@ -503,7 +482,7 @@ def predict_next(model: Model, graph: DataGraph, prefix: Cascade
         scores = G[cand] @ result.H.mean(axis=0)
     else:
         m = model.config.node_count
-        src, dst = _out_edges(graph, np.asarray(prefix.nodes, dtype=np.intp))
+        src, dst, _ = graph.out_edges(np.asarray(prefix.nodes, dtype=np.intp))
         num = np.bincount(dst, weights=_edge_terms(G, result.H, src, dst), minlength=m)
         scores = (num / np.maximum(np.bincount(dst, minlength=m), 1))[cand]
     return cand, softmax(scores + b_act[cand])

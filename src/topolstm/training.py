@@ -54,6 +54,8 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1")
         if self.max_epochs < 0 or self.patience < 0:
             raise ValueError("max_epochs and patience must be >= 0")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.workers != 1:
             raise ValueError("workers must be 1: training runs on one thread")
 
@@ -71,6 +73,8 @@ def split_dataset(cascades: Sequence[Cascade], train_frac: float = 0.75,
         raise ValueError("train_frac must lie in (0, 1)")
     if not (0.0 <= val_frac < 1.0):
         raise ValueError("val_frac must lie in [0, 1)")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     n = len(cascades)
     if n < 3:
         raise ValueError(f"need at least 3 cascades to split, got {n}")
@@ -132,6 +136,7 @@ def _cascades_nll(model: Model, graph: DataGraph, cascades: Sequence[Cascade],
             backward_cascade(result, model, out=grads)
         total += result.total_loss
         steps += len(cascade) - 1
+        del result   # its (T-1) x m block must not outlive the turn
     return total, steps
 
 
@@ -190,7 +195,7 @@ def train(graph: DataGraph, train_cascades: Sequence[Cascade],
     report = TrainReport(dropped_short_cascades=dropped + dropped_val)
 
     grads = model.zero_grads()
-    best_model = model.copy()
+    best_model = model   # the result if max_epochs is 0; epoch 1 always replaces it
     best_monitor = np.inf
     since_improvement = 0
     started = time.perf_counter()
@@ -256,7 +261,5 @@ def train(graph: DataGraph, train_cascades: Sequence[Cascade],
                 break
 
     report.total_seconds = time.perf_counter() - started
-    if not report.epochs:  # max_epochs == 0: the initialized model is the result
-        best_model = model
     return best_model, report
 

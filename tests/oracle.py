@@ -1,4 +1,5 @@
-"""Brute-force oracle for the model, written from the paper's definitions.
+"""Brute-force oracle for the model and the IC-SB baseline, written from the
+paper's definitions.
 
 Each function recomputes its answer from the graph's edge set and the
 cascade's activation order, with no validation and no view class.  Times are
@@ -85,4 +86,34 @@ def step_scores(params, graph, cascade, H, t, mode):
         if w not in active:
             pool = active if mode == "all-active" else precedents(graph, cascade, t, w)
             scores[w] = float(G[w] @ _mean(H, [row[u] for u in pool], d) + b[w])
+    return scores
+
+
+def recount_oracle(graph, cascades):
+    """IC-SB fit by exhaustive recount over every (edge, cascade) pair:
+    p(u, v) is the share of the cascades containing u in which v follows u."""
+    probs = {}
+    for (u, v) in graph.edges:
+        num = den = 0
+        for c in cascades:
+            nodes = list(c.nodes)
+            if u in nodes:
+                den += 1
+                if v in nodes and nodes.index(v) > nodes.index(u):
+                    num += 1
+        probs[(u, v)] = num / den if den else 0.0
+    return probs
+
+
+def noisy_or_scores(graph, probs, cascade, t):
+    """IC-SB score of every inactive node w at step t >= 2: one minus the
+    product, in activation order, of 1 - p(u, w) over w's precedents u."""
+    active = cascade.nodes[: t - 1]
+    scores = {}
+    for w in range(graph.node_count):
+        if w not in active:
+            quiet = 1.0
+            for u in precedents(graph, cascade, t, w):
+                quiet *= 1.0 - probs.get((u, w), 0.0)
+            scores[w] = 1.0 - quiet
     return scores

@@ -25,7 +25,6 @@ from topolstm.numeric import finite_difference_check
 from topolstm.training import TrainConfig, objective, objective_and_gradient, split_dataset, train
 
 from conftest import random_cascade, random_graph
-from test_baseline import recount_oracle
 from test_graph import assert_view_matches_oracle, index_rows
 from test_model import perturbed_model
 
@@ -213,7 +212,7 @@ def test_08_icsb_fidelity():
         cascades = [random_cascade(rng, 10, int(rng.integers(1, 8)))
                     for _ in range(30)]
         fitted = fit_static_bernoulli(graph, cascades)
-        want = recount_oracle(graph, cascades)
+        want = oracle.recount_oracle(graph, cascades)
         assert set(fitted.probs) == set(want)
         for edge, p in want.items():
             assert fitted.probs[edge] == pytest.approx(p)

@@ -1,26 +1,42 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import oracle
 from topolstm.baseline import (EdgeProbabilities, ICSBScorer,
                                fit_static_bernoulli, icsb_score)
+from topolstm.errors import DataError
 from topolstm.graph import Cascade, DataGraph, build_topologies
 
 from conftest import random_cascade, random_graph
 
 
-def recount_oracle(graph, cascades):
-    """Exhaustive recount over every (edge, cascade) pair."""
-    probs = {}
-    for (u, v) in graph.edges:
-        num = den = 0
-        for c in cascades:
-            nodes = list(c.nodes)
-            if u in nodes:
-                den += 1
-                if v in nodes and nodes.index(v) > nodes.index(u):
-                    num += 1
-        probs[(u, v)] = num / den if den else 0.0
-    return probs
+@st.composite
+def graphs_and_cascades(draw):
+    """A graph of up to 7 nodes (possibly edgeless) and up to 6 cascades."""
+    m = draw(st.integers(1, 7))
+    pairs = [(u, v) for u in range(m) for v in range(m) if u != v]
+    edges = draw(st.sets(st.sampled_from(pairs), max_size=len(pairs))) if pairs else set()
+    cascades = draw(st.lists(st.permutations(range(m)).flatmap(
+        lambda perm: st.integers(1, m).map(lambda k: tuple(perm[:k]))), max_size=6))
+    return m, sorted(edges), cascades
+
+
+def assert_fit_and_steps_match_oracle(m, edges, cascades):
+    graph = DataGraph.from_edges(m, edges)
+    cascades = [Cascade(c) for c in cascades]
+    fitted = fit_static_bernoulli(graph, cascades)
+    assert fitted.probs == oracle.recount_oracle(graph, cascades)
+    scorer = ICSBScorer(graph, fitted)
+    for cascade in cascades:
+        steps = list(scorer.step_scores(cascade))
+        assert len(steps) == len(cascade) - 1
+        for t, (cand, scores, target) in enumerate(steps, start=2):
+            want = oracle.noisy_or_scores(graph, fitted.probs, cascade, t)
+            assert target == cascade[t - 1]
+            assert cand.tolist() == sorted(want)
+            assert scores.tolist() == [want[w] for w in cand.tolist()]
 
 
 class TestFitStaticBernoulli:
@@ -43,10 +59,42 @@ class TestFitStaticBernoulli:
         cascades = [random_cascade(rng, 10, int(rng.integers(1, 8)))
                     for _ in range(30)]
         got = fit_static_bernoulli(g, cascades)
-        want = recount_oracle(g, cascades)
-        assert set(got.probs) == set(want)
-        for edge, p in want.items():
-            assert got.probs[edge] == pytest.approx(p)
+        assert got.probs == oracle.recount_oracle(g, cascades)
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(graphs_and_cascades())
+    @example((3, [], [(0, 1, 2), (2,)]))                      # edgeless graph
+    @example((3, [(0, 1), (1, 2)], [(0,), (1,), (2,)]))      # length-1 cascades
+    @example((3, [(2, 0), (0, 1)], [(0, 1), (1, 0)]))        # source 2 never activates
+    @example((2, [(0, 1)], [(1, 0), (1, 0), (0, 1)]))        # target before source
+    @example((4, [(0, 3), (1, 3), (2, 3)], [(0, 1, 2, 3), (2, 0, 3)]))  # several precedents
+    def test_fit_and_scorer_match_oracle(self, case):
+        assert_fit_and_steps_match_oracle(*case)
+
+    def test_adjacency_storage_order_is_neutral(self):
+        # The same graph with every adjacency list stored in reverse order.
+        rng = np.random.default_rng(33)
+        g = random_graph(rng, 12, 40)
+        reversed_g = DataGraph(g.labels, tuple(s[::-1] for s in g.out),
+                               tuple(s[::-1] for s in g.in_), g.edges)
+        cascades = [random_cascade(rng, 12, int(rng.integers(1, 9))) for _ in range(20)]
+        fitted = fit_static_bernoulli(reversed_g, cascades)
+        assert fitted.probs == fit_static_bernoulli(g, cascades).probs
+        for cascade in cascades:
+            for (c1, s1, _), (c2, s2, _) in zip(
+                    ICSBScorer(g, fitted).step_scores(cascade),
+                    ICSBScorer(reversed_g, fitted).step_scores(cascade)):
+                np.testing.assert_array_equal(c1, c2)
+                np.testing.assert_array_equal(s1, s2)
+
+    def test_chunked_passes_match_one_pass(self, monkeypatch):
+        # Passes of a few out-edges each, spanning one cascade, count the same.
+        rng = np.random.default_rng(34)
+        g = random_graph(rng, 30, 150)
+        cascades = [random_cascade(rng, 30, int(rng.integers(1, 20))) for _ in range(25)]
+        whole = fit_static_bernoulli(g, cascades)
+        monkeypatch.setattr("topolstm.baseline.FIT_CHUNK", 5)
+        assert fit_static_bernoulli(g, cascades).probs == whole.probs
 
     def test_values_in_unit_interval(self):
         rng = np.random.default_rng(31)
@@ -123,6 +171,24 @@ class TestEdgeProbabilitiesIO:
         again = EdgeProbabilities.load(path, g)
         assert again.probs == probs.probs
 
+    def test_numpy_values_round_trip(self, tmp_path):
+        g = DataGraph.from_edges(3, [(0, 1), (1, 2)])
+        probs = EdgeProbabilities({(0, 1): np.float64(0.6), (1, 2): np.float64(0.0)})
+        probs.save(tmp_path / "probs.txt", g)
+        assert "np.float64" not in (tmp_path / "probs.txt").read_text()
+        assert EdgeProbabilities.load(tmp_path / "probs.txt", g).probs == probs.probs
+
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             EdgeProbabilities({(0, 1): 1.5})
+
+    @pytest.mark.parametrize("lines, bad_line, what", [
+        (["0 1 0.5", "3 5 0.9"], 2, "not an edge"),
+        (["# u v p", "0 1 0.5", "5 3 0.9", "0 1 0.7"], 4, "given twice"),
+    ])
+    def test_rejects_lines_scoring_would_ignore(self, tmp_path, lines, bad_line, what):
+        g = DataGraph.from_edges(6, [(0, 1), (5, 3)])
+        path = tmp_path / "probs.txt"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match=f"line {bad_line}: .*{what}"):
+            EdgeProbabilities.load(path, g)

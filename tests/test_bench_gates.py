@@ -1,8 +1,9 @@
-"""The benchmark's correctness gates, run against this package.
+"""The benchmark's set-up and correctness gates, run against this package.
 
-``perfbench/run.py`` is imported unchanged and its gates run on a small
-seeded desk-default split, so deleting a package name they call (such as
-``build_topologies`` or ``score_inactive``) fails here, not in a benchmark run.
+``perfbench/run.py`` is imported unchanged; its set-up runs at small size
+and its gates on a small seeded desk-default split, so deleting a package
+name they call (such as ``build_topologies`` or ``score_inactive``) or
+breaking the set-up fails here, not in a benchmark run.
 """
 
 import importlib.util
@@ -12,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import oracle
 from topolstm.model import SCORE_MODES
 
 RUN_PY = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
@@ -19,12 +21,17 @@ SEED = 1
 
 
 @pytest.fixture(scope="module")
-def bench():
+def run_module():
     spec = importlib.util.spec_from_file_location("perfbench_run", RUN_PY)
     run = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = run   # its dataclasses look their module up here
     spec.loader.exec_module(run)
-    pkg = run.import_package()
+    return run, run.import_package()
+
+
+@pytest.fixture(scope="module")
+def bench(run_module):
+    run, pkg = run_module
     cfg = run.synth_config(pkg["datagen"], run.WORKLOADS["desk-train"], SEED, small=True)
     graph, cascades, _ = pkg["datagen"].generate_dataset(cfg)
     train, _, test = pkg["training"].split_dataset(cascades, seed=SEED)
@@ -44,3 +51,21 @@ def test_gates_pass_on_untouched_code(bench, mode):
     assert run.check_icsb_steps(pkg, graph, probs, test, rng) == 0
     assert run.check_predict(pkg, model, graph, test, rng) == 0
     assert run.check_gradients(pkg, model, graph, train, rng) == 0
+
+
+@pytest.mark.parametrize("workload", ["desk-train", "desk-serve"])
+def test_setup_loads_inputs_and_fits_icsb(run_module, workload, tmp_path):
+    run, pkg = run_module
+    wl = run.WORKLOADS[workload]
+    inputs = run.make_inputs(pkg, wl, SEED, True, tmp_path)
+    seeded = None
+    if not wl.train_epochs:   # as run_workload seeds the served checkpoint
+        model_mod = pkg["model"]
+        seeded = model_mod.Model.initialize(
+            model_mod.ModelConfig(32, inputs.descriptors["nodes"], wl.score_mode),
+            np.random.default_rng(SEED))
+    st = run.setup(pkg, wl, inputs, SEED, seeded)
+    if seeded is not None:
+        assert run.checkpoint_mismatches(st, seeded) == []
+    assert st.train and st.test
+    assert st.probs.probs == oracle.recount_oracle(st.graph, st.train)

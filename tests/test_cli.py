@@ -65,6 +65,14 @@ class TestGenerate:
             assert filecmp.cmp(tmp_path / "a" / name, tmp_path / "b" / name,
                                shallow=False)
 
+    def test_negative_seed_exit_2_names_it(self, tmp_path, capsys):
+        code = cli.main(["generate", "--preset", "desk-default", "--seed", "-1",
+                         "--out", str(tmp_path / "g")])
+        err = capsys.readouterr().err
+        assert code == 2 and "Traceback" not in err
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and "seed" in errors[0] and "-1" in errors[0]
+
 
 class TestTrain:
     def test_outputs_exist(self, run_dir):
@@ -135,6 +143,17 @@ class TestTrain:
                      "split_test.txt"):
             assert filecmp.cmp(tmp_path / "a" / name, tmp_path / "b" / name,
                                shallow=False), name
+
+    def test_negative_seed_exit_2_names_it(self, data_dir, tmp_path, capsys):
+        out = tmp_path / "neg"
+        code = cli.main(["train", "--graph", str(data_dir / "graph.txt"),
+                         "--cascades", str(data_dir / "cascades.txt"),
+                         "--out", str(out), "--epochs", "1", "--seed", "-1"])
+        err = capsys.readouterr().err
+        assert code == 2 and "Traceback" not in err
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and "seed" in errors[0] and "-1" in errors[0]
+        assert not list(out.glob("split_*"))
 
     @pytest.mark.parametrize("flag, value, name", [
         ("--lr", "-1", "learning_rate"), ("--lr", "nan", "learning_rate"),
@@ -240,6 +259,36 @@ class TestEvaluate:
                          "--test-cascades", str(run_dir / "split_test.txt"),
                          "--baseline", "icsb", "--out", str(tmp_path / "x")])
         assert code == 2
+
+    def test_fitted_edge_probs_load_back(self, data_dir, run_dir, tmp_path):
+        common = ["evaluate", "--checkpoint", str(run_dir / "checkpoint.bin"),
+                  "--graph", str(data_dir / "graph.txt"),
+                  "--test-cascades", str(run_dir / "split_test.txt"), "--baseline", "icsb"]
+        assert cli.main(common + ["--train-cascades", str(run_dir / "split_train.txt"),
+                                  "--out", str(tmp_path / "fit")]) == 0
+        assert cli.main(common + ["--edge-probs", str(tmp_path / "fit" / "icsb_edge_probs.txt"),
+                                  "--out", str(tmp_path / "load")]) == 0
+        fitted, loaded = (json.loads((tmp_path / d / "metrics.json").read_text())["results"]
+                          for d in ("fit", "load"))
+        assert loaded == fitted
+
+    @pytest.mark.parametrize("lines, bad_line, what", [
+        (["0 1 0.5", "0 1 0.7"], 2, "given twice"),
+        (["0 1 0.5", "5 3 0.9"], 2, "not an edge"),
+    ])
+    def test_edge_probs_lines_scoring_would_ignore_exit_2(
+            self, data_dir, run_dir, tmp_path, capsys, lines, bad_line, what):
+        probs = tmp_path / "probs.txt"
+        probs.write_text("\n".join(lines) + "\n")
+        code = cli.main(["evaluate", "--checkpoint", str(run_dir / "checkpoint.bin"),
+                         "--graph", str(data_dir / "graph.txt"),
+                         "--test-cascades", str(run_dir / "split_test.txt"),
+                         "--baseline", "icsb", "--edge-probs", str(probs),
+                         "--out", str(tmp_path / "e")])
+        err = capsys.readouterr().err
+        assert code == 2 and "Traceback" not in err
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and f"line {bad_line}" in errors[0] and what in errors[0]
 
     def test_reruns_byte_identical(self, data_dir, run_dir, tmp_path):
         args = ["evaluate", "--checkpoint", str(run_dir / "checkpoint.bin"),

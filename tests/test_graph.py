@@ -48,6 +48,38 @@ class TestLoadGraph:
         assert g.edge_count == 1
 
 
+class TestOutAdjacency:
+    @pytest.mark.parametrize("storage", ["sorted", "reversed"])
+    def test_csr_reproduces_out(self, storage):
+        g = random_graph(np.random.default_rng(9), 15, 50)
+        if storage == "reversed":   # as in test_model's storage-permutation test
+            g = DataGraph(g.labels, tuple(s[::-1] for s in g.out),
+                          tuple(s[::-1] for s in g.in_), g.edges)
+        out_ptr, out_idx = g.out_csr()
+        assert out_ptr.dtype == out_idx.dtype == np.intp
+        assert out_ptr.size == g.node_count + 1 and out_idx.size == g.edge_count
+        assert [out_idx[out_ptr[u]:out_ptr[u + 1]].tolist() for u in range(g.node_count)] \
+            == [list(s) for s in g.out]
+        assert not out_ptr.flags.writeable and not out_idx.flags.writeable
+        assert g.out_csr()[1] is out_idx   # built once
+
+    def test_edgeless_and_empty(self):
+        for g in (DataGraph.from_edges(3, []), load_graph("")):
+            out_ptr, out_idx = g.out_csr()
+            assert out_ptr.tolist() == [0] * (g.node_count + 1) and out_idx.size == 0
+            row, target, edge = g.out_edges(np.arange(g.node_count))
+            assert row.size == target.size == edge.size == 0
+
+    def test_out_edges_in_row_order(self):
+        g = random_graph(np.random.default_rng(10), 15, 50)
+        _, out_idx = g.out_csr()
+        nodes = np.array([4, 0, 11, 7, 4])
+        row, target, edge = g.out_edges(nodes)
+        assert list(zip(row.tolist(), target.tolist())) \
+            == [(r, v) for r, u in enumerate(nodes.tolist()) for v in g.out[u]]
+        np.testing.assert_array_equal(out_idx[edge], target)
+
+
 class TestLoadCascades:
     def test_basic(self):
         g = load_graph("a b\nb c\n")

@@ -304,7 +304,7 @@ class TestForwardCascade:
         assert result.losses.shape == (len(cascade) - 1,)
         assert result.probs.shape == (len(cascade) - 1, model.config.node_count)
         assert result.H.shape == (len(cascade), model.config.hidden_dim)
-        assert np.all(result.loss_terms >= 0.0)
+        assert np.all(result.losses >= 0.0)
 
     def test_single_candidate_softmax_is_certain(self):
         g = DataGraph.from_edges(2, [(0, 1)])
