@@ -5,13 +5,15 @@ counting: p(u, v) is the fraction of cascades containing u in which v shows
 up after u.  An inactive node's activation score is the noisy-OR of its
 precedents' edge probabilities.
 
-Fit and scorer read the graph's CSR out-adjacency (``DataGraph.out_csr``):
-a fit costs one array pass per chunk of out-edge occurrences, and scoring
-one slice update per activation.  ``icsb_score`` is the dict reference.
+The probabilities are one float array over the graph's CSR edge ids
+(``DataGraph.out_ptr``/``out_idx``): a fit costs one array pass per chunk of
+out-edge occurrences, and scoring one slice update per activation.
+``icsb_score`` is the dict reference.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable
@@ -22,33 +24,41 @@ from .errors import DataError
 from .graph import Cascade, DataGraph, DiffusionTopology
 
 
-@dataclass
+@dataclass(eq=False)
 class EdgeProbabilities:
-    """Per-edge diffusion probability; only graph edges carry entries."""
+    """Per-edge diffusion probability: ``p[e]`` belongs to the graph's CSR edge e."""
 
-    probs: dict[tuple[int, int], float]
+    graph: DataGraph
+    p: np.ndarray
 
     def __post_init__(self):
-        for edge, p in self.probs.items():
-            if not (0.0 <= p <= 1.0):
-                raise ValueError(f"probability {p} for edge {edge} outside [0, 1]")
+        p = self.p = np.asarray(self.p, dtype=float)
+        if p.shape != (self.graph.edge_count,):
+            raise ValueError(f"need {self.graph.edge_count} edge probabilities, got shape {p.shape}")
+        bad = np.flatnonzero(~((p >= 0.0) & (p <= 1.0)))   # NaN included
+        if bad.size:
+            src, dst = self.graph.edge_pairs()
+            e = bad[0]
+            raise ValueError(f"probability {p[e]} for edge ({src[e]}, {dst[e]}) outside [0, 1]")
 
     def get(self, u: int, v: int) -> float:
-        return self.probs.get((u, v), 0.0)
+        e = self.graph.edge_id(u, v)
+        return float(self.p[e]) if e >= 0 else 0.0
 
-    def __len__(self):
-        return len(self.probs)
-
-    def save(self, path, graph: DataGraph, header: str | None = None) -> None:
+    def save(self, path, header: str | None = None) -> None:
+        """One 'u v p' line per edge, in CSR edge order."""
+        src, dst = self.graph.edge_pairs()
         with open(path, "w", encoding="utf-8") as fh:
             if header:
                 fh.write(f"# {header}\n")
-            for (u, v) in sorted(self.probs):
-                fh.write(f"{graph.labels[u]} {graph.labels[v]} {float(self.probs[(u, v)])!r}\n")
+            for u, v, p in zip(src.tolist(), dst.tolist(), self.p.tolist()):
+                fh.write(f"{self.graph.labels[u]} {self.graph.labels[v]} {p!r}\n")
 
     @classmethod
     def load(cls, path, graph: DataGraph) -> "EdgeProbabilities":
-        probs: dict[tuple[int, int], float] = {}
+        """Read 'u v p' lines; an edge the file does not name gets p = 0."""
+        p = np.zeros(graph.edge_count)
+        given = np.zeros(graph.edge_count, dtype=bool)
         with open(path, "r", encoding="utf-8") as fh:
             for lineno, raw in enumerate(fh, start=1):
                 line = raw.strip()
@@ -57,12 +67,19 @@ class EdgeProbabilities:
                 parts = line.split()
                 if len(parts) != 3:
                     raise DataError(f"probabilities line {lineno}: expected 'u v p'")
-                edge = (graph.id_of(parts[0]), graph.id_of(parts[1]))
-                if edge in probs or not graph.has_edge(*edge):
-                    why = "is given twice" if edge in probs else "is not an edge of the graph"
+                e = graph.edge_id(graph.id_of(parts[0]), graph.id_of(parts[1]))
+                if e < 0 or given[e]:
+                    why = "is not an edge of the graph" if e < 0 else "is given twice"
                     raise DataError(f"probabilities line {lineno}: {parts[0]} -> {parts[1]} {why}")
-                probs[edge] = float(parts[2])
-        return cls(probs)
+                try:
+                    value = float(parts[2])
+                except ValueError:
+                    value = math.nan
+                if not 0.0 <= value <= 1.0:
+                    raise DataError(f"probabilities line {lineno}: p = {parts[2]!r} "
+                                    "is not a number in [0, 1]")
+                p[e], given[e] = value, True
+        return cls(graph, p)
 
 
 # Out-edges and (cascade, node) table cells per pass: bounds the fit's memory.
@@ -77,7 +94,7 @@ def fit_static_bernoulli(graph: DataGraph,
     Edges whose source never appears in training get probability zero.
     A pass reads its activations' targets from a position table of their cascades.
     """
-    out_ptr, out_idx = graph.out_csr()
+    out_ptr, out_idx = graph.out_ptr, graph.out_idx
     m = graph.node_count
     cascades = [c.nodes for c in train_cascades]
     lengths = np.fromiter(map(len, cascades), np.intp, len(cascades))
@@ -102,11 +119,10 @@ def fit_static_bernoulli(graph: DataGraph,
         row += lo
         np.add.at(follow_count, edge[table[(cid[row] - c0) * m + target] > pos[row]], 1)
         lo = hi
-    active_count = np.bincount(nodes, minlength=m)[np.repeat(np.arange(m), np.diff(out_ptr))]
+    active_count = np.bincount(nodes, minlength=m)[graph.edge_pairs()[0]]
     probs = np.zeros(out_idx.size)
     np.divide(follow_count, active_count, out=probs, where=active_count > 0)
-    edges = ((u, v) for u, succ in enumerate(graph.out) for v in succ)
-    return EdgeProbabilities(dict(zip(edges, probs.tolist())))
+    return EdgeProbabilities(graph, probs)
 
 
 def icsb_score(probs: EdgeProbabilities,
@@ -136,11 +152,10 @@ class ICSBScorer:
 
     def __init__(self, graph: DataGraph, probs: EdgeProbabilities):
         self.graph = graph
-        self._complement = 1.0 - np.array(
-            [probs.get(u, v) for u, succ in enumerate(graph.out) for v in succ], dtype=float)
+        self._complement = 1.0 - probs.p
 
     def step_scores(self, cascade: Cascade):
-        out_ptr, out_idx = self.graph.out_csr()
+        out_ptr, out_idx = self.graph.out_ptr, self.graph.out_idx
         m = self.graph.node_count
         quiet = np.ones(m)
         active_mask = np.zeros(m, dtype=bool)

@@ -280,7 +280,7 @@ def cmd_evaluate(args) -> int:
         elif args.train_cascades:
             train_set = load_cascades_file(args.train_cascades, graph)
             probs = fit_static_bernoulli(graph, train_set)
-            probs.save(out / "icsb_edge_probs.txt", graph,
+            probs.save(out / "icsb_edge_probs.txt",
                        header="fitted diffusion probabilities: u v p")
         else:
             raise DataError("--baseline icsb needs --train-cascades or --edge-probs")

@@ -45,6 +45,8 @@ class SynthConfig:
             raise ConfigError("cascade_count must be >= 0")
         if self.max_cascade_length < 1:
             raise ConfigError("max_cascade_length must be >= 1")
+        if not (math.isfinite(self.edge_param) and self.edge_param >= 0):
+            raise ConfigError(f"edge_param must be finite and >= 0, got {self.edge_param}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         p = self.activation_prob
@@ -102,8 +104,6 @@ def generate_graph(config: SynthConfig,
 
     if model == "uniform-random-edges":
         possible = n * (n - 1)
-        if config.edge_param < 0:
-            raise ConfigError("edge_param must be >= 0")
         target = (int(round(config.edge_param * possible))
                   if config.edge_param < 1 else int(config.edge_param))
         if target > possible:
@@ -137,16 +137,11 @@ def generate_graph(config: SynthConfig,
 
 def assign_edge_probs(graph: DataGraph, activation_prob,
                       rng: np.random.Generator) -> EdgeProbabilities:
-    """Constant or per-edge-uniform diffusion probabilities, in sorted edge order."""
-    probs = {}
+    """Constant or per-edge-uniform diffusion probabilities, in CSR edge order."""
     if isinstance(activation_prob, tuple):
         lo, hi = activation_prob
-        for edge in sorted(graph.edges):
-            probs[edge] = float(rng.uniform(lo, hi))
-    else:
-        for edge in sorted(graph.edges):
-            probs[edge] = float(activation_prob)
-    return EdgeProbabilities(probs)
+        return EdgeProbabilities(graph, rng.uniform(lo, hi, size=graph.edge_count))
+    return EdgeProbabilities(graph, np.full(graph.edge_count, float(activation_prob)))
 
 
 def simulate_ic_cascade(graph: DataGraph, probs: EdgeProbabilities, seed_node: int,
@@ -154,16 +149,16 @@ def simulate_ic_cascade(graph: DataGraph, probs: EdgeProbabilities, seed_node: i
     """Breadth-order independent-cascade run from one seed node."""
     if not (0 <= seed_node < graph.node_count):
         raise ValueError(f"seed node {seed_node} out of range")
+    out_ptr, out_idx, p = graph.out_ptr, graph.out_idx, probs.p
     order = [seed_node]
     active = {seed_node}
     frontier = [seed_node]
     while frontier and len(order) < max_len:
         newly = []
         for u in frontier:
-            for v in graph.out[u]:
-                if v in active:
-                    continue
-                if rng.random() < probs.get(u, v):
+            a, b = out_ptr[u], out_ptr[u + 1]
+            for e, v in zip(range(a, b), out_idx[a:b].tolist()):
+                if v not in active and rng.random() < p[e]:
                     active.add(v)
                     newly.append(v)
         newly.sort()
@@ -207,7 +202,7 @@ def generate_dataset(config: SynthConfig, out_dir=None
         save_graph_file(out / "graph.txt", graph, header="edge list: src dst")
         save_cascades_file(out / "cascades.txt", cascades, graph,
                            header="one cascade per line, activation order")
-        probs.save(out / "edge_probs.txt", graph,
+        probs.save(out / "edge_probs.txt",
                    header="ground-truth IC probabilities: u v p")
         touched = {v for c in cascades for v in c}
         manifest = {

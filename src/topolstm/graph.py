@@ -1,5 +1,9 @@
 """Data graph and cascades, plus the reference topology views.
 
+The graph's only adjacency is its CSR out-adjacency ``(out_ptr, out_idx)``,
+built at construction.  Edge lookups, the edge list written to disk and
+per-edge arrays such as the IC-SB probabilities all go through CSR edge ids.
+
 A cascade is an ordered sequence of distinct activated nodes over a static
 directed graph.  At time step t the "activation attempt" edges seen so far
 form a DAG: every edge runs from a node activated before t to a node that is
@@ -15,7 +19,6 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -27,14 +30,23 @@ log = logging.getLogger(__name__)
 NodeId = int
 
 
-@dataclass(frozen=True)
 class DataGraph:
-    """Immutable directed graph with dense zero-based node ids."""
+    """Directed graph with dense zero-based node ids, held as one CSR
+    out-adjacency: u's successors are ``out_idx[out_ptr[u]:out_ptr[u + 1]]``
+    and the edge u -> out_idx[e] has CSR edge id e.  Per-edge data are arrays
+    indexed by edge id.  ``from_edges`` sorts each row, so its edge ids run in
+    (u, v) order; the methods read rows in any order."""
 
-    labels: tuple[str, ...]
-    out: tuple[tuple[NodeId, ...], ...]   # sorted successor lists
-    in_: tuple[tuple[NodeId, ...], ...]   # sorted predecessor lists
-    edges: frozenset[tuple[NodeId, NodeId]]
+    __slots__ = ("labels", "out_ptr", "out_idx", "label_index")
+
+    def __init__(self, labels: Sequence[str], out_ptr, out_idx):
+        self.labels = tuple(labels)
+        self.out_ptr = np.array(out_ptr, dtype=np.intp)
+        self.out_idx = np.array(out_idx, dtype=np.intp)
+        if self.out_ptr.shape != (len(self.labels) + 1,) or self.out_ptr[-1] != self.out_idx.size:
+            raise ValueError("out_ptr must hold node_count + 1 offsets ending at the edge count")
+        self.out_ptr.flags.writeable = self.out_idx.flags.writeable = False
+        self.label_index = {lab: i for i, lab in enumerate(self.labels)}
 
     @property
     def node_count(self) -> int:
@@ -42,77 +54,61 @@ class DataGraph:
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return self.out_idx.size
+
+    def edge_id(self, u: NodeId, v: NodeId) -> int:
+        """CSR edge id of u -> v, or -1 when the graph has no such edge."""
+        if not 0 <= u < self.node_count:
+            return -1
+        lo = self.out_ptr[u]
+        hit = np.flatnonzero(self.out_idx[lo:self.out_ptr[u + 1]] == v)
+        return int(lo + hit[0]) if hit.size else -1
 
     def has_edge(self, u: NodeId, v: NodeId) -> bool:
-        return (u, v) in self.edges
+        return self.edge_id(u, v) >= 0
+
+    def edge_pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """(src, dst) of every edge, in CSR edge-id order."""
+        return np.repeat(np.arange(self.node_count), np.diff(self.out_ptr)), self.out_idx
 
     def id_of(self, label: str) -> NodeId:
         try:
-            return self._label_index()[label]
+            return self.label_index[label]
         except KeyError:
             raise DataError(f"unknown node label {label!r}") from None
-
-    def _label_index(self) -> dict[str, NodeId]:
-        # Cached on first use; the dataclass is frozen so build lazily.
-        idx = getattr(self, "_label_idx", None)
-        if idx is None:
-            idx = {lab: i for i, lab in enumerate(self.labels)}
-            object.__setattr__(self, "_label_idx", idx)
-        return idx
-
-    def out_csr(self) -> tuple[np.ndarray, np.ndarray]:
-        """(out_ptr, out_idx), read-only intp arrays built on first use: u's
-        successors are out_idx[out_ptr[u]:out_ptr[u + 1]], in ``out`` order."""
-        if not hasattr(self, "_out_csr"):
-            out_ptr = np.cumsum([0] + [len(s) for s in self.out], dtype=np.intp)
-            out_idx = np.fromiter(chain.from_iterable(self.out), np.intp, out_ptr[-1])
-            out_ptr.flags.writeable = out_idx.flags.writeable = False
-            object.__setattr__(self, "_out_csr", (out_ptr, out_idx))
-        return self._out_csr
 
     def out_edges(self, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(row, target, edge) of every out-edge of ``nodes``, in row order:
         CSR edge ``edge`` runs from nodes[row] to ``target``."""
-        out_ptr, out_idx = self.out_csr()
-        start = out_ptr[nodes]
-        count = out_ptr[1:][nodes] - start
+        start = self.out_ptr[nodes]
+        count = self.out_ptr[1:][nodes] - start
         row = np.repeat(np.arange(nodes.size), count)
         edge = np.arange(row.size) + (start - np.cumsum(count) + count)[row]
-        return row, out_idx[edge], edge
+        return row, self.out_idx[edge], edge
 
     @classmethod
-    def from_edges(
-        cls,
-        node_count: int,
-        edges: Iterable[tuple[NodeId, NodeId]],
-        labels: Sequence[str] | None = None,
-    ) -> "DataGraph":
-        """Build a graph from (src, dst) id pairs; labels default to str(id)."""
-        if labels is None:
-            labels = tuple(str(i) for i in range(node_count))
-        else:
-            labels = tuple(labels)
-            if len(labels) != node_count:
-                raise ValueError("labels length must equal node_count")
-        edge_set = set()
-        for u, v in edges:
-            if not (0 <= u < node_count and 0 <= v < node_count):
-                raise ValueError(f"edge ({u}, {v}) out of range for {node_count} nodes")
-            if u == v:
-                raise DataError(f"self-loop on node {u}")
-            edge_set.add((u, v))
-        out: list[list[NodeId]] = [[] for _ in range(node_count)]
-        in_: list[list[NodeId]] = [[] for _ in range(node_count)]
-        for u, v in edge_set:
-            out[u].append(v)
-            in_[v].append(u)
-        return cls(
-            labels=labels,
-            out=tuple(tuple(sorted(s)) for s in out),
-            in_=tuple(tuple(sorted(s)) for s in in_),
-            edges=frozenset(edge_set),
-        )
+    def from_edges(cls, node_count: int, edges: Iterable[tuple[NodeId, NodeId]],
+                   labels: Sequence[str] | None = None) -> "DataGraph":
+        """Build a graph from (src, dst) id pairs, dropping repeats; labels
+        default to str(id).  The first bad pair raises: ValueError when out
+        of range, DataError when a self-loop."""
+        labels = tuple(str(i) for i in range(node_count)) if labels is None else tuple(labels)
+        if len(labels) != node_count:
+            raise ValueError("labels length must equal node_count")
+        pairs = np.array(list(edges), dtype=np.intp).reshape(-1, 2)
+        u, v = pairs.T
+        bad = ((pairs < 0) | (pairs >= node_count)).any(axis=1) | (u == v)
+        if bad.any():
+            a, b = pairs[bad.argmax()].tolist()
+            if a == b and 0 <= a < node_count:
+                raise DataError(f"self-loop on node {a}")
+            raise ValueError(f"edge ({a}, {b}) out of range for {node_count} nodes")
+        # Sorted by (u, v), repeats dropped; np.unique would import numpy.ma (~1 MB).
+        key = np.sort(u * node_count + v)
+        src, dst = np.divmod(key[np.diff(key, prepend=-1) != 0], node_count)
+        out_ptr = np.zeros(node_count + 1, dtype=np.intp)
+        np.cumsum(np.bincount(src, minlength=node_count), out=out_ptr[1:])
+        return cls(labels, out_ptr, dst)
 
 
 def load_graph(text: str, undirected: bool = False) -> DataGraph:
@@ -124,14 +120,7 @@ def load_graph(text: str, undirected: bool = False) -> DataGraph:
     warning; self-loops and malformed lines raise DataError naming the line.
     """
     label_to_id: dict[str, NodeId] = {}
-    edge_set: set[tuple[NodeId, NodeId]] = set()
-    duplicates = 0
-
-    def intern(label: str) -> NodeId:
-        if label not in label_to_id:
-            label_to_id[label] = len(label_to_id)
-        return label_to_id[label]
-
+    pairs: list[tuple[NodeId, NodeId]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -142,19 +131,16 @@ def load_graph(text: str, undirected: bool = False) -> DataGraph:
         src, dst = parts
         if src == dst:
             raise DataError(f"graph line {lineno}: self-loop on node {src!r}")
-        u, v = intern(src), intern(dst)
-        pairs = [(u, v), (v, u)] if undirected else [(u, v)]
-        for pair in pairs:
-            if pair in edge_set:
-                duplicates += 1
-            else:
-                edge_set.add(pair)
-
-    if duplicates:
-        log.warning("dropped %d duplicate edge(s) while loading graph", duplicates)
-
-    labels = tuple(sorted(label_to_id, key=label_to_id.__getitem__))
-    return DataGraph.from_edges(len(labels), edge_set, labels)
+        u = label_to_id.setdefault(src, len(label_to_id))
+        v = label_to_id.setdefault(dst, len(label_to_id))
+        pairs.append((u, v))
+        if undirected:
+            pairs.append((v, u))
+    graph = DataGraph.from_edges(len(label_to_id), pairs, tuple(label_to_id))
+    if len(pairs) > graph.edge_count:
+        log.warning("dropped %d duplicate edge(s) while loading graph",
+                    len(pairs) - graph.edge_count)
+    return graph
 
 
 def load_graph_file(path, undirected: bool = False) -> DataGraph:
@@ -166,7 +152,8 @@ def save_graph_file(path, graph: DataGraph, header: str | None = None) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         if header:
             fh.write(f"# {header}\n")
-        for u, v in sorted(graph.edges):
+        src, dst = graph.edge_pairs()
+        for u, v in zip(src.tolist(), dst.tolist()):
             fh.write(f"{graph.labels[u]} {graph.labels[v]}\n")
 
 
@@ -203,7 +190,7 @@ class Cascade:
 
 def load_cascades(text: str, graph: DataGraph) -> list[Cascade]:
     """Parse one cascade per line (labels in activation order), validated against graph."""
-    idx = {lab: i for i, lab in enumerate(graph.labels)}
+    idx = graph.label_index
     cascades: list[Cascade] = []
     unknown: dict[str, int] = {}  # offending label -> first line seen
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -211,14 +198,12 @@ def load_cascades(text: str, graph: DataGraph) -> list[Cascade]:
         if not line or line.startswith("#"):
             continue
         labels = line.split()
-        ids = []
         for lab in labels:
             if lab not in idx:
                 unknown.setdefault(lab, lineno)
-                continue
-            ids.append(idx[lab])
         if unknown:
             continue  # keep scanning so the diagnostic lists every offender
+        ids = [idx[lab] for lab in labels]
         if len(set(ids)) != len(ids):
             raise DataError(f"cascade line {lineno}: repeated node in {line!r}")
         cascades.append(Cascade(tuple(ids)))
@@ -245,22 +230,21 @@ def save_cascades_file(path, cascades: Iterable[Cascade], graph: DataGraph,
 class DiffusionTopology:
     """The precedents of every node at one time step of a cascade.
 
-    A view over a graph, an activation order, the order's node -> position
-    map and a time t: the active prefix is the nodes activated strictly
-    before t, and a node's precedents are its in-neighbours in that prefix
-    that activated before it, ordered by activation time.  The model does
-    not read these views; it builds one CSR precedent index per cascade
-    (``model._precedent_index``).  They serve the dict-based reference
-    scorers that the benchmark's gates compare against.
+    A view over a graph, an activation order, each node's in-neighbour rows
+    in the order that activated before it, and a time t: the active prefix is
+    the nodes activated strictly before t, and a node's precedents are those
+    in-neighbours in that prefix, ordered by activation time.  The model does not read these views; it builds one CSR
+    precedent index per cascade (``model._precedent_index``).  They serve the
+    dict-based reference scorers that the benchmark's gates compare against.
     """
 
-    __slots__ = ("graph", "_order", "_pos", "time")
+    __slots__ = ("graph", "_order", "_in_rows", "time")
 
     def __init__(self, graph: DataGraph, order: tuple[NodeId, ...],
-                 pos: dict[NodeId, int], time: int):
+                 in_rows: dict[NodeId, list[int]], time: int):
         self.graph = graph
         self._order = order
-        self._pos = pos
+        self._in_rows = in_rows
         self.time = time
 
     @property
@@ -268,17 +252,21 @@ class DiffusionTopology:
         return self._order[: self.time - 1]
 
     def precedents(self, v: NodeId) -> tuple[NodeId, ...]:
-        pos = self._pos
-        limit = min(self.time - 1, pos.get(v, self.time))
-        return tuple(sorted((u for u in self.graph.in_[v] if pos.get(u, limit) < limit),
-                            key=pos.__getitem__))
+        return tuple(self._order[r] for r in self._in_rows.get(v, ()) if r < self.time - 1)
 
 
 def build_topologies(graph: DataGraph, cascade: Cascade) -> list[DiffusionTopology]:
-    """The views for t = 1..T+1, all over one order and position map."""
+    """The views for t = 1..T+1, all over one order and one set of in-neighbour
+    rows: v's rows are the ascending positions of the order's nodes that have
+    an edge into v and activated before v, from one ``out_edges`` call."""
     order = cascade.nodes
     for node in order:
         if not 0 <= node < graph.node_count:
             raise ValueError(f"node {node} out of range")
     pos = {v: i for i, v in enumerate(order)}
-    return [DiffusionTopology(graph, order, pos, t) for t in range(1, len(order) + 2)]
+    in_rows: dict[NodeId, list[int]] = {}
+    row, target, _ = graph.out_edges(np.asarray(order, dtype=np.intp))
+    for r, v in zip(row.tolist(), target.tolist()):
+        if r < pos.get(v, r + 1):
+            in_rows.setdefault(v, []).append(r)
+    return [DiffusionTopology(graph, order, in_rows, t) for t in range(1, len(order) + 2)]

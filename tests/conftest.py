@@ -1,5 +1,8 @@
+import numpy as np
 import pytest
 
+import oracle
+from topolstm.baseline import EdgeProbabilities
 from topolstm.graph import Cascade, DataGraph
 
 
@@ -37,3 +40,24 @@ def precedent_rows(result):
     """The precedent positions of every step, as lists, from the result's CSR."""
     ptr = result.prec_ptr.tolist()
     return [result.prec_pos[ptr[r]:ptr[r + 1]].tolist() for r in range(len(ptr) - 1)]
+
+
+def reversed_rows(graph):
+    """The same graph with every CSR row stored in reverse order."""
+    ptr, idx = graph.out_ptr, graph.out_idx
+    rows = [idx[ptr[u]:ptr[u + 1]][::-1] for u in range(graph.node_count)]
+    return DataGraph(graph.labels, ptr, np.concatenate(rows or [idx]))
+
+
+def edge_probs(graph, mapping):
+    """EdgeProbabilities from a {(u, v): p} map over some of the graph's edges
+    (the others get 0)."""
+    assert set(mapping) <= oracle.edge_set(graph)
+    src, dst = graph.edge_pairs()
+    return EdgeProbabilities(graph, [mapping.get(e, 0.0) for e in zip(src.tolist(), dst.tolist())])
+
+
+def prob_dict(probs):
+    """An EdgeProbabilities as a {(u, v): p} map over every edge of its graph."""
+    src, dst = probs.graph.edge_pairs()
+    return dict(zip(zip(src.tolist(), dst.tolist()), probs.p.tolist()))

@@ -1,10 +1,12 @@
 """Brute-force oracle for the model and the IC-SB baseline, written from the
 paper's definitions.
 
-Each function recomputes its answer from the graph's edge set and the
-cascade's activation order, with no validation and no view class.  Times are
-1-based: at step t the nodes ``cascade[:t-1]`` are active and ``cascade[t-1]``
-activates.  The tests run the production code against these functions.
+Each function recomputes its answer from the graph's edge set (the pairs
+``DataGraph.edge_pairs`` reads off the CSR; ``test_graph`` checks them
+against a set model of the input) and the cascade's activation order, with
+no validation and no view class.  Times are 1-based: at step t the nodes
+``cascade[:t-1]`` are active and ``cascade[t-1]`` activates.  The tests run
+the production code against these functions.
 """
 
 import math
@@ -12,11 +14,17 @@ import math
 import numpy as np
 
 
+def edge_set(graph):
+    """The graph's edges as a set of (src, dst) int pairs."""
+    src, dst = graph.edge_pairs()
+    return set(zip(src.tolist(), dst.tolist()))
+
+
 def attempt_edges(graph, cascade, t):
     """The activation-attempt DAG at t: each graph edge out of an active node
     whose target is still inactive or activated after the source."""
     time_of = {v: i for i, v in enumerate(cascade.nodes[: t - 1], start=1)}
-    return {(u, w) for (u, w) in graph.edges
+    return {(u, w) for (u, w) in edge_set(graph)
             if u in time_of and time_of.get(w, t) > time_of[u]}
 
 
@@ -93,7 +101,7 @@ def recount_oracle(graph, cascades):
     """IC-SB fit by exhaustive recount over every (edge, cascade) pair:
     p(u, v) is the share of the cascades containing u in which v follows u."""
     probs = {}
-    for (u, v) in graph.edges:
+    for (u, v) in edge_set(graph):
         num = den = 0
         for c in cascades:
             nodes = list(c.nodes)
@@ -107,7 +115,8 @@ def recount_oracle(graph, cascades):
 
 def noisy_or_scores(graph, probs, cascade, t):
     """IC-SB score of every inactive node w at step t >= 2: one minus the
-    product, in activation order, of 1 - p(u, w) over w's precedents u."""
+    product, in activation order, of 1 - p(u, w) over w's precedents u
+    (``probs`` maps (u, w) to p; a missing edge counts as 0)."""
     active = cascade.nodes[: t - 1]
     scores = {}
     for w in range(graph.node_count):

@@ -16,7 +16,7 @@ import pytest
 
 import oracle
 from topolstm import cli
-from topolstm.baseline import EdgeProbabilities, ICSBScorer, fit_static_bernoulli, icsb_score
+from topolstm.baseline import ICSBScorer, fit_static_bernoulli, icsb_score
 from topolstm.datagen import PRESETS, SynthConfig, generate_dataset
 from topolstm.evaluation import ModelScorer, evaluate, hits_at_k, map_at_k
 from topolstm.graph import Cascade, DataGraph, build_topologies
@@ -24,7 +24,7 @@ from topolstm.model import ModelConfig, forward_cascade
 from topolstm.numeric import finite_difference_check
 from topolstm.training import TrainConfig, objective, objective_and_gradient, split_dataset, train
 
-from conftest import random_cascade, random_graph
+from conftest import edge_probs, prob_dict, random_cascade, random_graph
 from test_graph import assert_view_matches_oracle, index_rows
 from test_model import perturbed_model
 
@@ -213,14 +213,15 @@ def test_08_icsb_fidelity():
                     for _ in range(30)]
         fitted = fit_static_bernoulli(graph, cascades)
         want = oracle.recount_oracle(graph, cascades)
-        assert set(fitted.probs) == set(want)
+        got = prob_dict(fitted)
+        assert set(got) == set(want)
         for edge, p in want.items():
-            assert fitted.probs[edge] == pytest.approx(p)
+            assert got[edge] == pytest.approx(p)
 
         # noisy-OR closed forms over enumerated precedent sets
         g = DataGraph.from_edges(5, [(0, 4), (1, 4), (2, 4), (3, 4)])
         p_vals = {(0, 4): 0.3, (1, 4): 0.5, (2, 4): 0.0, (3, 4): 1.0}
-        probs = EdgeProbabilities(p_vals)
+        probs = edge_probs(g, p_vals)
         for t, prefix in ((2, (0,)), (3, (0, 1)), (4, (0, 1, 2)),
                           (5, (0, 1, 2, 3))):
             topo = build_topologies(g, Cascade(prefix + (4,)))[t - 1]

@@ -9,7 +9,7 @@ from topolstm.baseline import (EdgeProbabilities, ICSBScorer,
 from topolstm.errors import DataError
 from topolstm.graph import Cascade, DataGraph, build_topologies
 
-from conftest import random_cascade, random_graph
+from conftest import edge_probs, prob_dict, random_cascade, random_graph, reversed_rows
 
 
 @st.composite
@@ -27,13 +27,13 @@ def assert_fit_and_steps_match_oracle(m, edges, cascades):
     graph = DataGraph.from_edges(m, edges)
     cascades = [Cascade(c) for c in cascades]
     fitted = fit_static_bernoulli(graph, cascades)
-    assert fitted.probs == oracle.recount_oracle(graph, cascades)
+    assert prob_dict(fitted) == oracle.recount_oracle(graph, cascades)
     scorer = ICSBScorer(graph, fitted)
     for cascade in cascades:
         steps = list(scorer.step_scores(cascade))
         assert len(steps) == len(cascade) - 1
         for t, (cand, scores, target) in enumerate(steps, start=2):
-            want = oracle.noisy_or_scores(graph, fitted.probs, cascade, t)
+            want = oracle.noisy_or_scores(graph, prob_dict(fitted), cascade, t)
             assert target == cascade[t - 1]
             assert cand.tolist() == sorted(want)
             assert scores.tolist() == [want[w] for w in cand.tolist()]
@@ -59,7 +59,7 @@ class TestFitStaticBernoulli:
         cascades = [random_cascade(rng, 10, int(rng.integers(1, 8)))
                     for _ in range(30)]
         got = fit_static_bernoulli(g, cascades)
-        assert got.probs == oracle.recount_oracle(g, cascades)
+        assert prob_dict(got) == oracle.recount_oracle(g, cascades)
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(graphs_and_cascades())
@@ -72,18 +72,20 @@ class TestFitStaticBernoulli:
         assert_fit_and_steps_match_oracle(*case)
 
     def test_adjacency_storage_order_is_neutral(self):
-        # The same graph with every adjacency list stored in reverse order.
+        # The same graph with every CSR row stored in reverse order: the
+        # edge ids differ, the probability of each (u, v) does not.
         rng = np.random.default_rng(33)
         g = random_graph(rng, 12, 40)
-        reversed_g = DataGraph(g.labels, tuple(s[::-1] for s in g.out),
-                               tuple(s[::-1] for s in g.in_), g.edges)
+        reversed_g = reversed_rows(g)
         cascades = [random_cascade(rng, 12, int(rng.integers(1, 9))) for _ in range(20)]
-        fitted = fit_static_bernoulli(reversed_g, cascades)
-        assert fitted.probs == fit_static_bernoulli(g, cascades).probs
+        fitted = fit_static_bernoulli(g, cascades)
+        fitted_reversed = fit_static_bernoulli(reversed_g, cascades)
+        assert prob_dict(fitted_reversed) == prob_dict(fitted)
+        assert not np.array_equal(fitted_reversed.p, fitted.p)
         for cascade in cascades:
             for (c1, s1, _), (c2, s2, _) in zip(
                     ICSBScorer(g, fitted).step_scores(cascade),
-                    ICSBScorer(reversed_g, fitted).step_scores(cascade)):
+                    ICSBScorer(reversed_g, fitted_reversed).step_scores(cascade)):
                 np.testing.assert_array_equal(c1, c2)
                 np.testing.assert_array_equal(s1, s2)
 
@@ -94,45 +96,46 @@ class TestFitStaticBernoulli:
         cascades = [random_cascade(rng, 30, int(rng.integers(1, 20))) for _ in range(25)]
         whole = fit_static_bernoulli(g, cascades)
         monkeypatch.setattr("topolstm.baseline.FIT_CHUNK", 5)
-        assert fit_static_bernoulli(g, cascades).probs == whole.probs
+        np.testing.assert_array_equal(fit_static_bernoulli(g, cascades).p, whole.p)
 
     def test_values_in_unit_interval(self):
         rng = np.random.default_rng(31)
         g = random_graph(rng, 8, 20)
         cascades = [random_cascade(rng, 8, 4) for _ in range(15)]
         probs = fit_static_bernoulli(g, cascades)
-        assert all(0.0 <= p <= 1.0 for p in probs.probs.values())
+        assert probs.p.shape == (g.edge_count,)
+        assert ((probs.p >= 0.0) & (probs.p <= 1.0)).all()
 
 
 class TestIcsbScore:
     def test_single_precedent(self):
         g = DataGraph.from_edges(3, [(0, 1), (0, 2)])
-        probs = EdgeProbabilities({(0, 1): 0.3, (0, 2): 0.0})
+        probs = edge_probs(g, {(0, 1): 0.3, (0, 2): 0.0})
         scores = icsb_score(probs, build_topologies(g, Cascade((0, 1)))[1])
         assert scores[1] == pytest.approx(0.3)
         assert scores[2] == pytest.approx(0.0)
 
     def test_two_precedents_closed_form(self):
         g = DataGraph.from_edges(3, [(0, 2), (1, 2)])
-        probs = EdgeProbabilities({(0, 2): 0.5, (1, 2): 0.5})
+        probs = edge_probs(g, {(0, 2): 0.5, (1, 2): 0.5})
         scores = icsb_score(probs, build_topologies(g, Cascade((0, 1, 2)))[2])
         assert scores[2] == pytest.approx(0.75)
 
     def test_certain_edge_absorbs(self):
         g = DataGraph.from_edges(4, [(0, 3), (1, 3), (2, 3)])
-        probs = EdgeProbabilities({(0, 3): 1.0, (1, 3): 0.2, (2, 3): 0.9})
+        probs = edge_probs(g, {(0, 3): 1.0, (1, 3): 0.2, (2, 3): 0.9})
         scores = icsb_score(probs, build_topologies(g, Cascade((0, 1, 2, 3)))[3])
         assert scores[3] == pytest.approx(1.0)
 
     def test_empty_precedents_score_zero(self):
         g = DataGraph.from_edges(3, [(0, 1)])
-        probs = EdgeProbabilities({(0, 1): 0.8})
+        probs = edge_probs(g, {(0, 1): 0.8})
         scores = icsb_score(probs, build_topologies(g, Cascade((0, 1)))[1])
         assert scores[2] == 0.0
 
     def test_monotone_in_added_precedents(self):
         g = DataGraph.from_edges(4, [(0, 3), (1, 3), (2, 3)])
-        probs = EdgeProbabilities({(0, 3): 0.4, (1, 3): 0.25, (2, 3): 0.6})
+        probs = edge_probs(g, {(0, 3): 0.4, (1, 3): 0.25, (2, 3): 0.6})
         cascade = Cascade((0, 1, 2))
         values = [icsb_score(probs, build_topologies(g, cascade)[t - 1])[3]
                   for t in (2, 3, 4)]
@@ -141,7 +144,7 @@ class TestIcsbScore:
 
     def test_zero_probability_precedent_is_noop(self):
         g = DataGraph.from_edges(3, [(0, 2), (1, 2)])
-        probs = EdgeProbabilities({(0, 2): 0.35, (1, 2): 0.0})
+        probs = edge_probs(g, {(0, 2): 0.35, (1, 2): 0.0})
         with_one = icsb_score(probs, build_topologies(g, Cascade((0, 1)))[1])
         with_two = icsb_score(probs, build_topologies(g, Cascade((0, 1)))[2])
         assert with_one[2] == pytest.approx(with_two[2])
@@ -165,22 +168,27 @@ class TestIcsbScore:
 class TestEdgeProbabilitiesIO:
     def test_round_trip(self, tmp_path):
         g = DataGraph.from_edges(3, [(0, 1), (1, 2)], labels=("x", "y", "z"))
-        probs = EdgeProbabilities({(0, 1): 0.25, (1, 2): 1.0 / 3.0})
+        probs = EdgeProbabilities(g, [0.25, 1.0 / 3.0])
         path = tmp_path / "probs.txt"
-        probs.save(path, g, header="u v p")
+        probs.save(path, header="u v p")
+        assert path.read_text().splitlines() == ["# u v p", "x y 0.25", f"y z {1.0 / 3.0!r}"]
         again = EdgeProbabilities.load(path, g)
-        assert again.probs == probs.probs
+        np.testing.assert_array_equal(again.p, probs.p)
 
     def test_numpy_values_round_trip(self, tmp_path):
         g = DataGraph.from_edges(3, [(0, 1), (1, 2)])
-        probs = EdgeProbabilities({(0, 1): np.float64(0.6), (1, 2): np.float64(0.0)})
-        probs.save(tmp_path / "probs.txt", g)
+        probs = EdgeProbabilities(g, np.array([0.6, 0.0]))
+        probs.save(tmp_path / "probs.txt")
         assert "np.float64" not in (tmp_path / "probs.txt").read_text()
-        assert EdgeProbabilities.load(tmp_path / "probs.txt", g).probs == probs.probs
+        np.testing.assert_array_equal(EdgeProbabilities.load(tmp_path / "probs.txt", g).p, probs.p)
 
     def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            EdgeProbabilities({(0, 1): 1.5})
+        g = DataGraph.from_edges(3, [(0, 1), (1, 2)])
+        for bad in (1.5, -0.1, np.nan):
+            with pytest.raises(ValueError, match=r"for edge \(1, 2\) outside"):
+                EdgeProbabilities(g, [0.5, bad])
+        with pytest.raises(ValueError, match="need 2 edge probabilities"):
+            EdgeProbabilities(g, [0.5])
 
     @pytest.mark.parametrize("lines, bad_line, what", [
         (["0 1 0.5", "3 5 0.9"], 2, "not an edge"),
@@ -192,3 +200,19 @@ class TestEdgeProbabilitiesIO:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(DataError, match=f"line {bad_line}: .*{what}"):
             EdgeProbabilities.load(path, g)
+
+    @pytest.mark.parametrize("value", ["x", "nan", "1.5", "-0.1", "inf"])
+    def test_rejects_bad_probability_naming_the_line(self, tmp_path, value):
+        g = DataGraph.from_edges(6, [(0, 1), (5, 3)])
+        path = tmp_path / "probs.txt"
+        path.write_text(f"# u v p\n0 1 0.5\n5 3 {value}\n")
+        with pytest.raises(DataError, match=rf"line 3: p = '{value}' is not a number in \[0, 1\]"):
+            EdgeProbabilities.load(path, g)
+
+    def test_edges_the_file_omits_get_zero(self, tmp_path):
+        g = DataGraph.from_edges(3, [(0, 1), (1, 2), (2, 0)])
+        path = tmp_path / "probs.txt"
+        path.write_text("1 2 0.75\n")
+        probs = EdgeProbabilities.load(path, g)
+        assert probs.p.tolist() == [0.0, 0.75, 0.0]
+        assert probs.get(1, 2) == 0.75 and probs.get(0, 1) == probs.get(0, 2) == 0.0

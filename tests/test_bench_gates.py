@@ -16,6 +16,8 @@ import pytest
 import oracle
 from topolstm.model import SCORE_MODES
 
+from conftest import prob_dict
+
 RUN_PY = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
 SEED = 1
 
@@ -68,4 +70,4 @@ def test_setup_loads_inputs_and_fits_icsb(run_module, workload, tmp_path):
     if seeded is not None:
         assert run.checkpoint_mismatches(st, seeded) == []
     assert st.train and st.test
-    assert st.probs.probs == oracle.recount_oracle(st.graph, st.train)
+    assert prob_dict(st.probs) == oracle.recount_oracle(st.graph, st.train)

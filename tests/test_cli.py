@@ -1,4 +1,5 @@
 import filecmp
+import hashlib
 import json
 
 import numpy as np
@@ -65,6 +66,29 @@ class TestGenerate:
             assert filecmp.cmp(tmp_path / "a" / name, tmp_path / "b" / name,
                                shallow=False)
 
+    # sha256 of the files `generate --preset` writes, so a change to graph
+    # building, probability draws or the simulation shows; manifest.json
+    # embeds the tool version and is left out.
+    PRESET_DIGESTS = {
+        "desk-default": {
+            "graph.txt": "4e60e0193ac9161c3afaddc98744da97c78fba9a7e5996148f9e27d83176d511",
+            "cascades.txt": "e2429711c4a8d430518770ed549353cd69e14522aeb9925dd0d133104949060d",
+            "edge_probs.txt": "5ef2aa1cc94b0df2647c2d1c7e332f64bc361a24d7a793292348f2eca1df3146",
+        },
+        "chain-deterministic": {
+            "graph.txt": "2c5774932e8393b51fecd26a5697f17b3eed823f4e817678a2717accf7d9d711",
+            "cascades.txt": "ef013d169ffeaba2cdae067ff2ad78469a245b72e1dd4f6505a2779f02352560",
+            "edge_probs.txt": "417292a43353c55dfd67832a613b160ce161593b0b39c19401f65d07d1c9eb85",
+        },
+    }
+
+    @pytest.mark.parametrize("preset", sorted(PRESET_DIGESTS))
+    def test_preset_files_pinned(self, tmp_path, preset):
+        assert cli.main(["generate", "--preset", preset, "--out", str(tmp_path)]) == 0
+        digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                   for name in self.PRESET_DIGESTS[preset]}
+        assert digests == self.PRESET_DIGESTS[preset]
+
     def test_negative_seed_exit_2_names_it(self, tmp_path, capsys):
         code = cli.main(["generate", "--preset", "desk-default", "--seed", "-1",
                          "--out", str(tmp_path / "g")])
@@ -72,6 +96,17 @@ class TestGenerate:
         assert code == 2 and "Traceback" not in err
         errors = [line for line in err.splitlines() if line.startswith("error:")]
         assert len(errors) == 1 and "seed" in errors[0] and "-1" in errors[0]
+
+    @pytest.mark.parametrize("value", ["inf", "nan", "-1"])
+    def test_bad_edge_param_exit_2_names_it(self, tmp_path, capsys, value):
+        code = cli.main(["generate", "--nodes", "20", "--graph-model", "uniform-random-edges",
+                         "--edge-param", value, "--activation-prob", "0.5",
+                         "--cascades", "5", "--max-len", "4", "--out", str(tmp_path / "g")])
+        err = capsys.readouterr().err
+        assert code == 2 and "Traceback" not in err
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and "edge_param" in errors[0] and value in errors[0]
+        assert not (tmp_path / "g").exists()
 
 
 class TestTrain:
@@ -278,6 +313,19 @@ class TestEvaluate:
     ])
     def test_edge_probs_lines_scoring_would_ignore_exit_2(
             self, data_dir, run_dir, tmp_path, capsys, lines, bad_line, what):
+        error = self._evaluate_with_bad_probs(data_dir, run_dir, tmp_path, capsys, lines)
+        assert f"line {bad_line}" in error and what in error
+
+    @pytest.mark.parametrize("value", ["x", "nan", "1.5", "-0.1"])
+    def test_edge_probs_bad_probability_exit_2(self, data_dir, run_dir, tmp_path, capsys, value):
+        error = self._evaluate_with_bad_probs(data_dir, run_dir, tmp_path, capsys,
+                                              ["0 1 0.5", f"1 2 {value}"])
+        assert f"line 2: p = '{value}' is not a number in [0, 1]" in error
+
+    @staticmethod
+    def _evaluate_with_bad_probs(data_dir, run_dir, tmp_path, capsys, lines):
+        """Run evaluate with an --edge-probs file of ``lines``; it must exit 2
+        with one error line and no traceback, which is returned."""
         probs = tmp_path / "probs.txt"
         probs.write_text("\n".join(lines) + "\n")
         code = cli.main(["evaluate", "--checkpoint", str(run_dir / "checkpoint.bin"),
@@ -288,7 +336,8 @@ class TestEvaluate:
         err = capsys.readouterr().err
         assert code == 2 and "Traceback" not in err
         errors = [line for line in err.splitlines() if line.startswith("error:")]
-        assert len(errors) == 1 and f"line {bad_line}" in errors[0] and what in errors[0]
+        assert len(errors) == 1
+        return errors[0]
 
     def test_reruns_byte_identical(self, data_dir, run_dir, tmp_path):
         args = ["evaluate", "--checkpoint", str(run_dir / "checkpoint.bin"),

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+import oracle
 from topolstm.baseline import EdgeProbabilities
 from topolstm.datagen import (PRESETS, SynthConfig, assign_edge_probs,
                               generate_dataset, generate_graph,
@@ -23,7 +24,7 @@ def cfg(**overrides):
 class TestGenerateGraph:
     def test_chain(self):
         g = generate_graph(cfg(node_count=5, graph_model="chain"))
-        assert g.edges == {(0, 1), (1, 2), (2, 3), (3, 4)}
+        assert oracle.edge_set(g) == {(0, 1), (1, 2), (2, 3), (3, 4)}
 
     def test_zero_density_empty(self):
         g = generate_graph(cfg(graph_model="uniform-random-edges", edge_param=0))
@@ -44,13 +45,14 @@ class TestGenerateGraph:
     def test_same_seed_identical(self):
         a = generate_graph(cfg(seed=9))
         b = generate_graph(cfg(seed=9))
-        assert a.edges == b.edges
+        np.testing.assert_array_equal(a.out_ptr, b.out_ptr)
+        np.testing.assert_array_equal(a.out_idx, b.out_idx)
 
     def test_grid_neighbors(self):
         g = generate_graph(cfg(node_count=9, graph_model="grid"))
-        assert (0, 1) in g.edges and (1, 0) in g.edges
-        assert (0, 3) in g.edges and (3, 0) in g.edges
-        assert (0, 4) not in g.edges
+        assert g.has_edge(0, 1) and g.has_edge(1, 0)
+        assert g.has_edge(0, 3) and g.has_edge(3, 0)
+        assert not g.has_edge(0, 4)
 
     def test_preferential_attachment_connected(self):
         g = generate_graph(cfg(node_count=50,
@@ -58,7 +60,7 @@ class TestGenerateGraph:
                                edge_param=3))
         assert g.edge_count > 0
         # every non-seed node attaches to >= edge_param targets, both ways
-        assert all(len(g.out[v]) >= 3 for v in range(3, 50))
+        assert (np.diff(g.out_ptr)[3:] >= 3).all()
 
     def test_pa_attachment_count_validated(self):
         with pytest.raises(ConfigError):
@@ -90,7 +92,7 @@ class TestSimulateIC:
         # average; 1e4 runs keep the sample mean within 3 sigma.
         leaves = 12
         g = DataGraph.from_edges(leaves + 1, [(0, i + 1) for i in range(leaves)])
-        probs = EdgeProbabilities({e: 0.5 for e in g.edges})
+        probs = EdgeProbabilities(g, np.full(leaves, 0.5))
         rng = np.random.default_rng(7)
         runs = 10_000
         total = sum(len(simulate_ic_cascade(g, probs, 0, 50, rng)) - 1
@@ -116,7 +118,7 @@ class TestSimulateIC:
             seen = set()
             for i, v in enumerate(c.nodes):
                 if i > 0:
-                    assert any(u in seen for u in g.in_[v])
+                    assert any(g.has_edge(u, v) for u in seen)
                 seen.add(v)
 
 
@@ -129,7 +131,7 @@ class TestGenerateDataset:
             nodes = c.nodes
             assert all(b == a + 1 for a, b in zip(nodes, nodes[1:]))
             assert nodes[-1] == 49 or len(nodes) == 12
-        assert all(p == 1.0 for p in probs.probs.values())
+        assert probs.p.shape == (graph.edge_count,) and (probs.p == 1.0).all()
 
     def test_zero_cascades(self, tmp_path):
         generate_dataset(cfg(cascade_count=0), out_dir=tmp_path)
@@ -178,6 +180,13 @@ class TestSynthConfigValidation:
     def test_bad_range(self):
         with pytest.raises(ConfigError):
             cfg(activation_prob=(0.8, 0.2))
+
+    @pytest.mark.parametrize("value", [float("inf"), float("nan"), -1.0])
+    def test_bad_edge_param(self, value):
+        with pytest.raises(ConfigError, match=f"edge_param must be finite and >= 0, got {value}"):
+            cfg(edge_param=value)
+        with pytest.raises(ConfigError, match="edge_param"):
+            cfg(graph_model="chain", edge_param=value)
 
     def test_bad_model(self):
         with pytest.raises(ConfigError):

@@ -1,15 +1,24 @@
 import logging
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracle
 from topolstm.errors import DataError
 from topolstm.graph import (Cascade, DataGraph, build_topologies, load_cascades,
-                            load_graph)
+                            load_graph, load_graph_file, save_graph_file)
 from topolstm.model import Model, ModelConfig, forward_cascade
 
-from conftest import precedent_rows, random_cascade, random_graph
+from conftest import precedent_rows, random_cascade, random_graph, reversed_rows
+
+
+def csr_rows(graph):
+    return [graph.out_idx[graph.out_ptr[u]:graph.out_ptr[u + 1]].tolist()
+            for u in range(graph.node_count)]
 
 
 class TestLoadGraph:
@@ -52,32 +61,109 @@ class TestOutAdjacency:
     @pytest.mark.parametrize("storage", ["sorted", "reversed"])
     def test_csr_reproduces_out(self, storage):
         g = random_graph(np.random.default_rng(9), 15, 50)
+        want = [sorted(v for (u, v) in oracle.edge_set(g) if u == w) for w in range(15)]
         if storage == "reversed":   # as in test_model's storage-permutation test
-            g = DataGraph(g.labels, tuple(s[::-1] for s in g.out),
-                          tuple(s[::-1] for s in g.in_), g.edges)
-        out_ptr, out_idx = g.out_csr()
-        assert out_ptr.dtype == out_idx.dtype == np.intp
-        assert out_ptr.size == g.node_count + 1 and out_idx.size == g.edge_count
-        assert [out_idx[out_ptr[u]:out_ptr[u + 1]].tolist() for u in range(g.node_count)] \
-            == [list(s) for s in g.out]
-        assert not out_ptr.flags.writeable and not out_idx.flags.writeable
-        assert g.out_csr()[1] is out_idx   # built once
+            g = reversed_rows(g)
+            want = [row[::-1] for row in want]
+        assert g.out_ptr.dtype == g.out_idx.dtype == np.intp
+        assert g.out_ptr.size == g.node_count + 1 and g.out_idx.size == g.edge_count
+        assert csr_rows(g) == want
+        assert not g.out_ptr.flags.writeable and not g.out_idx.flags.writeable
+        src, dst = g.edge_pairs()
+        assert [g.edge_id(u, v) for u, v in zip(src.tolist(), dst.tolist())] \
+            == list(range(g.edge_count))
+        assert g.edge_id(-1, 0) == g.edge_id(15, 0) == -1
+
+    def test_constructor_checks_offsets(self):
+        with pytest.raises(ValueError, match="node_count \\+ 1 offsets"):
+            DataGraph(("a", "b"), [0, 1], [1])
+        with pytest.raises(ValueError, match="node_count \\+ 1 offsets"):
+            DataGraph(("a", "b"), [0, 1, 2], [1])
 
     def test_edgeless_and_empty(self):
         for g in (DataGraph.from_edges(3, []), load_graph("")):
-            out_ptr, out_idx = g.out_csr()
-            assert out_ptr.tolist() == [0] * (g.node_count + 1) and out_idx.size == 0
+            assert g.out_ptr.tolist() == [0] * (g.node_count + 1) and g.out_idx.size == 0
             row, target, edge = g.out_edges(np.arange(g.node_count))
             assert row.size == target.size == edge.size == 0
 
     def test_out_edges_in_row_order(self):
         g = random_graph(np.random.default_rng(10), 15, 50)
-        _, out_idx = g.out_csr()
+        rows = csr_rows(g)
         nodes = np.array([4, 0, 11, 7, 4])
         row, target, edge = g.out_edges(nodes)
         assert list(zip(row.tolist(), target.tolist())) \
-            == [(r, v) for r, u in enumerate(nodes.tolist()) for v in g.out[u]]
-        np.testing.assert_array_equal(out_idx[edge], target)
+            == [(r, v) for r, u in enumerate(nodes.tolist()) for v in rows[u]]
+        np.testing.assert_array_equal(g.out_idx[edge], target)
+
+    def test_from_edges_reports_the_first_bad_pair(self):
+        with pytest.raises(ValueError, match=r"edge \(0, 3\) out of range for 3 nodes"):
+            DataGraph.from_edges(3, [(0, 1), (0, 3), (2, 2)])
+        with pytest.raises(DataError, match="self-loop on node 2"):
+            DataGraph.from_edges(3, [(0, 1), (2, 2), (0, 3)])
+
+
+@st.composite
+def pair_lists(draw):
+    """Up to 8 nodes and a list of (src, dst) pairs with repeats, no self-loops."""
+    m = draw(st.integers(2, 8))
+    pair = st.tuples(st.integers(0, m - 1), st.integers(0, m - 1)).filter(lambda p: p[0] != p[1])
+    return m, draw(st.lists(pair, max_size=30))
+
+
+def load_with_warnings(text, undirected):
+    """load_graph's graph and the messages it logged."""
+    messages = []
+    handler = logging.Handler(logging.WARNING)
+    handler.emit = lambda record: messages.append(record.getMessage())
+    logger = logging.getLogger("topolstm.graph")
+    logger.addHandler(handler)
+    try:
+        return load_graph(text, undirected=undirected), messages
+    finally:
+        logger.removeHandler(handler)
+
+
+class TestGraphBuilderAgainstSetModel:
+    """from_edges and load_graph against a Python set of pairs; this is what
+    keeps the oracle's ``edge_set`` (read off the CSR) honest."""
+
+    @staticmethod
+    def assert_matches(g, want):
+        m = g.node_count
+        assert csr_rows(g) == [sorted(v for (u, v) in want if u == w) for w in range(m)]
+        assert oracle.edge_set(g) == want and g.edge_count == len(want)
+        for u in range(m):
+            for v in range(m):
+                e = g.edge_id(u, v)
+                assert g.has_edge(u, v) == (e >= 0) == ((u, v) in want)
+                if e >= 0:
+                    assert g.out_ptr[u] <= e < g.out_ptr[u + 1] and g.out_idx[e] == v
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(pair_lists(), st.booleans())
+    def test_builders_match_set_model(self, case, undirected):
+        m, pairs = case
+        if undirected:
+            pairs = [p for u, v in pairs for p in ((u, v), (v, u))]
+        self.assert_matches(DataGraph.from_edges(m, pairs), set(pairs))
+
+        text = "".join(f"n{u} n{v}\n" for u, v in case[1])
+        g, messages = load_with_warnings(text, undirected)
+        want = {(g.id_of(f"n{u}"), g.id_of(f"n{v}")) for u, v in pairs}
+        self.assert_matches(g, want)
+        duplicates = len(pairs) - len(want)
+        assert messages == ([f"dropped {duplicates} duplicate edge(s) while loading graph"]
+                            if duplicates else [])
+
+        with tempfile.TemporaryDirectory() as tmp:
+            save_graph_file(Path(tmp) / "graph.txt", g, header="src dst")
+            again = load_graph_file(Path(tmp) / "graph.txt")
+        # Reloading interns labels in the file's (CSR) order, which may
+        # renumber them; the labelled edges are the same.
+        assert sorted(again.labels) == sorted(g.labels)
+        labelled = {(g.labels[u], g.labels[v]) for u, v in want}
+        assert {(again.labels[u], again.labels[v]) for u, v in oracle.edge_set(again)} == labelled
+        self.assert_matches(again, oracle.edge_set(again))
 
 
 class TestLoadCascades:
@@ -243,7 +329,7 @@ class TestTopologyInvariants:
                      for t in range(1, len(cascade) + 2)]
             for earlier, later in zip(chain, chain[1:]):
                 assert earlier <= later
-                assert later <= graph.edges
+                assert later <= oracle.edge_set(graph)
             views = build_topologies(graph, cascade)
             for earlier, later in zip(views, views[1:]):
                 for v in range(graph.node_count):

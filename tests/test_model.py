@@ -15,7 +15,7 @@ from topolstm.numeric import (ParameterStore, finite_difference_check,
                               softmax_over_subset)
 from topolstm.training import objective_and_gradient
 
-from conftest import precedent_rows, random_cascade, random_graph
+from conftest import precedent_rows, random_cascade, random_graph, reversed_rows
 
 
 def perturbed_model(config, rng, spread=0.3):
@@ -226,12 +226,11 @@ class TestAggregate:
         np.testing.assert_array_equal(result.HX[0], np.zeros(4))
 
     def test_permutation_of_precedent_storage_is_neutral(self):
-        # The same graph with every adjacency list stored in reverse order.
+        # The same graph with every CSR row stored in reverse order.
         rng = np.random.default_rng(7)
         d, m = 4, 12
         graph = random_graph(rng, m, 40)
-        shuffled = DataGraph(graph.labels, tuple(s[::-1] for s in graph.out),
-                             tuple(s[::-1] for s in graph.in_), graph.edges)
+        shuffled = reversed_rows(graph)
         model = perturbed_model(ModelConfig(d, m), rng)
         cascade = random_cascade(rng, m, 9)
         base = forward_cascade(model, graph, cascade, compute_loss=False)
@@ -354,7 +353,7 @@ class TestScoreBlock:
         m, T = 60, 40
         cascade = random_cascade(rng, m, T)
         late = cascade[5]   # its in-neighbours all activate after it
-        edges = {e for e in random_graph(rng, m, 90).edges if e[1] != late}
+        edges = {e for e in oracle.edge_set(random_graph(rng, m, 90)) if e[1] != late}
         edges |= {(cascade[k], late) for k in (6, 20, T - 1)}
         # The last scored row reaches candidates too.
         outside = sorted(set(range(m)) - set(cascade.nodes))
