@@ -21,10 +21,8 @@ from .graph import (Cascade, DataGraph, DiffusionTopology, build_topologies,
 from .model import (Model, ModelConfig, backward_cascade, forward_cascade,
                     predict_next, score_inactive)
 from .numeric import (Adam, FdCheckResult, GradientStore, ParameterStore,
-                      adam_step, finite_difference_check, mean_pool,
-                      softmax_over_subset)
-from .training import (TrainConfig, TrainReport, objective,
-                       objective_and_gradient, split_dataset, train)
+                      finite_difference_check, mean_pool, softmax_over_subset)
+from .training import TrainConfig, TrainReport, objective, split_dataset, train
 from .version import TOOL_VERSION
 
 __version__ = TOOL_VERSION

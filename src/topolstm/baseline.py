@@ -67,7 +67,10 @@ class EdgeProbabilities:
                 parts = line.split()
                 if len(parts) != 3:
                     raise DataError(f"probabilities line {lineno}: expected 'u v p'")
-                e = graph.edge_id(graph.id_of(parts[0]), graph.id_of(parts[1]))
+                try:
+                    e = graph.edge_id(graph.id_of(parts[0]), graph.id_of(parts[1]))
+                except DataError as exc:
+                    raise DataError(f"probabilities line {lineno}: {exc}") from None
                 if e < 0 or given[e]:
                     why = "is not an edge of the graph" if e < 0 else "is given twice"
                     raise DataError(f"probabilities line {lineno}: {parts[0]} -> {parts[1]} {why}")

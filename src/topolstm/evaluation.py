@@ -98,9 +98,10 @@ def evaluate(scorer, cascades: Sequence[Cascade], ks: Iterable[int] = DEFAULT_KS
 
     ``scorer`` must provide ``step_scores(cascade)`` yielding, for each step
     t = 2..T, a triple (candidate ids ascending, scores aligned with them,
-    target id).  Results do not depend on cascade order.  ``workers`` has
-    one legal value, 1: evaluation runs on one thread, and the keyword stays
-    only because the benchmark harness passes ``workers=1``.
+    target id).  Sums run in instance order, so reordering the cascades can
+    change a mean in its last bits.  ``workers`` has one legal value, 1:
+    evaluation runs on one thread, and the keyword stays only because the
+    benchmark harness passes ``workers=1``.
     """
     if workers != 1:
         raise ValueError("workers must be 1: evaluation runs on one thread")
@@ -116,34 +117,33 @@ def evaluate(scorer, cascades: Sequence[Cascade], ks: Iterable[int] = DEFAULT_KS
         if len(c) < 2:
             raise ValueError("test cascades must have length >= 2")
 
-    sums = {(metric, k): 0.0 for metric in ("map", "hits") for k in ks}
-    bucket_sums: dict[int, dict] = {}
-    n = 0
+    ranks: list[int] = []
+    by_length: dict[int, list[int]] = {}
     for cascade in cascades:
         steps = scorer.step_scores(cascade)
         for prefix_len, (cand, scores, target) in enumerate(steps, start=1):
             rank = target_rank(cand, scores, target)
-            n += 1
-            bucket = bucket_sums.setdefault(
-                prefix_len, {"instances": 0, **{key: 0.0 for key in sums}})
-            bucket["instances"] += 1
-            for k in ks:
-                h, ap = hits_at_k(rank, k), map_at_k(rank, k)
-                sums[("hits", k)] += h
-                sums[("map", k)] += ap
-                bucket[("hits", k)] += h
-                bucket[("map", k)] += ap
+            ranks.append(rank)
+            by_length.setdefault(prefix_len, []).append(rank)
 
-    values = {key: total / n for key, total in sums.items()}
     by_prefix = {
-        length: {"instances": b["instances"],
-                 **{f"{metric}@{k}": b[(metric, k)] / b["instances"]
-                    for metric in ("map", "hits") for k in ks}}
-        for length, b in sorted(bucket_sums.items())
+        length: {"instances": len(group),
+                 **{f"{metric}@{k}": value
+                    for (metric, k), value in _metric_means(group, ks).items()}}
+        for length, group in sorted(by_length.items())
     }
     name = getattr(scorer, "name", type(scorer).__name__)
-    return MetricsTable(ks=ks, values=values, instances=n, scorer=name,
+    return MetricsTable(ks=ks, values=_metric_means(ranks, ks),
+                        instances=len(ranks), scorer=name,
                         by_prefix_length=by_prefix)
+
+
+def _metric_means(ranks: Sequence[int], ks: tuple[int, ...]
+                  ) -> dict[tuple[str, int], float]:
+    """(metric, k) -> mean over ``ranks``, each sum taken in instance order."""
+    return {(metric, k): sum(term(rank, k) for rank in ranks) / len(ranks)
+            for metric, term in (("map", map_at_k), ("hits", hits_at_k))
+            for k in ks}
 
 
 class ModelScorer:

@@ -18,7 +18,7 @@ from .errors import NumericError, ShapeError
 
 __all__ = [
     "Layout", "ParameterStore", "GradientStore", "sigmoid", "mean_pool",
-    "softmax", "softmax_over_subset", "Adam", "adam_step",
+    "softmax", "softmax_over_subset", "Adam",
     "FdCheckResult", "finite_difference_check", "assert_all_finite",
 ]
 
@@ -215,37 +215,6 @@ def softmax_over_subset(scores: Mapping[int, float], subset) -> dict[int, float]
     return dict(zip(nodes, softmax(vals)))
 
 
-def adam_step(params: ParameterStore, grads: GradientStore,
-              moment1: ParameterStore, moment2: ParameterStore, step_count: int,
-              lr: float, beta1: float = 0.9, beta2: float = 0.999,
-              eps: float = 1e-8, scratch: tuple[np.ndarray, np.ndarray] | None = None
-              ) -> None:
-    """One bias-corrected Adam update applied in place to the whole vector:
-    m = beta1 m + (1 - beta1) g, v = beta2 v + (1 - beta2) g^2, then
-    theta -= lr (m / bc1) / (sqrt(v / bc2) + eps).  Intermediates go through
-    the two flat-size ``scratch`` vectors (allocated when omitted)."""
-    if step_count < 1:
-        raise ValueError("step_count must be >= 1")
-    for other in (grads, moment1, moment2):
-        params._require_congruent(other)
-    bc1 = 1.0 - beta1 ** step_count
-    bc2 = 1.0 - beta2 ** step_count
-    g, m, v = grads.flat, moment1.flat, moment2.flat
-    a, b = scratch if scratch is not None else (np.empty_like(g), np.empty_like(g))
-    m *= beta1
-    m += np.multiply(g, 1.0 - beta1, out=a)
-    v *= beta2
-    np.square(g, out=a)
-    v += np.multiply(a, 1.0 - beta2, out=a)
-    np.divide(m, bc1, out=a)
-    a *= lr
-    np.divide(v, bc2, out=b)
-    np.sqrt(b, out=b)
-    b += eps
-    a /= b
-    params.flat -= a
-
-
 class Adam:
     """Adam optimizer state bound to one ParameterStore layout."""
 
@@ -261,9 +230,30 @@ class Adam:
         self.step_count = 0
 
     def step(self, params: ParameterStore, grads: GradientStore) -> None:
+        """One bias-corrected Adam update applied in place to the whole vector:
+        m = beta1 m + (1 - beta1) g, v = beta2 v + (1 - beta2) g^2, then
+        theta -= lr (m / bc1) / (sqrt(v / bc2) + eps).  Intermediates go
+        through the two flat-size ``scratch`` vectors."""
+        for other in (grads, self.moment1, self.moment2):
+            params._require_congruent(other)
         self.step_count += 1
-        adam_step(params, grads, self.moment1, self.moment2, self.step_count,
-                  self.lr, self.beta1, self.beta2, self.eps, self.scratch)
+        beta1, beta2 = self.beta1, self.beta2
+        bc1 = 1.0 - beta1 ** self.step_count
+        bc2 = 1.0 - beta2 ** self.step_count
+        g, m, v = grads.flat, self.moment1.flat, self.moment2.flat
+        a, b = self.scratch
+        m *= beta1
+        m += np.multiply(g, 1.0 - beta1, out=a)
+        v *= beta2
+        np.square(g, out=a)
+        v += np.multiply(a, 1.0 - beta2, out=a)
+        np.divide(m, bc1, out=a)
+        a *= self.lr
+        np.divide(v, bc2, out=b)
+        np.sqrt(b, out=b)
+        b += self.eps
+        a /= b
+        params.flat -= a
 
 
 @dataclass

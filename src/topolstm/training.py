@@ -3,9 +3,9 @@ optimization with Adam and early stopping on validation loss.
 
 The objective is the mean negative log-likelihood over all prediction steps
 (each cascade of length T contributes T-1 steps) plus lambda times the sum
-of squared L2 norms of every parameter slot.  Inside a mini-batch the same
-normalizer is applied at batch granularity: gradients are divided by the
-batch's total step count.
+of squared L2 norms of every parameter slot.  ``train()`` steps on this
+objective batch by batch: each mini-batch's value and gradient come from the
+same function as ``objective``, normalized by the batch's total step count.
 """
 
 from __future__ import annotations
@@ -96,39 +96,31 @@ def _drop_short(cascades: Sequence[Cascade], what: str) -> tuple[list[Cascade], 
     return kept, dropped
 
 
-def objective(model: Model, cascades: Sequence[Cascade], graph: DataGraph,
-              lam: float) -> float:
-    """Mean per-step negative log-likelihood plus lam * sum of squared L2 norms."""
+def objective(model: Model, graph: DataGraph, cascades: Sequence[Cascade],
+              lam: float, grads: GradientStore | None = None) -> float:
+    """Mean per-step negative log-likelihood plus lam * sum of squared L2 norms.
+
+    With ``grads``, the store is zeroed and, when the value is finite,
+    receives its exact gradient.
+    """
     cascades, _ = _drop_short(cascades, "objective")
-    total_nll, total_steps = _cascades_nll(model, graph, cascades)
-    if total_steps == 0:
+    if not cascades:
         raise ValueError("no cascade contributes prediction steps")
-    return total_nll / total_steps + lam * model.params.squared_l2()
+    return _objective(model, graph, cascades, lam, grads)[0]
 
 
-def objective_and_gradient(model: Model, graph: DataGraph,
-                           cascades: Sequence[Cascade], lam: float
-                           ) -> tuple[float, GradientStore]:
-    """Objective value and its exact gradient over a cascade set."""
-    cascades, _ = _drop_short(cascades, "objective")
-    grads = model.zero_grads()
-    total_nll, total_steps = _cascades_nll(model, graph, cascades, grads)
-    if total_steps == 0:
-        raise ValueError("no cascade contributes prediction steps")
-    grads.scale(1.0 / total_steps)
-    if lam:
-        grads.accumulate(model.params, scale=2.0 * lam)
-    return total_nll / total_steps + lam * model.params.squared_l2(), grads
+def _objective(model: Model, graph: DataGraph, cascades: Sequence[Cascade],
+               lam: float, grads: GradientStore | None = None
+               ) -> tuple[float, float, int]:
+    """(objective, summed NLL, step count) over ``cascades``, in order.
 
-
-def _cascades_nll(model: Model, graph: DataGraph, cascades: Sequence[Cascade],
-                  grads: GradientStore | None = None) -> tuple[float, int]:
-    """Summed NLL and prediction-step count over ``cascades``, in order.
-
-    With ``grads``, each cascade's backward pass also adds into it.
+    Every cascade must have length >= 2.  With ``grads``, the store is
+    zeroed and, when the objective is finite, receives its exact gradient.
     ``forward_cascade`` is looked up in this module on every call, so a
     caller may rebind it (the benchmark times train() that way).
     """
+    if grads is not None:
+        grads.fill(0.0)
     total, steps = 0.0, 0
     for cascade in cascades:
         result = forward_cascade(model, graph, cascade)
@@ -137,7 +129,14 @@ def _cascades_nll(model: Model, graph: DataGraph, cascades: Sequence[Cascade],
         total += result.total_loss
         steps += len(cascade) - 1
         del result   # its (T-1) x m block must not outlive the turn
-    return total, steps
+    value = total / steps
+    if lam:
+        value += lam * model.params.squared_l2()
+    if grads is not None and math.isfinite(value):
+        grads.scale(1.0 / steps)
+        if lam:
+            grads.accumulate(model.params, scale=2.0 * lam)
+    return value, total, steps
 
 
 @dataclass
@@ -208,17 +207,11 @@ def train(graph: DataGraph, train_cascades: Sequence[Cascade],
 
         for lo in range(0, len(order), config.batch_size):
             batch = [train_cascades[i] for i in order[lo: lo + config.batch_size]]
-            grads.fill(0.0)
-            batch_nll, batch_steps = _cascades_nll(model, graph, batch, grads)
-            batch_obj = batch_nll / batch_steps
-            if config.lam:
-                batch_obj += config.lam * model.params.squared_l2()
+            batch_obj, batch_nll, batch_steps = _objective(
+                model, graph, batch, config.lam, grads)
             if not np.isfinite(batch_obj):
                 raise DivergenceError(
                     f"non-finite batch loss at epoch {epoch}", report=report)
-            grads.scale(1.0 / batch_steps)
-            if config.lam:
-                grads.accumulate(model.params, scale=2.0 * config.lam)
             if config.clip_norm > 0:
                 norm = np.sqrt(grads.squared_l2())
                 if norm > config.clip_norm:
@@ -229,8 +222,7 @@ def train(graph: DataGraph, train_cascades: Sequence[Cascade],
 
         train_loss = epoch_nll / epoch_steps + reg_before
         if val_cascades:
-            val_nll, val_steps = _cascades_nll(model, graph, val_cascades)
-            val_loss = val_nll / val_steps
+            val_loss = _objective(model, graph, val_cascades, 0.0)[0]
             monitor = val_loss
         else:
             val_loss = None
@@ -250,7 +242,7 @@ def train(graph: DataGraph, train_cascades: Sequence[Cascade],
             best_monitor = monitor
             best_model = model.copy()
             report.best_epoch = epoch
-            report.best_val_loss = None if val_loss is None else val_loss
+            report.best_val_loss = val_loss
             since_improvement = 0
         if epoch_callback is not None:
             epoch_callback(stats, model, improved)

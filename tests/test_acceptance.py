@@ -3,7 +3,7 @@
 Run with `pytest tests/test_acceptance.py -v -s` to see one PASS/FAIL line
 per criterion.  The slowest checks (separable-data learnability, the
 baseline comparison, the scaling probe) train real models and together take
-a few minutes on one CPU core.
+about half a minute on a 2-core machine.
 """
 
 import filecmp
@@ -22,7 +22,7 @@ from topolstm.evaluation import ModelScorer, evaluate, hits_at_k, map_at_k
 from topolstm.graph import Cascade, DataGraph, build_topologies
 from topolstm.model import ModelConfig, forward_cascade
 from topolstm.numeric import finite_difference_check
-from topolstm.training import TrainConfig, objective, objective_and_gradient, split_dataset, train
+from topolstm.training import TrainConfig, objective, split_dataset, train
 
 from conftest import edge_probs, prob_dict, random_cascade, random_graph
 from test_graph import assert_view_matches_oracle, index_rows
@@ -53,9 +53,10 @@ def test_01_gradient_correctness():
             graph = random_graph(rng, m, 3 * m)
             cascade = random_cascade(rng, m, T)
             model = perturbed_model(ModelConfig(d, m, mode), rng)
-            _, grads = objective_and_gradient(model, graph, [cascade], lam)
+            grads = model.zero_grads()
+            objective(model, graph, [cascade], lam, grads)
             res = finite_difference_check(
-                lambda p: objective(model, [cascade], graph, lam),
+                lambda p: objective(model, graph, [cascade], lam),
                 model.params, grads, samples=50, h=1e-5, rng=rng)
             worst = max(worst, res.max_rel_error)
         elapsed = time.perf_counter() - started

@@ -193,6 +193,7 @@ class TestEdgeProbabilitiesIO:
     @pytest.mark.parametrize("lines, bad_line, what", [
         (["0 1 0.5", "3 5 0.9"], 2, "not an edge"),
         (["# u v p", "0 1 0.5", "5 3 0.9", "0 1 0.7"], 4, "given twice"),
+        (["0 1 0.5", "5 zz 0.9"], 2, "unknown node label 'zz'"),
     ])
     def test_rejects_lines_scoring_would_ignore(self, tmp_path, lines, bad_line, what):
         g = DataGraph.from_edges(6, [(0, 1), (5, 3)])

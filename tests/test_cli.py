@@ -310,6 +310,7 @@ class TestEvaluate:
     @pytest.mark.parametrize("lines, bad_line, what", [
         (["0 1 0.5", "0 1 0.7"], 2, "given twice"),
         (["0 1 0.5", "5 3 0.9"], 2, "not an edge"),
+        (["0 1 0.5", "zz 2 0.5"], 2, "unknown node label 'zz'"),
     ])
     def test_edge_probs_lines_scoring_would_ignore_exit_2(
             self, data_dir, run_dir, tmp_path, capsys, lines, bad_line, what):

@@ -234,3 +234,35 @@ class TestReports:
         lines = (tmp_path / "b.csv").read_text().strip().splitlines()
         assert lines[0].startswith("prefix_length,instances")
         assert len(lines) >= 2
+
+    def test_length_buckets_and_table_match_a_recount(self):
+        rng = np.random.default_rng(55)
+        m, ks = 30, (1, 3, 10)
+        graph = random_graph(rng, m, 3 * m)
+        cascades = [random_cascade(rng, m, int(rng.integers(2, 12))) for _ in range(25)]
+        values = rng.normal(size=m)
+        table = evaluate(StaticScorer(graph, values), cascades, ks=ks)
+
+        by_length = {}
+        for c in cascades:
+            for t in range(1, len(c)):
+                inactive = set(range(m)) - set(c.nodes[:t])
+                order = sorted(inactive, key=lambda v: (-values[v], v))
+                by_length.setdefault(t, []).append(order.index(c[t]) + 1)
+
+        def mean(ranks, metric, k):
+            return np.mean([(1.0 / r if metric == "map" else 1.0) if r <= k else 0.0
+                            for r in ranks])
+
+        everything = [r for ranks in by_length.values() for r in ranks]
+        assert sorted(table.by_prefix_length) == sorted(by_length)
+        assert sum(b["instances"] for b in table.by_prefix_length.values()) == table.instances
+        for metric in ("map", "hits"):
+            for k in ks:
+                assert table.value(metric, k) == pytest.approx(
+                    mean(everything, metric, k), rel=0, abs=1e-12)
+                for length, ranks in by_length.items():
+                    bucket = table.by_prefix_length[length]
+                    assert bucket["instances"] == len(ranks)
+                    assert bucket[f"{metric}@{k}"] == pytest.approx(
+                        mean(ranks, metric, k), rel=0, abs=1e-12)

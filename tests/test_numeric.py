@@ -3,9 +3,8 @@ import pytest
 
 from topolstm.errors import NumericError, ShapeError
 from topolstm.numeric import (Adam, FdCheckResult, GradientStore, Layout,
-                              ParameterStore, adam_step,
-                              finite_difference_check, mean_pool, softmax,
-                              softmax_over_subset)
+                              ParameterStore, finite_difference_check,
+                              mean_pool, softmax, softmax_over_subset)
 
 
 class TestParameterStore:
@@ -231,12 +230,6 @@ class TestAdam:
         opt = Adam(params, lr=0.1)
         with pytest.raises(ShapeError):
             opt.step(params, ParameterStore({"w": np.zeros(2)}))
-
-    def test_step_count_validated(self):
-        params = self._store([1.0])
-        with pytest.raises(ValueError):
-            adam_step(params, params.zeros_like(), params.zeros_like(),
-                      params.zeros_like(), 0, lr=0.1)
 
 
 class TestFiniteDifferenceCheck:

@@ -7,8 +7,8 @@ from topolstm.datagen import SynthConfig, generate_dataset
 from topolstm.errors import DivergenceError
 from topolstm.graph import Cascade, DataGraph
 from topolstm.model import Model, ModelConfig, backward_cascade, forward_cascade
-from topolstm.training import (TrainConfig, objective, objective_and_gradient,
-                               split_dataset, train)
+from topolstm.numeric import Adam
+from topolstm.training import TrainConfig, objective, split_dataset, train
 
 from conftest import random_cascade, random_graph
 
@@ -68,7 +68,7 @@ class TestObjective:
             result = forward_cascade(model, graph, c)
             total += result.total_loss
             steps += len(c) - 1
-        assert objective(model, cascades, graph, 0.0) == pytest.approx(
+        assert objective(model, graph, cascades, 0.0) == pytest.approx(
             total / steps, rel=1e-12)
 
     def test_single_candidate_dataset_reduces_to_regularizer(self):
@@ -76,15 +76,15 @@ class TestObjective:
         model = Model.initialize(ModelConfig(3, 2), np.random.default_rng(0))
         lam = 0.25
         want = lam * model.params.squared_l2()
-        assert objective(model, [Cascade((0, 1))], g, lam) == pytest.approx(want)
+        assert objective(model, g, [Cascade((0, 1))], lam) == pytest.approx(want)
 
     def test_linear_in_lambda(self):
         rng = np.random.default_rng(61)
         graph, cascades = tiny_dataset(rng)
         model = Model.initialize(ModelConfig(4, graph.node_count), rng)
-        base = objective(model, cascades, graph, 0.0)
-        one = objective(model, cascades, graph, 1e-3)
-        two = objective(model, cascades, graph, 2e-3)
+        base = objective(model, graph, cascades, 0.0)
+        one = objective(model, graph, cascades, 1e-3)
+        two = objective(model, graph, cascades, 2e-3)
         assert two - base == pytest.approx(2.0 * (one - base), rel=1e-9)
 
     def test_length_one_excluded_with_warning(self, caplog):
@@ -93,16 +93,16 @@ class TestObjective:
         model = Model.initialize(ModelConfig(4, graph.node_count), rng)
         with_short = cascades + [Cascade((0,))]
         with caplog.at_level(logging.WARNING):
-            a = objective(model, with_short, graph, 0.0)
+            a = objective(model, graph, with_short, 0.0)
         assert any("length-1" in rec.message for rec in caplog.records)
-        assert a == pytest.approx(objective(model, cascades, graph, 0.0))
+        assert a == pytest.approx(objective(model, graph, cascades, 0.0))
 
     def test_order_invariance(self):
         rng = np.random.default_rng(63)
         graph, cascades = tiny_dataset(rng)
         model = Model.initialize(ModelConfig(4, graph.node_count), rng)
-        a = objective(model, cascades, graph, 1e-4)
-        b = objective(model, list(reversed(cascades)), graph, 1e-4)
+        a = objective(model, graph, cascades, 1e-4)
+        b = objective(model, graph, list(reversed(cascades)), 1e-4)
         assert a == pytest.approx(b, rel=1e-12)
 
 
@@ -111,7 +111,8 @@ class TestGradientAssembly:
         rng = np.random.default_rng(64)
         graph, cascades = tiny_dataset(rng, n_cascades=3)
         model = Model.initialize(ModelConfig(3, graph.node_count), rng)
-        _, combined = objective_and_gradient(model, graph, cascades, 0.0)
+        combined = model.zero_grads()
+        objective(model, graph, cascades, 0.0, combined)
         manual = model.zero_grads()
         steps = 0
         for c in cascades:
@@ -126,11 +127,12 @@ class TestGradientAssembly:
         rng = np.random.default_rng(65)
         graph, cascades = tiny_dataset(rng)
         model = Model.initialize(ModelConfig(4, graph.node_count), rng)
-        base, grads = objective_and_gradient(model, graph, cascades, 0.0)
+        grads = model.zero_grads()
+        base = objective(model, graph, cascades, 0.0, grads)
         for lr in (1e-1, 1e-2, 1e-3, 1e-4):
             trial = model.copy()
             trial.params.accumulate(grads, scale=-lr)
-            if objective(trial, cascades, graph, 0.0) < base:
+            if objective(trial, graph, cascades, 0.0) < base:
                 return
         pytest.fail("no step size decreased the objective")
 
@@ -205,6 +207,31 @@ class TestTrain:
         losses = [e.train_loss for e in report.epochs]
         for earlier, later in zip(losses, losses[1:]):
             assert later <= earlier + 1e-6
+
+    @pytest.mark.parametrize("clip_fraction", [0.0, 0.5])
+    def test_one_epoch_applies_exactly_the_objectives_gradient(self, clip_fraction):
+        # Replay train()'s first full-batch step by hand: same rng draws,
+        # objective() for the gradient, the same clip, one Adam step.
+        rng = np.random.default_rng(66)
+        graph, cascades = tiny_dataset(rng)
+        mc = ModelConfig(4, graph.node_count)
+        lam, lr, seed = 1e-2, 1e-2, 7
+        replay_rng = np.random.default_rng(seed)
+        replay = Model.initialize(mc, replay_rng)
+        batch = [cascades[i] for i in replay_rng.permutation(len(cascades))]
+        grads = replay.zero_grads()
+        start = objective(replay, graph, batch, lam, grads)
+        norm = np.sqrt(grads.squared_l2())
+        clip_norm = clip_fraction * norm
+        if clip_norm > 0 and norm > clip_norm:
+            grads.scale(clip_norm / norm)
+        Adam(replay.params, lr=lr).step(replay.params, grads)
+
+        cfg = self._config(learning_rate=lr, lam=lam, batch_size=len(cascades),
+                           max_epochs=1, seed=seed, clip_norm=clip_norm)
+        model, report = train(graph, cascades, [], cfg, mc)
+        np.testing.assert_array_equal(model.params.flat, replay.params.flat)
+        assert report.epochs[0].train_loss == start
 
     def test_early_stopping_fires(self):
         graph, cascades, _ = small_chain_data()
