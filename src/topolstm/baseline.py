@@ -16,12 +16,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain
+from pathlib import Path
 from typing import Iterable
 
 import numpy as np
 
 from .errors import DataError
-from .graph import Cascade, DataGraph, DiffusionTopology
+from .graph import Cascade, DataGraph, DiffusionTopology, records, write_lines
 
 
 @dataclass(eq=False)
@@ -48,40 +49,33 @@ class EdgeProbabilities:
     def save(self, path, header: str | None = None) -> None:
         """One 'u v p' line per edge, in CSR edge order."""
         src, dst = self.graph.edge_pairs()
-        with open(path, "w", encoding="utf-8") as fh:
-            if header:
-                fh.write(f"# {header}\n")
-            for u, v, p in zip(src.tolist(), dst.tolist(), self.p.tolist()):
-                fh.write(f"{self.graph.labels[u]} {self.graph.labels[v]} {p!r}\n")
+        labels = self.graph.labels
+        write_lines(path, (f"{labels[u]} {labels[v]} {p!r}" for u, v, p
+                           in zip(src.tolist(), dst.tolist(), self.p.tolist())), header)
 
     @classmethod
     def load(cls, path, graph: DataGraph) -> "EdgeProbabilities":
         """Read 'u v p' lines; an edge the file does not name gets p = 0."""
         p = np.zeros(graph.edge_count)
         given = np.zeros(graph.edge_count, dtype=bool)
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                parts = line.split()
-                if len(parts) != 3:
-                    raise DataError(f"probabilities line {lineno}: expected 'u v p'")
-                try:
-                    e = graph.edge_id(graph.id_of(parts[0]), graph.id_of(parts[1]))
-                except DataError as exc:
-                    raise DataError(f"probabilities line {lineno}: {exc}") from None
-                if e < 0 or given[e]:
-                    why = "is not an edge of the graph" if e < 0 else "is given twice"
-                    raise DataError(f"probabilities line {lineno}: {parts[0]} -> {parts[1]} {why}")
-                try:
-                    value = float(parts[2])
-                except ValueError:
-                    value = math.nan
-                if not 0.0 <= value <= 1.0:
-                    raise DataError(f"probabilities line {lineno}: p = {parts[2]!r} "
-                                    "is not a number in [0, 1]")
-                p[e], given[e] = value, True
+        for lineno, _, parts in records(Path(path).read_text(encoding="utf-8")):
+            if len(parts) != 3:
+                raise DataError(f"probabilities line {lineno}: expected 'u v p'")
+            try:
+                e = graph.edge_id(graph.id_of(parts[0]), graph.id_of(parts[1]))
+            except DataError as exc:
+                raise DataError(f"probabilities line {lineno}: {exc}") from None
+            if e < 0 or given[e]:
+                why = "is not an edge of the graph" if e < 0 else "is given twice"
+                raise DataError(f"probabilities line {lineno}: {parts[0]} -> {parts[1]} {why}")
+            try:
+                value = float(parts[2])
+            except ValueError:
+                value = math.nan
+            if not 0.0 <= value <= 1.0:
+                raise DataError(f"probabilities line {lineno}: p = {parts[2]!r} "
+                                "is not a number in [0, 1]")
+            p[e], given[e] = value, True
         return cls(graph, p)
 
 

@@ -2,9 +2,9 @@
 
 Exit codes: 0 success, 2 usage or data error (a missing or unreadable path
 included), 3 training divergence, 4 malformed checkpoint or checkpoint/graph
-mismatch.  Every run is reproducible under a fixed seed;
-with --deterministic the primary outputs (dataset files, checkpoint, report,
-split files, metrics) are byte-identical across reruns.
+mismatch.  Every run is reproducible under a fixed seed: generate and
+evaluate write byte-identical files on a rerun, and so does train with
+--deterministic, which nulls the report's timings (train.log keeps them).
 """
 
 from __future__ import annotations
@@ -19,8 +19,7 @@ from pathlib import Path
 from . import checkpoint as ckpt
 from . import datagen, evaluation, training
 from .baseline import EdgeProbabilities, ICSBScorer, fit_static_bernoulli
-from .errors import (CheckpointError, ConfigError, DataError, DivergenceError,
-                     TopoLstmError)
+from .errors import CheckpointError, DataError, DivergenceError, TopoLstmError
 from .graph import (Cascade, load_cascades_file, load_graph_file,
                     save_cascades_file, save_labels)
 from .model import ModelConfig, predict_next
@@ -65,9 +64,6 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--cascades", type=int, help="number of cascades to simulate")
     gen.add_argument("--max-len", type=int, help="cascade length cap")
     gen.add_argument("--seed", type=int, help="RNG seed")
-    gen.add_argument("--deterministic", action="store_true",
-                     help="accepted for uniformity; generation is always "
-                          "seed-deterministic")
     gen.add_argument("--out", required=True, help="output directory")
 
     tr = sub.add_parser("train", help="split cascades, fit the model, save the best checkpoint")
@@ -107,9 +103,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="pre-fitted baseline probabilities (u v p file)")
     ev.add_argument("--length-csv", action="store_true",
                     help="also write per-prefix-length metric buckets")
-    ev.add_argument("--deterministic", action="store_true",
-                    help="accepted for uniformity; evaluation is always "
-                         "deterministic")
     ev.add_argument("--out", required=True, help="output directory")
 
     pr = sub.add_parser("predict", help="rank the next activation after a prefix")
@@ -307,9 +300,9 @@ def cmd_predict(args) -> int:
     if args.top_n < 1:
         raise DataError("--top-n must be >= 1")
     cand, probs = predict_next(model, graph, prefix)
-    order = sorted(range(cand.size), key=lambda j: (-probs[j], cand[j]))
-    for j in order[: args.top_n]:
-        print(f"{graph.labels[cand[j]]} {float(probs[j])!r}")
+    scores = dict(zip(cand.tolist(), probs.tolist()))
+    for v in evaluation.rank_candidates(scores)[: args.top_n]:
+        print(f"{graph.labels[v]} {scores[v]!r}")
     return EXIT_OK
 
 
@@ -324,10 +317,7 @@ def main(argv=None) -> int:
     except CheckpointError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
-    except (DataError, ConfigError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except TopoLstmError as exc:
+    except (TopoLstmError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -22,7 +22,7 @@ class ConfigError(TopoLstmError):
 
 
 class DivergenceError(TopoLstmError):
-    """Training produced a non-finite loss."""
+    """Training produced a non-finite loss or cell state."""
 
     def __init__(self, message, report=None):
         super().__init__(message)

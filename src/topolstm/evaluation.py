@@ -16,7 +16,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .graph import Cascade, DataGraph
+from .graph import Cascade, DataGraph, drop_short
 from .model import Model, forward_cascade
 from .version import TOOL_VERSION
 
@@ -96,6 +96,8 @@ def evaluate(scorer, cascades: Sequence[Cascade], ks: Iterable[int] = DEFAULT_KS
              workers: int = 1) -> MetricsTable:
     """Score every prediction step of every cascade and average the metrics.
 
+    Length-1 cascades have no prediction step and are dropped with a warning,
+    as in training; an empty set, or one of length-1 cascades only, raises.
     ``scorer`` must provide ``step_scores(cascade)`` yielding, for each step
     t = 2..T, a triple (candidate ids ascending, scores aligned with them,
     target id).  Sums run in instance order, so reordering the cascades can
@@ -110,12 +112,9 @@ def evaluate(scorer, cascades: Sequence[Cascade], ks: Iterable[int] = DEFAULT_KS
         raise ValueError("need at least one k")
     if ks[0] < 1:
         raise ValueError(f"every k must be >= 1, got {ks[0]}")
-    cascades = list(cascades)
+    cascades, _ = drop_short(list(cascades), "test set")
     if not cascades:
         raise ValueError("empty test set")
-    for c in cascades:
-        if len(c) < 2:
-            raise ValueError("test cascades must have length >= 2")
 
     ranks: list[int] = []
     by_length: dict[int, list[int]] = {}

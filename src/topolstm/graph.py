@@ -13,13 +13,18 @@ any t follows from the graph, the activation order and t.  The model keeps
 only the precedents, as one CSR index per cascade (see ``model``).
 ``build_topologies`` gives the same precedents as per-step views for the
 dict-based reference scorers; only the benchmark's gates call them.
+
+Each input rule has one function here: ``records`` reads the lines of every
+text format, ``write_lines`` writes them, and ``drop_short`` decides which
+cascades have a prediction step, for training and evaluation alike.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from pathlib import Path
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -111,6 +116,24 @@ class DataGraph:
         return cls(labels, out_ptr, dst)
 
 
+def records(text: str) -> Iterator[tuple[int, str, list[str]]]:
+    """(line number from 1, stripped line, whitespace-split fields) of every
+    line of ``text`` that is neither blank nor a '#' comment."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield lineno, line, line.split()
+
+
+def write_lines(path, lines: Iterable[str], header: str | None = None) -> None:
+    """Write an optional '# header' line, then one line per record."""
+    with open(path, "w", encoding="utf-8") as fh:
+        if header:
+            fh.write(f"# {header}\n")
+        for line in lines:
+            fh.write(f"{line}\n")
+
+
 def load_graph(text: str, undirected: bool = False) -> DataGraph:
     """Parse a whitespace-separated edge list into a DataGraph.
 
@@ -121,11 +144,7 @@ def load_graph(text: str, undirected: bool = False) -> DataGraph:
     """
     label_to_id: dict[str, NodeId] = {}
     pairs: list[tuple[NodeId, NodeId]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
+    for lineno, line, parts in records(text):
         if len(parts) != 2:
             raise DataError(f"graph line {lineno}: expected 'src dst', got {line!r}")
         src, dst = parts
@@ -144,26 +163,19 @@ def load_graph(text: str, undirected: bool = False) -> DataGraph:
 
 
 def load_graph_file(path, undirected: bool = False) -> DataGraph:
-    with open(path, "r", encoding="utf-8") as fh:
-        return load_graph(fh.read(), undirected=undirected)
+    return load_graph(Path(path).read_text(encoding="utf-8"), undirected=undirected)
 
 
 def save_graph_file(path, graph: DataGraph, header: str | None = None) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        if header:
-            fh.write(f"# {header}\n")
-        src, dst = graph.edge_pairs()
-        for u, v in zip(src.tolist(), dst.tolist()):
-            fh.write(f"{graph.labels[u]} {graph.labels[v]}\n")
+    src, dst = graph.edge_pairs()
+    labels = graph.labels
+    write_lines(path, (f"{labels[u]} {labels[v]}" for u, v in zip(src.tolist(), dst.tolist())),
+                header)
 
 
 def save_labels(path, graph: DataGraph, header: str | None = None) -> None:
     """Persist the label <-> id mapping as two whitespace-separated columns."""
-    with open(path, "w", encoding="utf-8") as fh:
-        if header:
-            fh.write(f"# {header}\n")
-        for i, lab in enumerate(graph.labels):
-            fh.write(f"{lab} {i}\n")
+    write_lines(path, (f"{lab} {i}" for i, lab in enumerate(graph.labels)), header)
 
 
 @dataclass(frozen=True)
@@ -188,16 +200,23 @@ class Cascade:
         return self.nodes[i]
 
 
+def drop_short(cascades: Sequence[Cascade], what: str) -> tuple[list[Cascade], int]:
+    """(the cascades of length >= 2, how many were dropped).  A length-1
+    cascade has no prediction step; dropping any is logged once, naming ``what``."""
+    kept = [c for c in cascades if len(c) >= 2]
+    dropped = len(cascades) - len(kept)
+    if dropped:
+        log.warning("excluded %d length-1 cascade(s) from %s: they contribute "
+                    "no prediction steps", dropped, what)
+    return kept, dropped
+
+
 def load_cascades(text: str, graph: DataGraph) -> list[Cascade]:
     """Parse one cascade per line (labels in activation order), validated against graph."""
     idx = graph.label_index
     cascades: list[Cascade] = []
     unknown: dict[str, int] = {}  # offending label -> first line seen
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        labels = line.split()
+    for lineno, line, labels in records(text):
         for lab in labels:
             if lab not in idx:
                 unknown.setdefault(lab, lineno)
@@ -214,17 +233,13 @@ def load_cascades(text: str, graph: DataGraph) -> list[Cascade]:
 
 
 def load_cascades_file(path, graph: DataGraph) -> list[Cascade]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return load_cascades(fh.read(), graph)
+    return load_cascades(Path(path).read_text(encoding="utf-8"), graph)
 
 
 def save_cascades_file(path, cascades: Iterable[Cascade], graph: DataGraph,
                        header: str | None = None) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        if header:
-            fh.write(f"# {header}\n")
-        for cascade in cascades:
-            fh.write(" ".join(graph.labels[v] for v in cascade) + "\n")
+    write_lines(path, (" ".join(graph.labels[v] for v in cascade) for cascade in cascades),
+                header)
 
 
 class DiffusionTopology:

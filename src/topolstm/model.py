@@ -25,10 +25,10 @@ All slots are views into one flat float64 vector, laid out as
 
 where U's row blocks are the gates [i, f_p, f_q, c, o] and its column
 blocks [h_p | h_q].  One cell step is one matvec,
-z = U @ [h_p; h_q] + (Wx[:, v] + b)[gate_rows(d)]; the gather reads the
-W_f/b_f block for both forget gates, and backward adds their two rows of dz
-back onto it.  Slot names, order and shapes, and so the checkpoint bytes,
-do not depend on this layout.
+z = U @ [h_p; h_q] + (Wx[:, v] + b)[rows] with rows = [0:2d, d:4d]: the
+gather reads the W_f/b_f block for both forget gates, and backward adds
+their two rows of dz back onto it.  Slot names, order and shapes, and so
+the checkpoint bytes, do not depend on this layout.
 
 Scoring an inactive candidate v takes the inner product of a pooled sender
 state with v's receiver embedding plus v's bias, then a softmax over all
@@ -53,7 +53,6 @@ central differences in the test suite.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -92,17 +91,6 @@ class ModelConfig:
 # Blocks of the fused U: a row per gate [i, f_p, f_q, c, o], columns [h_p | h_q].
 U_BLOCKS = (("U_i_p", "U_i_q"), ("U_f_pp", "U_f_pq"), ("U_f_qp", "U_f_qq"),
             ("U_c_p", "U_c_q"), ("U_o_p", "U_o_q"))
-
-
-@functools.lru_cache(maxsize=16)
-def gate_rows(d: int) -> np.ndarray:
-    """Rows of Wx and b feeding the gates [i, f_p, f_q, c, o].
-
-    Built once per d and shared by every caller, so the array is read-only.
-    """
-    rows = np.r_[0:2 * d, d:4 * d]
-    rows.flags.writeable = False
-    return rows
 
 
 def parameter_layout(config: ModelConfig) -> Layout:
@@ -168,7 +156,9 @@ class CascadeForwardResult:
 
     Row t-1 of every (T, .) array belongs to v_t.  The precedents of v_t are
     the cascade positions ``prec_pos[prec_ptr[t-1]:prec_ptr[t]]``, ascending;
-    every other earlier position is one of its other active nodes.
+    every other earlier position is one of its other active nodes.  ``src``
+    and ``dst`` are the cascade's out-edges, from ``DataGraph.out_edges``:
+    the edge from row src[e] to node dst[e], in row order.
 
     With losses, the scoring of all T-1 steps is one block: row s of
     ``probs`` is the softmax over all nodes at step t = s + 2, exactly 0 at
@@ -177,7 +167,6 @@ class CascadeForwardResult:
     once.
     """
     cascade: Cascade
-    graph: DataGraph
     H: np.ndarray               # (T, d) sender embeddings
     C: np.ndarray               # (T, d) memory cells
     A: np.ndarray               # (T, 5d) gates [i, f_p, f_q, c_tilde, o]
@@ -186,6 +175,8 @@ class CascadeForwardResult:
     CX: np.ndarray              # (T, 2d) pooled [c_p; c_q]
     prec_ptr: np.ndarray        # (T+1,) row offsets into prec_pos
     prec_pos: np.ndarray        # precedent positions, row by row
+    src: np.ndarray             # out-edge source rows
+    dst: np.ndarray             # out-edge target nodes
     pos: np.ndarray             # (m,) node -> cascade position, T if inactive
     losses: np.ndarray          # (T-1,) per-step losses; empty without losses
     probs: np.ndarray | None = None    # (T-1, m) step probabilities
@@ -306,8 +297,10 @@ def forward_cascade(model: Model, graph: DataGraph, cascade: Cascade,
     pos[nodes] = np.arange(T)
     src, dst, _ = graph.out_edges(nodes)
     prec_ptr, prec_pos = _precedent_index(T, pos, src, dst)
-    # Input and bias terms of every step's five gates, gathered at once.
-    XB = (params.fused("Wx")[:, nodes] + params.fused("b")[:, None])[gate_rows(d)].T
+    # Input and bias terms of every step's five gates, gathered at once;
+    # both forget gates read the W_f/b_f rows.
+    WB = params.fused("Wx")[:, nodes] + params.fused("b")[:, None]
+    XB = np.concatenate((WB[:2 * d], WB[d:])).T
     H, C, tanh_C = np.zeros((T, d)), np.zeros((T, d)), np.empty((T, d))
     HX, CX, A = np.zeros((T, 2 * d)), np.zeros((T, 2 * d)), np.empty((T, 5 * d))
     sum_h, sum_c = np.zeros(d), np.zeros(d)   # running sums of H[:row], C[:row]
@@ -339,10 +332,10 @@ def forward_cascade(model: Model, graph: DataGraph, cascade: Cascade,
             # Cumulative sums over rows of the edge terms G[w] . h_u and of
             # the edge counts; a count of 0 is clamped to 1 (bias-only).
             keep = src < S
-            src, dst = src[keep], dst[keep]
+            rows, targets = src[keep], dst[keep]
             X, counts = np.zeros((S, m)), np.zeros((S, m))
-            X[src, dst] = _edge_terms(G, H, src, dst)
-            counts[src, dst] = 1.0
+            X[rows, targets] = _edge_terms(G, H, rows, targets)
+            counts[rows, targets] = 1.0
             np.cumsum(X, axis=0, out=X)
             np.cumsum(counts, axis=0, out=counts)
             np.maximum(counts, 1.0, out=counts)
@@ -356,9 +349,9 @@ def forward_cascade(model: Model, graph: DataGraph, cascade: Cascade,
         z = X.sum(axis=1)
         X /= z[:, None]
         losses, probs = np.log(z) - target_shifted, X
-    return CascadeForwardResult(cascade=cascade, graph=graph, H=H, C=C, A=A,
-                                tanh_C=tanh_C, HX=HX, CX=CX, prec_ptr=prec_ptr,
-                                prec_pos=prec_pos, pos=pos, losses=losses,
+    return CascadeForwardResult(cascade=cascade, H=H, C=C, A=A, tanh_C=tanh_C,
+                                HX=HX, CX=CX, prec_ptr=prec_ptr, prec_pos=prec_pos,
+                                src=src, dst=dst, pos=pos, losses=losses,
                                 probs=probs, counts=counts)
 
 
@@ -410,7 +403,8 @@ def backward_cascade(result: CascadeForwardResult, model: Model,
             # edge u -> w makes |P_w| >= 1 from u's row on.
             alpha = np.divide(GV, counts, out=GV)
             np.cumsum(alpha[::-1], axis=0, out=alpha[::-1])
-            src, dst, _ = result.graph.out_edges(np.asarray(result.cascade.nodes[:S]))
+            keep = result.src < S
+            src, dst = result.src[keep], result.dst[keep]
             at_edges = alpha[src, dst]
             alpha.fill(0.0)
             alpha[src, dst] = at_edges
@@ -481,8 +475,7 @@ def predict_next(model: Model, graph: DataGraph, prefix: Cascade
     if model.config.score_mode == "all-active":
         scores = G[cand] @ result.H.mean(axis=0)
     else:
-        m = model.config.node_count
-        src, dst, _ = graph.out_edges(np.asarray(prefix.nodes, dtype=np.intp))
+        m, src, dst = model.config.node_count, result.src, result.dst
         num = np.bincount(dst, weights=_edge_terms(G, result.H, src, dst), minlength=m)
         scores = (num / np.maximum(np.bincount(dst, minlength=m), 1))[cand]
     return cand, softmax(scores + b_act[cand])

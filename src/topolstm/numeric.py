@@ -216,14 +216,15 @@ def softmax_over_subset(scores: Mapping[int, float], subset) -> dict[int, float]
 
 
 class Adam:
-    """Adam optimizer state bound to one ParameterStore layout."""
+    """Adam optimizer state bound to one ParameterStore layout; only the
+    learning rate is a setting, the decay rates and epsilon are fixed."""
 
-    def __init__(self, params: ParameterStore, lr: float = 1e-2,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    beta1 = 0.9
+    beta2 = 0.999
+    eps = 1e-8
+
+    def __init__(self, params: ParameterStore, lr: float = 1e-2):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.moment1 = params.zeros_like()
         self.moment2 = params.zeros_like()
         self.scratch = (np.empty(params.total_size), np.empty(params.total_size))

@@ -10,7 +10,6 @@ same function as ``objective``, normalized by the batch's total step count.
 
 from __future__ import annotations
 
-import logging
 import math
 import time
 from dataclasses import dataclass, field
@@ -18,12 +17,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DivergenceError
-from .graph import Cascade, DataGraph
+from .errors import DivergenceError, NumericError
+from .graph import Cascade, DataGraph, drop_short
 from .model import Model, ModelConfig, backward_cascade, forward_cascade
 from .numeric import Adam, GradientStore
-
-log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -87,15 +84,6 @@ def split_dataset(cascades: Sequence[Cascade], train_frac: float = 0.75,
     return pick(train_idx), pick(val_idx), pick(test_idx)
 
 
-def _drop_short(cascades: Sequence[Cascade], what: str) -> tuple[list[Cascade], int]:
-    kept = [c for c in cascades if len(c) >= 2]
-    dropped = len(cascades) - len(kept)
-    if dropped:
-        log.warning("excluded %d length-1 cascade(s) from %s: they contribute "
-                    "no prediction steps", dropped, what)
-    return kept, dropped
-
-
 def objective(model: Model, graph: DataGraph, cascades: Sequence[Cascade],
               lam: float, grads: GradientStore | None = None) -> float:
     """Mean per-step negative log-likelihood plus lam * sum of squared L2 norms.
@@ -103,7 +91,7 @@ def objective(model: Model, graph: DataGraph, cascades: Sequence[Cascade],
     With ``grads``, the store is zeroed and, when the value is finite,
     receives its exact gradient.
     """
-    cascades, _ = _drop_short(cascades, "objective")
+    cascades, _ = drop_short(cascades, "objective")
     if not cascades:
         raise ValueError("no cascade contributes prediction steps")
     return _objective(model, graph, cascades, lam, grads)[0]
@@ -181,10 +169,11 @@ def train(graph: DataGraph, train_cascades: Sequence[Cascade],
 
     Batches shuffle under the config seed; early stopping fires after
     ``patience`` epochs without validation improvement.  Without a
-    validation set the training loss is monitored instead.
+    validation set the training loss is monitored instead.  A non-finite
+    loss or cell state raises DivergenceError with the report so far.
     """
-    train_cascades, dropped = _drop_short(train_cascades, "training set")
-    val_cascades, dropped_val = _drop_short(val_cascades, "validation set")
+    train_cascades, dropped = drop_short(train_cascades, "training set")
+    val_cascades, dropped_val = drop_short(val_cascades, "validation set")
     if not train_cascades:
         raise ValueError("training set is empty")
 
@@ -192,6 +181,15 @@ def train(graph: DataGraph, train_cascades: Sequence[Cascade],
     model = Model.initialize(model_config, rng)
     optimizer = Adam(model.params, lr=config.learning_rate)
     report = TrainReport(dropped_short_cascades=dropped + dropped_val)
+
+    def guarded_objective(cascades, lam, out=None):
+        """``_objective`` with float overflow read as divergence: no float
+        warning escapes, and a non-finite cell raises DivergenceError."""
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                return _objective(model, graph, cascades, lam, out)
+        except NumericError as exc:
+            raise DivergenceError(f"{exc} in epoch {epoch}", report=report) from None
 
     grads = model.zero_grads()
     best_model = model   # the result if max_epochs is 0; epoch 1 always replaces it
@@ -207,8 +205,7 @@ def train(graph: DataGraph, train_cascades: Sequence[Cascade],
 
         for lo in range(0, len(order), config.batch_size):
             batch = [train_cascades[i] for i in order[lo: lo + config.batch_size]]
-            batch_obj, batch_nll, batch_steps = _objective(
-                model, graph, batch, config.lam, grads)
+            batch_obj, batch_nll, batch_steps = guarded_objective(batch, config.lam, grads)
             if not np.isfinite(batch_obj):
                 raise DivergenceError(
                     f"non-finite batch loss at epoch {epoch}", report=report)
@@ -222,7 +219,7 @@ def train(graph: DataGraph, train_cascades: Sequence[Cascade],
 
         train_loss = epoch_nll / epoch_steps + reg_before
         if val_cascades:
-            val_loss = _objective(model, graph, val_cascades, 0.0)[0]
+            val_loss = guarded_objective(val_cascades, 0.0)[0]
             monitor = val_loss
         else:
             val_loss = None

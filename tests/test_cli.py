@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from topolstm import cli
-from topolstm.checkpoint import load_model
+from topolstm.checkpoint import load_model, save_model
 from topolstm.graph import load_graph_file
 from topolstm.model import Model, ModelConfig
 
@@ -166,6 +166,19 @@ class TestTrain:
         assert (tmp_path / "div" / "report.json").exists()
         assert json.loads((tmp_path / "div" / "report.json").read_text())["diverged"]
 
+    @pytest.mark.parametrize("lr", ["1e308", "1e300"])
+    def test_overflowing_learning_rate_exit_3_with_report(self, data_dir, tmp_path,
+                                                          capsys, lr):
+        out = tmp_path / "div"
+        code = cli.main(["train", "--graph", str(data_dir / "graph.txt"),
+                         "--cascades", str(data_dir / "cascades.txt"),
+                         "--out", str(out), "--hidden-dim", "8", "--epochs", "3",
+                         "--lr", lr])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 3
+        assert json.loads((out / "report.json").read_text())["diverged"]
+        assert len(err) == 1 and err[0].startswith("error:")
+
     def test_deterministic_reruns_byte_identical(self, data_dir, tmp_path):
         common = ["train", "--graph", str(data_dir / "graph.txt"),
                   "--cascades", str(data_dir / "cascades.txt"),
@@ -263,6 +276,23 @@ class TestEvaluate:
                          "--test-cascades", str(empty),
                          "--out", str(tmp_path / "e")])
         assert code == 2
+
+    def test_train_then_evaluate_with_one_node_cascades(self, data_dir, tmp_path):
+        cascades = tmp_path / "cascades.txt"
+        extra = "".join(f"{label}\n" for label in range(0, 20, 2))
+        cascades.write_text((data_dir / "cascades.txt").read_text() + extra)
+        run = tmp_path / "run"
+        assert cli.main(["train", "--graph", str(data_dir / "graph.txt"),
+                         "--cascades", str(cascades), "--out", str(run),
+                         "--hidden-dim", "4", "--epochs", "1"]) == 0
+        test_lines = (run / "split_test.txt").read_text().splitlines()
+        assert any(len(line.split()) == 1 for line in test_lines[1:])
+        assert cli.main(["evaluate", "--checkpoint", str(run / "checkpoint.bin"),
+                         "--graph", str(data_dir / "graph.txt"),
+                         "--test-cascades", str(run / "split_test.txt"),
+                         "--baseline", "icsb",
+                         "--train-cascades", str(run / "split_train.txt"),
+                         "--out", str(tmp_path / "eval")]) == 0
 
     def test_k_below_one_exit_2(self, data_dir, run_dir, tmp_path, capsys):
         out = tmp_path / "k"
@@ -375,6 +405,21 @@ class TestPredict:
         assert probs == sorted(probs, reverse=True)
         assert sum(probs) <= 1.0 + 1e-9
 
+    def test_ties_print_ascending_ids(self, data_dir, run_dir, tmp_path, capsys):
+        model, labels, header = load_model(run_dir / "checkpoint.bin")
+        model.params["G"][...] = 0.0
+        model.params["b_act"][...] = 0.0
+        flat = tmp_path / "flat.bin"
+        save_model(flat, model, labels, extra=header.get("extra"))
+        code = cli.main(["predict", "--checkpoint", str(flat),
+                         "--graph", str(data_dir / "graph.txt"),
+                         "--prefix", "7", "3", "--top-n", "100"])
+        assert code == 0
+        lines = [line.split() for line in capsys.readouterr().out.splitlines()]
+        ids = [labels.index(label) for label, _ in lines]
+        assert ids == sorted(set(range(20)) - {labels.index("7"), labels.index("3")})
+        assert {p for _, p in lines} == {repr(1 / 18)}
+
     def test_unknown_label_exit_2_names_it(self, data_dir, run_dir, capsys):
         code = cli.main(["predict", "--checkpoint",
                          str(run_dir / "checkpoint.bin"),
@@ -421,6 +466,16 @@ def test_unreadable_input_path_exit_2_names_it(command, flag, kind, data_dir,
     assert "Traceback" not in err
     errors = [line for line in err.splitlines() if line.startswith("error:")]
     assert len(errors) == 1 and str(bad) in errors[0]
+
+
+@pytest.mark.parametrize("args", [
+    ["generate", "--preset", "desk-default"],
+    ["evaluate", "--checkpoint", "c", "--graph", "g", "--test-cascades", "t"]])
+def test_deterministic_flag_only_on_train(args, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(args + ["--deterministic", "--out", str(tmp_path / "x")])
+    assert exc.value.code == 2
+    assert "--deterministic" in capsys.readouterr().err
 
 
 class TestVersionFlag:

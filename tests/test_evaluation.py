@@ -1,4 +1,5 @@
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -191,6 +192,20 @@ class TestEvaluate:
         graph, _ = self._setup(rng)
         with pytest.raises(ValueError):
             evaluate(OracleScorer(graph), [Cascade((0,))])
+
+    def test_length_one_cascades_dropped_with_one_warning(self, caplog):
+        rng = np.random.default_rng(55)
+        graph, cascades = self._setup(rng)
+        scorer = StaticScorer(graph, rng.normal(size=graph.node_count))
+        with_short = [Cascade((3,))] + cascades[:4] + [Cascade((0,)), Cascade((7,))] + cascades[4:]
+        want = evaluate(scorer, cascades)
+        with caplog.at_level(logging.WARNING):
+            got = evaluate(scorer, with_short)
+        assert got.values == want.values
+        assert got.instances == want.instances
+        assert got.by_prefix_length == want.by_prefix_length
+        warnings = [rec.getMessage() for rec in caplog.records]
+        assert len(warnings) == 1 and "excluded 3 length-1" in warnings[0]
 
     def test_uniform_random_scorer_matches_closed_form(self):
         # Hits@10 over m candidates with a random scorer is k/m in

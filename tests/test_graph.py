@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 import oracle
 from topolstm.errors import DataError
 from topolstm.graph import (Cascade, DataGraph, build_topologies, load_cascades,
-                            load_graph, load_graph_file, save_graph_file)
+                            load_graph, load_graph_file, records, save_graph_file,
+                            write_lines)
 from topolstm.model import Model, ModelConfig, forward_cascade
 
 from conftest import precedent_rows, random_cascade, random_graph, reversed_rows
@@ -55,6 +56,23 @@ class TestLoadGraph:
     def test_comments_and_blanks_ignored(self):
         g = load_graph("# header\n\na b\n")
         assert g.edge_count == 1
+
+
+class TestLineFormat:
+    def test_records_number_every_line_and_quote_it_stripped(self):
+        text = "# header\n\n  a\tb  \n   # indented comment\nc d e\r\n"
+        assert list(records(text)) == [(3, "a\tb", ["a", "b"]),
+                                       (5, "c d e", ["c", "d", "e"])]
+
+    def test_malformed_line_quoted_stripped(self):
+        with pytest.raises(DataError, match=r"graph line 2: expected 'src dst', got 'a b c'$"):
+            load_graph("x y\n  a b c  \n")
+
+    @pytest.mark.parametrize("header, want", [(None, "1 2\nx\n"), ("", "1 2\nx\n"),
+                                              ("h", "# h\n1 2\nx\n")])
+    def test_write_lines_header_then_records(self, tmp_path, header, want):
+        write_lines(tmp_path / "f.txt", iter(["1 2", "x"]), header)
+        assert (tmp_path / "f.txt").read_bytes() == want.encode()
 
 
 class TestOutAdjacency:

@@ -9,8 +9,8 @@ from topolstm.evaluation import ModelScorer, target_rank
 from topolstm.errors import NumericError, ShapeError
 from topolstm.graph import Cascade, DataGraph, build_topologies
 from topolstm.model import (SCORE_MODES, CellState, Model, ModelConfig, U_BLOCKS,
-                            backward_cascade, forward_cascade, gate_rows,
-                            predict_next, score_inactive)
+                            backward_cascade, forward_cascade, predict_next,
+                            score_inactive)
 from topolstm.numeric import (ParameterStore, finite_difference_check,
                               softmax_over_subset)
 from topolstm.training import objective
@@ -93,15 +93,6 @@ class TestParameterLayout:
         result = forward_cascade(model, graph, cascade, compute_loss=False)
         h_ref, _ = oracle.forward(model.params, graph, cascade, d)
         np.testing.assert_allclose(result.H, h_ref, atol=1e-12)
-
-    def test_gate_rows_built_once_and_read_only(self):
-        for d in (1, 3, 32):
-            rows = gate_rows(d)
-            assert rows is gate_rows(d)
-            np.testing.assert_array_equal(
-                rows, list(range(2 * d)) + list(range(d, 4 * d)))
-            with pytest.raises(ValueError):
-                rows[0] = 1
 
     def test_packed_store_is_not_a_model_store(self):
         model = self._model()
