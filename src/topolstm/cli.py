@@ -20,7 +20,7 @@ from . import checkpoint as ckpt
 from . import datagen, evaluation, training
 from .baseline import EdgeProbabilities, ICSBScorer, fit_static_bernoulli
 from .errors import CheckpointError, DataError, DivergenceError, TopoLstmError
-from .graph import (Cascade, load_cascades_file, load_graph_file,
+from .graph import (Cascade, drop_short, load_cascades_file, load_graph_file,
                     save_cascades_file, save_labels)
 from .model import ModelConfig, predict_next
 from .version import TOOL_VERSION
@@ -252,6 +252,8 @@ def cmd_evaluate(args) -> int:
     test_cascades = load_cascades_file(args.test_cascades, graph)
     if not test_cascades:
         raise DataError(f"no cascades in {args.test_cascades}")
+    # Once here, not once per scorer, so the length-1 warning is logged once.
+    test_cascades, _ = drop_short(test_cascades, "test set")
 
     config_echo = {
         "command": "evaluate",

@@ -69,9 +69,6 @@ class DataGraph:
         hit = np.flatnonzero(self.out_idx[lo:self.out_ptr[u + 1]] == v)
         return int(lo + hit[0]) if hit.size else -1
 
-    def has_edge(self, u: NodeId, v: NodeId) -> bool:
-        return self.edge_id(u, v) >= 0
-
     def edge_pairs(self) -> tuple[np.ndarray, np.ndarray]:
         """(src, dst) of every edge, in CSR edge-id order."""
         return np.repeat(np.arange(self.node_count), np.diff(self.out_ptr)), self.out_idx
@@ -248,9 +245,9 @@ class DiffusionTopology:
     A view over a graph, an activation order, each node's in-neighbour rows
     in the order that activated before it, and a time t: the active prefix is
     the nodes activated strictly before t, and a node's precedents are those
-    in-neighbours in that prefix, ordered by activation time.  The model does not read these views; it builds one CSR
-    precedent index per cascade (``model._precedent_index``).  They serve the
-    dict-based reference scorers that the benchmark's gates compare against.
+    in-neighbours in that prefix, ordered by activation time.  Only the
+    benchmark's dict-based reference scorers read these views; the model
+    builds one CSR precedent index per cascade (``model._precedent_index``).
     """
 
     __slots__ = ("graph", "_order", "_in_rows", "time")

@@ -40,12 +40,12 @@ informative when graph edges are missing.
 A cascade's precedents are built once, as a CSR index over cascade
 positions.  The per-step loop runs only the memory cell, pooling from those
 rows and from running state sums.  No score feeds back into the cell, so
-the T-1 prediction steps are then scored as one (T-1) x m block, from
-cumulative sums over its rows, and the backward pass takes every score
-gradient from that block with whole-cascade array operations; its reverse
-loop keeps only the cell's backward pass.  A loop step costs O(|P| d) for
-pooling and O(d^2) for the cell, and nothing grows with the number of nodes
-active before it.
+``_score_rows`` scores a cascade's T-1 steps as one (T-1) x m block, from
+cumulative sums over its rows, and ``predict_next``'s step as one more row;
+the backward pass takes every score gradient from that block with
+whole-cascade array operations, and its reverse loop keeps only the cell's
+backward pass.  A loop step costs O(|P| d) for pooling and O(d^2) for the
+cell, and nothing grows with the number of nodes active before it.
 
 Gradients are derived by hand in `backward_cascade` and verified against
 central differences in the test suite.
@@ -60,7 +60,7 @@ import numpy as np
 
 from .errors import DataError, NumericError
 from .graph import Cascade, DataGraph, DiffusionTopology
-from .numeric import GradientStore, Layout, ParameterStore, mean_pool, sigmoid, softmax
+from .numeric import GradientStore, Layout, ParameterStore, mean_pool, sigmoid
 
 SCORE_MODES = ("all-active", "precedent-only")
 
@@ -160,11 +160,11 @@ class CascadeForwardResult:
     and ``dst`` are the cascade's out-edges, from ``DataGraph.out_edges``:
     the edge from row src[e] to node dst[e], in row order.
 
-    With losses, the scoring of all T-1 steps is one block: row s of
-    ``probs`` is the softmax over all nodes at step t = s + 2, exactly 0 at
-    the nodes active by then (``pos <= s``).  ``backward_cascade`` reuses
-    ``probs`` and ``counts`` as its workspace, so a result is backpropagated
-    once.
+    With losses, ``probs``, ``counts`` and ``losses`` are ``_score_rows``'s
+    block of all T-1 steps: row s of ``probs`` is the softmax over all nodes
+    at step t = s + 2, exactly 0 at the nodes active by then (``pos <= s``).
+    ``backward_cascade`` reuses ``probs`` and ``counts`` as its workspace, so
+    a result is backpropagated once.
     """
     cascade: Cascade
     H: np.ndarray               # (T, d) sender embeddings
@@ -247,12 +247,6 @@ def score_inactive(states: Mapping[int, CellState], topo: DiffusionTopology,
     return scores
 
 
-def _edge_terms(G: np.ndarray, H: np.ndarray, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-    """G[w] . h_u of every edge (row u -> node w): its share of w's
-    precedent-only score numerator."""
-    return np.einsum("ij,ij->i", G[dst], H[src])
-
-
 def _precedent_index(T: int, pos: np.ndarray, src: np.ndarray, dst: np.ndarray
                      ) -> tuple[np.ndarray, np.ndarray]:
     """CSR (prec_ptr, prec_pos) of the precedents of a cascade of length T:
@@ -267,9 +261,49 @@ def _precedent_index(T: int, pos: np.ndarray, src: np.ndarray, dst: np.ndarray
     return prec_ptr, src[np.argsort(dst, kind="stable")]
 
 
-def _all_active_pooled(H: np.ndarray, steps: int) -> np.ndarray:
-    """Row s: the mean of H[0..s], the pooled state of step t = s + 2."""
-    return np.cumsum(H[:steps], axis=0) / np.arange(1, steps + 1)[:, None]
+def _all_active_pooled(H: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Row s - lo, for s = lo..hi-1: the all-active pooled state mean(H[0..s])."""
+    return np.cumsum(H[:hi], axis=0)[lo:] / np.arange(lo + 1, hi + 1)[:, None]
+
+
+def _score_rows(model: Model, result: CascadeForwardResult, lo: int, hi: int
+                ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
+    """(probs, counts, losses) of the steps that see rows 0..s, s = lo..hi-1.
+
+    Row s - lo of ``probs`` is the softmax of G[w] . pooled + b_act[w] over
+    the nodes inactive at that step, 0 at the active ones; pooled is the mean
+    of H[0..s] (all-active) or of w's active in-neighbours' states, counted
+    in ``counts`` with 0 read as 1 (precedent-only).  ``losses`` holds -log p
+    of the next activation for the rows that have one in the cascade.
+    """
+    config, params = model.config, model.params
+    G, m, H = params["G"], config.node_count, result.H
+    S, counts = hi - lo, None
+    if config.score_mode == "all-active":
+        X = _all_active_pooled(H, lo, hi) @ G.T
+    else:
+        # Edge u -> w puts its term in cell (max(u - lo, 0), w): at most one
+        # per cell when lo = 0, and rows from hi on fall past the block.
+        # Cumulative sums over rows then give each step's sums.
+        src, dst = result.src, result.dst
+        cell = np.maximum(src - lo, 0) * m + dst
+        terms = np.einsum("ij,ij->i", G[dst], H[src])
+        X, counts = (np.bincount(cell, weights=w, minlength=S * m)[:S * m].reshape(S, m)
+                     for w in (terms, np.ones(cell.size)))
+        np.add.accumulate(X, axis=0, out=X)
+        np.add.accumulate(counts, axis=0, out=counts)
+        np.maximum(counts, 1.0, out=counts)
+        X /= counts
+    X += params["b_act"]
+    # Active nodes score -inf, so the row-wise log-sum-exp gives them 0.
+    np.copyto(X, -np.inf, where=result.pos <= np.arange(lo, hi)[:, None])
+    X -= X.max(axis=1, keepdims=True)
+    targets = np.asarray(result.cascade.nodes[lo + 1:hi + 1], dtype=np.intp)
+    target_shifted = X[np.arange(targets.size), targets]
+    np.exp(X, out=X)
+    z = X.sum(axis=1)
+    X /= z[:, None]
+    return X, counts, np.log(z[:targets.size]) - target_shifted
 
 
 def forward_cascade(model: Model, graph: DataGraph, cascade: Cascade,
@@ -279,14 +313,12 @@ def forward_cascade(model: Model, graph: DataGraph, cascade: Cascade,
     The loop runs only the cell: the precedent aggregates read the
     precedents' rows, and the other-active aggregates are running state sums
     minus the precedent sums, so step t costs O(|P| d) plus the cell.  When
-    ``compute_loss`` is set, all T-1 prediction steps are then scored as one
-    block: step t scores all inactive nodes against the prefix (the state
-    *before* v_t activates) and records the negative log-probability of the
-    actual activation.
+    ``compute_loss`` is set, ``_score_rows`` then scores all T-1 prediction
+    steps as one block, step t against the state *before* v_t activates,
+    with the negative log-probability of v_t as its loss.
     """
-    config = model.config
     T = len(cascade)
-    d, m = config.hidden_dim, config.node_count
+    d, m = model.config.hidden_dim, model.config.node_count
     if max(cascade.nodes) >= m or min(cascade.nodes) < 0:
         raise DataError("cascade references nodes outside the graph")
 
@@ -322,37 +354,12 @@ def forward_cascade(model: Model, graph: DataGraph, cascade: Cascade,
     if not (np.all(np.isfinite(H)) and np.all(np.isfinite(C))):
         bad = int(np.flatnonzero(~(np.isfinite(H) & np.isfinite(C)).all(axis=1))[0])
         _raise_nonfinite(cascade[bad], A[bad], C[bad])
-    losses, probs, counts = np.zeros(0), None, None
+    result = CascadeForwardResult(cascade=cascade, H=H, C=C, A=A, tanh_C=tanh_C,
+                                  HX=HX, CX=CX, prec_ptr=prec_ptr, prec_pos=prec_pos,
+                                  src=src, dst=dst, pos=pos, losses=np.zeros(0))
     if compute_loss and T >= 2:
-        # Row s of the score block is step t = s + 2, which sees rows 0..s.
-        S, G = T - 1, params["G"]
-        if config.score_mode == "all-active":
-            X = _all_active_pooled(H, S) @ G.T
-        else:
-            # Cumulative sums over rows of the edge terms G[w] . h_u and of
-            # the edge counts; a count of 0 is clamped to 1 (bias-only).
-            keep = src < S
-            rows, targets = src[keep], dst[keep]
-            X, counts = np.zeros((S, m)), np.zeros((S, m))
-            X[rows, targets] = _edge_terms(G, H, rows, targets)
-            counts[rows, targets] = 1.0
-            np.cumsum(X, axis=0, out=X)
-            np.cumsum(counts, axis=0, out=counts)
-            np.maximum(counts, 1.0, out=counts)
-            X /= counts
-        X += params["b_act"]
-        # Active nodes score -inf, so the row-wise log-sum-exp gives them 0.
-        np.copyto(X, -np.inf, where=pos <= np.arange(S)[:, None])
-        X -= X.max(axis=1, keepdims=True)
-        target_shifted = X[np.arange(S), nodes[1:]]
-        np.exp(X, out=X)
-        z = X.sum(axis=1)
-        X /= z[:, None]
-        losses, probs = np.log(z) - target_shifted, X
-    return CascadeForwardResult(cascade=cascade, H=H, C=C, A=A, tanh_C=tanh_C,
-                                HX=HX, CX=CX, prec_ptr=prec_ptr, prec_pos=prec_pos,
-                                src=src, dst=dst, pos=pos, losses=losses,
-                                probs=probs, counts=counts)
+        result.probs, result.counts, result.losses = _score_rows(model, result, 0, T - 1)
+    return result
 
 
 def backward_cascade(result: CascadeForwardResult, model: Model,
@@ -392,7 +399,7 @@ def backward_cascade(result: CascadeForwardResult, model: Model,
         gb_act += GV.sum(axis=0)
         if config.score_mode == "all-active":
             # Row s's d pooled = GV[s] . G / (s + 1) reaches rows 0..s.
-            gG += GV.T @ _all_active_pooled(result.H, S)
+            gG += GV.T @ _all_active_pooled(result.H, 0, S)
             DP = (GV @ G) / np.arange(1, S + 1)[:, None]
             dH[:S] += np.cumsum(DP[::-1], axis=0)[::-1]
         else:
@@ -463,19 +470,13 @@ def predict_next(model: Model, graph: DataGraph, prefix: Cascade
                  ) -> tuple[np.ndarray, np.ndarray]:
     """Distribution over the next activation after an observed prefix.
 
-    Returns (candidate ids ascending, probabilities); candidates are all
-    inactive nodes.
+    Returns (candidate ids ascending, probabilities): every inactive node,
+    scored by ``_score_rows`` as the one step after the prefix.
     """
     result = forward_cascade(model, graph, prefix, compute_loss=False)
     T = len(prefix)
     cand = np.flatnonzero(result.pos == T)
     if cand.size == 0:
         raise ValueError("no inactive nodes left to predict")
-    G, b_act = model.params["G"], model.params["b_act"]
-    if model.config.score_mode == "all-active":
-        scores = G[cand] @ result.H.mean(axis=0)
-    else:
-        m, src, dst = model.config.node_count, result.src, result.dst
-        num = np.bincount(dst, weights=_edge_terms(G, result.H, src, dst), minlength=m)
-        scores = (num / np.maximum(np.bincount(dst, minlength=m), 1))[cand]
-    return cand, softmax(scores + b_act[cand])
+    probs, _, _ = _score_rows(model, result, T - 1, T)
+    return cand, probs[0, cand]

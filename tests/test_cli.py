@@ -1,6 +1,7 @@
 import filecmp
 import hashlib
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -293,6 +294,25 @@ class TestEvaluate:
                          "--baseline", "icsb",
                          "--train-cascades", str(run / "split_train.txt"),
                          "--out", str(tmp_path / "eval")]) == 0
+
+    def test_length_one_cascades_warned_once_with_baseline(self, data_dir, run_dir, tmp_path,
+                                                           caplog, capsys):
+        def evaluate(test_file, out):
+            return cli.main(["evaluate", "--checkpoint", str(run_dir / "checkpoint.bin"),
+                             "--graph", str(data_dir / "graph.txt"),
+                             "--test-cascades", str(test_file), "--baseline", "icsb",
+                             "--train-cascades", str(run_dir / "split_train.txt"),
+                             "--out", str(tmp_path / out)])
+
+        mixed, short = tmp_path / "mixed.txt", tmp_path / "short.txt"
+        short.write_text("0\n2\n4\n")
+        mixed.write_text((run_dir / "split_test.txt").read_text() + short.read_text())
+        with caplog.at_level(logging.WARNING):
+            assert evaluate(mixed, "mixed") == 0
+        excluded = [r.getMessage() for r in caplog.records if "excluded" in r.getMessage()]
+        assert len(excluded) == 1 and excluded[0].startswith("excluded 3 length-1")
+        assert evaluate(short, "short") == 2
+        assert capsys.readouterr().err == "error: empty test set\n"
 
     def test_k_below_one_exit_2(self, data_dir, run_dir, tmp_path, capsys):
         out = tmp_path / "k"

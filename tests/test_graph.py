@@ -27,7 +27,7 @@ class TestLoadGraph:
         g = load_graph("a b\nb c\na c\n")
         assert g.node_count == 3
         assert g.edge_count == 3
-        assert g.has_edge(g.id_of("a"), g.id_of("b"))
+        assert g.edge_id(g.id_of("a"), g.id_of("b")) >= 0
 
     def test_empty_file(self):
         g = load_graph("")
@@ -43,7 +43,7 @@ class TestLoadGraph:
     def test_undirected_flag_doubles_edges(self):
         g = load_graph("a b\nb c\n", undirected=True)
         assert g.edge_count == 4
-        assert g.has_edge(g.id_of("b"), g.id_of("a"))
+        assert g.edge_id(g.id_of("b"), g.id_of("a")) >= 0
 
     def test_self_loop_rejected_with_line(self):
         with pytest.raises(DataError, match="line 2.*self-loop"):
@@ -153,7 +153,7 @@ class TestGraphBuilderAgainstSetModel:
         for u in range(m):
             for v in range(m):
                 e = g.edge_id(u, v)
-                assert g.has_edge(u, v) == (e >= 0) == ((u, v) in want)
+                assert (e >= 0) == ((u, v) in want)
                 if e >= 0:
                     assert g.out_ptr[u] <= e < g.out_ptr[u + 1] and g.out_idx[e] == v
 
