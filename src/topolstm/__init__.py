@@ -7,7 +7,7 @@ Training uses hand-derived reverse-mode gradients with Adam; evaluation
 reports MAP@k / Hits@k against an independent-cascade baseline.
 """
 
-from .baseline import EdgeProbabilities, ICSBScorer, fit_static_bernoulli, icsb_score
+from .baseline import EdgeProbabilities, ICSBScorer, fit_static_bernoulli
 from .checkpoint import load_model, save_model
 from .datagen import (GRAPH_MODELS, PRESETS, SynthConfig, generate_dataset,
                       generate_graph, simulate_ic_cascade)
@@ -15,13 +15,12 @@ from .errors import (CheckpointError, ConfigError, DataError, DivergenceError,
                      NumericError, ShapeError, TopoLstmError)
 from .evaluation import (MetricsTable, ModelScorer, evaluate, hits_at_k,
                          map_at_k, rank_candidates)
-from .graph import (Cascade, DataGraph, DiffusionTopology, build_topologies,
-                    load_cascades, load_cascades_file, load_graph,
-                    load_graph_file)
+from .graph import (Cascade, DataGraph, load_cascades, load_cascades_file,
+                    load_graph, load_graph_file)
 from .model import (Model, ModelConfig, backward_cascade, forward_cascade,
-                    predict_next, score_inactive)
+                    predict_next)
 from .numeric import (Adam, FdCheckResult, GradientStore, ParameterStore,
-                      finite_difference_check, mean_pool, softmax_over_subset)
+                      finite_difference_check)
 from .training import TrainConfig, TrainReport, objective, split_dataset, train
 from .version import TOOL_VERSION
 

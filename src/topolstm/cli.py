@@ -2,9 +2,9 @@
 
 Exit codes: 0 success, 2 usage or data error (a missing or unreadable path
 included), 3 training divergence, 4 malformed checkpoint or checkpoint/graph
-mismatch.  Every run is reproducible under a fixed seed: generate and
-evaluate write byte-identical files on a rerun, and so does train with
---deterministic, which nulls the report's timings (train.log keeps them).
+mismatch.  Under a fixed seed, generate, train (train.log's timings aside)
+and evaluate write byte-identical files on a rerun.  evaluate and predict
+read the graph in the direction train recorded in the checkpoint.
 """
 
 from __future__ import annotations
@@ -22,10 +22,8 @@ from .baseline import EdgeProbabilities, ICSBScorer, fit_static_bernoulli
 from .errors import CheckpointError, DataError, DivergenceError, TopoLstmError
 from .graph import (Cascade, drop_short, load_cascades_file, load_graph_file,
                     save_cascades_file, save_labels)
-from .model import ModelConfig, predict_next
+from .model import SCORE_MODES, ModelConfig, predict_next
 from .version import TOOL_VERSION
-
-log = logging.getLogger(__name__)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -71,10 +69,9 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--cascades", required=True)
     tr.add_argument("--out", required=True, help="output directory")
     tr.add_argument("--undirected", action="store_true",
-                    help="expand each graph edge to both directions")
+                    help="read each edge both ways; evaluate and predict reuse this")
     tr.add_argument("--hidden-dim", type=int, default=32)
-    tr.add_argument("--score-mode", choices=("all-active", "precedent-only"),
-                    default="all-active")
+    tr.add_argument("--score-mode", choices=SCORE_MODES, default="all-active")
     tr.add_argument("--lr", type=float, default=1e-2)
     tr.add_argument("--lambda", dest="lam", type=float, default=1e-6,
                     help="L2 regularization trade-off")
@@ -86,14 +83,11 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--train-frac", type=float, default=0.75)
     tr.add_argument("--val-frac", type=float, default=0.10)
     tr.add_argument("--seed", type=int, default=0)
-    tr.add_argument("--deterministic", action="store_true",
-                    help="byte-identical primary outputs (timings nulled in report)")
 
     ev = sub.add_parser("evaluate", help="rank test-set activations and report MAP@k / Hits@k")
     ev.add_argument("--checkpoint", required=True)
     ev.add_argument("--graph", required=True)
     ev.add_argument("--test-cascades", required=True)
-    ev.add_argument("--undirected", action="store_true")
     ev.add_argument("--ks", type=_parse_ks, default=evaluation.DEFAULT_KS)
     ev.add_argument("--baseline", choices=("icsb",),
                     help="also score the IC-SB baseline on the same instances")
@@ -101,14 +95,11 @@ def build_parser() -> argparse.ArgumentParser:
                     help="training cascades for fitting the baseline")
     ev.add_argument("--edge-probs",
                     help="pre-fitted baseline probabilities (u v p file)")
-    ev.add_argument("--length-csv", action="store_true",
-                    help="also write per-prefix-length metric buckets")
     ev.add_argument("--out", required=True, help="output directory")
 
     pr = sub.add_parser("predict", help="rank the next activation after a prefix")
     pr.add_argument("--checkpoint", required=True)
     pr.add_argument("--graph", required=True)
-    pr.add_argument("--undirected", action="store_true")
     pr.add_argument("--prefix", nargs="+", required=True,
                     help="observed activations in order (node labels)")
     pr.add_argument("--top-n", type=int, default=10)
@@ -116,13 +107,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_checkpoint_with_graph(args):
+    """The model, and the graph read as the checkpoint's training run read it."""
     model, labels, header = ckpt.load_model(args.checkpoint)
-    graph = load_graph_file(args.graph, undirected=args.undirected)
+    extra = header.get("extra", {})
+    undirected = extra.get("undirected", False) if isinstance(extra, dict) else None
+    if not isinstance(undirected, bool):
+        raise CheckpointError(f"{args.checkpoint}: header 'extra' must be an object "
+                              "whose 'undirected', if present, is true or false")
+    graph = load_graph_file(args.graph, undirected=undirected)
     if graph.labels != labels:
         raise CheckpointError(
             f"graph {args.graph} does not match the checkpoint's node mapping "
             f"({graph.node_count} vs {len(labels)} nodes or different labels)")
-    return model, graph, header
+    return model, graph
 
 
 def cmd_generate(args) -> int:
@@ -177,8 +174,7 @@ def cmd_train(args) -> int:
             "batch_size": train_config.batch_size, "max_epochs": train_config.max_epochs,
             "patience": train_config.patience, "seed": train_config.seed,
             "train_frac": args.train_frac, "val_frac": args.val_frac,
-            "clip_norm": train_config.clip_norm,
-            "deterministic": args.deterministic},
+            "clip_norm": train_config.clip_norm},
     }
 
     train_set, val_set, test_set = training.split_dataset(
@@ -219,26 +215,24 @@ def cmd_train(args) -> int:
                                            epoch_callback=on_epoch)
         except DivergenceError as exc:
             _write_report(out / "report.json", exc.report, config_echo,
-                          diverged=True,
-                          include_timing=not args.deterministic)
+                          diverged=True)
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_DIVERGED
 
     ckpt.save_model(ckpt_path, model, graph.labels, extra=config_echo)
-    _write_report(out / "report.json", report, config_echo, diverged=False,
-                  include_timing=not args.deterministic)
+    _write_report(out / "report.json", report, config_echo, diverged=False)
     final = report.epochs[-1].train_loss if report.epochs else float("nan")
     print(f"trained {len(report.epochs)} epoch(s); best epoch {report.best_epoch}; "
           f"final train loss {final:.6f}; checkpoint at {ckpt_path}")
     return EXIT_OK
 
 
-def _write_report(path, report, config_echo, diverged, include_timing=True):
+def _write_report(path, report, config_echo, diverged):
     doc = {
         "tool_version": TOOL_VERSION,
         "config": config_echo,
         "diverged": diverged,
-        "report": report.to_json_dict(include_timing=include_timing) if report else None,
+        "report": report.to_json_dict(),
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
@@ -248,7 +242,7 @@ def _write_report(path, report, config_echo, diverged, include_timing=True):
 def cmd_evaluate(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    model, graph, header = _load_checkpoint_with_graph(args)
+    model, graph = _load_checkpoint_with_graph(args)
     test_cascades = load_cascades_file(args.test_cascades, graph)
     if not test_cascades:
         raise DataError(f"no cascades in {args.test_cascades}")
@@ -284,15 +278,14 @@ def cmd_evaluate(args) -> int:
 
     evaluation.write_metrics_json(out / "metrics.json", tables, config_echo)
     evaluation.write_metrics_text(out / "metrics.txt", tables, config_echo)
-    if args.length_csv:
-        evaluation.write_length_buckets_csv(out / "length_buckets.csv", tables[0])
+    evaluation.write_length_buckets_csv(out / "length_buckets.csv", tables[0])
     with open(out / "metrics.txt", "r", encoding="utf-8") as fh:
         print(fh.read(), end="")
     return EXIT_OK
 
 
 def cmd_predict(args) -> int:
-    model, graph, _ = _load_checkpoint_with_graph(args)
+    model, graph = _load_checkpoint_with_graph(args)
     ids = []
     for label in args.prefix:
         ids.append(graph.id_of(label))  # raises DataError naming the label

@@ -43,8 +43,9 @@ class SynthConfig:
             raise ConfigError(f"graph_model must be one of {GRAPH_MODELS}")
         if self.cascade_count < 0:
             raise ConfigError("cascade_count must be >= 0")
-        if self.max_cascade_length < 1:
-            raise ConfigError("max_cascade_length must be >= 1")
+        if self.max_cascade_length < 2:
+            raise ConfigError(
+                f"max_cascade_length must be >= 2, got {self.max_cascade_length}")
         if not (math.isfinite(self.edge_param) and self.edge_param >= 0):
             raise ConfigError(f"edge_param must be finite and >= 0, got {self.edge_param}")
         if self.seed < 0:

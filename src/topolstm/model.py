@@ -215,7 +215,7 @@ def _raise_nonfinite(node: int, a: np.ndarray, c: np.ndarray) -> None:
 
 
 def score_inactive(states: Mapping[int, CellState], topo: DiffusionTopology,
-                   model: Model, mode: str | None = None) -> dict[int, float]:
+                   model: Model) -> dict[int, float]:
     """Activation score for every inactive node given the active states.
 
     "precedent-only" pools each candidate's precedent states (bias-only when
@@ -223,9 +223,6 @@ def score_inactive(states: Mapping[int, CellState], topo: DiffusionTopology,
     reference: the model scores through ``forward_cascade``'s block, and the
     benchmark's gates compare it against this.
     """
-    mode = mode or model.config.score_mode
-    if mode not in SCORE_MODES:
-        raise ValueError(f"unknown score mode {mode!r}")
     prefix = topo.active_prefix
     if not prefix:
         raise ValueError("scoring requires a nonempty active prefix")
@@ -234,7 +231,7 @@ def score_inactive(states: Mapping[int, CellState], topo: DiffusionTopology,
     b = model.params["b_act"]
     active = set(prefix)
     scores: dict[int, float] = {}
-    if mode == "all-active":
+    if model.config.score_mode == "all-active":
         pooled = mean_pool([states[v].h for v in prefix], d)
         for v in range(model.config.node_count):
             if v not in active:

@@ -162,7 +162,8 @@ class ParameterStore:
         self.flat.fill(value)
 
     def squared_l2(self) -> float:
-        return float(np.dot(self.flat, self.flat))
+        # einsum, not np.dot: BLAS rounds its dot differently per thread count.
+        return float(np.einsum("i,i->", self.flat, self.flat))
 
     def flat_coordinate(self, k: int) -> tuple[str, tuple]:
         """Map a coordinate in [0, total_size), counted slot by slot in name

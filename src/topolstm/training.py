@@ -143,21 +143,18 @@ class TrainReport:
     best_val_loss: float | None = None
     stopped_early: bool = False
     dropped_short_cascades: int = 0
-    total_seconds: float = 0.0
 
-    def to_json_dict(self, include_timing: bool = True) -> dict:
+    def to_json_dict(self) -> dict:
         return {
             "epochs": [
                 {"epoch": e.epoch, "train_loss": e.train_loss,
-                 "train_reg": e.train_reg, "val_loss": e.val_loss,
-                 "seconds": e.seconds if include_timing else None}
+                 "train_reg": e.train_reg, "val_loss": e.val_loss}
                 for e in self.epochs
             ],
             "best_epoch": self.best_epoch,
             "best_val_loss": self.best_val_loss,
             "stopped_early": self.stopped_early,
             "dropped_short_cascades": self.dropped_short_cascades,
-            "total_seconds": self.total_seconds if include_timing else None,
         }
 
 
@@ -195,7 +192,6 @@ def train(graph: DataGraph, train_cascades: Sequence[Cascade],
     best_model = model   # the result if max_epochs is 0; epoch 1 always replaces it
     best_monitor = np.inf
     since_improvement = 0
-    started = time.perf_counter()
 
     for epoch in range(1, config.max_epochs + 1):
         epoch_start = time.perf_counter()
@@ -249,6 +245,5 @@ def train(graph: DataGraph, train_cascades: Sequence[Cascade],
                 report.stopped_early = True
                 break
 
-    report.total_seconds = time.perf_counter() - started
     return best_model, report
 

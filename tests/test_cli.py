@@ -109,6 +109,15 @@ class TestGenerate:
         assert len(errors) == 1 and "edge_param" in errors[0] and value in errors[0]
         assert not (tmp_path / "g").exists()
 
+    def test_max_len_1_exit_2_names_it(self, tmp_path, capsys):
+        # A length-1 cascade is never kept, so no activation_prob could help.
+        code = cli.main(["generate", "--preset", "desk-default", "--max-len", "1",
+                         "--out", str(tmp_path / "g")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.splitlines() == ["error: max_cascade_length must be >= 2, got 1"]
+        assert not (tmp_path / "g").exists()
+
 
 class TestTrain:
     def test_outputs_exist(self, run_dir):
@@ -183,8 +192,7 @@ class TestTrain:
     def test_deterministic_reruns_byte_identical(self, data_dir, tmp_path):
         common = ["train", "--graph", str(data_dir / "graph.txt"),
                   "--cascades", str(data_dir / "cascades.txt"),
-                  "--hidden-dim", "4", "--epochs", "3", "--seed", "4",
-                  "--deterministic"]
+                  "--hidden-dim", "4", "--epochs", "3", "--seed", "4"]
         assert cli.main(common + ["--out", str(tmp_path / "a")]) == 0
         assert cli.main(common + ["--out", str(tmp_path / "b")]) == 0
         for name in ("checkpoint.bin", "report.json", "labels.txt",
@@ -192,6 +200,14 @@ class TestTrain:
                      "split_test.txt"):
             assert filecmp.cmp(tmp_path / "a" / name, tmp_path / "b" / name,
                                shallow=False), name
+        # Wall-clock time is only in train.log: one seconds column per epoch.
+        report = (tmp_path / "a" / "report.json").read_text()
+        assert "seconds" not in report
+        rows = [line.split() for line in
+                (tmp_path / "a" / "train.log").read_text().splitlines()
+                if not line.startswith("#")]
+        assert [row[0] for row in rows] == ["1", "2", "3"]
+        assert all(float(row[-1]) >= 0 for row in rows)
 
     def test_negative_seed_exit_2_names_it(self, data_dir, tmp_path, capsys):
         out = tmp_path / "neg"
@@ -240,8 +256,7 @@ class TestEvaluate:
                          "--test-cascades", str(run_dir / "split_test.txt"),
                          "--baseline", "icsb", "--train-cascades",
                          str(run_dir / "split_train.txt"),
-                         "--ks", "10,50,100", "--length-csv",
-                         "--out", str(out)])
+                         "--ks", "10,50,100", "--out", str(out)])
         assert code == 0
         doc = json.loads((out / "metrics.json").read_text())
         assert [r["scorer"] for r in doc["results"]] == ["topo-lstm", "ic-sb"]
@@ -488,14 +503,117 @@ def test_unreadable_input_path_exit_2_names_it(command, flag, kind, data_dir,
     assert len(errors) == 1 and str(bad) in errors[0]
 
 
-@pytest.mark.parametrize("args", [
-    ["generate", "--preset", "desk-default"],
-    ["evaluate", "--checkpoint", "c", "--graph", "g", "--test-cascades", "t"]])
-def test_deterministic_flag_only_on_train(args, tmp_path, capsys):
+@pytest.mark.parametrize("args, flag", [
+    (["generate", "--preset", "desk-default"], "--deterministic"),
+    (["train", "--graph", "g", "--cascades", "c"], "--deterministic"),
+    (["evaluate", "--checkpoint", "c", "--graph", "g", "--test-cascades", "t"],
+     "--deterministic"),
+    (["evaluate", "--checkpoint", "c", "--graph", "g", "--test-cascades", "t"],
+     "--undirected"),
+    (["evaluate", "--checkpoint", "c", "--graph", "g", "--test-cascades", "t"],
+     "--length-csv"),
+    (["predict", "--checkpoint", "c", "--graph", "g", "--prefix", "0"], "--undirected"),
+], ids=["generate-deterministic", "train-deterministic", "evaluate-deterministic",
+        "evaluate-undirected", "evaluate-length-csv", "predict-undirected"])
+def test_removed_flags_rejected(args, flag, tmp_path, capsys):
+    # evaluate and predict take the graph direction from the checkpoint,
+    # reports hold no timings and evaluate always writes the length buckets.
+    args = args + [flag] + (["--out", str(tmp_path / "x")] if args[0] != "predict" else [])
     with pytest.raises(SystemExit) as exc:
-        cli.main(args + ["--deterministic", "--out", str(tmp_path / "x")])
+        cli.main(args)
     assert exc.value.code == 2
-    assert "--deterministic" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"unrecognized arguments: {flag}" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+class TestGraphDirectionFromCheckpoint:
+    """evaluate and predict read the graph as the checkpoint's train run did."""
+
+    @pytest.fixture(scope="class")
+    def run(self, tmp_path_factory):
+        """A one-direction graph, the same graph with both directions written
+        out, and a precedent-only checkpoint from train --undirected."""
+        root = tmp_path_factory.mktemp("direction")
+        assert cli.main(["generate", "--nodes", "30", "--graph-model",
+                         "preferential-attachment", "--edge-param", "2",
+                         "--activation-prob", "0.2,0.8", "--cascades", "60",
+                         "--max-len", "8", "--seed", "4",
+                         "--out", str(root / "data")]) == 0
+        pairs = [line.split() for line in
+                 (root / "data" / "graph.txt").read_text().splitlines()
+                 if not line.startswith("#")]
+        one_way = [(u, v) for u, v in pairs if int(u) < int(v)]
+        (root / "one_way.txt").write_text("".join(f"{u} {v}\n" for u, v in one_way))
+        (root / "both_ways.txt").write_text(
+            "".join(f"{u} {v}\n{v} {u}\n" for u, v in one_way))
+        assert cli.main(["train", "--graph", str(root / "one_way.txt"),
+                         "--cascades", str(root / "data" / "cascades.txt"),
+                         "--undirected", "--score-mode", "precedent-only",
+                         "--hidden-dim", "4", "--epochs", "2",
+                         "--out", str(root / "run")]) == 0
+        return root
+
+    @staticmethod
+    def evaluate(run, checkpoint, graph, out):
+        assert cli.main(["evaluate", "--checkpoint", str(checkpoint),
+                         "--graph", str(run / graph),
+                         "--test-cascades", str(run / "run" / "split_test.txt"),
+                         "--baseline", "icsb",
+                         "--train-cascades", str(run / "run" / "split_train.txt"),
+                         "--out", str(out)]) == 0
+        return json.loads((out / "metrics.json").read_text())["results"]
+
+    @staticmethod
+    def predict(run, checkpoint, graph, capsys):
+        prefix = (run / "run" / "split_test.txt").read_text().splitlines()[1].split()[:3]
+        capsys.readouterr()
+        assert cli.main(["predict", "--checkpoint", str(checkpoint),
+                         "--graph", str(run / graph), "--prefix", *prefix,
+                         "--top-n", "30"]) == 0
+        return capsys.readouterr().out
+
+    @staticmethod
+    def resave(run, path, extra):
+        model, labels, _ = load_model(run / "run" / "checkpoint.bin")
+        save_model(path, model, labels, extra=extra)
+        return path
+
+    def test_evaluate_and_predict_reuse_train_undirected(self, run, tmp_path, capsys):
+        checkpoint = run / "run" / "checkpoint.bin"
+        assert load_model(checkpoint)[2]["extra"]["undirected"] is True
+        assert (self.evaluate(run, checkpoint, "one_way.txt", tmp_path / "one")
+                == self.evaluate(run, checkpoint, "both_ways.txt", tmp_path / "both"))
+        assert (self.predict(run, checkpoint, "one_way.txt", capsys)
+                == self.predict(run, checkpoint, "both_ways.txt", capsys))
+
+    def test_checkpoint_without_the_key_reads_directed(self, run, tmp_path, capsys):
+        undirected = self.evaluate(run, run / "run" / "checkpoint.bin",
+                                   "one_way.txt", tmp_path / "u")
+        no_key = self.resave(run, tmp_path / "no_key.bin", None)
+        directed = self.evaluate(run, no_key, "one_way.txt", tmp_path / "d")
+        assert directed != undirected
+        said = self.resave(run, tmp_path / "said.bin", {"undirected": False})
+        assert self.evaluate(run, said, "one_way.txt", tmp_path / "s") == directed
+        assert (self.predict(run, said, "one_way.txt", capsys)
+                == self.predict(run, no_key, "one_way.txt", capsys))
+
+    @pytest.mark.parametrize("extra", [{"undirected": 1}, {"undirected": "true"},
+                                       {"undirected": None}, [True], "undirected"],
+                             ids=["int", "string", "null", "list", "string-extra"])
+    @pytest.mark.parametrize("command", ["evaluate", "predict"])
+    def test_malformed_direction_exit_4(self, run, tmp_path, capsys, extra, command):
+        checkpoint = str(self.resave(run, tmp_path / "bad.bin", extra))
+        args = {"evaluate": ["--test-cascades", str(run / "run" / "split_test.txt"),
+                             "--out", str(tmp_path / "e")],
+                "predict": ["--prefix", "0"]}[command]
+        code = cli.main([command, "--checkpoint", checkpoint,
+                         "--graph", str(run / "one_way.txt")] + args)
+        err = capsys.readouterr().err
+        assert code == 4
+        assert err.splitlines() == [
+            f"error: {checkpoint}: header 'extra' must be an object whose "
+            "'undirected', if present, is true or false"]
 
 
 class TestVersionFlag:

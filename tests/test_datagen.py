@@ -191,3 +191,9 @@ class TestSynthConfigValidation:
     def test_bad_model(self):
         with pytest.raises(ConfigError):
             cfg(graph_model="smallworld")
+
+    @pytest.mark.parametrize("length", [1, 0])
+    def test_max_length_below_two(self, length):
+        with pytest.raises(ConfigError,
+                           match=f"max_cascade_length must be >= 2, got {length}"):
+            cfg(max_cascade_length=length)

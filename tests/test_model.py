@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -243,7 +244,8 @@ class TestScoreInactive:
                   for i, v in enumerate(cascade.nodes)}
         topo = build_topologies(graph, cascade)[3]
         for mode in ("all-active", "precedent-only"):
-            scores = score_inactive(states, topo, model, mode=mode)
+            moded = Model(replace(model.config, score_mode=mode), model.params)
+            scores = score_inactive(states, topo, moded)
             for v, s in scores.items():
                 assert s == pytest.approx(float(model.params["b_act"][v]))
 
@@ -255,7 +257,7 @@ class TestScoreInactive:
         result = forward_cascade(model, g, cascade, compute_loss=False)
         states = {0: CellState(result.H[0], result.C[0])}
         topo = build_topologies(g, cascade)[1]
-        scores = score_inactive(states, topo, model, mode="all-active")
+        scores = score_inactive(states, topo, model)   # all-active by default
         for v in (1, 2):
             want = float(result.H[0] @ model.params["G"][v]
                          + model.params["b_act"][v])
@@ -271,8 +273,9 @@ class TestScoreInactive:
         states = {v: CellState(result.H[i], result.C[i])
                   for i, v in enumerate(cascade.nodes[:3])}
         topo = build_topologies(graph, cascade)[3]
-        prec = score_inactive(states, topo, model, mode="precedent-only")
-        allact = score_inactive(states, topo, model, mode="all-active")
+        prec = score_inactive(states, topo, Model(
+            replace(model.config, score_mode="precedent-only"), model.params))
+        allact = score_inactive(states, topo, model)   # all-active by default
         assert prec[3] == pytest.approx(float(model.params["b_act"][3]))
         pooled = result.H[:3].mean(axis=0)
         want = float(pooled @ model.params["G"][3] + model.params["b_act"][3])

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import topolstm
 from topolstm.errors import NumericError, ShapeError
 from topolstm.numeric import (Adam, FdCheckResult, GradientStore, Layout,
                               ParameterStore, finite_difference_check,
@@ -32,6 +38,25 @@ class TestParameterStore:
     def test_squared_l2(self):
         store = ParameterStore({"w": np.array([3.0, 4.0]), "b": np.array([1.0])})
         assert store.squared_l2() == pytest.approx(26.0)
+
+    def test_squared_l2_same_bits_at_any_blas_thread_count(self):
+        # The thread count is read when numpy loads, so each reading gets its
+        # own interpreter.  A BLAS dot rounds these sums differently at 1 and 2.
+        code = ("import numpy as np\n"
+                "from topolstm.model import Model, ModelConfig\n"
+                "for m in (200, 1000):\n"
+                "    model = Model.initialize(ModelConfig(32, m), np.random.default_rng(0))\n"
+                "    print(model.params.squared_l2().hex())\n")
+        src = str(Path(topolstm.__file__).resolve().parents[1])
+        readings = []
+        for threads in ("1", "2"):
+            env = {k: v for k, v in os.environ.items()
+                   if k not in ("OMP_NUM_THREADS", "GOTO_NUM_THREADS")}
+            env.update(OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+            run = subprocess.run([sys.executable, "-c", code], env=env,
+                                 capture_output=True, text=True, check=True)
+            readings.append(run.stdout.split())
+        assert readings[0] == readings[1]
 
     def test_flat_coordinate_roundtrip(self):
         store = ParameterStore({"a": np.arange(6, dtype=float).reshape(2, 3),
