@@ -3,8 +3,10 @@
 Exit codes: 0 success, 2 usage or data error (a missing or unreadable path
 included), 3 training divergence, 4 malformed checkpoint or checkpoint/graph
 mismatch.  Under a fixed seed, generate, train (train.log's timings aside)
-and evaluate write byte-identical files on a rerun.  evaluate and predict
-read the graph in the direction train recorded in the checkpoint.
+and evaluate (timing.json aside) write byte-identical files on a rerun.
+train and evaluate create --out only once their inputs have loaded, so a
+run refused for its inputs leaves none.  evaluate and predict read the
+graph in the direction train recorded in the checkpoint.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import argparse
 import json
 import logging
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -148,8 +151,6 @@ def cmd_generate(args) -> int:
 
 
 def cmd_train(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     graph = load_graph_file(args.graph, undirected=args.undirected)
     cascades = load_cascades_file(args.cascades, graph)
 
@@ -180,6 +181,9 @@ def cmd_train(args) -> int:
     train_set, val_set, test_set = training.split_dataset(
         cascades, train_frac=args.train_frac, val_frac=args.val_frac,
         seed=args.seed)
+    # Only now, so a run that fails on its inputs leaves no directory.
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     for name, subset in (("train", train_set), ("validation", val_set),
                          ("test", test_set)):
         save_cascades_file(out / f"split_{name}.txt", subset, graph,
@@ -240,8 +244,8 @@ def _write_report(path, report, config_echo, diverged):
 
 
 def cmd_evaluate(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    if args.baseline == "icsb" and not (args.edge_probs or args.train_cascades):
+        raise DataError("--baseline icsb needs --train-cascades or --edge-probs")
     model, graph = _load_checkpoint_with_graph(args)
     test_cascades = load_cascades_file(args.test_cascades, graph)
     if not test_cascades:
@@ -261,24 +265,36 @@ def cmd_evaluate(args) -> int:
         "hidden_dim": model.config.hidden_dim,
     }
 
-    tables = [evaluation.evaluate(evaluation.ModelScorer(model, graph),
-                                  test_cascades, ks=args.ks)]
+    scorers = [evaluation.ModelScorer(model, graph)]
+    fitted = None
     if args.baseline == "icsb":
         if args.edge_probs:
             probs = EdgeProbabilities.load(args.edge_probs, graph)
-        elif args.train_cascades:
-            train_set = load_cascades_file(args.train_cascades, graph)
-            probs = fit_static_bernoulli(graph, train_set)
-            probs.save(out / "icsb_edge_probs.txt",
-                       header="fitted diffusion probabilities: u v p")
         else:
-            raise DataError("--baseline icsb needs --train-cascades or --edge-probs")
-        tables.append(evaluation.evaluate(ICSBScorer(graph, probs),
-                                          test_cascades, ks=args.ks))
+            train_set = load_cascades_file(args.train_cascades, graph)
+            probs = fitted = fit_static_bernoulli(graph, train_set)
+        scorers.append(ICSBScorer(graph, probs))
 
+    tables, timing = [], []
+    for scorer in scorers:
+        started = time.perf_counter()
+        tables.append(evaluation.evaluate(scorer, test_cascades, ks=args.ks))
+        seconds = time.perf_counter() - started
+        timing.append({"scorer": tables[-1].scorer, "seconds": seconds,
+                       "us_per_instance": 1e6 * seconds / tables[-1].instances})
+
+    # Only now, so a run that fails on its inputs leaves no directory.
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    if fitted is not None:
+        fitted.save(out / "icsb_edge_probs.txt", header="fitted diffusion probabilities: u v p")
     evaluation.write_metrics_json(out / "metrics.json", tables, config_echo)
     evaluation.write_metrics_text(out / "metrics.txt", tables, config_echo)
     evaluation.write_length_buckets_csv(out / "length_buckets.csv", tables[0])
+    # Wall-clock seconds differ on every run, so they stay out of metrics.json.
+    with open(out / "timing.json", "w", encoding="utf-8") as fh:
+        json.dump(timing, fh, indent=2)
+        fh.write("\n")
     with open(out / "metrics.txt", "r", encoding="utf-8") as fh:
         print(fh.read(), end="")
     return EXIT_OK

@@ -27,8 +27,11 @@ where U's row blocks are the gates [i, f_p, f_q, c, o] and its column
 blocks [h_p | h_q].  One cell step is one matvec,
 z = U @ [h_p; h_q] + (Wx[:, v] + b)[rows] with rows = [0:2d, d:4d]: the
 gather reads the W_f/b_f block for both forget gates, and backward adds
-their two rows of dz back onto it.  Slot names, order and shapes, and so
-the checkpoint bytes, do not depend on this layout.
+their two rows of dz back onto it.  As sigmoid(z) = 0.5 tanh(z/2) + 0.5,
+the forward pass halves the sigmoid rows of U and of the gathered terms
+once per cascade (exact in binary barring overflow and subnormals), so
+all five gates take one tanh and one scale-and-shift.  Slot names, order
+and shapes, and so the checkpoint bytes, do not depend on this layout.
 
 Scoring an inactive candidate v takes the inner product of a pooled sender
 state with v's receiver embedding plus v's bias, then a softmax over all
@@ -60,7 +63,7 @@ import numpy as np
 
 from .errors import DataError, NumericError
 from .graph import Cascade, DataGraph, DiffusionTopology
-from .numeric import GradientStore, Layout, ParameterStore, mean_pool, sigmoid
+from .numeric import GradientStore, Layout, ParameterStore, mean_pool
 
 SCORE_MODES = ("all-active", "precedent-only")
 
@@ -165,14 +168,18 @@ class CascadeForwardResult:
     at step t = s + 2, exactly 0 at the nodes active by then (``pos <= s``).
     ``backward_cascade`` reuses ``probs`` and ``counts`` as its workspace, so
     a result is backpropagated once.
+
+    A step's state is one row [h | c] of a (T, 2d) array, its pooled input
+    one block [[h_p, h_q], [c_p, c_q]] of a (T, 2, 2, d) array; H, C, HX and
+    CX are views of these two.
     """
     cascade: Cascade
-    H: np.ndarray               # (T, d) sender embeddings
-    C: np.ndarray               # (T, d) memory cells
+    H: np.ndarray               # (T, d) sender embeddings, state[:, :d]
+    C: np.ndarray               # (T, d) memory cells, state[:, d:]
     A: np.ndarray               # (T, 5d) gates [i, f_p, f_q, c_tilde, o]
     tanh_C: np.ndarray          # (T, d)
-    HX: np.ndarray              # (T, 2d) pooled [h_p; h_q]
-    CX: np.ndarray              # (T, 2d) pooled [c_p; c_q]
+    HX: np.ndarray              # (T, 2d) pooled [h_p; h_q], pooled[:, 0]
+    CX: np.ndarray              # (T, 2d) pooled [c_p; c_q], pooled[:, 1]
     prec_ptr: np.ndarray        # (T+1,) row offsets into prec_pos
     prec_pos: np.ndarray        # precedent positions, row by row
     src: np.ndarray             # out-edge source rows
@@ -185,21 +192,6 @@ class CascadeForwardResult:
     @property
     def total_loss(self) -> float:
         return float(self.losses.sum())
-
-
-def _cell(z: np.ndarray, cx: np.ndarray, a: np.ndarray, tanh_c: np.ndarray,
-          h: np.ndarray, c: np.ndarray) -> None:
-    """The cell kernel: from the fused pre-activation z (5d) and the pooled
-    memories cx = [c_p; c_q], writes the gate activations into ``a``
-    (c_tilde in the c block), then c, tanh(c) and h."""
-    d = h.size
-    sigmoid(z, out=a)
-    np.tanh(z[3 * d:4 * d], out=a[3 * d:4 * d])
-    np.multiply(a[:d], a[3 * d:4 * d], out=c)
-    c += a[d:2 * d] * cx[:d]
-    c += a[2 * d:3 * d] * cx[d:]
-    np.tanh(c, out=tanh_c)
-    np.multiply(a[4 * d:], tanh_c, out=h)
 
 
 def _raise_nonfinite(node: int, a: np.ndarray, c: np.ndarray) -> None:
@@ -307,12 +299,12 @@ def forward_cascade(model: Model, graph: DataGraph, cascade: Cascade,
                     compute_loss: bool = True) -> CascadeForwardResult:
     """Run the cell over a cascade in activation order.
 
-    The loop runs only the cell: the precedent aggregates read the
-    precedents' rows, and the other-active aggregates are running state sums
-    minus the precedent sums, so step t costs O(|P| d) plus the cell.  When
-    ``compute_loss`` is set, ``_score_rows`` then scores all T-1 prediction
-    steps as one block, step t against the state *before* v_t activates,
-    with the negative log-probability of v_t as its loss.
+    The loop runs only the cell: the precedent aggregates sum the
+    precedents' state rows once for h and c, and the other-active aggregates
+    are the running state sum minus that, so step t costs O(|P| d) plus the
+    cell.  When ``compute_loss`` is set, ``_score_rows`` then scores all T-1
+    prediction steps as one block, step t against the state *before* v_t
+    activates, with the negative log-probability of v_t as its loss.
     """
     T = len(cascade)
     d, m = model.config.hidden_dim, model.config.node_count
@@ -320,36 +312,51 @@ def forward_cascade(model: Model, graph: DataGraph, cascade: Cascade,
         raise DataError("cascade references nodes outside the graph")
 
     params = model.params
-    U = params.fused("U")
     nodes = np.asarray(cascade.nodes, dtype=np.intp)
     pos = np.full(m, T, dtype=np.intp)
     pos[nodes] = np.arange(T)
     src, dst, _ = graph.out_edges(nodes)
     prec_ptr, prec_pos = _precedent_index(T, pos, src, dst)
+    # The sigmoid rows halved (module docstring); adding -0.0 leaves the
+    # c_tilde block as tanh gave it, a -0.0 included.
+    scale = np.repeat((0.5, 0.5, 0.5, 1.0, 0.5), d)
+    shift = np.repeat((0.5, 0.5, 0.5, -0.0, 0.5), d)
+    U = params.fused("U") * scale[:, None]
     # Input and bias terms of every step's five gates, gathered at once;
     # both forget gates read the W_f/b_f rows.
     WB = params.fused("Wx")[:, nodes] + params.fused("b")[:, None]
-    XB = np.concatenate((WB[:2 * d], WB[d:])).T
-    H, C, tanh_C = np.zeros((T, d)), np.zeros((T, d)), np.empty((T, d))
-    HX, CX, A = np.zeros((T, 2 * d)), np.zeros((T, 2 * d)), np.empty((T, 5 * d))
-    sum_h, sum_c = np.zeros(d), np.zeros(d)   # running sums of H[:row], C[:row]
+    XB = np.concatenate((WB[:2 * d], WB[d:])).T * scale
+    S, P = np.zeros((T, 2 * d)), np.zeros((T, 2, 2, d))
+    H, C, HX, CX = S[:, :d], S[:, d:], P[:, 0].reshape(T, 2 * d), P[:, 1].reshape(T, 2 * d)
+    A, tanh_C = np.empty((T, 5 * d)), np.empty((T, d))
+    total, fc = np.zeros(2 * d), np.empty(2 * d)   # running sum of S[:row]; f * c_x
 
     for row in range(T):
         prec = prec_pos[prec_ptr[row]:prec_ptr[row + 1]]
         rest = row - prec.size
-        hx, cx = HX[row], CX[row]
-        h_p, c_p = H[prec].sum(axis=0), C[prec].sum(axis=0)
+        sums = S[prec].sum(axis=0)
         if prec.size:
-            hx[:d], cx[:d] = h_p / prec.size, c_p / prec.size
+            np.divide(sums.reshape(2, d), prec.size, out=P[row, :, 0])
         if rest:
-            hx[d:], cx[d:] = (sum_h - h_p) / rest, (sum_c - c_p) / rest
+            np.subtract(total, sums, out=sums)
+            np.divide(sums.reshape(2, d), rest, out=P[row, :, 1])
 
-        _cell(U @ hx + XB[row], cx, A[row], tanh_C[row], H[row], C[row])
-        sum_h += H[row]
-        sum_c += C[row]
+        a, h, c = A[row], H[row], C[row]
+        np.matmul(U, HX[row], out=a)
+        a += XB[row]
+        np.tanh(a, out=a)
+        a *= scale
+        a += shift
+        np.multiply(a[d:3 * d], CX[row], out=fc)
+        np.multiply(a[:d], a[3 * d:4 * d], out=c)
+        c += fc[:d]
+        c += fc[d:]
+        np.tanh(c, out=tanh_C[row])
+        np.multiply(a[4 * d:], tanh_C[row], out=h)
+        total += S[row]
 
-    if not (np.all(np.isfinite(H)) and np.all(np.isfinite(C))):
-        bad = int(np.flatnonzero(~(np.isfinite(H) & np.isfinite(C)).all(axis=1))[0])
+    if not np.all(np.isfinite(S)):
+        bad = int(np.flatnonzero(~np.isfinite(S).all(axis=1))[0])
         _raise_nonfinite(cascade[bad], A[bad], C[bad])
     result = CascadeForwardResult(cascade=cascade, H=H, C=C, A=A, tanh_C=tanh_C,
                                   HX=HX, CX=CX, prec_ptr=prec_ptr, prec_pos=prec_pos,

@@ -17,20 +17,10 @@ import numpy as np
 from .errors import NumericError, ShapeError
 
 __all__ = [
-    "Layout", "ParameterStore", "GradientStore", "sigmoid", "mean_pool",
+    "Layout", "ParameterStore", "GradientStore", "mean_pool",
     "softmax", "softmax_over_subset", "Adam",
     "FdCheckResult", "finite_difference_check", "assert_all_finite",
 ]
-
-
-def sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Elementwise logistic 1 / (1 + exp(-z)) as (1 + tanh(z/2)) / 2, which
-    cannot overflow; its absolute error is an ulp or two."""
-    out = np.multiply(z, 0.5, out=out)
-    np.tanh(out, out=out)
-    out *= 0.5
-    out += 0.5
-    return out
 
 
 def assert_all_finite(name: str, arr: np.ndarray) -> None:

@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import oracle
+import topolstm
 from topolstm.baseline import EdgeProbabilities
 from topolstm.graph import Cascade, DataGraph
 
@@ -61,3 +67,19 @@ def prob_dict(probs):
     """An EdgeProbabilities as a {(u, v): p} map over every edge of its graph."""
     src, dst = probs.graph.edge_pairs()
     return dict(zip(zip(src.tolist(), dst.tolist()), probs.p.tolist()))
+
+
+def blas_thread_readings(code):
+    """The whitespace-split output of ``code`` run at OPENBLAS_NUM_THREADS=1
+    and =2.  The count is read when numpy loads, so each reading gets its
+    own interpreter."""
+    src = str(Path(topolstm.__file__).resolve().parents[1])
+    readings = []
+    for threads in ("1", "2"):
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OMP_NUM_THREADS", "GOTO_NUM_THREADS")}
+        env.update(OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+        run = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        readings.append(run.stdout.split())
+    return readings

@@ -218,7 +218,7 @@ class TestTrain:
         assert code == 2 and "Traceback" not in err
         errors = [line for line in err.splitlines() if line.startswith("error:")]
         assert len(errors) == 1 and "seed" in errors[0] and "-1" in errors[0]
-        assert not list(out.glob("split_*"))
+        assert not out.exists()
 
     @pytest.mark.parametrize("flag, value, name", [
         ("--lr", "-1", "learning_rate"), ("--lr", "nan", "learning_rate"),
@@ -235,7 +235,7 @@ class TestTrain:
         errors = [line for line in capsys.readouterr().err.splitlines()
                   if line.startswith("error:")]
         assert len(errors) == 1 and name in errors[0]
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_workers_flag_removed(self, data_dir, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -405,13 +405,27 @@ class TestEvaluate:
         assert len(errors) == 1
         return errors[0]
 
+    def test_timing_file(self, data_dir, run_dir, tmp_path):
+        out = tmp_path / "t"
+        assert cli.main(["evaluate", "--checkpoint", str(run_dir / "checkpoint.bin"),
+                         "--graph", str(data_dir / "graph.txt"),
+                         "--test-cascades", str(run_dir / "split_test.txt"),
+                         "--baseline", "icsb",
+                         "--train-cascades", str(run_dir / "split_train.txt"),
+                         "--out", str(out)]) == 0
+        timing = json.loads((out / "timing.json").read_text())
+        assert [entry["scorer"] for entry in timing] == ["topo-lstm", "ic-sb"]
+        for entry in timing:
+            assert set(entry) == {"scorer", "seconds", "us_per_instance"}
+            assert entry["seconds"] > 0 and entry["us_per_instance"] > 0
+
     def test_reruns_byte_identical(self, data_dir, run_dir, tmp_path):
         args = ["evaluate", "--checkpoint", str(run_dir / "checkpoint.bin"),
                 "--graph", str(data_dir / "graph.txt"),
                 "--test-cascades", str(run_dir / "split_test.txt")]
         assert cli.main(args + ["--out", str(tmp_path / "a")]) == 0
         assert cli.main(args + ["--out", str(tmp_path / "b")]) == 0
-        for name in ("metrics.json", "metrics.txt"):
+        for name in ("metrics.json", "metrics.txt", "length_buckets.csv"):
             assert filecmp.cmp(tmp_path / "a" / name, tmp_path / "b" / name,
                                shallow=False)
 
@@ -501,6 +515,46 @@ def test_unreadable_input_path_exit_2_names_it(command, flag, kind, data_dir,
     assert "Traceback" not in err
     errors = [line for line in err.splitlines() if line.startswith("error:")]
     assert len(errors) == 1 and str(bad) in errors[0]
+
+
+@pytest.mark.parametrize("command, override, code", [
+    ("evaluate", {"--checkpoint": "junk.bin"}, 4),
+    ("evaluate", {"--graph": "other.txt"}, 4),
+    ("evaluate", {"--graph": "missing.txt"}, 2),
+    ("evaluate", {"--test-cascades": "missing.txt"}, 2),
+    ("evaluate", {"--baseline": "icsb"}, 2),
+    ("evaluate", {"--baseline": "icsb", "--edge-probs": "bad.txt"}, 2),
+    ("train", {"--graph": "missing.txt"}, 2),
+    ("train", {"--cascades": "missing.txt"}, 2),
+    ("train", {"--cascades": "bad.txt"}, 2),
+], ids=["junk-checkpoint", "mismatched-graph", "missing-graph", "missing-test-cascades",
+        "baseline-without-data", "bad-edge-probs", "train-missing-graph",
+        "train-missing-cascades", "train-bad-cascades"])
+def test_refused_run_leaves_no_out_dir(command, override, code, data_dir, run_dir, tmp_path,
+                                       capsys, monkeypatch):
+    # Inputs are checked before any scoring, and --out is made only after.
+    def no_scoring(*args, **kwargs):
+        raise AssertionError("scored before the inputs were checked")
+    monkeypatch.setattr(cli.evaluation, "evaluate", no_scoring)
+    for name, text in (("junk.bin", "junk"), ("other.txt", "x y\ny z\n"),
+                       ("bad.txt", "0 1 2\n0 zz\n")):
+        (tmp_path / name).write_text(text)
+    flags = {
+        "evaluate": {"--checkpoint": str(run_dir / "checkpoint.bin"),
+                     "--test-cascades": str(run_dir / "split_test.txt")},
+        "train": {"--cascades": str(data_dir / "cascades.txt"),
+                  "--hidden-dim": "4", "--epochs": "1"},
+    }[command]
+    flags["--graph"] = str(data_dir / "graph.txt")
+    for flag, value in override.items():
+        flags[flag] = value if flag == "--baseline" else str(tmp_path / value)
+    out = tmp_path / "out"
+    assert cli.main([command, "--out", str(out)]
+                    + [part for item in flags.items() for part in item]) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len([line for line in err.splitlines() if line.startswith("error:")]) == 1
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("args, flag", [

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
+from topolstm.baseline import EdgeProbabilities
 from topolstm.errors import DataError
 from topolstm.graph import (Cascade, DataGraph, build_topologies, load_cascades,
                             load_graph, load_graph_file, records, save_graph_file,
@@ -200,6 +201,50 @@ class TestLoadCascades:
         g = load_graph("a b\nb c\n")
         with pytest.raises(DataError, match="line 1"):
             load_cascades("a b a\n", g)
+
+
+# Fields and separators the line reader treats specially, mixed with any
+# other text: '#' comments, Unicode line breaks and whitespace, numbers that
+# do not parse to a finite float.
+FUZZ_TOKENS = ("#", "\x0b", "\x85", "\u2028", "\r", "\t", " ", "\n", "nan", "-nan",
+               "inf", "1e400", "-0", "0.5", "2", "0", "1", "a", "0 1", "1 2 0.5")
+fuzz_text = st.lists(st.sampled_from(FUZZ_TOKENS)
+                     | st.text(st.characters(exclude_categories=("Cs",)), max_size=5),
+                     max_size=24).map("".join)
+
+
+class TestReaderFuzz:
+    """Any text makes a reader return or raise DataError / ValueError; under
+    the project's filterwarnings = error a warning would escape as well."""
+
+    GRAPH = load_graph("0 1\n1 2\n2 0\n")
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(fuzz_text, st.booleans())
+    def test_load_graph(self, text, undirected):
+        try:
+            load_graph(text, undirected=undirected)
+        except (DataError, ValueError):
+            pass
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(fuzz_text)
+    def test_load_cascades(self, text):
+        try:
+            load_cascades(text, self.GRAPH)
+        except (DataError, ValueError):
+            pass
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(fuzz_text)
+    def test_edge_probabilities_load(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "probs.txt"
+            path.write_text(text, encoding="utf-8")
+            try:
+                EdgeProbabilities.load(path, self.GRAPH)
+            except (DataError, ValueError):
+                pass
 
 
 class TestLabelMapping:

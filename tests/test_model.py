@@ -16,7 +16,8 @@ from topolstm.numeric import (ParameterStore, finite_difference_check,
                               softmax_over_subset)
 from topolstm.training import objective
 
-from conftest import precedent_rows, random_cascade, random_graph, reversed_rows
+from conftest import (blas_thread_readings, precedent_rows, random_cascade,
+                      random_graph, reversed_rows)
 
 
 def perturbed_model(config, rng, spread=0.3):
@@ -560,3 +561,31 @@ class TestPredictNext:
         assert cand.size == model.config.node_count - 4
         assert probs[np.searchsorted(cand, w)] == 0.0
         assert np.all(np.isfinite(forward_cascade(model, graph, cascade).losses))
+
+    def test_same_bits_at_any_blas_thread_count(self):
+        # Scores of a 1000-node graph run through matmuls large enough for
+        # OpenBLAS to split across threads.
+        code = ("import hashlib\n"
+                "import numpy as np\n"
+                "from topolstm import datagen\n"
+                "from topolstm.evaluation import ModelScorer\n"
+                "from topolstm.graph import Cascade\n"
+                "from topolstm.model import Model, ModelConfig, predict_next\n"
+                "config = datagen.SynthConfig(\n"
+                "    node_count=1000, graph_model='preferential-attachment', edge_param=3,\n"
+                "    activation_prob=(0.2, 0.8), cascade_count=8, max_cascade_length=100,\n"
+                "    seed=5)\n"
+                "graph, cascades, _ = datagen.generate_dataset(config)\n"
+                "for mode in ('all-active', 'precedent-only'):\n"
+                "    config = ModelConfig(32, graph.node_count, mode)\n"
+                "    model = Model.initialize(config, np.random.default_rng(1))\n"
+                "    digest = hashlib.sha256()\n"
+                "    for cascade in cascades:\n"
+                "        for _, probs, _ in ModelScorer(model, graph).step_scores(cascade):\n"
+                "            digest.update(probs.tobytes())\n"
+                "        prefix = Cascade(cascade.nodes[:len(cascade) // 2 + 1])\n"
+                "        digest.update(predict_next(model, graph, prefix)[1].tobytes())\n"
+                "    print(mode, max(map(len, cascades)), digest.hexdigest())\n")
+        readings = blas_thread_readings(code)
+        assert len(readings[0]) == 6 and int(readings[0][1]) > 50
+        assert readings[0] == readings[1]
