@@ -19,10 +19,12 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from . import checkpoint as ckpt
 from . import datagen, evaluation, training
 from .baseline import EdgeProbabilities, ICSBScorer, fit_static_bernoulli
-from .errors import CheckpointError, DataError, DivergenceError, TopoLstmError
+from .errors import CheckpointError, DataError, DivergenceError, NumericError, TopoLstmError
 from .graph import (Cascade, drop_short, load_cascades_file, load_graph_file,
                     save_cascades_file, save_labels)
 from .model import SCORE_MODES, ModelConfig, predict_next
@@ -311,6 +313,8 @@ def cmd_predict(args) -> int:
     if args.top_n < 1:
         raise DataError("--top-n must be >= 1")
     cand, probs = predict_next(model, graph, prefix)
+    if not np.isfinite(probs).all():
+        raise NumericError("non-finite next-activation probabilities")
     scores = dict(zip(cand.tolist(), probs.tolist()))
     for v in evaluation.rank_candidates(scores)[: args.top_n]:
         print(f"{graph.labels[v]} {scores[v]!r}")
@@ -324,7 +328,8 @@ def main(argv=None) -> int:
     handlers = {"generate": cmd_generate, "train": cmd_train,
                 "evaluate": cmd_evaluate, "predict": cmd_predict}
     try:
-        return handlers[args.command](args)
+        with np.errstate(over="ignore", invalid="ignore"):   # as train() runs the model
+            return handlers[args.command](args)
     except CheckpointError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISMATCH

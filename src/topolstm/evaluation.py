@@ -16,6 +16,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .errors import NumericError
 from .graph import Cascade, DataGraph, drop_short
 from .model import Model, forward_cascade
 from .version import TOOL_VERSION
@@ -38,10 +39,9 @@ def target_rank(cand: np.ndarray, scores: np.ndarray, target: int) -> int:
     pos = int(np.searchsorted(cand, target))
     if pos >= cand.size or cand[pos] != target:
         raise ValueError(f"target {target} not among candidates")
+    # cand ascends, so the candidates below target are those before pos.
     s = scores[pos]
-    better = int(np.count_nonzero(scores > s))
-    tied_before = int(np.count_nonzero((scores == s) & (cand < target)))
-    return better + tied_before + 1
+    return int(np.count_nonzero(scores > s) + np.count_nonzero(scores[:pos] == s)) + 1
 
 
 def hits_at_k(rank: int, k: int) -> int:
@@ -156,6 +156,8 @@ class ModelScorer:
 
     def step_scores(self, cascade: Cascade):
         result = forward_cascade(self.model, self.graph, cascade)
+        if not np.isfinite(result.probs).all():
+            raise NumericError(f"non-finite probabilities for the cascade from node {cascade[0]}")
         for s in range(len(cascade) - 1):
             # Candidates come from positions, not probs > 0: a probability
             # can underflow to 0.  Softmax is strictly increasing, so

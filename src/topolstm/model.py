@@ -46,9 +46,10 @@ rows and from running state sums.  No score feeds back into the cell, so
 ``_score_rows`` scores a cascade's T-1 steps as one (T-1) x m block, from
 cumulative sums over its rows, and ``predict_next``'s step as one more row;
 the backward pass takes every score gradient from that block with
-whole-cascade array operations, and its reverse loop keeps only the cell's
-backward pass.  A loop step costs O(|P| d) for pooling and O(d^2) for the
-cell, and nothing grows with the number of nodes active before it.
+whole-cascade array operations, and its reverse loop keeps only the cell's,
+one [dh | dc] gradient row per step.  A loop step costs O(|P| d) for
+pooling and O(d^2) for the cell, and nothing grows with the number of nodes
+active before it.
 
 Gradients are derived by hand in `backward_cascade` and verified against
 central differences in the test suite.
@@ -277,8 +278,8 @@ def _score_rows(model: Model, result: CascadeForwardResult, lo: int, hi: int
         src, dst = result.src, result.dst
         cell = np.maximum(src - lo, 0) * m + dst
         terms = np.einsum("ij,ij->i", G[dst], H[src])
-        X, counts = (np.bincount(cell, weights=w, minlength=S * m)[:S * m].reshape(S, m)
-                     for w in (terms, np.ones(cell.size)))
+        X, counts = (np.bincount(cell, w, S * m)[:S * m].reshape(S, m).astype(float, copy=False)
+                     for w in (terms, np.ones(cell.size)))   # int64 with no edge
         np.add.accumulate(X, axis=0, out=X)
         np.add.accumulate(counts, axis=0, out=counts)
         np.maximum(counts, 1.0, out=counts)
@@ -375,11 +376,14 @@ def backward_cascade(result: CascadeForwardResult, model: Model,
     the fan-out of every sender state into all later aggregates and all
     later scoring steps.  The scoring gradients of all steps come first, as
     whole-cascade array operations on the result's probability block; the
-    loop then carries only the cell: gate derivatives, the U^T dz matvec,
-    the dH/dC scatter onto the step's precedents and one reverse running
-    accumulator for its other active nodes, so step t costs O(|P| d) beyond
-    the matvec.  The cell weight gradients of all steps are then added with
-    one matmul and one scatter.
+    loop then carries only the cell.  Step t's gradient [dh | dc] is one
+    (2, d) row; from its gate derivatives dz, U^T dz and [f_p; f_q] * dc
+    fill one block Q = [[dh_p, dh_q], [dc f_p, dc f_q]].  Q's q column over
+    the other-active count is added to one running [acc_h; acc_c] owed to
+    every earlier row; its p column over |P|, less that share, goes to the
+    precedents' rows.  So step t costs O(|P| d) beyond the matvec.  The
+    cell weight gradients of all steps are then added with one matmul and
+    one scatter.
     """
     if out is None:
         out = model.zero_grads()
@@ -387,11 +391,11 @@ def backward_cascade(result: CascadeForwardResult, model: Model,
     params = model.params
     T = len(result.cascade)
     d = config.hidden_dim
-    U = params.fused("U")
-    dH = np.zeros((T, d))
-    dC = np.zeros((T, d))
+    UT = params.fused("U").T
+    dS = np.zeros((T, 2, d))   # row t is [dh | dc] of step t
+    dH = dS[:, 0]
     DZ = np.zeros((T, 5 * d))
-    DZ_dc = DZ[:, :4 * d].reshape(T, 4, d)   # gate blocks driven by dc
+    DZ_dc, DZ_o = DZ[:, :4 * d].reshape(T, 4, d), DZ[:, 4 * d:]   # by dc, by dh
     if result.losses.size:
         if result.probs is None:
             raise ValueError("this forward result was already backpropagated")
@@ -428,36 +432,36 @@ def backward_cascade(result: CascadeForwardResult, model: Model,
     K = np.concatenate((c_tilde * i * (1.0 - i), c_p * f_p * (1.0 - f_p),
                         c_q * f_q * (1.0 - f_q), i * (1.0 - c_tilde ** 2),
                         result.tanh_C * o * (1.0 - o)), axis=1)
-    K_dc = K[:, :4 * d].reshape(T, 4, d)
+    K_dc, K_o = K[:, :4 * d].reshape(T, 4, d), K[:, 4 * d:]
     dc_dh = o * (1.0 - result.tanh_C ** 2)
-    # Summed other-active gradient shares of the steps already passed: each
-    # is owed to every state before its step, so to the current one.
-    acc_h, acc_c = np.zeros(d), np.zeros(d)
+    F = result.A[:, d:3 * d].reshape(T, 2, d)   # [f_p; f_q], a view
+    Q, dc = np.empty((2, 2, d)), np.empty(d)
+    dhx, Q_c, Q_p, Q_q = Q[0].reshape(2 * d), Q[1], Q[:, 0], Q[:, 1]
+    acc, share, back = np.zeros((2, d)), np.empty((2, d)), np.empty((2, d))
+    ptr, prec_pos = result.prec_ptr.tolist(), result.prec_pos
 
     for pos in range(T - 1, -1, -1):
-        dh = dH[pos]
-        dh += acc_h
-        dC[pos] += acc_c
-        if not (dh.any() or dC[pos].any()):
+        row = dS[pos]
+        row += acc
+        if not np.count_nonzero(row):
             continue
-        dc = dC[pos] + dh * dc_dh[pos]
+        dh = row[0]
+        np.multiply(dh, dc_dh[pos], out=dc)
+        dc += row[1]
         np.multiply(K_dc[pos], dc, out=DZ_dc[pos])
-        np.multiply(K[pos, 4 * d:], dh, out=DZ[pos, 4 * d:])
-
-        prec = result.prec_pos[result.prec_ptr[pos]:result.prec_ptr[pos + 1]]
-        rest = pos - prec.size
-        if pos:
-            dhx = U.T @ DZ[pos]
-            dh_q = dc_q = 0.0
+        np.multiply(K_o[pos], dh, out=DZ_o[pos])
+        lo, hi = ptr[pos], ptr[pos + 1]
+        n, rest = hi - lo, pos - (hi - lo)
+        np.matmul(UT, DZ[pos], out=dhx)
+        np.multiply(F[pos], dc, out=Q_c)
+        if rest:
+            np.divide(Q_q, rest, out=share)
+            acc += share
+        if n:
+            np.divide(Q_p, n, out=back)
             if rest:
-                # Every earlier state takes the other-active share; the
-                # precedents hand theirs back below.
-                dh_q, dc_q = dhx[d:] / rest, dc * f_q[pos] / rest
-                acc_h += dh_q
-                acc_c += dc_q
-            if prec.size:
-                dH[prec] += dhx[:d] / prec.size - dh_q
-                dC[prec] += dc * f_p[pos] / prec.size - dc_q
+                back -= share
+            dS[prec_pos[lo] if n == 1 else prec_pos[lo:hi]] += back
 
     gU = out.fused("U")
     gU += DZ.T @ result.HX

@@ -218,14 +218,13 @@ class Adam:
         self.lr = lr
         self.moment1 = params.zeros_like()
         self.moment2 = params.zeros_like()
-        self.scratch = (np.empty(params.total_size), np.empty(params.total_size))
         self.step_count = 0
 
     def step(self, params: ParameterStore, grads: GradientStore) -> None:
         """One bias-corrected Adam update applied in place to the whole vector:
         m = beta1 m + (1 - beta1) g, v = beta2 v + (1 - beta2) g^2, then
-        theta -= lr (m / bc1) / (sqrt(v / bc2) + eps).  Intermediates go
-        through the two flat-size ``scratch`` vectors."""
+        theta -= lr (m / bc1) / (sqrt(v / bc2) + eps).  Two flat-size
+        temporaries live only during the call."""
         for other in (grads, self.moment1, self.moment2):
             params._require_congruent(other)
         self.step_count += 1
@@ -233,15 +232,15 @@ class Adam:
         bc1 = 1.0 - beta1 ** self.step_count
         bc2 = 1.0 - beta2 ** self.step_count
         g, m, v = grads.flat, self.moment1.flat, self.moment2.flat
-        a, b = self.scratch
         m *= beta1
-        m += np.multiply(g, 1.0 - beta1, out=a)
+        a = g * (1.0 - beta1)
+        m += a
         v *= beta2
         np.square(g, out=a)
         v += np.multiply(a, 1.0 - beta2, out=a)
         np.divide(m, bc1, out=a)
         a *= self.lr
-        np.divide(v, bc2, out=b)
+        b = v / bc2
         np.sqrt(b, out=b)
         b += self.eps
         a /= b

@@ -167,7 +167,7 @@ def train(graph: DataGraph, train_cascades: Sequence[Cascade],
     Batches shuffle under the config seed; early stopping fires after
     ``patience`` epochs without validation improvement.  Without a
     validation set the training loss is monitored instead.  A non-finite
-    loss or cell state raises DivergenceError with the report so far.
+    loss, cell state or parameter norm raises DivergenceError with the report.
     """
     train_cascades, dropped = drop_short(train_cascades, "training set")
     val_cascades, dropped_val = drop_short(val_cascades, "validation set")
@@ -192,10 +192,11 @@ def train(graph: DataGraph, train_cascades: Sequence[Cascade],
     best_model = model   # the result if max_epochs is 0; epoch 1 always replaces it
     best_monitor = np.inf
     since_improvement = 0
+    norm2 = model.params.squared_l2()
 
     for epoch in range(1, config.max_epochs + 1):
         epoch_start = time.perf_counter()
-        reg_before = config.lam * model.params.squared_l2()
+        reg_before = config.lam * norm2
         order = rng.permutation(len(train_cascades))
         epoch_nll, epoch_steps = 0.0, 0
 
@@ -212,6 +213,9 @@ def train(graph: DataGraph, train_cascades: Sequence[Cascade],
             optimizer.step(model.params, grads)
             epoch_nll += batch_nll
             epoch_steps += batch_steps
+        norm2 = model.params.squared_l2()   # checks the last step: no blow-up is kept
+        if not math.isfinite(norm2):
+            raise DivergenceError(f"non-finite parameters after epoch {epoch}", report=report)
 
         train_loss = epoch_nll / epoch_steps + reg_before
         if val_cascades:

@@ -1,13 +1,20 @@
+import contextlib
 import filecmp
 import hashlib
+import io
 import json
 import logging
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from topolstm import cli
 from topolstm.checkpoint import load_model, save_model
+from topolstm.errors import DataError
 from topolstm.graph import load_graph_file
 from topolstm.model import Model, ModelConfig
 
@@ -188,6 +195,20 @@ class TestTrain:
         assert code == 3
         assert json.loads((out / "report.json").read_text())["diverged"]
         assert len(err) == 1 and err[0].startswith("error:")
+
+    def test_blow_up_in_the_last_step_is_not_saved(self, data_dir, tmp_path, capsys):
+        # One batch and no validation set: the epoch's only Adam step is its
+        # last, and no later loss would see its 1e308 parameters.
+        out = tmp_path / "div"
+        code = cli.main(["train", "--graph", str(data_dir / "graph.txt"),
+                         "--cascades", str(data_dir / "cascades.txt"),
+                         "--out", str(out), "--hidden-dim", "4", "--epochs", "1",
+                         "--lr", "1e308", "--val-frac", "0", "--batch-size", "1000"])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 3
+        assert json.loads((out / "report.json").read_text())["diverged"]
+        assert not (out / "checkpoint.bin").exists()
+        assert len(err) == 1 and err[0].startswith("error: non-finite parameters")
 
     def test_deterministic_reruns_byte_identical(self, data_dir, tmp_path):
         common = ["train", "--graph", str(data_dir / "graph.txt"),
@@ -469,6 +490,34 @@ class TestPredict:
         assert ids == sorted(set(range(20)) - {labels.index("7"), labels.index("3")})
         assert {p for _, p in lines} == {repr(1 / 18)}
 
+    @pytest.mark.parametrize("blow_up", ["cell", "scores"])
+    def test_blown_up_checkpoint_exit_2_without_warnings(self, data_dir, run_dir,
+                                                         tmp_path, capsys, blow_up):
+        # Saturated gates make every state [tanh(1) | 1] after the first.
+        # "cell": U_c = -1e308 meets W_c + b_c = -inf, so c_tilde is NaN.
+        # "scores": G = 1e308 takes every score to inf, so the softmax is NaN.
+        # Under filterwarnings = error a float warning would escape main.
+        model, labels, header = load_model(run_dir / "checkpoint.bin")
+        model.params.fill(0.0)
+        for name in ("b_i", "b_o", "b_c"):
+            model.params[name][...] = 1e308
+        model.params["b_f"][...] = -1e308
+        if blow_up == "cell":
+            for name in ("W_c", "b_c", "U_c_p", "U_c_q"):
+                model.params[name][...] = -1e308
+        else:
+            model.params["G"][...] = 1e308
+        path = tmp_path / "blown.bin"
+        save_model(path, model, labels, extra=header.get("extra"))
+        common = ["--checkpoint", str(path), "--graph", str(data_dir / "graph.txt")]
+        for args in (["evaluate", "--test-cascades", str(run_dir / "split_test.txt"),
+                      "--out", str(tmp_path / "eval")],
+                     ["predict", "--prefix", "0", "1"]):
+            code = cli.main(args[:1] + common + args[1:])
+            err = capsys.readouterr().err.splitlines()
+            assert code == 2
+            assert len(err) == 1 and err[0].startswith("error: non-finite")
+
     def test_unknown_label_exit_2_names_it(self, data_dir, run_dir, capsys):
         code = cli.main(["predict", "--checkpoint",
                          str(run_dir / "checkpoint.bin"),
@@ -675,3 +724,77 @@ class TestVersionFlag:
         with pytest.raises(SystemExit) as exc:
             cli.main(["--version"])
         assert exc.value.code == 0
+
+
+# Labels and fields the readers treat specially: '#' comments, Unicode line
+# breaks and whitespace, numbers that do not parse to a finite float.  Each
+# file holds lines of the expected shape, over a handful of labels that a
+# small graph names, alone or mixed with arbitrary lines.  Every graph file
+# starts with edges over all of those labels.
+FUZZ_LABELS = ("0", "1", "2", "nan", "1e400", "-0", "#", "x#", "\x85")
+GRAPH_BASE = "0 1\n1 2\n2 nan\nnan 1e400\n1e400 -0\n-0 x#\nx# #\n#1 0\n"
+fuzz_label = st.sampled_from(FUZZ_LABELS)
+fuzz_field = (fuzz_label | st.sampled_from(("\x0b", " ", "\r", "inf", "0.5", "2", ""))
+              | st.text(st.characters(exclude_categories=("Cs",)), max_size=3))
+fuzz_line = st.lists(fuzz_field, max_size=4).map(" ".join)
+
+
+def fuzz_file(line, min_size=0):
+    """Up to 8 lines: all of the given shape, or mixed with arbitrary ones."""
+    return (st.lists(line, min_size=min_size, max_size=8)
+            | st.lists(line | fuzz_line, max_size=8)).map("\n".join)
+
+
+class TestCliFuzz:
+    """Any text as the graph, cascade or edge-probability file, or as predict
+    labels, ends a train, evaluate or predict run with exit 0, 2, 3 or 4 and
+    at most one error line.  No exception escapes main, and under the
+    project's filterwarnings = error no warning does either.  argparse ends
+    a run it cannot parse (a label starting with '-') with SystemExit(2)."""
+
+    @staticmethod
+    def run(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        assert code in (0, 2, 3, 4), (argv, code, err.getvalue())
+        assert sum("error:" in line for line in err.getvalue().splitlines()) <= 1
+        return code
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(fuzz_file(st.lists(fuzz_label, min_size=2, max_size=2, unique=True).map(" ".join)),
+           fuzz_file(st.lists(fuzz_label, min_size=1, max_size=4, unique=True).map(" ".join),
+                     min_size=3),
+           fuzz_file(st.tuples(fuzz_label, fuzz_label, fuzz_field).map(" ".join)),
+           st.lists(fuzz_field, min_size=1, max_size=3),
+           st.sampled_from(("all-active", "precedent-only")), st.sampled_from(("0.01", "1e308")))
+    def test_train_evaluate_predict(self, graph, cascades, probs, prefix, mode, lr):
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            files = {"graph": GRAPH_BASE + graph, "cascades": cascades, "probs": probs}
+            for name, text in files.items():
+                files[name] = str(tmp / f"{name}.txt")
+                Path(files[name]).write_text(text, encoding="utf-8")
+            self.run(["train", "--graph", files["graph"], "--cascades", files["cascades"],
+                      "--out", str(tmp / "run"), "--hidden-dim", "2", "--epochs", "1",
+                      "--batch-size", "4", "--score-mode", mode, "--lr", lr])
+            # A checkpoint that matches the graph when the graph loads, so
+            # evaluate and predict also get past the checkpoint check.
+            checkpoint = tmp / "run" / "checkpoint.bin"
+            if not checkpoint.exists():
+                checkpoint = tmp / "init.bin"
+                try:
+                    labels = load_graph_file(files["graph"]).labels
+                except DataError:
+                    labels = ("0", "1")
+                model = Model.initialize(ModelConfig(2, len(labels), mode),
+                                         np.random.default_rng(0))
+                save_model(checkpoint, model, labels)
+            common = ["--checkpoint", str(checkpoint), "--graph", files["graph"]]
+            self.run(["evaluate", *common, "--test-cascades", files["cascades"],
+                      "--baseline", "icsb", "--edge-probs", files["probs"],
+                      "--ks", "1,2", "--out", str(tmp / "eval")])
+            self.run(["predict", *common, "--prefix", *prefix])

@@ -3,6 +3,8 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from topolstm.evaluation import (ModelScorer, evaluate, hits_at_k, map_at_k,
                                  rank_candidates, target_rank,
@@ -35,6 +37,17 @@ class TestRankCandidates:
             ranking = rank_candidates(dict(zip(cand.tolist(), scores.tolist())))
             target = int(rng.choice(cand))
             assert target_rank(cand, scores, target) == ranking.index(target) + 1
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.sampled_from([0.0, -0.0, 0.25, 0.5, -1e300]), min_size=1,
+                    max_size=40), st.data())
+    def test_target_rank_agrees_with_sort_under_heavy_ties(self, scores, data):
+        n = len(scores)
+        cand = sorted(data.draw(st.sets(st.integers(0, 3 * n), min_size=n, max_size=n)))
+        target = data.draw(st.sampled_from(cand))
+        ranking = rank_candidates(dict(zip(cand, scores)))
+        got = target_rank(np.array(cand), np.array(scores), target)
+        assert type(got) is int and got == ranking.index(target) + 1
 
 
 class TestPointMetrics:

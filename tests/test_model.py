@@ -12,7 +12,7 @@ from topolstm.graph import Cascade, DataGraph, build_topologies
 from topolstm.model import (SCORE_MODES, CellState, Model, ModelConfig, U_BLOCKS,
                             backward_cascade, forward_cascade, predict_next,
                             score_inactive)
-from topolstm.numeric import (ParameterStore, finite_difference_check,
+from topolstm.numeric import (ParameterStore, finite_difference_check, softmax,
                               softmax_over_subset)
 from topolstm.training import objective
 
@@ -331,6 +331,18 @@ class TestForwardCascade:
         part = forward_cascade(model, graph, prefix)
         np.testing.assert_array_equal(full.H[:4], part.H)
         np.testing.assert_array_equal(full.C[:4], part.C)
+
+    def test_precedent_only_cascade_without_out_edges(self):
+        # No active node has an out-edge, so every candidate scores its bias
+        # (np.bincount over no edge returns int64 zeros).
+        g = DataGraph.from_edges(4, [(0, 1)])
+        model = perturbed_model(ModelConfig(2, 4, "precedent-only"), np.random.default_rng(15))
+        result = forward_cascade(model, g, Cascade((1, 2, 3)))
+        b = model.params["b_act"]
+        np.testing.assert_allclose(result.probs[0, [0, 2, 3]], softmax(b[[0, 2, 3]]), rtol=1e-12)
+        cand, probs = predict_next(model, g, Cascade((3,)))
+        np.testing.assert_allclose(probs, softmax(b[:3]), rtol=1e-12)
+        backward_cascade(result, model)
 
     def test_cascade_must_fit_graph(self):
         g = DataGraph.from_edges(3, [(0, 1)])

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -236,6 +238,17 @@ class TestAdam:
             theta = theta - lr * (m / (1.0 - beta1 ** k)) / (
                 np.sqrt(v / (1.0 - beta2 ** k)) + eps)
             np.testing.assert_array_equal(params["w"], theta)
+
+    def test_holds_no_scratch_beyond_its_moments(self):
+        params = self._store(np.zeros(50_000))
+        tracemalloc.start()
+        try:
+            opt = Adam(params, lr=0.1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * params.flat.nbytes + 16_384
+        assert opt.step_count == 0
 
     def test_shape_mismatch(self):
         params = self._store([1.0])
