@@ -155,11 +155,11 @@ class ICSBScorer:
         out_ptr, out_idx = self.graph.out_ptr, self.graph.out_idx
         m = self.graph.node_count
         quiet = np.ones(m)
-        active_mask = np.zeros(m, dtype=bool)
+        inactive = np.ones(m, dtype=bool)
         for t, v in enumerate(cascade.nodes, start=1):
             if t >= 2:
-                cand = np.flatnonzero(~active_mask)
+                cand = inactive.nonzero()[0]
                 yield cand, 1.0 - quiet[cand], v
             a, b = out_ptr[v], out_ptr[v + 1]
             quiet[out_idx[a:b]] *= self._complement[a:b]
-            active_mask[v] = True
+            inactive[v] = False

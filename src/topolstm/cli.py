@@ -105,8 +105,9 @@ def build_parser() -> argparse.ArgumentParser:
     pr = sub.add_parser("predict", help="rank the next activation after a prefix")
     pr.add_argument("--checkpoint", required=True)
     pr.add_argument("--graph", required=True)
-    pr.add_argument("--prefix", nargs="+", required=True,
-                    help="observed activations in order (node labels)")
+    pr.add_argument("--prefix", action="extend", nargs="+", required=True,
+                    help="observed activations in order (node labels); repeatable, and "
+                         "a label starting with '-' goes alone in --prefix=LABEL")
     pr.add_argument("--top-n", type=int, default=10)
     return parser
 
@@ -154,6 +155,8 @@ def cmd_generate(args) -> int:
 
 def cmd_train(args) -> int:
     graph = load_graph_file(args.graph, undirected=args.undirected)
+    if graph.edge_count == 0:
+        raise DataError(f"graph {args.graph} has no edges")
     cascades = load_cascades_file(args.cascades, graph)
 
     train_config = training.TrainConfig(
@@ -315,9 +318,9 @@ def cmd_predict(args) -> int:
     cand, probs = predict_next(model, graph, prefix)
     if not np.isfinite(probs).all():
         raise NumericError("non-finite next-activation probabilities")
-    scores = dict(zip(cand.tolist(), probs.tolist()))
-    for v in evaluation.rank_candidates(scores)[: args.top_n]:
-        print(f"{graph.labels[v]} {scores[v]!r}")
+    top = np.lexsort((cand, -probs))[: args.top_n]   # ties by ascending node id
+    for v, p in zip(cand[top].tolist(), probs[top].tolist()):
+        print(f"{graph.labels[v]} {p!r}")
     return EXIT_OK
 
 

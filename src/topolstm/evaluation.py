@@ -4,7 +4,8 @@ Every step t = 2..T of every test cascade yields one prediction instance:
 rank all inactive nodes given the true prefix and check where the actual
 next activation lands.  Exactly one item is relevant per instance, so
 average precision truncated at k collapses to 1/rank when rank <= k.
-Instances are pooled across cascades (micro-average).
+Instances are pooled across cascades (micro-average).  Each sum adds one term
+at a time in instance order, by ``np.add.accumulate`` or ``np.bincount``.
 """
 
 from __future__ import annotations
@@ -36,12 +37,12 @@ def target_rank(cand: np.ndarray, scores: np.ndarray, target: int) -> int:
 
     Equivalent to rank_candidates(...).index(target) + 1 without the sort.
     """
-    pos = int(np.searchsorted(cand, target))
+    pos = int(cand.searchsorted(target))
     if pos >= cand.size or cand[pos] != target:
         raise ValueError(f"target {target} not among candidates")
-    # cand ascends, so the candidates below target are those before pos.
+    # cand ascends, so the candidates that win a tie are those before pos.
     s = scores[pos]
-    return int(np.count_nonzero(scores > s) + np.count_nonzero(scores[:pos] == s)) + 1
+    return int(np.count_nonzero(scores[:pos] >= s) + np.count_nonzero(scores[pos:] > s)) + 1
 
 
 def hits_at_k(rank: int, k: int) -> int:
@@ -67,12 +68,16 @@ class MetricsTable:
     instances: int
     scorer: str = "model"
     by_prefix_length: dict[int, dict] = field(default_factory=dict)
+    mean_nll: float | None = None   # model scorers only, so not in values
 
     def value(self, metric: str, k: int) -> float:
         return self.values[(metric, k)]
 
     def to_json_dict(self) -> dict:
+        finite = self.mean_nll is not None and np.isfinite(self.mean_nll)
+        nll = {} if self.mean_nll is None else {"mean_nll": self.mean_nll if finite else None}
         return {
+            **nll,
             "scorer": self.scorer,
             "instances": self.instances,
             "averaging": "micro (all prediction instances pooled)",
@@ -89,6 +94,9 @@ class MetricsTable:
         for metric, label in (("map", "MAP@k (%)"), ("hits", "Hits@k (%)")):
             cells = "".join(f"{100.0 * self.values[(metric, k)]:>10.3f}" for k in self.ks)
             lines.append(f"{label:<14s}{cells}")
+        if self.mean_nll is not None:
+            nll = f"{self.mean_nll:.6f}" if np.isfinite(self.mean_nll) else "null"
+            lines.append(f"{'NLL per step':<14s}{nll:>10s}")
         return lines
 
 
@@ -101,7 +109,8 @@ def evaluate(scorer, cascades: Sequence[Cascade], ks: Iterable[int] = DEFAULT_KS
     ``scorer`` must provide ``step_scores(cascade)`` yielding, for each step
     t = 2..T, a triple (candidate ids ascending, scores aligned with them,
     target id).  Sums run in instance order, so reordering the cascades can
-    change a mean in its last bits.  ``workers`` has one legal value, 1:
+    change a mean in its last bits.  A scorer with ``nll_sum`` and ``nll_steps``
+    gets its mean per-step NLL reported.  ``workers`` has one legal value, 1:
     evaluation runs on one thread, and the keyword stays only because the
     benchmark harness passes ``workers=1``.
     """
@@ -116,33 +125,29 @@ def evaluate(scorer, cascades: Sequence[Cascade], ks: Iterable[int] = DEFAULT_KS
     if not cascades:
         raise ValueError("empty test set")
 
-    ranks: list[int] = []
-    by_length: dict[int, list[int]] = {}
+    ranks, lengths = [], []
     for cascade in cascades:
         steps = scorer.step_scores(cascade)
         for prefix_len, (cand, scores, target) in enumerate(steps, start=1):
-            rank = target_rank(cand, scores, target)
-            ranks.append(rank)
-            by_length.setdefault(prefix_len, []).append(rank)
+            ranks.append(target_rank(cand, scores, target))
+            lengths.append(prefix_len)
 
-    by_prefix = {
-        length: {"instances": len(group),
-                 **{f"{metric}@{k}": value
-                    for (metric, k), value in _metric_means(group, ks).items()}}
-        for length, group in sorted(by_length.items())
-    }
+    # One column of terms per (metric, k): map_at_k's, then hits_at_k's.
+    keys = [(metric, k) for metric in ("map", "hits") for k in ks]
+    ranks, lengths = np.array(ranks), np.array(lengths)
+    hit = ranks[:, None] <= np.array(ks)
+    terms = np.hstack([np.where(hit, 1.0 / ranks[:, None], 0.0), hit])
+    count = np.bincount(lengths)
+    seen = np.flatnonzero(count)
+    sums = np.array([np.bincount(lengths, column)[seen] for column in terms.T]).T
+    by_prefix = {length: {"instances": n, **{f"{m}@{k}": v for (m, k), v in zip(keys, row)}}
+                 for length, n, row in zip(seen.tolist(), count[seen].tolist(),
+                                           (sums / count[seen, None]).tolist())}
+    means = np.add.accumulate(terms)[-1] / ranks.size
+    nll = scorer.nll_sum / scorer.nll_steps if hasattr(scorer, "nll_steps") else None
     name = getattr(scorer, "name", type(scorer).__name__)
-    return MetricsTable(ks=ks, values=_metric_means(ranks, ks),
-                        instances=len(ranks), scorer=name,
-                        by_prefix_length=by_prefix)
-
-
-def _metric_means(ranks: Sequence[int], ks: tuple[int, ...]
-                  ) -> dict[tuple[str, int], float]:
-    """(metric, k) -> mean over ``ranks``, each sum taken in instance order."""
-    return {(metric, k): sum(term(rank, k) for rank in ranks) / len(ranks)
-            for metric, term in (("map", map_at_k), ("hits", hits_at_k))
-            for k in ks}
+    return MetricsTable(ks=ks, values=dict(zip(keys, means.tolist())), instances=ranks.size,
+                        scorer=name, by_prefix_length=by_prefix, mean_nll=nll)
 
 
 class ModelScorer:
@@ -153,17 +158,24 @@ class ModelScorer:
     def __init__(self, model: Model, graph: DataGraph):
         self.model = model
         self.graph = graph
+        self.nll_sum, self.nll_steps = 0.0, 0   # over every step scored so far
 
     def step_scores(self, cascade: Cascade):
         result = forward_cascade(self.model, self.graph, cascade)
-        if not np.isfinite(result.probs).all():
+        # A row's probabilities are all finite exactly when its loss is not
+        # NaN: a NaN or +inf score, or a row of -inf scores, makes both NaN.
+        if np.isnan(result.losses).any():
             raise NumericError(f"non-finite probabilities for the cascade from node {cascade[0]}")
-        for s in range(len(cascade) - 1):
-            # Candidates come from positions, not probs > 0: a probability
-            # can underflow to 0.  Softmax is strictly increasing, so
-            # probabilities rank like scores.
-            cand = np.flatnonzero(result.pos > s)
-            yield cand, result.probs[s, cand], cascade[s + 1]
+        self.nll_sum += float(result.losses.sum())
+        self.nll_steps += result.losses.size
+        # Candidates come from the cascade, not probs > 0: a probability can
+        # underflow to 0.  Softmax is strictly increasing, so probabilities
+        # rank like scores.
+        nodes, inactive = cascade.nodes, np.ones(self.graph.node_count, dtype=bool)
+        for s in range(len(nodes) - 1):
+            inactive[nodes[s]] = False
+            cand = inactive.nonzero()[0]
+            yield cand, result.probs[s, cand], nodes[s + 1]
 
 
 def write_metrics_json(path, tables: Sequence[MetricsTable], config_echo: dict) -> None:

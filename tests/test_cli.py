@@ -15,8 +15,9 @@ from hypothesis import strategies as st
 from topolstm import cli
 from topolstm.checkpoint import load_model, save_model
 from topolstm.errors import DataError
-from topolstm.graph import load_graph_file
-from topolstm.model import Model, ModelConfig
+from topolstm.evaluation import rank_candidates
+from topolstm.graph import Cascade, load_graph_file
+from topolstm.model import Model, ModelConfig, predict_next
 
 
 @pytest.fixture(scope="module")
@@ -257,6 +258,19 @@ class TestTrain:
                   if line.startswith("error:")]
         assert len(errors) == 1 and name in errors[0]
         assert not out.exists()
+
+    @pytest.mark.parametrize("text", ["", "# comments only\n\n#1 2\n"], ids=["empty", "comments"])
+    def test_graph_without_edges_exit_2_names_the_file(self, data_dir, tmp_path, capsys,
+                                                       text):
+        graph = tmp_path / "empty.txt"
+        graph.write_text(text, encoding="utf-8")
+        code = cli.main(["train", "--graph", str(graph),
+                         "--cascades", str(data_dir / "cascades.txt"),
+                         "--out", str(tmp_path / "run"), "--epochs", "1"])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert err == [f"error: graph {graph} has no edges"]
+        assert not (tmp_path / "run").exists()
 
     def test_workers_flag_removed(self, data_dir, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -518,6 +532,43 @@ class TestPredict:
             assert code == 2
             assert len(err) == 1 and err[0].startswith("error: non-finite")
 
+    def test_ties_print_like_rank_candidates(self, data_dir, run_dir, tmp_path, capsys):
+        # Bias-only scores over three levels, one of which underflows to
+        # probability 0: the printed order is rank_candidates' on the same
+        # probabilities, ties by ascending node id.
+        model, labels, header = load_model(run_dir / "checkpoint.bin")
+        graph = load_graph_file(data_dir / "graph.txt")
+        model.params["G"][...] = 0.0
+        rng = np.random.default_rng(7)
+        for trial in range(5):
+            model.params["b_act"][...] = rng.choice([0.0, 1.0, -1000.0], size=len(labels))
+            path = tmp_path / f"ties{trial}.bin"
+            save_model(path, model, labels, extra=header.get("extra"))
+            prefix = [labels[v] for v in rng.permutation(len(labels))[:3].tolist()]
+            code = cli.main(["predict", "--checkpoint", str(path),
+                             "--graph", str(data_dir / "graph.txt"),
+                             "--prefix", *prefix, "--top-n", "100"])
+            assert code == 0
+            got = capsys.readouterr().out.splitlines()
+            cand, probs = predict_next(model, graph, Cascade(tuple(map(labels.index, prefix))))
+            scores = dict(zip(cand.tolist(), probs.tolist()))
+            assert len(set(scores.values())) == 3
+            assert got == [f"{labels[v]} {scores[v]!r}" for v in rank_candidates(scores)]
+
+    def test_labels_starting_with_dash(self, tmp_path, capsys):
+        graph = tmp_path / "graph.txt"
+        graph.write_text("-x y\n-y b\nb -x\ny c\n", encoding="utf-8")
+        labels = load_graph_file(graph).labels
+        checkpoint = tmp_path / "init.bin"
+        save_model(checkpoint, Model.initialize(ModelConfig(2, len(labels)),
+                                                np.random.default_rng(0)), labels)
+        common = ["predict", "--checkpoint", str(checkpoint), "--graph", str(graph),
+                  "--top-n", "10"]
+        for prefix, rest in ((["--prefix=-x", "--prefix", "y"], {"-y", "b", "c"}),
+                             (["--prefix=-x", "--prefix=-y", "--prefix", "b", "c"], {"y"})):
+            assert cli.main(common + prefix) == 0
+            assert {line.split()[0] for line in capsys.readouterr().out.splitlines()} == rest
+
     def test_unknown_label_exit_2_names_it(self, data_dir, run_dir, capsys):
         code = cli.main(["predict", "--checkpoint",
                          str(run_dir / "checkpoint.bin"),
@@ -750,15 +801,17 @@ class TestCliFuzz:
     labels, ends a train, evaluate or predict run with exit 0, 2, 3 or 4 and
     at most one error line.  No exception escapes main, and under the
     project's filterwarnings = error no warning does either.  argparse ends
-    a run it cannot parse (a label starting with '-') with SystemExit(2)."""
+    a run it cannot parse (a label starting with '-') with SystemExit(2),
+    but always parses labels given one by one as --prefix=LABEL."""
 
     @staticmethod
-    def run(argv):
+    def run(argv, parses=False):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
                 code = cli.main(argv)
             except SystemExit as exc:
+                assert not parses, (argv, err.getvalue())
                 code = exc.code
         assert code in (0, 2, 3, 4), (argv, code, err.getvalue())
         assert sum("error:" in line for line in err.getvalue().splitlines()) <= 1
@@ -798,3 +851,5 @@ class TestCliFuzz:
                       "--baseline", "icsb", "--edge-probs", files["probs"],
                       "--ks", "1,2", "--out", str(tmp / "eval")])
             self.run(["predict", *common, "--prefix", *prefix])
+            self.run(["predict", *common, *(f"--prefix={label}" for label in prefix)],
+                     parses=True)

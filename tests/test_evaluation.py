@@ -6,11 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from topolstm.baseline import ICSBScorer, fit_static_bernoulli
+from topolstm.errors import NumericError
 from topolstm.evaluation import (ModelScorer, evaluate, hits_at_k, map_at_k,
                                  rank_candidates, target_rank,
-                                 write_length_buckets_csv, write_metrics_json)
+                                 write_length_buckets_csv, write_metrics_json,
+                                 write_metrics_text)
 from topolstm.graph import Cascade
-from topolstm.model import Model, ModelConfig
+from topolstm.model import Model, ModelConfig, forward_cascade
 
 from conftest import random_cascade, random_graph
 
@@ -245,6 +248,72 @@ class TestModelScorerIntegration:
         assert 0.0 <= table.value("hits", 5) <= 1.0
         assert table.scorer == "topo-lstm"
 
+    @staticmethod
+    def _saturated(m, d, rng):
+        # Saturated gates make every state [tanh(1) | 1], so the pooled
+        # state is tanh(1) in every coordinate and G . pooled = tanh(1) sum(G[w]).
+        model = Model.initialize(ModelConfig(d, m), rng)
+        model.params.fill(0.0)
+        for name in ("b_i", "b_o", "b_c"):
+            model.params[name][...] = 1e308
+        model.params["b_f"][...] = -1e308
+        return model
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_scores_overflowing_across_a_row_raise(self, sign):
+        # +inf scores or a row of -inf scores both make the softmax NaN.
+        rng = np.random.default_rng(56)
+        graph = random_graph(rng, 10, 30)
+        model = self._saturated(10, 4, rng)
+        model.params["G"][...] = sign * 1e308
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericError, match="non-finite probabilities"):
+                list(ModelScorer(model, graph).step_scores(random_cascade(rng, 10, 4)))
+
+    def test_target_scored_minus_inf_alone_does_not_raise(self):
+        # Only the target's score overflows to -inf: its probability is 0 and
+        # its loss +inf, every probability stays finite, and the mean NLL is
+        # written as null.
+        rng = np.random.default_rng(57)
+        graph = random_graph(rng, 10, 30)
+        model = self._saturated(10, 4, rng)
+        cascade = Cascade((0, 1, 2, 3))
+        model.params["G"][2] = -1e308
+        model.params["b_act"][2] = -1e308
+        with np.errstate(over="ignore"):
+            steps = list(ModelScorer(model, graph).step_scores(cascade))
+            table = evaluate(ModelScorer(model, graph), [cascade], ks=(1, 5))
+        for cand, probs, _ in steps:
+            assert np.isfinite(probs).all()
+        assert steps[1][1][steps[1][0] == 2].tolist() == [0.0]
+        assert table.mean_nll == np.inf
+        assert table.to_json_dict()["mean_nll"] is None
+        assert table.text_rows()[-1].split() == ["NLL", "per", "step", "null"]
+
+    def test_mean_nll_is_the_models_and_stays_out_of_values(self, tmp_path):
+        rng = np.random.default_rng(58)
+        m = 14
+        graph = random_graph(rng, m, 3 * m)
+        cascades = [random_cascade(rng, m, int(rng.integers(2, 9))) for _ in range(9)]
+        model = Model.initialize(ModelConfig(4, m, "precedent-only"), rng)
+        table = evaluate(ModelScorer(model, graph), cascades, ks=(1, 5))
+        losses = [forward_cascade(model, graph, c).losses for c in cascades]
+        total = 0.0
+        for loss in losses:
+            total += float(loss.sum())
+        assert table.mean_nll == total / sum(loss.size for loss in losses)
+        assert set(table.values) == {(metric, k) for metric in ("map", "hits") for k in (1, 5)}
+        icsb = evaluate(ICSBScorer(graph, fit_static_bernoulli(graph, cascades)), cascades)
+        assert icsb.mean_nll is None
+        write_metrics_json(tmp_path / "m.json", [table, icsb], {})
+        write_metrics_text(tmp_path / "m.txt", [table, icsb], {})
+        results = json.loads((tmp_path / "m.json").read_text())["results"]
+        assert results[0]["mean_nll"] == table.mean_nll
+        assert "mean_nll" not in results[1]
+        text = (tmp_path / "m.txt").read_text()
+        assert text.count("NLL per step") == 1
+        assert f"NLL per step    {table.mean_nll:.6f}" in text
+
 
 class TestReports:
     def test_json_and_csv_outputs(self, tmp_path):
@@ -262,6 +331,47 @@ class TestReports:
         lines = (tmp_path / "b.csv").read_text().strip().splitlines()
         assert lines[0].startswith("prefix_length,instances")
         assert len(lines) >= 2
+
+    @pytest.mark.parametrize("kind", ["static", "icsb", "model"])
+    def test_sums_equal_a_recount_in_instance_order(self, kind):
+        # The table and the buckets add one term at a time in instance order,
+        # so an explicit acc += term loop in that order gives the same bits.
+        rng = np.random.default_rng(59)
+        m, ks = 25, (1, 3, 10)
+        graph = random_graph(rng, m, 3 * m)
+        cascades = [random_cascade(rng, m, int(rng.integers(2, 16))) for _ in range(40)]
+
+        def scorer():
+            if kind == "static":
+                return StaticScorer(graph, rng.choice([0.0, 0.5, 1.0], size=m))
+            if kind == "icsb":
+                return ICSBScorer(graph, fit_static_bernoulli(graph, cascades[::2]))
+            return ModelScorer(Model.initialize(ModelConfig(3, m), np.random.default_rng(60)),
+                               graph)
+
+        state = rng.bit_generator.state
+        table = evaluate(scorer(), cascades, ks=ks)
+        rng.bit_generator.state = state
+        again = scorer()
+        keys = [(metric, k) for metric in ("map", "hits") for k in ks]
+        acc, buckets, n = dict.fromkeys(keys, 0.0), {}, 0
+        for cascade in cascades:
+            for length, (cand, scores, target) in enumerate(again.step_scores(cascade), 1):
+                rank = rank_candidates(dict(zip(cand.tolist(), scores.tolist()))).index(target) + 1
+                bucket = buckets.setdefault(length, [0, dict.fromkeys(keys, 0.0)])
+                bucket[0] += 1
+                n += 1
+                for metric, k in keys:
+                    term = map_at_k(rank, k) if metric == "map" else hits_at_k(rank, k)
+                    acc[(metric, k)] += term
+                    bucket[1][(metric, k)] += term
+        assert table.instances == n
+        assert table.values == {key: acc[key] / n for key in keys}
+        assert table.by_prefix_length == {
+            length: {"instances": count, **{f"{metric}@{k}": sums[(metric, k)] / count
+                                            for metric, k in keys}}
+            for length, (count, sums) in sorted(buckets.items())}
+        assert list(table.by_prefix_length) == sorted(buckets)
 
     def test_length_buckets_and_table_match_a_recount(self):
         rng = np.random.default_rng(55)

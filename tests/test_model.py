@@ -576,11 +576,11 @@ class TestPredictNext:
 
     def test_same_bits_at_any_blas_thread_count(self):
         # Scores of a 1000-node graph run through matmuls large enough for
-        # OpenBLAS to split across threads.
+        # OpenBLAS to split across threads; evaluate's table sums them up.
         code = ("import hashlib\n"
                 "import numpy as np\n"
                 "from topolstm import datagen\n"
-                "from topolstm.evaluation import ModelScorer\n"
+                "from topolstm.evaluation import ModelScorer, evaluate\n"
                 "from topolstm.graph import Cascade\n"
                 "from topolstm.model import Model, ModelConfig, predict_next\n"
                 "config = datagen.SynthConfig(\n"
@@ -597,6 +597,9 @@ class TestPredictNext:
                 "            digest.update(probs.tobytes())\n"
                 "        prefix = Cascade(cascade.nodes[:len(cascade) // 2 + 1])\n"
                 "        digest.update(predict_next(model, graph, prefix)[1].tobytes())\n"
+                "    table = evaluate(ModelScorer(model, graph), cascades, ks=(1, 10, 100))\n"
+                "    digest.update(repr((table.values, table.by_prefix_length,\n"
+                "                        table.mean_nll)).encode())\n"
                 "    print(mode, max(map(len, cascades)), digest.hexdigest())\n")
         readings = blas_thread_readings(code)
         assert len(readings[0]) == 6 and int(readings[0][1]) > 50
