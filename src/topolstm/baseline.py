@@ -6,8 +6,9 @@ up after u.  An inactive node's activation score is the noisy-OR of its
 precedents' edge probabilities.
 
 The probabilities are one float array over the graph's CSR edge ids
-(``DataGraph.out_ptr``/``out_idx``): a fit costs one array pass per chunk of
-out-edge occurrences, and scoring one slice update per activation.
+(``DataGraph.out_ptr``/``out_idx``).  A fit counts a few cascades per array
+pass in one table of (cascade, node) cells, and scoring costs one slice
+update per activation.
 ``icsb_score`` is the dict reference.
 """
 
@@ -79,7 +80,7 @@ class EdgeProbabilities:
         return cls(graph, p)
 
 
-# Out-edges and (cascade, node) table cells per pass: bounds the fit's memory.
+# (cascade, node) table cells per pass, or one cascade's m if more: bounds the fit's memory.
 FIT_CHUNK = 4096
 
 
@@ -89,35 +90,27 @@ def fit_static_bernoulli(graph: DataGraph,
 
     "After" requires only activation order, not adjacency in the sequence.
     Edges whose source never appears in training get probability zero.
-    A pass reads its activations' targets from a position table of their cascades.
+    A pass takes max(1, FIT_CHUNK // m) consecutive cascades and reads each
+    out-edge's target from a table of one m-cell block per cascade.
     """
-    out_ptr, out_idx = graph.out_ptr, graph.out_idx
     m = graph.node_count
     cascades = [c.nodes for c in train_cascades]
     lengths = np.fromiter(map(len, cascades), np.intp, len(cascades))
     nodes = np.fromiter(chain.from_iterable(cascades), np.intp, lengths.sum())
-    # Activation i is node nodes[i] at position pos[i] of cascade cid[i].
-    first = np.append(np.cumsum(lengths) - lengths, nodes.size)
+    # Row i is node nodes[i] of cascade cid[i]; cascade c has rows first[c]..first[c + 1]-1.
+    first = np.append(0, np.cumsum(lengths))
     cid = np.repeat(np.arange(len(cascades)), lengths)
-    pos = np.arange(nodes.size) - first[cid]
-    ends = np.cumsum(out_ptr[1:][nodes] - out_ptr[nodes])   # out-edges through activation i
-    follow_count = np.zeros(out_idx.size, dtype=np.intp)
-    lo = 0
-    while lo < nodes.size:   # a pass: activations lo..hi-1, from cascades c0..c1-1
-        c0 = cid[lo]
-        hi = min(first[min(c0 + max(1, FIT_CHUNK // m), len(cascades))],
-                 np.searchsorted(ends, FIT_CHUNK + (ends[lo - 1] if lo else 0), "right"))
-        hi = max(hi, lo + 1)
-        c1 = cid[hi - 1] + 1
-        table = np.full((c1 - c0) * m, -1, dtype=np.intp)   # position in cascade, -1: inactive
-        span = slice(first[c0], first[c1])
-        table[(cid[span] - c0) * m + nodes[span]] = pos[span]
+    step = max(1, FIT_CHUNK // m)
+    follow_count = np.zeros(graph.edge_count, dtype=np.intp)
+    for c0 in range(0, len(cascades), step):
+        lo, hi = first[c0], first[min(c0 + step, len(cascades))]
+        key = (cid[lo:hi] - c0) * m                       # a row's block in the table
+        table = np.full(step * m, -1, dtype=np.intp)      # a node's row in its block, -1: none
+        table[key + nodes[lo:hi]] = np.arange(hi - lo)
         row, target, edge = graph.out_edges(nodes[lo:hi])
-        row += lo
-        np.add.at(follow_count, edge[table[(cid[row] - c0) * m + target] > pos[row]], 1)
-        lo = hi
+        np.add.at(follow_count, edge[table[key[row] + target] > row], 1)
     active_count = np.bincount(nodes, minlength=m)[graph.edge_pairs()[0]]
-    probs = np.zeros(out_idx.size)
+    probs = np.zeros(graph.edge_count)
     np.divide(follow_count, active_count, out=probs, where=active_count > 0)
     return EdgeProbabilities(graph, probs)
 

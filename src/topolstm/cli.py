@@ -94,12 +94,11 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--graph", required=True)
     ev.add_argument("--test-cascades", required=True)
     ev.add_argument("--ks", type=_parse_ks, default=evaluation.DEFAULT_KS)
-    ev.add_argument("--baseline", choices=("icsb",),
-                    help="also score the IC-SB baseline on the same instances")
-    ev.add_argument("--train-cascades",
-                    help="training cascades for fitting the baseline")
-    ev.add_argument("--edge-probs",
-                    help="pre-fitted baseline probabilities (u v p file)")
+    icsb = ev.add_mutually_exclusive_group()
+    icsb.add_argument("--train-cascades",
+                      help="also score the IC-SB baseline, fitted on these cascades")
+    icsb.add_argument("--edge-probs",
+                      help="also score the IC-SB baseline with these probabilities (u v p file)")
     ev.add_argument("--out", required=True, help="output directory")
 
     pr = sub.add_parser("predict", help="rank the next activation after a prefix")
@@ -249,8 +248,6 @@ def _write_report(path, report, config_echo, diverged):
 
 
 def cmd_evaluate(args) -> int:
-    if args.baseline == "icsb" and not (args.edge_probs or args.train_cascades):
-        raise DataError("--baseline icsb needs --train-cascades or --edge-probs")
     model, graph = _load_checkpoint_with_graph(args)
     test_cascades = load_cascades_file(args.test_cascades, graph)
     if not test_cascades:
@@ -258,6 +255,7 @@ def cmd_evaluate(args) -> int:
     # Once here, not once per scorer, so the length-1 warning is logged once.
     test_cascades, _ = drop_short(test_cascades, "test set")
 
+    icsb = args.edge_probs is not None or args.train_cascades is not None
     config_echo = {
         "command": "evaluate",
         "tool_version": TOOL_VERSION,
@@ -265,20 +263,18 @@ def cmd_evaluate(args) -> int:
         "graph": args.graph,
         "test_cascades": args.test_cascades,
         "ks": list(args.ks),
-        "baseline": args.baseline,
+        "baseline": "icsb" if icsb else None,
         "score_mode": model.config.score_mode,
         "hidden_dim": model.config.hidden_dim,
     }
 
     scorers = [evaluation.ModelScorer(model, graph)]
     fitted = None
-    if args.baseline == "icsb":
-        if args.edge_probs:
-            probs = EdgeProbabilities.load(args.edge_probs, graph)
-        else:
-            train_set = load_cascades_file(args.train_cascades, graph)
-            probs = fitted = fit_static_bernoulli(graph, train_set)
-        scorers.append(ICSBScorer(graph, probs))
+    if args.edge_probs is not None:
+        scorers.append(ICSBScorer(graph, EdgeProbabilities.load(args.edge_probs, graph)))
+    elif args.train_cascades is not None:
+        fitted = fit_static_bernoulli(graph, load_cascades_file(args.train_cascades, graph))
+        scorers.append(ICSBScorer(graph, fitted))
 
     tables, timing = [], []
     for scorer in scorers:

@@ -260,7 +260,6 @@ def test_09_reproducibility(tmp_path):
         eval_args = ["evaluate", "--checkpoint", str(run / "checkpoint.bin"),
                      "--graph", str(data / "graph.txt"),
                      "--test-cascades", str(run / "split_test.txt"),
-                     "--baseline", "icsb",
                      "--train-cascades", str(run / "split_train.txt")]
         assert cli.main(eval_args + ["--out", str(tmp_path / "eval_a")]) == 0
         assert cli.main(eval_args + ["--out", str(tmp_path / "eval_b")]) == 0

@@ -98,6 +98,24 @@ class TestFitStaticBernoulli:
         monkeypatch.setattr("topolstm.baseline.FIT_CHUNK", 5)
         np.testing.assert_array_equal(fit_static_bernoulli(g, cascades).p, whole.p)
 
+    @pytest.mark.parametrize("per_node, extra, passes", [
+        (0, 1, 25), (1, -1, 25), (1, 0, 25), (3, 0, 9), (0, 10**6, 1),
+    ], ids=["1", "m-1", "m", "3m", "1e6"])
+    def test_passes_of_any_size_match_oracle(self, monkeypatch, per_node, extra, passes):
+        # FIT_CHUNK = per_node * m + extra: one cascade, three cascades or all
+        # 25 of them per pass, each pass reading its out-edges in one call.
+        rng = np.random.default_rng(35)
+        m = 30
+        g = random_graph(rng, m, 150)
+        cascades = [random_cascade(rng, m, int(rng.integers(1, 20))) for _ in range(25)]
+        monkeypatch.setattr("topolstm.baseline.FIT_CHUNK", per_node * m + extra)
+        calls = []
+        out_edges = DataGraph.out_edges
+        monkeypatch.setattr(DataGraph, "out_edges",
+                            lambda graph, nodes: calls.append(nodes.size) or out_edges(graph, nodes))
+        assert prob_dict(fit_static_bernoulli(g, cascades)) == oracle.recount_oracle(g, cascades)
+        assert len(calls) == passes and sum(calls) == sum(map(len, cascades))
+
     def test_values_in_unit_interval(self):
         rng = np.random.default_rng(31)
         g = random_graph(rng, 8, 20)

@@ -289,7 +289,7 @@ class TestEvaluate:
                          str(run_dir / "checkpoint.bin"),
                          "--graph", str(data_dir / "graph.txt"),
                          "--test-cascades", str(run_dir / "split_test.txt"),
-                         "--baseline", "icsb", "--train-cascades",
+                         "--train-cascades",
                          str(run_dir / "split_train.txt"),
                          "--ks", "10,50,100", "--out", str(out)])
         assert code == 0
@@ -314,6 +314,10 @@ class TestEvaluate:
                          "--ks", "1,10", "--out", str(out)])
         assert code == 0
         doc = json.loads((out / "metrics.json").read_text())
+        # Without --train-cascades or --edge-probs only the model is scored.
+        assert [r["scorer"] for r in doc["results"]] == ["topo-lstm"]
+        assert doc["config"]["baseline"] is None
+        assert not (out / "icsb_edge_probs.txt").exists()
         hits10 = [m for m in doc["results"][0]["metrics"]
                   if m["metric"] == "hits" and m["k"] == 10]
         assert hits10[0]["value"] > 0.95
@@ -341,7 +345,6 @@ class TestEvaluate:
         assert cli.main(["evaluate", "--checkpoint", str(run / "checkpoint.bin"),
                          "--graph", str(data_dir / "graph.txt"),
                          "--test-cascades", str(run / "split_test.txt"),
-                         "--baseline", "icsb",
                          "--train-cascades", str(run / "split_train.txt"),
                          "--out", str(tmp_path / "eval")]) == 0
 
@@ -350,7 +353,7 @@ class TestEvaluate:
         def evaluate(test_file, out):
             return cli.main(["evaluate", "--checkpoint", str(run_dir / "checkpoint.bin"),
                              "--graph", str(data_dir / "graph.txt"),
-                             "--test-cascades", str(test_file), "--baseline", "icsb",
+                             "--test-cascades", str(test_file),
                              "--train-cascades", str(run_dir / "split_train.txt"),
                              "--out", str(tmp_path / out)])
 
@@ -387,25 +390,22 @@ class TestEvaluate:
                          "--out", str(tmp_path / "m")])
         assert code == 4
 
-    def test_baseline_requires_training_data(self, data_dir, run_dir, tmp_path):
-        code = cli.main(["evaluate", "--checkpoint",
-                         str(run_dir / "checkpoint.bin"),
-                         "--graph", str(data_dir / "graph.txt"),
-                         "--test-cascades", str(run_dir / "split_test.txt"),
-                         "--baseline", "icsb", "--out", str(tmp_path / "x")])
-        assert code == 2
-
     def test_fitted_edge_probs_load_back(self, data_dir, run_dir, tmp_path):
+        # Scoring IC-SB with the probabilities a fit wrote gives the fit's files.
         common = ["evaluate", "--checkpoint", str(run_dir / "checkpoint.bin"),
                   "--graph", str(data_dir / "graph.txt"),
-                  "--test-cascades", str(run_dir / "split_test.txt"), "--baseline", "icsb"]
+                  "--test-cascades", str(run_dir / "split_test.txt")]
         assert cli.main(common + ["--train-cascades", str(run_dir / "split_train.txt"),
                                   "--out", str(tmp_path / "fit")]) == 0
         assert cli.main(common + ["--edge-probs", str(tmp_path / "fit" / "icsb_edge_probs.txt"),
                                   "--out", str(tmp_path / "load")]) == 0
-        fitted, loaded = (json.loads((tmp_path / d / "metrics.json").read_text())["results"]
-                          for d in ("fit", "load"))
-        assert loaded == fitted
+        doc = json.loads((tmp_path / "fit" / "metrics.json").read_text())
+        assert [r["scorer"] for r in doc["results"]] == ["topo-lstm", "ic-sb"]
+        assert doc["config"]["baseline"] == "icsb"
+        for name in ("metrics.json", "metrics.txt", "length_buckets.csv"):
+            assert filecmp.cmp(tmp_path / "fit" / name, tmp_path / "load" / name,
+                               shallow=False), name
+        assert not (tmp_path / "load" / "icsb_edge_probs.txt").exists()
 
     @pytest.mark.parametrize("lines, bad_line, what", [
         (["0 1 0.5", "0 1 0.7"], 2, "given twice"),
@@ -432,7 +432,7 @@ class TestEvaluate:
         code = cli.main(["evaluate", "--checkpoint", str(run_dir / "checkpoint.bin"),
                          "--graph", str(data_dir / "graph.txt"),
                          "--test-cascades", str(run_dir / "split_test.txt"),
-                         "--baseline", "icsb", "--edge-probs", str(probs),
+                         "--edge-probs", str(probs),
                          "--out", str(tmp_path / "e")])
         err = capsys.readouterr().err
         assert code == 2 and "Traceback" not in err
@@ -445,7 +445,6 @@ class TestEvaluate:
         assert cli.main(["evaluate", "--checkpoint", str(run_dir / "checkpoint.bin"),
                          "--graph", str(data_dir / "graph.txt"),
                          "--test-cascades", str(run_dir / "split_test.txt"),
-                         "--baseline", "icsb",
                          "--train-cascades", str(run_dir / "split_train.txt"),
                          "--out", str(out)]) == 0
         timing = json.loads((out / "timing.json").read_text())
@@ -600,7 +599,6 @@ def test_unreadable_input_path_exit_2_names_it(command, flag, kind, data_dir,
                   "--hidden-dim", "4", "--epochs", "1", "--out", str(tmp_path / "t")],
         "evaluate": ["--checkpoint", ckpt, "--graph", graph,
                      "--test-cascades", str(run_dir / "split_test.txt"),
-                     "--baseline", "icsb",
                      "--train-cascades", str(run_dir / "split_train.txt"),
                      "--out", str(tmp_path / "e")],
         "predict": ["--checkpoint", ckpt, "--graph", graph, "--prefix", "0"],
@@ -622,13 +620,13 @@ def test_unreadable_input_path_exit_2_names_it(command, flag, kind, data_dir,
     ("evaluate", {"--graph": "other.txt"}, 4),
     ("evaluate", {"--graph": "missing.txt"}, 2),
     ("evaluate", {"--test-cascades": "missing.txt"}, 2),
-    ("evaluate", {"--baseline": "icsb"}, 2),
-    ("evaluate", {"--baseline": "icsb", "--edge-probs": "bad.txt"}, 2),
+    ("evaluate", {"--train-cascades": "train.txt", "--edge-probs": "probs.txt"}, 2),
+    ("evaluate", {"--edge-probs": "bad.txt"}, 2),
     ("train", {"--graph": "missing.txt"}, 2),
     ("train", {"--cascades": "missing.txt"}, 2),
     ("train", {"--cascades": "bad.txt"}, 2),
 ], ids=["junk-checkpoint", "mismatched-graph", "missing-graph", "missing-test-cascades",
-        "baseline-without-data", "bad-edge-probs", "train-missing-graph",
+        "train-cascades-and-edge-probs", "bad-edge-probs", "train-missing-graph",
         "train-missing-cascades", "train-bad-cascades"])
 def test_refused_run_leaves_no_out_dir(command, override, code, data_dir, run_dir, tmp_path,
                                        capsys, monkeypatch):
@@ -637,7 +635,8 @@ def test_refused_run_leaves_no_out_dir(command, override, code, data_dir, run_di
         raise AssertionError("scored before the inputs were checked")
     monkeypatch.setattr(cli.evaluation, "evaluate", no_scoring)
     for name, text in (("junk.bin", "junk"), ("other.txt", "x y\ny z\n"),
-                       ("bad.txt", "0 1 2\n0 zz\n")):
+                       ("bad.txt", "0 1 2\n0 zz\n"), ("train.txt", "0 1\n"),
+                       ("probs.txt", "# u v p\n")):
         (tmp_path / name).write_text(text)
     flags = {
         "evaluate": {"--checkpoint": str(run_dir / "checkpoint.bin"),
@@ -647,13 +646,17 @@ def test_refused_run_leaves_no_out_dir(command, override, code, data_dir, run_di
     }[command]
     flags["--graph"] = str(data_dir / "graph.txt")
     for flag, value in override.items():
-        flags[flag] = value if flag == "--baseline" else str(tmp_path / value)
+        flags[flag] = str(tmp_path / value)
     out = tmp_path / "out"
-    assert cli.main([command, "--out", str(out)]
-                    + [part for item in flags.items() for part in item]) == code
+    try:
+        result = cli.main([command, "--out", str(out)]
+                          + [part for item in flags.items() for part in item])
+    except SystemExit as exc:   # argparse refuses the flags themselves
+        result = exc.code
+    assert result == code
     err = capsys.readouterr().err
     assert "Traceback" not in err
-    assert len([line for line in err.splitlines() if line.startswith("error:")]) == 1
+    assert len([line for line in err.splitlines() if "error: " in line]) == 1
     assert not out.exists()
 
 
@@ -666,12 +669,15 @@ def test_refused_run_leaves_no_out_dir(command, override, code, data_dir, run_di
      "--undirected"),
     (["evaluate", "--checkpoint", "c", "--graph", "g", "--test-cascades", "t"],
      "--length-csv"),
+    (["evaluate", "--checkpoint", "c", "--graph", "g", "--test-cascades", "t"],
+     "--baseline"),
     (["predict", "--checkpoint", "c", "--graph", "g", "--prefix", "0"], "--undirected"),
 ], ids=["generate-deterministic", "train-deterministic", "evaluate-deterministic",
-        "evaluate-undirected", "evaluate-length-csv", "predict-undirected"])
+        "evaluate-undirected", "evaluate-length-csv", "evaluate-baseline", "predict-undirected"])
 def test_removed_flags_rejected(args, flag, tmp_path, capsys):
     # evaluate and predict take the graph direction from the checkpoint,
-    # reports hold no timings and evaluate always writes the length buckets.
+    # reports hold no timings, evaluate always writes the length buckets and
+    # scores IC-SB whenever --train-cascades or --edge-probs is given.
     args = args + [flag] + (["--out", str(tmp_path / "x")] if args[0] != "predict" else [])
     with pytest.raises(SystemExit) as exc:
         cli.main(args)
@@ -713,7 +719,6 @@ class TestGraphDirectionFromCheckpoint:
         assert cli.main(["evaluate", "--checkpoint", str(checkpoint),
                          "--graph", str(run / graph),
                          "--test-cascades", str(run / "run" / "split_test.txt"),
-                         "--baseline", "icsb",
                          "--train-cascades", str(run / "run" / "split_train.txt"),
                          "--out", str(out)]) == 0
         return json.loads((out / "metrics.json").read_text())["results"]
@@ -848,7 +853,7 @@ class TestCliFuzz:
                 save_model(checkpoint, model, labels)
             common = ["--checkpoint", str(checkpoint), "--graph", files["graph"]]
             self.run(["evaluate", *common, "--test-cascades", files["cascades"],
-                      "--baseline", "icsb", "--edge-probs", files["probs"],
+                      "--edge-probs", files["probs"],
                       "--ks", "1,2", "--out", str(tmp / "eval")])
             self.run(["predict", *common, "--prefix", *prefix])
             self.run(["predict", *common, *(f"--prefix={label}" for label in prefix)],

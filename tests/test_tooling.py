@@ -1,8 +1,16 @@
+import re
+import shlex
 import shutil
 import subprocess
 import sys
 import textwrap
 from pathlib import Path
+
+import pytest
+
+from topolstm import cli
+
+README = Path(__file__).parents[1] / "README.md"
 
 FAILING_PROPERTY = textwrap.dedent("""\
     from hypothesis import given, strategies as st
@@ -27,3 +35,24 @@ def test_failing_hypothesis_test_is_reported_not_internal_error(tmp_path):
     assert run.returncode == 1, run.stdout + run.stderr
     assert "1 failed, 1 passed" in run.stdout
     assert "INTERNALERROR" not in run.stdout + run.stderr
+
+
+def readme_commands():
+    """The argv of every `topolstm ...` line in the README's fenced code
+    blocks, with backslash continuations joined."""
+    text = README.read_text(encoding="utf-8")
+    blocks = re.findall(r"^```[^\n]*\n(.*?)^```", text, re.MULTILINE | re.DOTALL)
+    lines = "".join(blocks).replace("\\\n", " ").splitlines()
+    return [shlex.split(line, comments=True)[1:] for line in lines
+            if line.split()[:1] == ["topolstm"]]
+
+
+def test_readme_commands_parse():
+    # A flag deleted from the CLI must not linger in the documented commands.
+    commands = readme_commands()
+    assert [argv[0] for argv in commands] == ["generate", "train", "evaluate", "predict"]
+    for argv in commands:
+        try:
+            cli.build_parser().parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: topolstm {shlex.join(argv)}")
