@@ -16,14 +16,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Iterable
 
 import numpy as np
 
 from .errors import DataError
-from .graph import Cascade, DataGraph, DiffusionTopology, records, write_lines
+from .graph import Cascade, DataGraph, DiffusionTopology, read_records, write_lines
 
 
 @dataclass(eq=False)
@@ -56,28 +56,53 @@ class EdgeProbabilities:
 
     @classmethod
     def load(cls, path, graph: DataGraph) -> "EdgeProbabilities":
-        """Read 'u v p' lines; an edge the file does not name gets p = 0."""
+        """Read 'u v p' lines; an edge the file does not name gets p = 0.
+        The first bad line raises DataError, checked in this order: its
+        field count, its labels (u first), its edge, then p."""
+        fields, ptr, lineno = read_records(Path(path).read_text(encoding="utf-8"))
+        short = np.flatnonzero(np.diff(ptr) != 3)
+        k = short[0] if short.size else lineno.size       # records before k have 3 fields
+        get = graph.label_index.get
+        u, v = (np.fromiter(map(get, fields[j:3 * k:3], repeat(-1)), dtype=np.intp, count=k)
+                for j in (0, 1))                   # -1: an unknown label
+        m = graph.node_count
+        src, dst = graph.edge_pairs()
+        key = src * m + dst
+        order = np.append(np.argsort(key), -1)
+        sorted_key = np.append(key[order[:-1]], m * m)    # m * m: past every key
+        wanted = np.where((u >= 0) & (v >= 0), u * m + v, -1)
+        at = np.searchsorted(sorted_key, wanted)
+        edge = np.where(sorted_key[at] == wanted, order[at], -1)
+        by_edge = np.argsort(edge, kind="stable")
+        again = edge[by_edge[1:]] == edge[by_edge[:-1]]
+        twice = np.zeros(k, dtype=bool)                   # an earlier row names the edge
+        twice[by_edge[1:][again]] = True
+        value = np.fromiter(map(_number, fields[2:3 * k:3]), dtype=float, count=k)
+        bad = np.flatnonzero((edge < 0) | twice | ~((value >= 0.0) & (value <= 1.0)))
+        if bad.size:
+            r = bad[0]
+            a, b, text = fields[3 * r:3 * r + 3]
+            where = f"probabilities line {lineno[r]}:"
+            if u[r] < 0 or v[r] < 0:
+                label = a if u[r] < 0 else b
+                raise DataError(f"{where} unknown node label {label!r}")
+            if edge[r] < 0 or twice[r]:
+                why = "is not an edge of the graph" if edge[r] < 0 else "is given twice"
+                raise DataError(f"{where} {a} -> {b} {why}")
+            raise DataError(f"{where} p = {text!r} is not a number in [0, 1]")
+        if k < lineno.size:
+            raise DataError(f"probabilities line {lineno[k]}: expected 'u v p'")
         p = np.zeros(graph.edge_count)
-        given = np.zeros(graph.edge_count, dtype=bool)
-        for lineno, _, parts in records(Path(path).read_text(encoding="utf-8")):
-            if len(parts) != 3:
-                raise DataError(f"probabilities line {lineno}: expected 'u v p'")
-            try:
-                e = graph.edge_id(graph.id_of(parts[0]), graph.id_of(parts[1]))
-            except DataError as exc:
-                raise DataError(f"probabilities line {lineno}: {exc}") from None
-            if e < 0 or given[e]:
-                why = "is not an edge of the graph" if e < 0 else "is given twice"
-                raise DataError(f"probabilities line {lineno}: {parts[0]} -> {parts[1]} {why}")
-            try:
-                value = float(parts[2])
-            except ValueError:
-                value = math.nan
-            if not 0.0 <= value <= 1.0:
-                raise DataError(f"probabilities line {lineno}: p = {parts[2]!r} "
-                                "is not a number in [0, 1]")
-            p[e], given[e] = value, True
+        p[edge] = value
         return cls(graph, p)
+
+
+def _number(text: str) -> float:
+    """float(text), or NaN where float() rejects it."""
+    try:
+        return float(text)
+    except ValueError:
+        return math.nan
 
 
 # (cascade, node) table cells per pass, or one cascade's m if more: bounds the fit's memory.

@@ -14,17 +14,20 @@ only the precedents, as one CSR index per cascade (see ``model``).
 ``build_topologies`` gives the same precedents as per-step views for the
 dict-based reference scorers; only the benchmark's gates call them.
 
-Each input rule has one function here: ``records`` reads the lines of every
-text format, ``write_lines`` writes them, and ``drop_short`` decides which
-cascades have a prediction step, for training and evaluation alike.
+Each input rule has one function here: ``read_records`` reads every input
+text format in one pass over the whole file, ``write_lines`` writes them, and
+``drop_short`` decides which cascades have a prediction step, for training
+and evaluation alike.
 """
 
 from __future__ import annotations
 
 import logging
+from collections import defaultdict
 from dataclasses import dataclass
+from itertools import count
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -51,7 +54,7 @@ class DataGraph:
         if self.out_ptr.shape != (len(self.labels) + 1,) or self.out_ptr[-1] != self.out_idx.size:
             raise ValueError("out_ptr must hold node_count + 1 offsets ending at the edge count")
         self.out_ptr.flags.writeable = self.out_idx.flags.writeable = False
-        self.label_index = {lab: i for i, lab in enumerate(self.labels)}
+        self.label_index = dict(zip(self.labels, range(len(self.labels))))
 
     @property
     def node_count(self) -> int:
@@ -89,15 +92,19 @@ class DataGraph:
         return row, self.out_idx[edge], edge
 
     @classmethod
-    def from_edges(cls, node_count: int, edges: Iterable[tuple[NodeId, NodeId]],
+    def from_edges(cls, node_count: int,
+                   edges: "np.ndarray | Iterable[tuple[NodeId, NodeId]]",
                    labels: Sequence[str] | None = None) -> "DataGraph":
-        """Build a graph from (src, dst) id pairs, dropping repeats; labels
-        default to str(id).  The first bad pair raises: ValueError when out
-        of range, DataError when a self-loop."""
+        """Build a graph from (src, dst) id pairs, a (k, 2) integer array or
+        any iterable of pairs, dropping repeats; labels default to str(id).
+        The first bad pair raises: ValueError when out of range, DataError
+        when a self-loop."""
         labels = tuple(str(i) for i in range(node_count)) if labels is None else tuple(labels)
         if len(labels) != node_count:
             raise ValueError("labels length must equal node_count")
-        pairs = np.array(list(edges), dtype=np.intp).reshape(-1, 2)
+        if not isinstance(edges, np.ndarray):
+            edges = list(edges)
+        pairs = np.asarray(edges, dtype=np.intp).reshape(-1, 2)
         u, v = pairs.T
         bad = ((pairs < 0) | (pairs >= node_count)).any(axis=1) | (u == v)
         if bad.any():
@@ -113,13 +120,68 @@ class DataGraph:
         return cls(labels, out_ptr, dst)
 
 
-def records(text: str) -> Iterator[tuple[int, str, list[str]]]:
-    """(line number from 1, stripped line, whitespace-split fields) of every
-    line of ``text`` that is neither blank nor a '#' comment."""
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if line and not line.startswith("#"):
-            yield lineno, line, line.split()
+# Whitespace as str.split and str.strip see it, and the line breaks of
+# str.splitlines, which also counts "\r\n" as one break.
+_SPACE = "\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f \x85\xa0\u1680\u2000\u2001\u2002\u2003\u2004" \
+         "\u2005\u2006\u2007\u2008\u2009\u200a\u2028\u2029\u202f\u205f\u3000"
+_BREAK = "\n\x0b\x0c\r\x1c\x1d\x1e\x85\u2028\u2029"
+# _layout tests the ASCII ones by byte value and matches the others as these
+# UTF-8 byte sequences, each of which starts with a byte >= 0xC2.
+_WIDE_SPACE = tuple((c.encode(), c in _BREAK) for c in _SPACE if not c.isascii())
+
+
+def _layout(text: str) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """(fields on each line, which lines are records, comment cuts) of text.
+    The lines are those of text.splitlines() and one more, empty when text
+    ends in a break.  The cuts hold a (from, to) pair of character offsets
+    per comment line: from its first field to its break."""
+    data = np.frombuffer(text.encode("utf-8", "surrogatepass") + b"  ", dtype=np.uint8)
+    # uint8 arithmetic wraps, so data - a <= n holds exactly where a <= data <= a + n.
+    space = ((data - 9) <= 4) | ((data - 28) <= 4)
+    brk = ((data - 10) <= 3) | ((data - 28) <= 2)
+    lead = np.flatnonzero(data >= 0xC2)          # where a 2- to 4-byte character starts
+    if lead.size:
+        for seq, is_break in _WIDE_SPACE:
+            hit = lead
+            for k, byte in enumerate(seq):
+                hit = hit[data[hit + k] == byte]
+            space[hit[:, None] + np.arange(len(seq))] = True
+            brk[hit] |= is_break
+    head = ~space
+    head[1:] &= space[:-1]
+    start = np.flatnonzero(head)                  # the first byte of each field
+    ends = np.flatnonzero(brk)
+    ends = ends[(data[ends] != 10) | (data[ends - 1] != 13)]   # "\r\n" is one break
+    # Line i (from 0) holds fields bounds[i]:bounds[i + 1].
+    bounds = np.concatenate(([0], np.searchsorted(start, ends), [start.size]))
+    width = np.diff(bounds)
+    filled = np.flatnonzero(width)
+    comment = filled[data[start[bounds[filled]]] == ord("#")]
+    record = width > 0
+    record[comment] = False
+    line_end = np.append(ends, data.size - 2)     # the last line ends with the text
+    cuts = np.stack((start[bounds[comment]], line_end[comment]), axis=1)
+    cuts -= np.searchsorted(np.flatnonzero((data & 0xC0) == 0x80), cuts)   # bytes to chars
+    return width, record, cuts.ravel().tolist()
+
+
+def read_records(text: str) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """(fields, ptr, lineno) of the records of text: record r is the line
+    numbered lineno[r] (from 1), split into fields[ptr[r]:ptr[r + 1]].
+
+    Lines and fields are those of str.splitlines and str.split; a line
+    without fields, or whose first field starts with '#', is no record.
+    """
+    width, record, cuts = _layout(text)
+    # Comment lines are cut out of the text, so that it splits into the records' fields.
+    keep = [0, *cuts, len(text)]
+    fields = "".join(text[a:b] for a, b in zip(keep[::2], keep[1::2])).split()
+    return fields, np.append(0, np.cumsum(width[record])), np.flatnonzero(record) + 1
+
+
+def stripped_line(text: str, lineno) -> str:
+    """Line ``lineno`` of text, stripped, for an error message."""
+    return text.splitlines()[lineno - 1].strip()
 
 
 def write_lines(path, lines: Iterable[str], header: str | None = None) -> None:
@@ -137,22 +199,27 @@ def load_graph(text: str, undirected: bool = False) -> DataGraph:
     Lines starting with '#' and blank lines are ignored.  Node labels are
     interned to dense ids in first-appearance order.  With ``undirected``
     each line yields both directions.  Duplicate edges are dropped with a
-    warning; self-loops and malformed lines raise DataError naming the line.
+    warning; the first self-loop or malformed line raises DataError naming
+    the line.
     """
-    label_to_id: dict[str, NodeId] = {}
-    pairs: list[tuple[NodeId, NodeId]] = []
-    for lineno, line, parts in records(text):
-        if len(parts) != 2:
-            raise DataError(f"graph line {lineno}: expected 'src dst', got {line!r}")
-        src, dst = parts
-        if src == dst:
-            raise DataError(f"graph line {lineno}: self-loop on node {src!r}")
-        u = label_to_id.setdefault(src, len(label_to_id))
-        v = label_to_id.setdefault(dst, len(label_to_id))
-        pairs.append((u, v))
-        if undirected:
-            pairs.append((v, u))
-    graph = DataGraph.from_edges(len(label_to_id), pairs, tuple(label_to_id))
+    fields, ptr, lineno = read_records(text)
+    index = defaultdict(count().__next__)          # a new label takes the next id
+    ids = np.fromiter(map(index.__getitem__, fields), dtype=np.intp, count=len(fields))
+    del fields      # about 60 bytes a field; the labels are all that is needed from here
+    labels = tuple(index)
+    malformed = np.flatnonzero(np.diff(ptr) != 2)
+    k = malformed[0] if malformed.size else lineno.size   # records before k are pairs
+    pairs = ids[:2 * k].reshape(k, 2)
+    loops = np.flatnonzero(pairs[:, 0] == pairs[:, 1])
+    if loops.size:
+        raise DataError(f"graph line {lineno[loops[0]]}: self-loop on node "
+                        f"{labels[pairs[loops[0], 0]]!r}")
+    if k < lineno.size:
+        raise DataError(f"graph line {lineno[k]}: expected 'src dst', "
+                        f"got {stripped_line(text, lineno[k])!r}")
+    if undirected:
+        pairs = np.concatenate((pairs, pairs[:, ::-1]))
+    graph = DataGraph.from_edges(len(labels), pairs, labels)
     if len(pairs) > graph.edge_count:
         log.warning("dropped %d duplicate edge(s) while loading graph",
                     len(pairs) - graph.edge_count)
@@ -209,22 +276,28 @@ def drop_short(cascades: Sequence[Cascade], what: str) -> tuple[list[Cascade], i
 
 
 def load_cascades(text: str, graph: DataGraph) -> list[Cascade]:
-    """Parse one cascade per line (labels in activation order), validated against graph."""
-    idx = graph.label_index
+    """Parse one cascade per line (labels in activation order), validated
+    against graph.  The first line that repeats a node raises DataError,
+    unless that line or an earlier one has a label the graph lacks: then the
+    DataError lists every such label with the first line it is on."""
+    fields, ptr, lineno = read_records(text)
+    flat = list(map(graph.label_index.get, fields))
+    # The records before the first with an unknown label make the cascades.
+    stop = np.searchsorted(ptr, flat.index(None) if None in flat else len(flat), "right") - 1
+    bounds = ptr[:stop + 1].tolist()
     cascades: list[Cascade] = []
-    unknown: dict[str, int] = {}  # offending label -> first line seen
-    for lineno, line, labels in records(text):
-        for lab in labels:
-            if lab not in idx:
-                unknown.setdefault(lab, lineno)
-        if unknown:
-            continue  # keep scanning so the diagnostic lists every offender
-        ids = [idx[lab] for lab in labels]
-        if len(set(ids)) != len(ids):
-            raise DataError(f"cascade line {lineno}: repeated node in {line!r}")
-        cascades.append(Cascade(tuple(ids)))
-    if unknown:
-        listing = ", ".join(f"{lab!r} (line {ln})" for lab, ln in sorted(unknown.items()))
+    for ln, a, b in zip(lineno.tolist(), bounds, bounds[1:]):
+        try:
+            cascades.append(Cascade(tuple(flat[a:b])))
+        except ValueError:   # the only check Cascade can fail here: repeated nodes
+            raise DataError(f"cascade line {ln}: repeated node in "
+                            f"{stripped_line(text, ln)!r}") from None
+    if stop < lineno.size:
+        unknown = [i for i, v in enumerate(flat) if v is None]
+        first_line: dict[str, int] = {}
+        for i, ln in zip(unknown, lineno[np.searchsorted(ptr, unknown, "right") - 1].tolist()):
+            first_line.setdefault(fields[i], ln)
+        listing = ", ".join(f"{lab!r} (line {ln})" for lab, ln in sorted(first_line.items()))
         raise DataError(f"cascade nodes not present in graph: {listing}")
     return cascades
 

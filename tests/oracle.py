@@ -1,17 +1,27 @@
 """Brute-force oracle for the model and the IC-SB baseline, written from the
-paper's definitions.
+paper's definitions, and reference readers for the input files.
 
-Each function recomputes its answer from the graph's edge set (the pairs
+Each model and baseline function recomputes its answer from the graph's edge set (the pairs
 ``DataGraph.edge_pairs`` reads off the CSR; ``test_graph`` checks them
 against a set model of the input) and the cascade's activation order, with
 no validation and no view class.  Times are 1-based: at step t the nodes
 ``cascade[:t-1]`` are active and ``cascade[t-1]`` activates.  The tests run
 the production code against these functions.
+
+The readers at the end take a file one line at a time; they are the
+reference for the whole-file readers of ``graph`` and ``baseline``, which
+must return the same result or raise the same error.
 """
 
+import logging
 import math
+from pathlib import Path
 
 import numpy as np
+
+from topolstm.baseline import EdgeProbabilities
+from topolstm.errors import DataError
+from topolstm.graph import Cascade, DataGraph
 
 
 def edge_set(graph):
@@ -126,3 +136,80 @@ def noisy_or_scores(graph, probs, cascade, t):
                 quiet *= 1.0 - probs.get((u, w), 0.0)
             scores[w] = 1.0 - quiet
     return scores
+
+
+def records(text):
+    """(line number from 1, stripped line, whitespace-split fields) of every
+    line of ``text`` that is neither blank nor a '#' comment."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield lineno, line, line.split()
+
+
+def load_graph(text, undirected=False):
+    """``graph.load_graph`` one line at a time; warns on the same logger."""
+    label_to_id = {}
+    pairs = []
+    for lineno, line, parts in records(text):
+        if len(parts) != 2:
+            raise DataError(f"graph line {lineno}: expected 'src dst', got {line!r}")
+        src, dst = parts
+        if src == dst:
+            raise DataError(f"graph line {lineno}: self-loop on node {src!r}")
+        u = label_to_id.setdefault(src, len(label_to_id))
+        v = label_to_id.setdefault(dst, len(label_to_id))
+        pairs.append((u, v))
+        if undirected:
+            pairs.append((v, u))
+    graph = DataGraph.from_edges(len(label_to_id), pairs, tuple(label_to_id))
+    if len(pairs) > graph.edge_count:
+        logging.getLogger("topolstm.graph").warning(
+            "dropped %d duplicate edge(s) while loading graph", len(pairs) - graph.edge_count)
+    return graph
+
+
+def load_cascades(text, graph):
+    """``graph.load_cascades`` one line at a time."""
+    idx = graph.label_index
+    cascades = []
+    unknown = {}  # offending label -> first line seen
+    for lineno, line, labels in records(text):
+        for lab in labels:
+            if lab not in idx:
+                unknown.setdefault(lab, lineno)
+        if unknown:
+            continue  # keep scanning so the diagnostic lists every offender
+        ids = [idx[lab] for lab in labels]
+        if len(set(ids)) != len(ids):
+            raise DataError(f"cascade line {lineno}: repeated node in {line!r}")
+        cascades.append(Cascade(tuple(ids)))
+    if unknown:
+        listing = ", ".join(f"{lab!r} (line {ln})" for lab, ln in sorted(unknown.items()))
+        raise DataError(f"cascade nodes not present in graph: {listing}")
+    return cascades
+
+
+def load_edge_probabilities(path, graph):
+    """``EdgeProbabilities.load`` one line at a time."""
+    p = np.zeros(graph.edge_count)
+    given = np.zeros(graph.edge_count, dtype=bool)
+    for lineno, _, parts in records(Path(path).read_text(encoding="utf-8")):
+        if len(parts) != 3:
+            raise DataError(f"probabilities line {lineno}: expected 'u v p'")
+        try:
+            e = graph.edge_id(graph.id_of(parts[0]), graph.id_of(parts[1]))
+        except DataError as exc:
+            raise DataError(f"probabilities line {lineno}: {exc}") from None
+        if e < 0 or given[e]:
+            why = "is not an edge of the graph" if e < 0 else "is given twice"
+            raise DataError(f"probabilities line {lineno}: {parts[0]} -> {parts[1]} {why}")
+        try:
+            value = float(parts[2])
+        except ValueError:
+            value = math.nan
+        if not 0.0 <= value <= 1.0:
+            raise DataError(f"probabilities line {lineno}: p = {parts[2]!r} "
+                            "is not a number in [0, 1]")
+        p[e], given[e] = value, True
+    return EdgeProbabilities(graph, p)

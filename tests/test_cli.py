@@ -448,8 +448,10 @@ class TestEvaluate:
                          "--train-cascades", str(run_dir / "split_train.txt"),
                          "--out", str(out)]) == 0
         timing = json.loads((out / "timing.json").read_text())
-        assert [entry["scorer"] for entry in timing] == ["topo-lstm", "ic-sb"]
-        for entry in timing:
+        assert set(timing) == {"read_inputs_seconds", "scorers"}
+        assert timing["read_inputs_seconds"] > 0
+        assert [entry["scorer"] for entry in timing["scorers"]] == ["topo-lstm", "ic-sb"]
+        for entry in timing["scorers"]:
             assert set(entry) == {"scorer", "seconds", "us_per_instance"}
             assert entry["seconds"] > 0 and entry["us_per_instance"] > 0
 

@@ -1,4 +1,5 @@
 import logging
+import sys
 import tempfile
 from pathlib import Path
 
@@ -10,9 +11,10 @@ from hypothesis import strategies as st
 import oracle
 from topolstm.baseline import EdgeProbabilities
 from topolstm.errors import DataError
+from topolstm import graph as graph_mod
 from topolstm.graph import (Cascade, DataGraph, build_topologies, load_cascades,
-                            load_graph, load_graph_file, records, save_graph_file,
-                            write_lines)
+                            load_graph, load_graph_file, read_records, save_graph_file,
+                            stripped_line, write_lines)
 from topolstm.model import Model, ModelConfig, forward_cascade
 
 from conftest import precedent_rows, random_cascade, random_graph, reversed_rows
@@ -62,8 +64,15 @@ class TestLoadGraph:
 class TestLineFormat:
     def test_records_number_every_line_and_quote_it_stripped(self):
         text = "# header\n\n  a\tb  \n   # indented comment\nc d e\r\n"
-        assert list(records(text)) == [(3, "a\tb", ["a", "b"]),
-                                       (5, "c d e", ["c", "d", "e"])]
+        fields, ptr, lineno = read_records(text)
+        assert fields == ["a", "b", "c", "d", "e"]
+        assert ptr.tolist() == [0, 2, 5] and lineno.tolist() == [3, 5]
+        assert [stripped_line(text, n) for n in lineno.tolist()] == ["a\tb", "c d e"]
+
+    def test_whitespace_and_breaks_are_pythons(self):
+        chars = "".join(map(chr, range(sys.maxunicode + 1)))
+        assert graph_mod._SPACE == "".join(c for c in chars if c.isspace())
+        assert graph_mod._BREAK == "".join(c for c in chars if len(f"a{c}b".splitlines()) == 2)
 
     def test_malformed_line_quoted_stripped(self):
         with pytest.raises(DataError, match=r"graph line 2: expected 'src dst', got 'a b c'$"):
@@ -245,6 +254,91 @@ class TestReaderFuzz:
                 EdgeProbabilities.load(path, self.GRAPH)
             except (DataError, ValueError):
                 pass
+
+
+# Structured texts for the reader tests: labels with '#' first or inside
+# and non-ASCII labels, edges and probability values of READER_GRAPH mixed
+# with any fields; separators that are whitespace but no line break; every
+# line break of str.splitlines.
+READER_EDGES = (("a", "b"), ("b", "c"), ("c", "a"), ("a", "a#b"), ("é", "#"), ("x", "é"))
+READER_GRAPH = "".join(f"{u} {v}\n" for u, v in READER_EDGES)
+READER_LABELS = ("a", "b", "c", "a#b", "é", "#", "x")
+READER_SPACES = (" ", "\t", "\x1f", "\xa0", "\u3000", "\u2000")
+READER_BREAKS = ("\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+                 "\u2028", "\u2029")
+label = st.sampled_from(READER_LABELS)
+any_fields = st.lists(label | st.sampled_from(("#a", "y", "0.5", "0", "1", "nan", "-0", "1e400")),
+                      max_size=4)
+graph_fields = st.lists(label, min_size=2, max_size=2) | any_fields
+cascade_fields = st.lists(label, max_size=4) | any_fields
+edge_line = st.builds(lambda edge, p: [*edge, p], st.sampled_from(READER_EDGES),
+                      st.sampled_from(("0.5", "0", "1", "-0", "0.25")))
+probability_fields = edge_line | edge_line | st.builds(
+    lambda edge, p: [*edge, p], st.sampled_from(READER_EDGES + (("a", "c"),)),
+    st.sampled_from(("0.5", "nan", "1.5", "x"))) | any_fields
+padding = st.sampled_from(("",) + READER_SPACES + ("  ",))
+
+
+def structured_text(fields):
+    """Up to 8 lines, each of ``fields`` joined by one separator between
+    optional leading and trailing whitespace, ended by random line breaks."""
+    line = st.builds(lambda lead, sep, parts, trail: lead + sep.join(parts) + trail,
+                     padding, st.sampled_from(READER_SPACES), fields, padding)
+    ends = st.lists(st.sampled_from(READER_BREAKS), min_size=8, max_size=8)
+    return st.builds(lambda lines, ends, last: "".join(map(str.__add__, lines, ends)) + last,
+                     st.lists(line, max_size=8), ends, st.sampled_from(("",) + READER_BREAKS))
+
+
+def outcome(read, *args):
+    """What a reader returned, in comparable form, or the type and message
+    of what it raised; with the warnings it logged either way."""
+    messages = []
+    handler = logging.Handler(logging.WARNING)
+    handler.emit = lambda record: messages.append(record.getMessage())
+    logger = logging.getLogger("topolstm.graph")
+    logger.addHandler(handler)
+    try:
+        got = read(*args)
+    except (DataError, ValueError) as exc:
+        return type(exc), str(exc), messages
+    finally:
+        logger.removeHandler(handler)
+    if isinstance(got, DataGraph):
+        got = got.labels, got.out_ptr.tolist(), got.out_idx.tolist()
+    elif isinstance(got, EdgeProbabilities):
+        got = got.p.tobytes()
+    else:
+        got = [c.nodes for c in got]
+    return got, messages
+
+
+class TestReaderAgainstOracle:
+    """The whole-file readers against the line-at-a-time ones in ``oracle``:
+    same result, or the same exception type and message, and the same
+    warnings."""
+
+    GRAPH = load_graph(READER_GRAPH)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(fuzz_text | structured_text(graph_fields), st.booleans())
+    def test_load_graph(self, text, undirected):
+        assert outcome(load_graph, text, undirected) == outcome(oracle.load_graph, text,
+                                                                 undirected)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(fuzz_text | structured_text(cascade_fields))
+    def test_load_cascades(self, text):
+        assert outcome(load_cascades, text, self.GRAPH) \
+            == outcome(oracle.load_cascades, text, self.GRAPH)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(fuzz_text | structured_text(probability_fields))
+    def test_edge_probabilities_load(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "probs.txt"
+            path.write_text(text, encoding="utf-8")
+            assert outcome(EdgeProbabilities.load, path, self.GRAPH) \
+                == outcome(oracle.load_edge_probabilities, path, self.GRAPH)
 
 
 class TestLabelMapping:
