@@ -17,7 +17,9 @@ dict-based reference scorers; only the benchmark's gates call them.
 Each input rule has one function here: ``read_records`` reads every input
 text format in one pass over the whole file, ``write_lines`` writes them, and
 ``drop_short`` decides which cascades have a prediction step, for training
-and evaluation alike.
+and evaluation alike.  ``read_records`` finds lines and fields by ASCII byte
+value; a text with any other character is first rewritten by str.splitlines
+and str.split, so Python's own rules decide its Unicode whitespace.
 """
 
 from __future__ import annotations
@@ -120,37 +122,20 @@ class DataGraph:
         return cls(labels, out_ptr, dst)
 
 
-# Whitespace as str.split and str.strip see it, and the line breaks of
-# str.splitlines, which also counts "\r\n" as one break.
-_SPACE = "\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f \x85\xa0\u1680\u2000\u2001\u2002\u2003\u2004" \
-         "\u2005\u2006\u2007\u2008\u2009\u200a\u2028\u2029\u202f\u205f\u3000"
-_BREAK = "\n\x0b\x0c\r\x1c\x1d\x1e\x85\u2028\u2029"
-# _layout tests the ASCII ones by byte value and matches the others as these
-# UTF-8 byte sequences, each of which starts with a byte >= 0xC2.
-_WIDE_SPACE = tuple((c.encode(), c in _BREAK) for c in _SPACE if not c.isascii())
-
-
-def _layout(text: str) -> tuple[np.ndarray, np.ndarray, list[int]]:
-    """(fields on each line, which lines are records, comment cuts) of text.
-    The lines are those of text.splitlines() and one more, empty when text
-    ends in a break.  The cuts hold a (from, to) pair of character offsets
-    per comment line: from its first field to its break."""
-    data = np.frombuffer(text.encode("utf-8", "surrogatepass") + b"  ", dtype=np.uint8)
+def _layout(text: str) -> tuple[np.ndarray, np.ndarray, str]:
+    """(fields on each line, which lines are records, the records' text) of
+    a text whose whitespace is ASCII: bytes 9-13 and 28-32, of which 10-13
+    and 28-30 break lines, with "\\r\\n" one break.  The lines are those of
+    text.splitlines() and one more, empty when text ends in a break; the
+    records' text has each comment line cut out, from its first field to its break."""
+    raw = text.encode("utf-8", "surrogatepass") + b" "   # a pad: data[-1] is no "\r"
+    data = np.frombuffer(raw, dtype=np.uint8)
     # uint8 arithmetic wraps, so data - a <= n holds exactly where a <= data <= a + n.
     space = ((data - 9) <= 4) | ((data - 28) <= 4)
-    brk = ((data - 10) <= 3) | ((data - 28) <= 2)
-    lead = np.flatnonzero(data >= 0xC2)          # where a 2- to 4-byte character starts
-    if lead.size:
-        for seq, is_break in _WIDE_SPACE:
-            hit = lead
-            for k, byte in enumerate(seq):
-                hit = hit[data[hit + k] == byte]
-            space[hit[:, None] + np.arange(len(seq))] = True
-            brk[hit] |= is_break
     head = ~space
     head[1:] &= space[:-1]
     start = np.flatnonzero(head)                  # the first byte of each field
-    ends = np.flatnonzero(brk)
+    ends = np.flatnonzero(((data - 10) <= 3) | ((data - 28) <= 2))
     ends = ends[(data[ends] != 10) | (data[ends - 1] != 13)]   # "\r\n" is one break
     # Line i (from 0) holds fields bounds[i]:bounds[i + 1].
     bounds = np.concatenate(([0], np.searchsorted(start, ends), [start.size]))
@@ -159,10 +144,11 @@ def _layout(text: str) -> tuple[np.ndarray, np.ndarray, list[int]]:
     comment = filled[data[start[bounds[filled]]] == ord("#")]
     record = width > 0
     record[comment] = False
-    line_end = np.append(ends, data.size - 2)     # the last line ends with the text
-    cuts = np.stack((start[bounds[comment]], line_end[comment]), axis=1)
-    cuts -= np.searchsorted(np.flatnonzero((data & 0xC0) == 0x80), cuts)   # bytes to chars
-    return width, record, cuts.ravel().tolist()
+    line_end = np.append(ends, data.size - 1)     # the last line ends with the text
+    # Pieces of raw to keep, the last one ending before the pad.
+    keep = [0, *np.stack((start[bounds[comment]], line_end[comment]), 1).ravel().tolist(), -1]
+    kept = b"".join(raw[a:b] for a, b in zip(keep[::2], keep[1::2]))
+    return width, record, kept.decode("utf-8", "surrogatepass")
 
 
 def read_records(text: str) -> tuple[list[str], np.ndarray, np.ndarray]:
@@ -172,11 +158,11 @@ def read_records(text: str) -> tuple[list[str], np.ndarray, np.ndarray]:
     Lines and fields are those of str.splitlines and str.split; a line
     without fields, or whose first field starts with '#', is no record.
     """
-    width, record, cuts = _layout(text)
-    # Comment lines are cut out of the text, so that it splits into the records' fields.
-    keep = [0, *cuts, len(text)]
-    fields = "".join(text[a:b] for a, b in zip(keep[::2], keep[1::2])).split()
-    return fields, np.append(0, np.cumsum(width[record])), np.flatnonzero(record) + 1
+    if not text.isascii():
+        # The same lines and fields, with ' ' and '\n' the only separators left.
+        text = "\n".join(" ".join(line.split()) for line in text.splitlines())
+    width, record, kept = _layout(text)
+    return kept.split(), np.append(0, np.cumsum(width[record])), np.flatnonzero(record) + 1
 
 
 def stripped_line(text: str, lineno) -> str:
@@ -199,8 +185,8 @@ def load_graph(text: str, undirected: bool = False) -> DataGraph:
     Lines starting with '#' and blank lines are ignored.  Node labels are
     interned to dense ids in first-appearance order.  With ``undirected``
     each line yields both directions.  Duplicate edges are dropped with a
-    warning; the first self-loop or malformed line raises DataError naming
-    the line.
+    warning; the first malformed line, self-loop or label starting with '#'
+    raises DataError naming the line.
     """
     fields, ptr, lineno = read_records(text)
     index = defaultdict(count().__next__)          # a new label takes the next id
@@ -210,10 +196,14 @@ def load_graph(text: str, undirected: bool = False) -> DataGraph:
     malformed = np.flatnonzero(np.diff(ptr) != 2)
     k = malformed[0] if malformed.size else lineno.size   # records before k are pairs
     pairs = ids[:2 * k].reshape(k, 2)
-    loops = np.flatnonzero(pairs[:, 0] == pairs[:, 1])
-    if loops.size:
-        raise DataError(f"graph line {lineno[loops[0]]}: self-loop on node "
-                        f"{labels[pairs[loops[0], 0]]!r}")
+    # Only a second field can start with '#'; saved first, it would read back as a comment.
+    hashed = np.array([label[0] == "#" for label in labels], dtype=bool)
+    bad = np.flatnonzero((pairs[:, 0] == pairs[:, 1]) | hashed[pairs[:, 1]])
+    if bad.size:
+        u, v = pairs[bad[0]]
+        if u == v:
+            raise DataError(f"graph line {lineno[bad[0]]}: self-loop on node {labels[u]!r}")
+        raise DataError(f"graph line {lineno[bad[0]]}: label {labels[v]!r} starts with '#'")
     if k < lineno.size:
         raise DataError(f"graph line {lineno[k]}: expected 'src dst', "
                         f"got {stripped_line(text, lineno[k])!r}")

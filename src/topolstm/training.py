@@ -22,6 +22,8 @@ from .graph import Cascade, DataGraph, drop_short
 from .model import Model, ModelConfig, backward_cascade, forward_cascade
 from .numeric import Adam, GradientStore
 
+DIVERGED_NLL = 1000.0   # times log(node count), the NLL per step of uniform guessing
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -167,7 +169,8 @@ def train(graph: DataGraph, train_cascades: Sequence[Cascade],
     Batches shuffle under the config seed; early stopping fires after
     ``patience`` epochs without validation improvement.  Without a
     validation set the training loss is monitored instead.  A non-finite
-    loss, cell state or parameter norm raises DivergenceError with the report.
+    loss, cell state or parameter norm raises DivergenceError with the report,
+    as does a batch whose mean NLL per step is over DIVERGED_NLL * log(node count).
     """
     train_cascades, dropped = drop_short(train_cascades, "training set")
     val_cascades, dropped_val = drop_short(val_cascades, "validation set")
@@ -193,6 +196,7 @@ def train(graph: DataGraph, train_cascades: Sequence[Cascade],
     best_monitor = np.inf
     since_improvement = 0
     norm2 = model.params.squared_l2()
+    nll_ceiling = DIVERGED_NLL * math.log(graph.node_count)
 
     for epoch in range(1, config.max_epochs + 1):
         epoch_start = time.perf_counter()
@@ -206,6 +210,10 @@ def train(graph: DataGraph, train_cascades: Sequence[Cascade],
             if not np.isfinite(batch_obj):
                 raise DivergenceError(
                     f"non-finite batch loss at epoch {epoch}", report=report)
+            if batch_nll > nll_ceiling * batch_steps:
+                raise DivergenceError(f"batch loss {batch_nll / batch_steps:.4g} per step at epoch "
+                                      f"{epoch}, over {DIVERGED_NLL:g} x log(node count)",
+                                      report=report)
             if config.clip_norm > 0:
                 norm = np.sqrt(grads.squared_l2())
                 if norm > config.clip_norm:

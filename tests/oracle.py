@@ -157,6 +157,8 @@ def load_graph(text, undirected=False):
         src, dst = parts
         if src == dst:
             raise DataError(f"graph line {lineno}: self-loop on node {src!r}")
+        if dst.startswith("#"):
+            raise DataError(f"graph line {lineno}: label {dst!r} starts with '#'")
         u = label_to_id.setdefault(src, len(label_to_id))
         v = label_to_id.setdefault(dst, len(label_to_id))
         pairs.append((u, v))

@@ -288,12 +288,14 @@ def test_10_complexity_smoke():
                          max_epochs=1, patience=0, seed=0)
         mc = ModelConfig(hidden_dim=16, node_count=graph.node_count)
         # Rounds interleave the scales, so a slow spell on a shared machine
-        # lands on every scale alike; each scale keeps its fastest epoch.
+        # lands on every scale alike; each scale keeps its fastest run.  CPU
+        # time, not wall-clock time: other processes' load does not count.
         times = [np.inf] * len(scales)
         for _round in range(3):
             for k, subset in enumerate(subsets):
-                _, report = train(graph, subset, [], tc, mc)
-                times[k] = min(times[k], report.epochs[0].seconds)
+                start = time.process_time()
+                train(graph, subset, [], tc, mc)
+                times[k] = min(times[k], time.process_time() - start)
         per_step = [t / s for t, s in zip(times, steps)]
         print(f"  per-step seconds at 1x/2x/4x: "
               + " ".join(f"{x * 1e6:.1f}us" for x in per_step))

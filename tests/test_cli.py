@@ -197,6 +197,29 @@ class TestTrain:
         assert json.loads((out / "report.json").read_text())["diverged"]
         assert len(err) == 1 and err[0].startswith("error:")
 
+    def test_finite_blow_up_exit_3_with_report(self, data_dir, tmp_path, capsys):
+        # lr 1e6 keeps every loss finite but far above uniform guessing.
+        out = tmp_path / "div"
+        code = cli.main(["train", "--graph", str(data_dir / "graph.txt"),
+                         "--cascades", str(data_dir / "cascades.txt"),
+                         "--out", str(out), "--hidden-dim", "8", "--epochs", "1",
+                         "--lr", "1e6"])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 3
+        assert json.loads((out / "report.json").read_text())["diverged"]
+        assert len(err) == 1 and "log(node count)" in err[0]
+
+    def test_label_starting_with_hash_exit_2(self, data_dir, tmp_path, capsys):
+        graph = tmp_path / "graph.txt"
+        graph.write_text("a #b\n", encoding="utf-8")
+        code = cli.main(["train", "--graph", str(graph), "--undirected",
+                         "--cascades", str(data_dir / "cascades.txt"),
+                         "--out", str(tmp_path / "run"), "--epochs", "1"])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: graph line 1: label '#b' starts with '#'"]
+        assert not (tmp_path / "run").exists()
+
     def test_blow_up_in_the_last_step_is_not_saved(self, data_dir, tmp_path, capsys):
         # One batch and no validation set: the epoch's only Adam step is its
         # last, and no later loss would see its 1e308 parameters.

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 import oracle
 from topolstm.baseline import EdgeProbabilities
 from topolstm.errors import DataError
-from topolstm import graph as graph_mod
 from topolstm.graph import (Cascade, DataGraph, build_topologies, load_cascades,
                             load_graph, load_graph_file, read_records, save_graph_file,
                             stripped_line, write_lines)
@@ -60,6 +59,12 @@ class TestLoadGraph:
         g = load_graph("# header\n\na b\n")
         assert g.edge_count == 1
 
+    def test_label_starting_with_hash_rejected_with_line(self):
+        # Saved as the first field of a line, such a label would read back as a comment.
+        with pytest.raises(DataError, match=r"^graph line 2: label '#b' starts with '#'$"):
+            load_graph("x y\na #b\nc c\n", undirected=True)
+        assert load_graph("a b#\n").labels == ("a", "b#")
+
 
 class TestLineFormat:
     def test_records_number_every_line_and_quote_it_stripped(self):
@@ -70,9 +75,17 @@ class TestLineFormat:
         assert [stripped_line(text, n) for n in lineno.tolist()] == ["a\tb", "c d e"]
 
     def test_whitespace_and_breaks_are_pythons(self):
-        chars = "".join(map(chr, range(sys.maxunicode + 1)))
-        assert graph_mod._SPACE == "".join(c for c in chars if c.isspace())
-        assert graph_mod._BREAK == "".join(c for c in chars if len(f"a{c}b".splitlines()) == 2)
+        # Every ASCII character, and every other one that str.split or
+        # str.splitlines treats as a separator.
+        special = [c for c in map(chr, range(128, sys.maxunicode + 1))
+                   if c.isspace() or len(f"a{c}b".splitlines()) == 2]
+        for c in [*map(chr, range(128)), *special]:
+            for text in (f"a{c}b", f"a{c}#b{c}c", f"{c}a b{c}", f"é{c}a\r{c}\nb{c}"):
+                want = list(oracle.records(text))
+                fields, ptr, lineno = read_records(text)
+                assert fields == [f for _, _, parts in want for f in parts], repr(text)
+                assert ptr.tolist() == np.cumsum([0] + [len(p) for _, _, p in want]).tolist()
+                assert lineno.tolist() == [n for n, _, _ in want], repr(text)
 
     def test_malformed_line_quoted_stripped(self):
         with pytest.raises(DataError, match=r"graph line 2: expected 'src dst', got 'a b c'$"):
@@ -260,9 +273,9 @@ class TestReaderFuzz:
 # and non-ASCII labels, edges and probability values of READER_GRAPH mixed
 # with any fields; separators that are whitespace but no line break; every
 # line break of str.splitlines.
-READER_EDGES = (("a", "b"), ("b", "c"), ("c", "a"), ("a", "a#b"), ("é", "#"), ("x", "é"))
+READER_EDGES = (("a", "b"), ("b", "c"), ("c", "a"), ("a", "a#b"), ("é", "b#"), ("x", "é"))
 READER_GRAPH = "".join(f"{u} {v}\n" for u, v in READER_EDGES)
-READER_LABELS = ("a", "b", "c", "a#b", "é", "#", "x")
+READER_LABELS = ("a", "b", "c", "a#b", "é", "b#", "#", "x")
 READER_SPACES = (" ", "\t", "\x1f", "\xa0", "\u3000", "\u2000")
 READER_BREAKS = ("\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
                  "\u2028", "\u2029")
