@@ -13,8 +13,7 @@ from .datagen import (GRAPH_MODELS, PRESETS, SynthConfig, generate_dataset,
                       generate_graph, simulate_ic_cascade)
 from .errors import (CheckpointError, ConfigError, DataError, DivergenceError,
                      NumericError, ShapeError, TopoLstmError)
-from .evaluation import (MetricsTable, ModelScorer, evaluate, hits_at_k,
-                         map_at_k, rank_candidates)
+from .evaluation import MetricsTable, ModelScorer, evaluate
 from .graph import (Cascade, DataGraph, load_cascades, load_cascades_file,
                     load_graph, load_graph_file)
 from .model import (Model, ModelConfig, backward_cascade, forward_cascade,

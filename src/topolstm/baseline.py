@@ -6,7 +6,9 @@ up after u.  An inactive node's activation score is the noisy-OR of its
 precedents' edge probabilities.
 
 The probabilities are one float array over the graph's CSR edge ids
-(``DataGraph.out_ptr``/``out_idx``).  A fit counts a few cascades per array
+(``DataGraph.out_ptr``/``out_idx``), which run in (u, v) order, so a saved
+file lists its edges in that order and a loaded one finds each (u, v) by
+``DataGraph.edge_id``.  A fit counts a few cascades per array
 pass in one table of (cascade, node) cells, and scoring costs one slice
 update per activation.
 ``icsb_score`` is the dict reference.
@@ -65,18 +67,10 @@ class EdgeProbabilities:
         get = graph.label_index.get
         u, v = (np.fromiter(map(get, fields[j:3 * k:3], repeat(-1)), dtype=np.intp, count=k)
                 for j in (0, 1))                   # -1: an unknown label
-        m = graph.node_count
-        src, dst = graph.edge_pairs()
-        key = src * m + dst
-        order = np.append(np.argsort(key), -1)
-        sorted_key = np.append(key[order[:-1]], m * m)    # m * m: past every key
-        wanted = np.where((u >= 0) & (v >= 0), u * m + v, -1)
-        at = np.searchsorted(sorted_key, wanted)
-        edge = np.where(sorted_key[at] == wanted, order[at], -1)
-        by_edge = np.argsort(edge, kind="stable")
-        again = edge[by_edge[1:]] == edge[by_edge[:-1]]
-        twice = np.zeros(k, dtype=bool)                   # an earlier row names the edge
-        twice[by_edge[1:][again]] = True
+        edge, row = graph.edge_id(u, v), np.arange(k)
+        first = np.full(graph.edge_count + 1, k)          # each edge's first row; -1: no edge
+        np.minimum.at(first, edge, row)
+        twice = first[edge] < row                         # an earlier row names the edge
         value = np.fromiter(map(_number, fields[2:3 * k:3]), dtype=float, count=k)
         bad = np.flatnonzero((edge < 0) | twice | ~((value >= 0.0) & (value <= 1.0)))
         if bad.size:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 import struct
+from dataclasses import asdict
 
 import numpy as np
 
@@ -39,11 +40,7 @@ def save_model(path, model: Model, labels: tuple[str, ...],
     header = {
         "format": 1,
         "tool_version": TOOL_VERSION,
-        "config": {
-            "hidden_dim": model.config.hidden_dim,
-            "node_count": model.config.node_count,
-            "score_mode": model.config.score_mode,
-        },
+        "config": asdict(model.config),
         "labels": list(labels),
         "extra": extra or {},
         "slots": _slot_table(Layout.packed(model.params.shapes())),

@@ -16,7 +16,7 @@ import json
 import logging
 import sys
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +26,7 @@ from . import datagen, evaluation, training
 from .baseline import EdgeProbabilities, ICSBScorer, fit_static_bernoulli
 from .errors import CheckpointError, DataError, DivergenceError, NumericError, TopoLstmError
 from .graph import (Cascade, drop_short, load_cascades_file, load_graph_file,
-                    save_cascades_file, save_labels)
+                    save_cascades_file, save_labels, write_json)
 from .model import SCORE_MODES, ModelConfig, predict_next
 from .version import TOOL_VERSION
 
@@ -171,9 +171,7 @@ def cmd_train(args) -> int:
         "graph": args.graph,
         "cascades": args.cascades,
         "undirected": args.undirected,
-        "model": {"hidden_dim": model_config.hidden_dim,
-                  "node_count": model_config.node_count,
-                  "score_mode": model_config.score_mode},
+        "model": asdict(model_config),
         "training": {
             "learning_rate": train_config.learning_rate, "lambda": train_config.lam,
             "batch_size": train_config.batch_size, "max_epochs": train_config.max_epochs,
@@ -185,6 +183,8 @@ def cmd_train(args) -> int:
     train_set, val_set, test_set = training.split_dataset(
         cascades, train_frac=args.train_frac, val_frac=args.val_frac,
         seed=args.seed)
+    if all(len(c) < 2 for c in train_set):   # train() would refuse it after --out exists
+        raise DataError("training set is empty")
     # Only now, so a run that fails on its inputs leaves no directory.
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -222,29 +222,18 @@ def cmd_train(args) -> int:
                                            train_config, model_config,
                                            epoch_callback=on_epoch)
         except DivergenceError as exc:
-            _write_report(out / "report.json", exc.report, config_echo,
-                          diverged=True)
+            write_json(out / "report.json", {"config": config_echo, "diverged": True,
+                                             "report": exc.report.to_json_dict()})
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_DIVERGED
 
     ckpt.save_model(ckpt_path, model, graph.labels, extra=config_echo)
-    _write_report(out / "report.json", report, config_echo, diverged=False)
+    write_json(out / "report.json", {"config": config_echo, "diverged": False,
+                                     "report": report.to_json_dict()})
     final = report.epochs[-1].train_loss if report.epochs else float("nan")
     print(f"trained {len(report.epochs)} epoch(s); best epoch {report.best_epoch}; "
           f"final train loss {final:.6f}; checkpoint at {ckpt_path}")
     return EXIT_OK
-
-
-def _write_report(path, report, config_echo, diverged):
-    doc = {
-        "tool_version": TOOL_VERSION,
-        "config": config_echo,
-        "diverged": diverged,
-        "report": report.to_json_dict(),
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def cmd_evaluate(args) -> int:
@@ -261,8 +250,9 @@ def cmd_evaluate(args) -> int:
     elif args.train_cascades is not None:
         train_cascades = load_cascades_file(args.train_cascades, graph)
     read_seconds = time.perf_counter() - started
+    if train_cascades is not None:
+        probs = fit_static_bernoulli(graph, train_cascades)
 
-    icsb = args.edge_probs is not None or args.train_cascades is not None
     config_echo = {
         "command": "evaluate",
         "tool_version": TOOL_VERSION,
@@ -270,18 +260,14 @@ def cmd_evaluate(args) -> int:
         "graph": args.graph,
         "test_cascades": args.test_cascades,
         "ks": list(args.ks),
-        "baseline": "icsb" if icsb else None,
+        "baseline": None if probs is None else "icsb",
         "score_mode": model.config.score_mode,
         "hidden_dim": model.config.hidden_dim,
     }
 
     scorers = [evaluation.ModelScorer(model, graph)]
-    fitted = None
     if probs is not None:
         scorers.append(ICSBScorer(graph, probs))
-    elif train_cascades is not None:
-        fitted = fit_static_bernoulli(graph, train_cascades)
-        scorers.append(ICSBScorer(graph, fitted))
 
     tables, timing = [], []
     for scorer in scorers:
@@ -294,15 +280,13 @@ def cmd_evaluate(args) -> int:
     # Only now, so a run that fails on its inputs leaves no directory.
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    if fitted is not None:
-        fitted.save(out / "icsb_edge_probs.txt", header="fitted diffusion probabilities: u v p")
+    if train_cascades is not None:
+        probs.save(out / "icsb_edge_probs.txt", header="fitted diffusion probabilities: u v p")
     evaluation.write_metrics_json(out / "metrics.json", tables, config_echo)
     evaluation.write_metrics_text(out / "metrics.txt", tables, config_echo)
     evaluation.write_length_buckets_csv(out / "length_buckets.csv", tables[0])
     # Wall-clock seconds differ on every run, so they stay out of metrics.json.
-    with open(out / "timing.json", "w", encoding="utf-8") as fh:
-        json.dump({"read_inputs_seconds": read_seconds, "scorers": timing}, fh, indent=2)
-        fh.write("\n")
+    write_json(out / "timing.json", {"read_inputs_seconds": read_seconds, "scorers": timing})
     with open(out / "metrics.txt", "r", encoding="utf-8") as fh:
         print(fh.read(), end="")
     return EXIT_OK

@@ -9,7 +9,6 @@ ascending node id to produce the total activation order cascades require.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, asdict
 from pathlib import Path
@@ -18,8 +17,7 @@ import numpy as np
 
 from .baseline import EdgeProbabilities
 from .errors import ConfigError
-from .graph import Cascade, DataGraph, save_cascades_file, save_graph_file
-from .version import TOOL_VERSION
+from .graph import Cascade, DataGraph, save_cascades_file, save_graph_file, write_json
 
 GRAPH_MODELS = ("uniform-random-edges", "preferential-attachment", "chain", "grid")
 
@@ -206,8 +204,7 @@ def generate_dataset(config: SynthConfig, out_dir=None
         probs.save(out / "edge_probs.txt",
                    header="ground-truth IC probabilities: u v p")
         touched = {v for c in cascades for v in c}
-        manifest = {
-            "tool_version": TOOL_VERSION,
+        write_json(out / "manifest.json", {
             "config": config.echo(),
             "effective": {
                 "node_count": graph.node_count,
@@ -218,9 +215,6 @@ def generate_dataset(config: SynthConfig, out_dir=None
             },
             "files": {"graph": "graph.txt", "cascades": "cascades.txt",
                       "edge_probs": "edge_probs.txt"},
-        }
-        with open(out / "manifest.json", "w", encoding="utf-8") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        })
 
     return graph, cascades, probs

@@ -18,7 +18,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import NumericError
-from .graph import Cascade, DataGraph, drop_short
+from .graph import Cascade, DataGraph, drop_short, write_json
 from .model import Model, forward_cascade
 from .version import TOOL_VERSION
 
@@ -43,20 +43,6 @@ def target_rank(cand: np.ndarray, scores: np.ndarray, target: int) -> int:
     # cand ascends, so the candidates that win a tie are those before pos.
     s = scores[pos]
     return int(np.count_nonzero(scores[:pos] >= s) + np.count_nonzero(scores[pos:] > s)) + 1
-
-
-def hits_at_k(rank: int, k: int) -> int:
-    """1 iff the target landed in the top k."""
-    if rank < 1:
-        raise ValueError("rank is 1-based")
-    return 1 if rank <= k else 0
-
-
-def map_at_k(rank: int, k: int) -> float:
-    """Average precision truncated at k with a single relevant item."""
-    if rank < 1:
-        raise ValueError("rank is 1-based")
-    return 1.0 / rank if rank <= k else 0.0
 
 
 @dataclass
@@ -132,7 +118,8 @@ def evaluate(scorer, cascades: Sequence[Cascade], ks: Iterable[int] = DEFAULT_KS
             ranks.append(target_rank(cand, scores, target))
             lengths.append(prefix_len)
 
-    # One column of terms per (metric, k): map_at_k's, then hits_at_k's.
+    # One column of terms per (metric, k): an instance's MAP@k term is 1/rank
+    # and its Hits@k term 1 when rank <= k, both 0 otherwise.
     keys = [(metric, k) for metric in ("map", "hits") for k in ks]
     ranks, lengths = np.array(ranks), np.array(lengths)
     hit = ranks[:, None] <= np.array(ks)
@@ -179,14 +166,7 @@ class ModelScorer:
 
 
 def write_metrics_json(path, tables: Sequence[MetricsTable], config_echo: dict) -> None:
-    doc = {
-        "tool_version": TOOL_VERSION,
-        "config": config_echo,
-        "results": [t.to_json_dict() for t in tables],
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, {"config": config_echo, "results": [t.to_json_dict() for t in tables]})
 
 
 def write_metrics_text(path, tables: Sequence[MetricsTable], config_echo: dict) -> None:

@@ -1,7 +1,8 @@
 """Data graph and cascades, plus the reference topology views.
 
 The graph's only adjacency is its CSR out-adjacency ``(out_ptr, out_idx)``,
-built at construction.  Edge lookups, the edge list written to disk and
+built at construction, with every row strictly ascending, so CSR edge ids
+run in (u, v) order.  Edge lookups, the edge list written to disk and
 per-edge arrays such as the IC-SB probabilities all go through CSR edge ids.
 
 A cascade is an ordered sequence of distinct activated nodes over a static
@@ -15,15 +16,17 @@ only the precedents, as one CSR index per cascade (see ``model``).
 dict-based reference scorers; only the benchmark's gates call them.
 
 Each input rule has one function here: ``read_records`` reads every input
-text format in one pass over the whole file, ``write_lines`` writes them, and
-``drop_short`` decides which cascades have a prediction step, for training
-and evaluation alike.  ``read_records`` finds lines and fields by ASCII byte
-value; a text with any other character is first rewritten by str.splitlines
-and str.split, so Python's own rules decide its Unicode whitespace.
+text format in one pass over the whole file, ``write_lines`` writes them,
+``write_json`` writes every JSON artefact, and ``drop_short`` decides which
+cascades have a prediction step, for training and evaluation alike.
+``read_records`` finds lines and fields by ASCII byte value; a text with
+any other character is first rewritten by str.splitlines and str.split, so
+Python's own rules decide its Unicode whitespace.
 """
 
 from __future__ import annotations
 
+import json
 import logging
 from collections import defaultdict
 from dataclasses import dataclass
@@ -34,6 +37,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DataError
+from .version import TOOL_VERSION
 
 log = logging.getLogger(__name__)
 
@@ -44,10 +48,10 @@ class DataGraph:
     """Directed graph with dense zero-based node ids, held as one CSR
     out-adjacency: u's successors are ``out_idx[out_ptr[u]:out_ptr[u + 1]]``
     and the edge u -> out_idx[e] has CSR edge id e.  Per-edge data are arrays
-    indexed by edge id.  ``from_edges`` sorts each row, so its edge ids run in
-    (u, v) order; the methods read rows in any order."""
+    indexed by edge id.  Every row is strictly ascending, so edge ids run in
+    (u, v) order and ``edge_key[e] = u * node_count + v`` ascends with e."""
 
-    __slots__ = ("labels", "out_ptr", "out_idx", "label_index")
+    __slots__ = ("labels", "out_ptr", "out_idx", "edge_key", "label_index")
 
     def __init__(self, labels: Sequence[str], out_ptr, out_idx):
         self.labels = tuple(labels)
@@ -55,7 +59,12 @@ class DataGraph:
         self.out_idx = np.array(out_idx, dtype=np.intp)
         if self.out_ptr.shape != (len(self.labels) + 1,) or self.out_ptr[-1] != self.out_idx.size:
             raise ValueError("out_ptr must hold node_count + 1 offsets ending at the edge count")
-        self.out_ptr.flags.writeable = self.out_idx.flags.writeable = False
+        src, dst = self.edge_pairs()
+        key = self.edge_key = src * self.node_count + dst
+        if (key[1:] <= key[:-1]).any():
+            raise ValueError("each row of out_idx must hold strictly ascending node ids")
+        for arr in (self.out_ptr, self.out_idx, self.edge_key):
+            arr.flags.writeable = False
         self.label_index = dict(zip(self.labels, range(len(self.labels))))
 
     @property
@@ -66,13 +75,14 @@ class DataGraph:
     def edge_count(self) -> int:
         return self.out_idx.size
 
-    def edge_id(self, u: NodeId, v: NodeId) -> int:
-        """CSR edge id of u -> v, or -1 when the graph has no such edge."""
-        if not 0 <= u < self.node_count:
-            return -1
-        lo = self.out_ptr[u]
-        hit = np.flatnonzero(self.out_idx[lo:self.out_ptr[u + 1]] == v)
-        return int(lo + hit[0]) if hit.size else -1
+    def edge_id(self, u, v) -> np.ndarray:
+        """CSR edge id of each u -> v, -1 where the graph has no such edge;
+        u and v are node ids or arrays of them, broadcast together."""
+        m = self.node_count
+        want = np.where((0 <= u) & (u < m) & (0 <= v) & (v < m), np.multiply(u, m) + v, -1)
+        # The keys below want and below want + 1: one more where want is a key.
+        below, upto = np.searchsorted(self.edge_key, (want, want + 1))
+        return np.where(upto > below, below, -1)
 
     def edge_pairs(self) -> tuple[np.ndarray, np.ndarray]:
         """(src, dst) of every edge, in CSR edge-id order."""
@@ -177,6 +187,13 @@ def write_lines(path, lines: Iterable[str], header: str | None = None) -> None:
             fh.write(f"# {header}\n")
         for line in lines:
             fh.write(f"{line}\n")
+
+
+def write_json(path, doc: dict) -> None:
+    """Write doc, with the tool version added, as indented JSON with sorted keys."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump({**doc, "tool_version": TOOL_VERSION}, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def load_graph(text: str, undirected: bool = False) -> DataGraph:

@@ -115,22 +115,6 @@ def parameter_layout(config: ModelConfig) -> Layout:
                    ("b", (4 * d,), b, (1,))))
 
 
-def init_parameters(config: ModelConfig, rng: np.random.Generator) -> ParameterStore:
-    """Uniform(+-1/sqrt(d)) recurrent matrices, uniform(+-0.1) embeddings, zero biases."""
-    d = config.hidden_dim
-    u_scale = 1.0 / np.sqrt(d)
-    layout = parameter_layout(config)
-    slots: dict[str, np.ndarray] = {}
-    for name, shape in layout.shapes().items():
-        if name.startswith("U_"):
-            slots[name] = rng.uniform(-u_scale, u_scale, size=shape)
-        elif name.startswith("W_") or name == "G":
-            slots[name] = rng.uniform(-0.1, 0.1, size=shape)
-        else:
-            slots[name] = np.zeros(shape)
-    return ParameterStore(slots, layout)
-
-
 @dataclass
 class Model:
     config: ModelConfig
@@ -138,7 +122,18 @@ class Model:
 
     @classmethod
     def initialize(cls, config: ModelConfig, rng: np.random.Generator) -> "Model":
-        return cls(config, init_parameters(config, rng))
+        """Uniform(+-1/sqrt(d)) recurrent matrices, uniform(+-0.1) embeddings, zero biases."""
+        u_scale = 1.0 / np.sqrt(config.hidden_dim)
+        layout = parameter_layout(config)
+        slots: dict[str, np.ndarray] = {}
+        for name, shape in layout.shapes().items():
+            if name.startswith("U_"):
+                slots[name] = rng.uniform(-u_scale, u_scale, size=shape)
+            elif name.startswith("W_") or name == "G":
+                slots[name] = rng.uniform(-0.1, 0.1, size=shape)
+            else:
+                slots[name] = np.zeros(shape)
+        return cls(config, ParameterStore(slots, layout))
 
     def zero_grads(self) -> GradientStore:
         return self.params.zeros_like()

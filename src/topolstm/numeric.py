@@ -19,13 +19,8 @@ from .errors import NumericError, ShapeError
 __all__ = [
     "Layout", "ParameterStore", "GradientStore", "mean_pool",
     "softmax", "softmax_over_subset", "Adam",
-    "FdCheckResult", "finite_difference_check", "assert_all_finite",
+    "FdCheckResult", "finite_difference_check",
 ]
-
-
-def assert_all_finite(name: str, arr: np.ndarray) -> None:
-    if not np.all(np.isfinite(arr)):
-        raise NumericError(f"non-finite values in {name}")
 
 
 @dataclass(frozen=True)
@@ -167,10 +162,10 @@ class ParameterStore:
         raise AssertionError("unreachable")
 
     def check_finite(self) -> None:
-        if np.isfinite(self.flat).all():
-            return
-        for name, arr in self._slots.items():
-            assert_all_finite(f"slot {name!r}", arr)
+        """Raise NumericError naming the first slot that holds a non-finite value."""
+        if not np.isfinite(self.flat).all():
+            name = next(name for name, arr in self._slots.items() if not np.isfinite(arr).all())
+            raise NumericError(f"non-finite values in slot {name!r}")
 
 
 # Gradients share the carrier: same slot names and shapes as their parameters.

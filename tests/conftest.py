@@ -3,7 +3,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import oracle
@@ -46,13 +45,6 @@ def precedent_rows(result):
     """The precedent positions of every step, as lists, from the result's CSR."""
     ptr = result.prec_ptr.tolist()
     return [result.prec_pos[ptr[r]:ptr[r + 1]].tolist() for r in range(len(ptr) - 1)]
-
-
-def reversed_rows(graph):
-    """The same graph with every CSR row stored in reverse order."""
-    ptr, idx = graph.out_ptr, graph.out_idx
-    rows = [idx[ptr[u]:ptr[u + 1]][::-1] for u in range(graph.node_count)]
-    return DataGraph(graph.labels, ptr, np.concatenate(rows or [idx]))
 
 
 def edge_probs(graph, mapping):

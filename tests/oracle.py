@@ -107,6 +107,53 @@ def step_scores(params, graph, cascade, H, t, mode):
     return scores
 
 
+def complex_objective(params, graph, cascade, mode, lam):
+    """``training.objective(model, graph, [cascade], lam)`` on complex
+    parameters, from the equations: the cell on complex arrays with
+    sigmoid(z) = (tanh(z / 2) + 1) / 2, every step's scores as one dense
+    row, and each step's log-sum-exp shifted by its real part's max (a
+    constant, so it cancels).  Every operation is analytic, so at real
+    parameters plus i h delta, Im(value) / h is the derivative along delta
+    to rounding, with no cancellation (the complex step)."""
+    nodes, m, d = cascade.nodes, graph.node_count, params["b_i"].size
+    T = len(nodes)
+    adj = np.zeros((m, m))
+    for u, w in edge_set(graph):
+        adj[u, w] = 1.0
+    p = params
+
+    def sig(z):
+        return 0.5 * np.tanh(0.5 * z) + 0.5
+
+    def pooled(S, weights):
+        # Column j: the mean of the rows of S where weights[:, j] is 1, or 0.
+        count = weights.sum(axis=0)
+        return (weights.T @ S) / np.maximum(count, 1.0)[:, None]
+
+    H, C = np.zeros((T, d), complex), np.zeros((T, d), complex)
+    for t, v in enumerate(nodes):
+        prec = adj[list(nodes[:t]), v][:, None]
+        h_p, c_p = pooled(H[:t], prec)[0], pooled(C[:t], prec)[0]
+        h_q, c_q = pooled(H[:t], 1.0 - prec)[0], pooled(C[:t], 1.0 - prec)[0]
+
+        def pre(gate, U_p, U_q):
+            return p["W_" + gate][:, v] + p["b_" + gate] + p[U_p] @ h_p + p[U_q] @ h_q
+        i, o = sig(pre("i", "U_i_p", "U_i_q")), sig(pre("o", "U_o_p", "U_o_q"))
+        f_p, f_q = sig(pre("f", "U_f_pp", "U_f_pq")), sig(pre("f", "U_f_qp", "U_f_qq"))
+        C[t] = i * np.tanh(pre("c", "U_c_p", "U_c_q")) + f_p * c_p + f_q * c_q
+        H[t] = o * np.tanh(C[t])
+    nll = 0.0
+    for t in range(1, T):
+        cand = np.setdiff1d(np.arange(m), nodes[:t])
+        senders = adj[list(nodes[:t])][:, cand] if mode == "precedent-only" \
+            else np.ones((t, cand.size))
+        scores = (p["G"][cand] * pooled(H[:t], senders)).sum(axis=1) + p["b_act"][cand]
+        shift = scores.real.max()
+        nll += np.log(np.exp(scores - shift).sum()) + shift \
+            - scores[np.searchsorted(cand, nodes[t])]
+    return nll / (T - 1) + lam * sum((arr * arr).sum() for arr in params.values())
+
+
 def recount_oracle(graph, cascades):
     """IC-SB fit by exhaustive recount over every (edge, cascade) pair:
     p(u, v) is the share of the cascades containing u in which v follows u."""

@@ -18,13 +18,14 @@ import oracle
 from topolstm import cli
 from topolstm.baseline import ICSBScorer, fit_static_bernoulli, icsb_score
 from topolstm.datagen import PRESETS, SynthConfig, generate_dataset
-from topolstm.evaluation import ModelScorer, evaluate, hits_at_k, map_at_k
+from topolstm.evaluation import ModelScorer, evaluate
 from topolstm.graph import Cascade, DataGraph, build_topologies
 from topolstm.model import ModelConfig, forward_cascade
 from topolstm.numeric import finite_difference_check
 from topolstm.training import TrainConfig, objective, split_dataset, train
 
 from conftest import edge_probs, prob_dict, random_cascade, random_graph
+from test_evaluation import check_hand_fixture
 from test_graph import assert_view_matches_oracle, index_rows
 from test_model import perturbed_model
 
@@ -185,12 +186,7 @@ def test_06_relative_ordering_vs_baseline():
 
 def test_07_metric_correctness():
     with criterion(7, "ranking metrics match hand-computed values and k/m"):
-        fixture = [(1, 1, 1.0), (2, 1, 0.5), (3, 1, 1 / 3), (5, 1, 0.2),
-                   (10, 1, 0.1), (11, 0, 0.0), (12, 0, 0.0), (25, 0, 0.0),
-                   (4, 1, 0.25), (6, 1, 1 / 6), (100, 0, 0.0), (7, 1, 1 / 7)]
-        for rank, hit, ap in fixture:
-            assert hits_at_k(rank, 10) == hit
-            assert map_at_k(rank, 10) == pytest.approx(ap)
+        check_hand_fixture()   # through evaluate, a scorer placing each target
 
         # Uniform-random scorer over m=1000 candidates: Hits@10 ~= 0.01.
         rng = np.random.default_rng(107)

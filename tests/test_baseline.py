@@ -9,7 +9,7 @@ from topolstm.baseline import (EdgeProbabilities, ICSBScorer,
 from topolstm.errors import DataError
 from topolstm.graph import Cascade, DataGraph, build_topologies
 
-from conftest import edge_probs, prob_dict, random_cascade, random_graph, reversed_rows
+from conftest import edge_probs, prob_dict, random_cascade, random_graph
 
 
 @st.composite
@@ -70,24 +70,6 @@ class TestFitStaticBernoulli:
     @example((4, [(0, 3), (1, 3), (2, 3)], [(0, 1, 2, 3), (2, 0, 3)]))  # several precedents
     def test_fit_and_scorer_match_oracle(self, case):
         assert_fit_and_steps_match_oracle(*case)
-
-    def test_adjacency_storage_order_is_neutral(self):
-        # The same graph with every CSR row stored in reverse order: the
-        # edge ids differ, the probability of each (u, v) does not.
-        rng = np.random.default_rng(33)
-        g = random_graph(rng, 12, 40)
-        reversed_g = reversed_rows(g)
-        cascades = [random_cascade(rng, 12, int(rng.integers(1, 9))) for _ in range(20)]
-        fitted = fit_static_bernoulli(g, cascades)
-        fitted_reversed = fit_static_bernoulli(reversed_g, cascades)
-        assert prob_dict(fitted_reversed) == prob_dict(fitted)
-        assert not np.array_equal(fitted_reversed.p, fitted.p)
-        for cascade in cascades:
-            for (c1, s1, _), (c2, s2, _) in zip(
-                    ICSBScorer(g, fitted).step_scores(cascade),
-                    ICSBScorer(reversed_g, fitted_reversed).step_scores(cascade)):
-                np.testing.assert_array_equal(c1, c2)
-                np.testing.assert_array_equal(s1, s2)
 
     def test_chunked_passes_match_one_pass(self, monkeypatch):
         # Passes of a few out-edges each, spanning one cascade, count the same.

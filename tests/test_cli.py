@@ -18,6 +18,7 @@ from topolstm.errors import DataError
 from topolstm.evaluation import rank_candidates
 from topolstm.graph import Cascade, load_graph_file
 from topolstm.model import Model, ModelConfig, predict_next
+from topolstm.version import TOOL_VERSION
 
 
 @pytest.fixture(scope="module")
@@ -471,7 +472,8 @@ class TestEvaluate:
                          "--train-cascades", str(run_dir / "split_train.txt"),
                          "--out", str(out)]) == 0
         timing = json.loads((out / "timing.json").read_text())
-        assert set(timing) == {"read_inputs_seconds", "scorers"}
+        assert set(timing) == {"read_inputs_seconds", "scorers", "tool_version"}
+        assert timing["tool_version"] == TOOL_VERSION
         assert timing["read_inputs_seconds"] > 0
         assert [entry["scorer"] for entry in timing["scorers"]] == ["topo-lstm", "ic-sb"]
         for entry in timing["scorers"]:
@@ -650,9 +652,10 @@ def test_unreadable_input_path_exit_2_names_it(command, flag, kind, data_dir,
     ("train", {"--graph": "missing.txt"}, 2),
     ("train", {"--cascades": "missing.txt"}, 2),
     ("train", {"--cascades": "bad.txt"}, 2),
+    ("train", {"--cascades": "short.txt"}, 2),
 ], ids=["junk-checkpoint", "mismatched-graph", "missing-graph", "missing-test-cascades",
         "train-cascades-and-edge-probs", "bad-edge-probs", "train-missing-graph",
-        "train-missing-cascades", "train-bad-cascades"])
+        "train-missing-cascades", "train-bad-cascades", "train-split-all-length-1"])
 def test_refused_run_leaves_no_out_dir(command, override, code, data_dir, run_dir, tmp_path,
                                        capsys, monkeypatch):
     # Inputs are checked before any scoring, and --out is made only after.
@@ -661,7 +664,7 @@ def test_refused_run_leaves_no_out_dir(command, override, code, data_dir, run_di
     monkeypatch.setattr(cli.evaluation, "evaluate", no_scoring)
     for name, text in (("junk.bin", "junk"), ("other.txt", "x y\ny z\n"),
                        ("bad.txt", "0 1 2\n0 zz\n"), ("train.txt", "0 1\n"),
-                       ("probs.txt", "# u v p\n")):
+                       ("probs.txt", "# u v p\n"), ("short.txt", "0\n1\n2\n3\n")):
         (tmp_path / name).write_text(text)
     flags = {
         "evaluate": {"--checkpoint": str(run_dir / "checkpoint.bin"),

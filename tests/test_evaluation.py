@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 
 from topolstm.baseline import ICSBScorer, fit_static_bernoulli
 from topolstm.errors import NumericError
-from topolstm.evaluation import (ModelScorer, evaluate, hits_at_k, map_at_k,
-                                 rank_candidates, target_rank,
+from topolstm.evaluation import (ModelScorer, evaluate, rank_candidates, target_rank,
                                  write_length_buckets_csv, write_metrics_json,
                                  write_metrics_text)
 from topolstm.graph import Cascade
@@ -53,36 +52,62 @@ class TestRankCandidates:
         assert type(got) is int and got == ranking.index(target) + 1
 
 
+class RankScorer:
+    """Step s ranks the candidates 0..n-1 by descending score -id and has
+    target ranks[s] - 1, so the target lands at rank ranks[s]."""
+
+    name = "ranks"
+
+    def __init__(self, ranks):
+        self.ranks = ranks
+
+    def step_scores(self, cascade):
+        cand = np.arange(max(self.ranks))
+        for rank in self.ranks:
+            yield cand, -cand.astype(float), rank - 1
+
+
+def point_metrics(ranks, k):
+    """(table, [(hits@k, map@k) of each step]) from ``evaluate`` on one
+    cascade whose step s puts the target at rank ranks[s].  Each step has
+    its own prefix length, so its length bucket holds its terms alone."""
+    table = evaluate(RankScorer(ranks), [Cascade(tuple(range(len(ranks) + 1)))], ks=(k,))
+    return table, [(b[f"hits@{k}"], b[f"map@{k}"]) for b in table.by_prefix_length.values()]
+
+
+# rank -> (hits@10, map@10): spot values computed by hand
+HAND_FIXTURE = [(1, 1, 1.0), (2, 1, 0.5), (3, 1, 1 / 3), (5, 1, 0.2),
+                (10, 1, 0.1), (11, 0, 0.0), (12, 0, 0.0), (25, 0, 0.0),
+                (4, 1, 0.25), (6, 1, 1 / 6), (100, 0, 0.0), (7, 1, 1 / 7)]
+
+
+def check_hand_fixture():
+    """evaluate's per-instance terms and means on HAND_FIXTURE."""
+    table, terms = point_metrics([rank for rank, _, _ in HAND_FIXTURE], 10)
+    assert [hit for hit, _ in terms] == [hit for _, hit, _ in HAND_FIXTURE]
+    assert [ap for _, ap in terms] == pytest.approx([ap for _, _, ap in HAND_FIXTURE])
+    assert table.instances == len(HAND_FIXTURE)
+    assert table.value("hits", 10) == pytest.approx(8 / 12)
+    assert table.value("map", 10) == pytest.approx((1 + 0.5 + 1/3 + 0.2 + 0.1 + 0.25
+                                                    + 1/6 + 1/7) / 12)
+
+
 class TestPointMetrics:
     def test_hits(self):
-        assert hits_at_k(1, 10) == 1
-        assert hits_at_k(10, 10) == 1
-        assert hits_at_k(11, 10) == 0
+        _, terms = point_metrics([1, 10, 11], 10)
+        assert [hit for hit, _ in terms] == [1, 1, 0]
 
     def test_map_single_relevant(self):
-        assert map_at_k(1, 10) == pytest.approx(1.0)
-        assert map_at_k(3, 10) == pytest.approx(1.0 / 3.0)
-        assert map_at_k(20, 10) == 0.0
+        _, terms = point_metrics([1, 3, 20], 10)
+        assert [ap for _, ap in terms] == pytest.approx([1.0, 1.0 / 3.0, 0.0])
 
     def test_rank_must_be_positive(self):
-        with pytest.raises(ValueError):
-            hits_at_k(0, 10)
-        with pytest.raises(ValueError):
-            map_at_k(0, 10)
+        # A target outside the candidates has no rank >= 1.
+        with pytest.raises(ValueError, match="not among candidates"):
+            point_metrics([3, 0], 10)
 
     def test_hand_computed_fixture(self):
-        # ranks -> (hits@10, map@10): spot values computed by hand
-        fixture = [(1, 1, 1.0), (2, 1, 0.5), (3, 1, 1 / 3), (5, 1, 0.2),
-                   (10, 1, 0.1), (11, 0, 0.0), (12, 0, 0.0), (25, 0, 0.0),
-                   (4, 1, 0.25), (6, 1, 1 / 6), (100, 0, 0.0), (7, 1, 1 / 7)]
-        for rank, hit, ap in fixture:
-            assert hits_at_k(rank, 10) == hit
-            assert map_at_k(rank, 10) == pytest.approx(ap)
-        mean_hits = np.mean([f[1] for f in fixture])
-        mean_map = np.mean([f[2] for f in fixture])
-        assert mean_hits == pytest.approx(8 / 12)
-        assert mean_map == pytest.approx((1 + 0.5 + 1/3 + 0.2 + 0.1 + 0.25
-                                          + 1/6 + 1/7) / 12)
+        check_hand_fixture()
 
 
 class StaticScorer:
@@ -362,7 +387,8 @@ class TestReports:
                 bucket[0] += 1
                 n += 1
                 for metric, k in keys:
-                    term = map_at_k(rank, k) if metric == "map" else hits_at_k(rank, k)
+                    term = (1.0 / rank if rank <= k else 0.0) if metric == "map" \
+                        else float(rank <= k)
                     acc[(metric, k)] += term
                     bucket[1][(metric, k)] += term
         assert table.instances == n

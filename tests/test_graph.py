@@ -16,7 +16,7 @@ from topolstm.graph import (Cascade, DataGraph, build_topologies, load_cascades,
                             stripped_line, write_lines)
 from topolstm.model import Model, ModelConfig, forward_cascade
 
-from conftest import precedent_rows, random_cascade, random_graph, reversed_rows
+from conftest import precedent_rows, random_cascade, random_graph
 
 
 def csr_rows(graph):
@@ -99,27 +99,33 @@ class TestLineFormat:
 
 
 class TestOutAdjacency:
-    @pytest.mark.parametrize("storage", ["sorted", "reversed"])
-    def test_csr_reproduces_out(self, storage):
+    def test_csr_reproduces_out(self):
         g = random_graph(np.random.default_rng(9), 15, 50)
         want = [sorted(v for (u, v) in oracle.edge_set(g) if u == w) for w in range(15)]
-        if storage == "reversed":   # as in test_model's storage-permutation test
-            g = reversed_rows(g)
-            want = [row[::-1] for row in want]
         assert g.out_ptr.dtype == g.out_idx.dtype == np.intp
         assert g.out_ptr.size == g.node_count + 1 and g.out_idx.size == g.edge_count
         assert csr_rows(g) == want
-        assert not g.out_ptr.flags.writeable and not g.out_idx.flags.writeable
+        for arr in (g.out_ptr, g.out_idx, g.edge_key):
+            assert not arr.flags.writeable
         src, dst = g.edge_pairs()
         assert [g.edge_id(u, v) for u, v in zip(src.tolist(), dst.tolist())] \
             == list(range(g.edge_count))
-        assert g.edge_id(-1, 0) == g.edge_id(15, 0) == -1
+        np.testing.assert_array_equal(g.edge_id(src, dst), np.arange(g.edge_count))
+        assert g.edge_id(-1, 0) == g.edge_id(15, 0) == g.edge_id(0, 15) == -1
+        np.testing.assert_array_equal(g.edge_id(np.array([-1, 0, 1]), np.array([0, 15, 16])),
+                                      [-1, -1, -1])
 
     def test_constructor_checks_offsets(self):
         with pytest.raises(ValueError, match="node_count \\+ 1 offsets"):
             DataGraph(("a", "b"), [0, 1], [1])
         with pytest.raises(ValueError, match="node_count \\+ 1 offsets"):
             DataGraph(("a", "b"), [0, 1, 2], [1])
+
+    @pytest.mark.parametrize("row", [[2, 1], [1, 1]], ids=["unsorted", "repeated"])
+    def test_constructor_refuses_a_row_not_strictly_ascending(self, row):
+        with pytest.raises(ValueError, match="strictly ascending"):
+            DataGraph(("a", "b", "c"), [0, 2, 2, 2], row)
+        DataGraph(("a", "b", "c"), [0, 1, 1, 2], row)   # the same ids in two rows
 
     def test_edgeless_and_empty(self):
         for g in (DataGraph.from_edges(3, []), load_graph("")):

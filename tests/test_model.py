@@ -16,8 +16,7 @@ from topolstm.numeric import (ParameterStore, finite_difference_check, softmax,
                               softmax_over_subset)
 from topolstm.training import objective
 
-from conftest import (blas_thread_readings, precedent_rows, random_cascade,
-                      random_graph, reversed_rows)
+from conftest import blas_thread_readings, precedent_rows, random_cascade, random_graph
 
 
 def perturbed_model(config, rng, spread=0.3):
@@ -217,21 +216,6 @@ class TestAggregate:
         result = self._forward(rng, graph, Cascade((0, 1)), 2)
         assert precedent_rows(result) == [[], [0]]
         np.testing.assert_array_equal(result.HX[0], np.zeros(4))
-
-    def test_permutation_of_precedent_storage_is_neutral(self):
-        # The same graph with every CSR row stored in reverse order.
-        rng = np.random.default_rng(7)
-        d, m = 4, 12
-        graph = random_graph(rng, m, 40)
-        shuffled = reversed_rows(graph)
-        model = perturbed_model(ModelConfig(d, m), rng)
-        cascade = random_cascade(rng, m, 9)
-        base = forward_cascade(model, graph, cascade, compute_loss=False)
-        result = forward_cascade(model, shuffled, cascade, compute_loss=False)
-        assert precedent_rows(result) == precedent_rows(base)
-        assert any(len(prec) > 1 for prec in precedent_rows(base))
-        np.testing.assert_allclose(result.HX, base.HX, atol=1e-13)
-        np.testing.assert_allclose(result.H, base.H, atol=1e-13)
 
 
 class TestScoreInactive:
@@ -513,6 +497,44 @@ class TestBackwardCascade:
             model.params, grads, samples=60, h=1e-5,
             rng=np.random.default_rng(19))
         assert res.max_rel_error < 1e-4
+
+    @pytest.mark.parametrize("mode", ["all-active", "precedent-only"])
+    def test_complex_step_matches_gradient_along_every_direction(self, mode):
+        # Im L(theta + i h delta) / h has no cancellation, so at h = 1e-30 it
+        # is the derivative along delta to rounding, and one dense delta
+        # checks every coordinate of every slot at once.
+        rng = np.random.default_rng(25)
+        lam = 1e-2
+        for _ in range(20):
+            m, d = int(rng.integers(8, 41)), int(rng.integers(2, 9))
+            T = int(rng.integers(3, min(30, m) + 1))
+            graph, cascade, model = random_instance(rng, m=m, d=d, T=T, mode=mode)
+            grads = model.zero_grads()
+            value = objective(model, graph, [cascade], lam, grads)
+            directions = [{name: rng.standard_normal(arr.shape)
+                           for name, arr in model.params.items()} for _ in range(3)]
+            directions.append(dict(grads.items()))
+            losses = [oracle.complex_objective(
+                {name: arr + 1e-30j * delta[name] for name, arr in model.params.items()},
+                graph, cascade, mode, lam) for delta in directions]
+            assert [loss.real for loss in losses] == pytest.approx([value] * 4, rel=1e-12)
+            slopes = [loss.imag / 1e-30 for loss in losses]
+            assert complex_step_error(slopes, grads, directions) <= 1e-10
+        # Zeroing any one slot of the last instance's gradient fails the check.
+        for name, _ in grads.items():
+            broken = {other: 0.0 * arr if other == name else arr for other, arr in grads.items()}
+            assert complex_step_error(slopes, broken, directions) > 1e-10, name
+
+
+def complex_step_error(slopes, grads, directions):
+    """The largest |slope - <grads, delta>| over the directions, each relative
+    to the sum of |grads * delta|, the scale of the inner product's rounding."""
+    worst = 0.0
+    for slope, delta in zip(slopes, directions):
+        terms = [grads[name] * delta[name] for name in delta]
+        dot = sum(term.sum() for term in terms)
+        worst = max(worst, abs(slope - dot) / sum(np.abs(term).sum() for term in terms))
+    return worst
 
 
 class TestPredictNext:

@@ -1,3 +1,4 @@
+import importlib
 import re
 import shlex
 import shutil
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import topolstm
 from topolstm import cli
 
 README = Path(__file__).parents[1] / "README.md"
@@ -56,3 +58,20 @@ def test_readme_commands_parse():
             cli.build_parser().parse_args(argv)
         except SystemExit:
             pytest.fail(f"README command does not parse: topolstm {shlex.join(argv)}")
+
+
+def readme_reference_names():
+    """The (module, name) pairs in backticks under the README's "Reference
+    paths" section, such as `graph.build_topologies`."""
+    text = README.read_text(encoding="utf-8")
+    section = re.search(r"^## Reference paths.*?(?=^## )", text, re.MULTILINE | re.DOTALL)
+    return re.findall(r"`(\w+)\.(\w+)`", section.group(0))
+
+
+def test_package_root_exports_no_reference_name():
+    pairs = [(module, name) for module, name in readme_reference_names()
+             if module != "np"]
+    assert len(pairs) >= 7
+    for module, name in pairs:
+        assert hasattr(importlib.import_module(f"topolstm.{module}"), name), (module, name)
+        assert not hasattr(topolstm, name), f"topolstm exports {name}"
