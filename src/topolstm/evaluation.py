@@ -158,10 +158,9 @@ class ModelScorer:
         # Candidates come from the cascade, not probs > 0: a probability can
         # underflow to 0.  Softmax is strictly increasing, so probabilities
         # rank like scores.
-        nodes, inactive = cascade.nodes, np.ones(self.graph.node_count, dtype=bool)
+        nodes = cascade.nodes
         for s in range(len(nodes) - 1):
-            inactive[nodes[s]] = False
-            cand = inactive.nonzero()[0]
+            cand = (result.pos > s).nonzero()[0]
             yield cand, result.probs[s, cand], nodes[s + 1]
 
 

@@ -11,7 +11,8 @@ form a DAG: every edge runs from a node activated before t to a node that is
 either still inactive or was activated later than the source.  A node's
 precedents at t are the sources of its attempt edges, so the whole DAG at
 any t follows from the graph, the activation order and t.  The model keeps
-only the precedents, as one CSR index per cascade (see ``model``).
+only the precedents, as one ``CascadeTable`` per cascade list: the cascades
+end to end, with every activation's precedents.
 ``build_topologies`` gives the same precedents as per-step views for the
 dict-based reference scorers; only the benchmark's gates call them.
 
@@ -30,9 +31,9 @@ import json
 import logging
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import count
+from itertools import accumulate, chain, count
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -60,6 +61,8 @@ class DataGraph:
         if self.out_ptr.shape != (len(self.labels) + 1,) or self.out_ptr[-1] != self.out_idx.size:
             raise ValueError("out_ptr must hold node_count + 1 offsets ending at the edge count")
         src, dst = self.edge_pairs()
+        if ((dst < 0) | (dst >= self.node_count) | (dst == src)).any():
+            raise ValueError("out_idx must hold node ids in [0, node_count), none its own row's")
         key = self.edge_key = src * self.node_count + dst
         if (key[1:] <= key[:-1]).any():
             raise ValueError("each row of out_idx must hold strictly ascending node ids")
@@ -99,8 +102,9 @@ class DataGraph:
         CSR edge ``edge`` runs from nodes[row] to ``target``."""
         start = self.out_ptr[nodes]
         count = self.out_ptr[1:][nodes] - start
-        row = np.repeat(np.arange(nodes.size), count)
-        edge = np.arange(row.size) + (start - np.cumsum(count) + count)[row]
+        row = np.arange(nodes.size).repeat(count)
+        edge = (start - count.cumsum() + count)[row]
+        edge += np.arange(row.size)
         return row, self.out_idx[edge], edge
 
     @classmethod
@@ -271,6 +275,78 @@ class Cascade:
         return self.nodes[i]
 
 
+class CascadeRows(NamedTuple):
+    """One cascade's slice of a ``CascadeTable``, in its positions 0..T-1."""
+    nodes: np.ndarray
+    src: np.ndarray         # out-edges: row src[e] -> node dst[e], in row order
+    dst: np.ndarray
+    prec_ptr: np.ndarray    # row r's precedents: prec_pos[prec_ptr[r]:prec_ptr[r + 1]]
+    prec_pos: np.ndarray
+
+
+class CascadeTable:
+    """A cascade list packed end to end, with its diffusion topology.
+
+    Cascade i holds rows ptr[i]..ptr[i + 1]-1; row r is node ``nodes[r]`` at
+    position ``pos[r]`` of cascade ``cid[r]``.  Its precedents, its
+    in-neighbours that activated before it in its cascade, are the rows
+    ``prec_row[prec_ptr[r]:prec_ptr[r + 1]]``, ascending.  One join finds
+    them: the rows' keys cid * node_count + node are sorted once, and each
+    out-edge looks its target's key up among them.  A row's out-edges are
+    its node's row of the graph's CSR, which ``rows`` reads for a cascade,
+    so a split's table holds no edge-long array; a one-cascade table keeps
+    its cascade's from the join.
+    """
+
+    def __init__(self, graph: DataGraph, cascades: Sequence[Cascade]):
+        m = graph.node_count
+        self.graph, self.cascades = graph, cascades
+        n = len(cascades)
+        ptr = self.ptr = np.fromiter(accumulate(map(len, cascades), initial=0), np.intp, n + 1)
+        nodes = self.nodes = np.fromiter(chain.from_iterable(cascades), np.intp, ptr[-1])
+        if nodes.size and not (0 <= nodes.min() and nodes.max() < m):
+            raise DataError("cascade references nodes outside the graph")
+        cid = self.cid = np.arange(n).repeat(ptr[1:] - ptr[:-1])
+        base = cid * m
+        key = base + nodes             # distinct, as a cascade's nodes are
+        order = key.argsort()
+        sorted_key = key[order]
+        # The out-edges are looked up node_count rows at a time, as many as
+        # one cascade can have, which bounds the memory a split's build
+        # takes.  A want past the largest key is clipped onto it, which it
+        # does not equal.
+        target, source = [], []
+        for lo in range(0, max(nodes.size, 1), m):
+            src, dst = graph.out_edges(nodes[lo:lo + m])[:2]
+            src += lo
+            want = base[src] + dst
+            at = sorted_key.searchsorted(want)
+            hit = (sorted_key.take(at, mode="clip") == want).nonzero()[0]
+            row, tail = order[at[hit]], src[hit]
+            keep = row > tail
+            target.append(row[keep])
+            source.append(tail[keep])
+        # A lone cascade is one block, whose out-edges ``rows`` can reuse.
+        self._edges = (src, dst) if n == 1 else None
+        target, source = np.concatenate(target), np.concatenate(source)
+        link = target.argsort(kind="stable")
+        self.prec_row = source[link]
+        self.prec_ptr = target[link].searchsorted(np.arange(nodes.size + 1))
+
+    @property
+    def pos(self) -> np.ndarray:
+        """Each row's position in its cascade."""
+        return np.arange(self.nodes.size) - self.ptr[self.cid]
+
+    def rows(self, i: int) -> CascadeRows:
+        """Cascade i's slice, in its own positions."""
+        a, b = self.ptr[i:i + 2].tolist()
+        prec_ptr, nodes = self.prec_ptr[a:b + 1], self.nodes[a:b]
+        pa, pb = prec_ptr[0], prec_ptr[-1]
+        src, dst = self._edges or self.graph.out_edges(nodes)[:2]
+        return CascadeRows(nodes, src, dst, prec_ptr - pa, self.prec_row[pa:pb] - a)
+
+
 def drop_short(cascades: Sequence[Cascade], what: str) -> tuple[list[Cascade], int]:
     """(the cascades of length >= 2, how many were dropped).  A length-1
     cascade has no prediction step; dropping any is logged once, naming ``what``."""
@@ -327,7 +403,7 @@ class DiffusionTopology:
     the nodes activated strictly before t, and a node's precedents are those
     in-neighbours in that prefix, ordered by activation time.  Only the
     benchmark's dict-based reference scorers read these views; the model
-    builds one CSR precedent index per cascade (``model._precedent_index``).
+    reads the precedents from a ``CascadeTable``.
     """
 
     __slots__ = ("graph", "_order", "_in_rows", "time")

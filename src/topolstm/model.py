@@ -40,9 +40,11 @@ states of v's precedents (bias-only when it has none) and "all-active"
 (the default) pools every active node's state, which keeps the score
 informative when graph edges are missing.
 
-A cascade's precedents are built once, as a CSR index over cascade
-positions.  The per-step loop runs only the memory cell, pooling from those
-rows and from running state sums.  No score feeds back into the cell, so
+A cascade's precedents come from its slice of a ``graph.CascadeTable``, a
+CSR index over its positions: ``train()`` builds one table per split, and a
+cascade run alone gets a table of its own.  The per-step loop runs only the
+memory cell, pooling from those rows and from running state sums.  No score
+feeds back into the cell, so
 ``_score_rows`` scores a cascade's T-1 steps as one (T-1) x m block, from
 cumulative sums over its rows, and ``predict_next``'s step as one more row;
 the backward pass takes every score gradient from that block with
@@ -62,8 +64,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import DataError, NumericError
-from .graph import Cascade, DataGraph, DiffusionTopology
+from .errors import NumericError
+from .graph import Cascade, CascadeRows, CascadeTable, DataGraph, DiffusionTopology
 from .numeric import GradientStore, Layout, ParameterStore, mean_pool
 
 SCORE_MODES = ("all-active", "precedent-only")
@@ -153,11 +155,11 @@ class CellState:
 class CascadeForwardResult:
     """Sender states of a cascade plus what the backward pass needs.
 
-    Row t-1 of every (T, .) array belongs to v_t.  The precedents of v_t are
-    the cascade positions ``prec_pos[prec_ptr[t-1]:prec_ptr[t]]``, ascending;
-    every other earlier position is one of its other active nodes.  ``src``
-    and ``dst`` are the cascade's out-edges, from ``DataGraph.out_edges``:
-    the edge from row src[e] to node dst[e], in row order.
+    Row t-1 of every (T, .) array belongs to v_t.  ``src``, ``dst``,
+    ``prec_ptr`` and ``prec_pos`` are the cascade's ``CascadeRows``, in its
+    own positions: the precedents of v_t are the positions
+    ``prec_pos[prec_ptr[t-1]:prec_ptr[t]]``, ascending, and every other
+    earlier position is one of its other active nodes.
 
     With losses, ``probs``, ``counts`` and ``losses`` are ``_score_rows``'s
     block of all T-1 steps: row s of ``probs`` is the softmax over all nodes
@@ -232,20 +234,6 @@ def score_inactive(states: Mapping[int, CellState], topo: DiffusionTopology,
     return scores
 
 
-def _precedent_index(T: int, pos: np.ndarray, src: np.ndarray, dst: np.ndarray
-                     ) -> tuple[np.ndarray, np.ndarray]:
-    """CSR (prec_ptr, prec_pos) of the precedents of a cascade of length T:
-    row r lists the positions, ascending, of the in-neighbours of the node at
-    row r that activated before it.  Built from the out-edges (row src ->
-    node dst) with src < pos[dst] < T, stably sorted on the target."""
-    dst = pos[dst]
-    keep = (dst > src) & (dst < T)
-    src, dst = src[keep], dst[keep]
-    prec_ptr = np.zeros(T + 1, dtype=np.intp)
-    np.cumsum(np.bincount(dst, minlength=T), out=prec_ptr[1:])
-    return prec_ptr, src[np.argsort(dst, kind="stable")]
-
-
 def _all_active_pooled(H: np.ndarray, lo: int, hi: int) -> np.ndarray:
     """Row s - lo, for s = lo..hi-1: the all-active pooled state mean(H[0..s])."""
     return np.cumsum(H[:hi], axis=0)[lo:] / np.arange(lo + 1, hi + 1)[:, None]
@@ -292,27 +280,27 @@ def _score_rows(model: Model, result: CascadeForwardResult, lo: int, hi: int
 
 
 def forward_cascade(model: Model, graph: DataGraph, cascade: Cascade,
-                    compute_loss: bool = True) -> CascadeForwardResult:
+                    compute_loss: bool = True, *, rows: CascadeRows | None = None
+                    ) -> CascadeForwardResult:
     """Run the cell over a cascade in activation order.
 
-    The loop runs only the cell: the precedent aggregates sum the
-    precedents' state rows once for h and c, and the other-active aggregates
-    are the running state sum minus that, so step t costs O(|P| d) plus the
-    cell.  When ``compute_loss`` is set, ``_score_rows`` then scores all T-1
-    prediction steps as one block, step t against the state *before* v_t
-    activates, with the negative log-probability of v_t as its loss.
+    ``rows`` is the cascade's slice of a ``CascadeTable``; without it, a
+    one-cascade table is built.  The loop runs only the cell: the precedent
+    aggregates sum the precedents' state rows once for h and c, and the
+    other-active aggregates are the running state sum minus that, so step t
+    costs O(|P| d) plus the cell.  When ``compute_loss`` is set,
+    ``_score_rows`` then scores all T-1 prediction steps as one block, step t
+    against the state *before* v_t activates, with the negative
+    log-probability of v_t as its loss.
     """
+    if rows is None:
+        rows = CascadeTable(graph, [cascade]).rows(0)
+    nodes, prec_ptr, prec_pos = rows.nodes, rows.prec_ptr, rows.prec_pos
     T = len(cascade)
     d, m = model.config.hidden_dim, model.config.node_count
-    if max(cascade.nodes) >= m or min(cascade.nodes) < 0:
-        raise DataError("cascade references nodes outside the graph")
-
     params = model.params
-    nodes = np.asarray(cascade.nodes, dtype=np.intp)
     pos = np.full(m, T, dtype=np.intp)
     pos[nodes] = np.arange(T)
-    src, dst, _ = graph.out_edges(nodes)
-    prec_ptr, prec_pos = _precedent_index(T, pos, src, dst)
     # The sigmoid rows halved (module docstring); adding -0.0 leaves the
     # c_tilde block as tanh gave it, a -0.0 included.
     scale = np.repeat((0.5, 0.5, 0.5, 1.0, 0.5), d)
@@ -356,7 +344,7 @@ def forward_cascade(model: Model, graph: DataGraph, cascade: Cascade,
         _raise_nonfinite(cascade[bad], A[bad], C[bad])
     result = CascadeForwardResult(cascade=cascade, H=H, C=C, A=A, tanh_C=tanh_C,
                                   HX=HX, CX=CX, prec_ptr=prec_ptr, prec_pos=prec_pos,
-                                  src=src, dst=dst, pos=pos, losses=np.zeros(0))
+                                  src=rows.src, dst=rows.dst, pos=pos, losses=np.zeros(0))
     if compute_loss and T >= 2:
         result.probs, result.counts, result.losses = _score_rows(model, result, 0, T - 1)
     return result

@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DivergenceError, NumericError
-from .graph import Cascade, DataGraph, drop_short
+from .graph import Cascade, CascadeTable, DataGraph, drop_short
 from .model import Model, ModelConfig, backward_cascade, forward_cascade
 from .numeric import Adam, GradientStore
 
@@ -96,24 +96,27 @@ def objective(model: Model, graph: DataGraph, cascades: Sequence[Cascade],
     cascades, _ = drop_short(cascades, "objective")
     if not cascades:
         raise ValueError("no cascade contributes prediction steps")
-    return _objective(model, graph, cascades, lam, grads)[0]
+    return _objective(model, graph, CascadeTable(graph, cascades), range(len(cascades)),
+                      lam, grads)[0]
 
 
-def _objective(model: Model, graph: DataGraph, cascades: Sequence[Cascade],
+def _objective(model: Model, graph: DataGraph, table: CascadeTable, batch: Sequence[int],
                lam: float, grads: GradientStore | None = None
                ) -> tuple[float, float, int]:
-    """(objective, summed NLL, step count) over ``cascades``, in order.
+    """(objective, summed NLL, step count) over the cascades of ``table``
+    that ``batch`` indexes, in batch order.
 
     Every cascade must have length >= 2.  With ``grads``, the store is
     zeroed and, when the objective is finite, receives its exact gradient.
-    ``forward_cascade`` is looked up in this module on every call, so a
+    ``forward_cascade`` is looked up in this module once per cascade, so a
     caller may rebind it (the benchmark times train() that way).
     """
     if grads is not None:
         grads.fill(0.0)
     total, steps = 0.0, 0
-    for cascade in cascades:
-        result = forward_cascade(model, graph, cascade)
+    for i in batch:
+        cascade = table.cascades[i]
+        result = forward_cascade(model, graph, cascade, rows=table.rows(i))
         if grads is not None:
             backward_cascade(result, model, out=grads)
         total += result.total_loss
@@ -181,13 +184,14 @@ def train(graph: DataGraph, train_cascades: Sequence[Cascade],
     model = Model.initialize(model_config, rng)
     optimizer = Adam(model.params, lr=config.learning_rate)
     report = TrainReport(dropped_short_cascades=dropped + dropped_val)
+    train_table, val_table = (CascadeTable(graph, c) for c in (train_cascades, val_cascades))
 
-    def guarded_objective(cascades, lam, out=None):
+    def guarded_objective(table, batch, lam, out=None):
         """``_objective`` with float overflow read as divergence: no float
         warning escapes, and a non-finite cell raises DivergenceError."""
         try:
             with np.errstate(over="ignore", invalid="ignore"):
-                return _objective(model, graph, cascades, lam, out)
+                return _objective(model, graph, table, batch, lam, out)
         except NumericError as exc:
             raise DivergenceError(f"{exc} in epoch {epoch}", report=report) from None
 
@@ -205,8 +209,9 @@ def train(graph: DataGraph, train_cascades: Sequence[Cascade],
         epoch_nll, epoch_steps = 0.0, 0
 
         for lo in range(0, len(order), config.batch_size):
-            batch = [train_cascades[i] for i in order[lo: lo + config.batch_size]]
-            batch_obj, batch_nll, batch_steps = guarded_objective(batch, config.lam, grads)
+            batch = order[lo: lo + config.batch_size]
+            batch_obj, batch_nll, batch_steps = guarded_objective(train_table, batch, config.lam,
+                                                                  grads)
             if not np.isfinite(batch_obj):
                 raise DivergenceError(
                     f"non-finite batch loss at epoch {epoch}", report=report)
@@ -227,7 +232,7 @@ def train(graph: DataGraph, train_cascades: Sequence[Cascade],
 
         train_loss = epoch_nll / epoch_steps + reg_before
         if val_cascades:
-            val_loss = guarded_objective(val_cascades, 0.0)[0]
+            val_loss = guarded_objective(val_table, range(len(val_cascades)), 0.0)[0]
             monitor = val_loss
         else:
             val_loss = None

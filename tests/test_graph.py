@@ -127,6 +127,13 @@ class TestOutAdjacency:
             DataGraph(("a", "b", "c"), [0, 2, 2, 2], row)
         DataGraph(("a", "b", "c"), [0, 1, 1, 2], row)   # the same ids in two rows
 
+    @pytest.mark.parametrize("row", [[5], [-1], [0]], ids=["past-the-last-node", "negative",
+                                                          "self-loop"])
+    def test_constructor_refuses_an_id_out_of_range_or_a_self_loop(self, row):
+        with pytest.raises(ValueError, match="node ids in \\[0, node_count\\), none its own"):
+            DataGraph(("a", "b"), [0, 1, 1], row)
+        DataGraph(("a", "b"), [0, 1, 1], [1])
+
     def test_edgeless_and_empty(self):
         for g in (DataGraph.from_edges(3, []), load_graph("")):
             assert g.out_ptr.tolist() == [0] * (g.node_count + 1) and g.out_idx.size == 0

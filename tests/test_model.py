@@ -7,14 +7,14 @@ import pytest
 import oracle
 from topolstm.datagen import PRESETS, generate_dataset, generate_graph
 from topolstm.evaluation import ModelScorer, target_rank
-from topolstm.errors import NumericError, ShapeError
-from topolstm.graph import Cascade, DataGraph, build_topologies
+from topolstm.errors import DataError, NumericError, ShapeError
+from topolstm.graph import Cascade, CascadeTable, DataGraph, build_topologies
 from topolstm.model import (SCORE_MODES, CellState, Model, ModelConfig, U_BLOCKS,
                             backward_cascade, forward_cascade, predict_next,
                             score_inactive)
 from topolstm.numeric import (ParameterStore, finite_difference_check, softmax,
                               softmax_over_subset)
-from topolstm.training import objective
+from topolstm.training import objective, split_dataset
 
 from conftest import blas_thread_readings, precedent_rows, random_cascade, random_graph
 
@@ -331,7 +331,6 @@ class TestForwardCascade:
     def test_cascade_must_fit_graph(self):
         g = DataGraph.from_edges(3, [(0, 1)])
         model = Model.initialize(ModelConfig(2, 3), np.random.default_rng(0))
-        from topolstm.errors import DataError
         with pytest.raises(DataError):
             forward_cascade(model, g, Cascade((0, 5)))
 
@@ -391,6 +390,25 @@ class TestScoreBlock:
         assert math.sqrt(grads.squared_l2()) == pytest.approx(grad_norm, rel=1e-10)
 
 
+class TestTableSlices:
+    @pytest.mark.parametrize("mode", SCORE_MODES)
+    def test_slice_of_a_split_table_gives_the_same_bits(self, mode):
+        graph, cascades, _ = generate_dataset(PRESETS["desk-default"])
+        split = split_dataset(cascades, seed=0)[0]
+        table = CascadeTable(graph, split)
+        model = perturbed_model(ModelConfig(8, graph.node_count, mode),
+                                np.random.default_rng(62))
+        picked = [i for i, c in enumerate(split) if len(c) >= 2][::12]
+        assert len(picked) > 20 and max(len(split[i]) for i in picked) == 15
+        for i in picked:
+            alone = forward_cascade(model, graph, split[i])
+            sliced = forward_cascade(model, graph, split[i], rows=table.rows(i))
+            for name in ("H", "C", "A", "HX", "CX", "losses", "probs", "prec_ptr", "prec_pos"):
+                assert np.array_equal(getattr(sliced, name), getattr(alone, name)), name
+            assert np.array_equal(backward_cascade(sliced, model).flat,
+                                  backward_cascade(alone, model).flat)
+
+
 class TestPrecedentIndex:
     def _check_against_oracle(self, graph, cascade, rng):
         model = Model.initialize(ModelConfig(2, graph.node_count), rng)
@@ -417,6 +435,44 @@ class TestPrecedentIndex:
         result = self._check_against_oracle(g, Cascade((0, 1, 2, 3)),
                                             np.random.default_rng(41))
         assert precedent_rows(result) == [[], [], [1], [0]]
+
+    def test_one_table_matches_the_oracle_for_every_cascade(self):
+        rng = np.random.default_rng(43)
+        for k in range(60):
+            m = int(rng.integers(2, 16))
+            # Every tenth graph is edgeless; the cascades share the m nodes,
+            # and every fifth has T = 1.
+            graph = random_graph(rng, m, 0 if k % 10 == 0 else int(rng.integers(1, 4 * m)))
+            cascades = [random_cascade(rng, m, 1 if j % 5 == 0 else int(rng.integers(1, m + 1)))
+                        for j in range(int(rng.integers(1, 25)))]
+            table = CascadeTable(graph, cascades)
+            assert table.cid.tolist() == [i for i, c in enumerate(cascades) for _ in c]
+            assert table.pos.tolist() == [r for c in cascades for r in range(len(c))]
+            for i, cascade in enumerate(cascades):
+                rows = table.rows(i)
+                pos = {v: r for r, v in enumerate(cascade.nodes)}
+                assert rows.nodes.tolist() == list(cascade.nodes)
+                assert list(zip(rows.src.tolist(), rows.dst.tolist())) == sorted(
+                    (pos[u], w) for u, w in oracle.edge_set(graph) if u in pos)
+                assert rows.prec_ptr[0] == 0
+                assert precedent_rows(rows) == [
+                    [pos[u] for u in oracle.precedents(graph, cascade, t, v)]
+                    for t, v in enumerate(cascade.nodes, start=1)]
+
+    def test_one_table_keeps_each_cascade_to_itself(self):
+        # Node 0's in-neighbours 1 and 2 activate after it in the first
+        # cascade and before it in the others.
+        g = DataGraph.from_edges(4, [(1, 0), (2, 0), (0, 3), (1, 2)])
+        cascades = [Cascade((0, 1, 2, 3)), Cascade((1, 0)), Cascade((3,)), Cascade((2, 1, 0))]
+        table = CascadeTable(g, cascades)
+        assert [precedent_rows(table.rows(i)) for i in range(4)] == [
+            [[], [], [1], [0]], [[], [0]], [[]], [[], [], [0, 1]]]
+        assert table.prec_row.tolist() == [1, 0, 4, 7, 8]
+        empty = CascadeTable(g, [])
+        assert empty.ptr.tolist() == empty.prec_ptr.tolist() == [0]
+        for nodes in ((0, 4), (-1,)):
+            with pytest.raises(DataError, match="outside the graph"):
+                CascadeTable(g, [Cascade((1, 2)), Cascade(nodes)])
 
     @pytest.mark.parametrize("mode", SCORE_MODES)
     def test_aggregates_are_direct_means_on_a_long_cascade(self, mode):

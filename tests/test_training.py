@@ -8,6 +8,7 @@ from topolstm.errors import DivergenceError
 from topolstm.graph import Cascade, DataGraph
 from topolstm.model import Model, ModelConfig, backward_cascade, forward_cascade
 from topolstm.numeric import Adam
+from topolstm import training
 from topolstm.training import TrainConfig, objective, split_dataset, train
 
 from conftest import random_cascade, random_graph
@@ -264,3 +265,27 @@ class TestTrain:
                           self._config(max_epochs=1),
                           ModelConfig(3, graph.node_count))
         assert report.dropped_short_cascades == 1
+
+    def test_forward_cascade_called_once_per_train_and_validation_cascade(self, monkeypatch):
+        # The benchmark takes its calibration readings inside train() through
+        # this module binding, once per cascade.
+        graph, cascades, _ = small_chain_data()
+        train_set, val_set, _ = split_dataset(cascades, seed=0)
+        train_set = train_set + [Cascade((0,))]     # dropped: no call
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[2])
+            return forward_cascade(*args, **kwargs)
+
+        monkeypatch.setattr(training, "forward_cascade", counted)
+        _, report = train(graph, train_set, val_set, self._config(max_epochs=3),
+                          ModelConfig(3, graph.node_count))
+        n_train, n_val = len(train_set) - 1, len(val_set)
+        assert len(report.epochs) == 3 and n_val > 0
+        assert len(calls) == 3 * (n_train + n_val)
+        for epoch in range(3):
+            seen = calls[epoch * (n_train + n_val):(epoch + 1) * (n_train + n_val)]
+            assert sorted(c.nodes for c in seen[:n_train]) == sorted(
+                c.nodes for c in train_set[:-1])
+            assert seen[n_train:] == val_set
