@@ -8,24 +8,24 @@ precedents' edge probabilities.
 The probabilities are one float array over the graph's CSR edge ids
 (``DataGraph.out_ptr``/``out_idx``), which run in (u, v) order, so a saved
 file lists its edges in that order and a loaded one finds each (u, v) by
-``DataGraph.edge_id``.  A fit counts a few cascades per array
-pass in one table of (cascade, node) cells, and scoring costs one slice
-update per activation.
-``icsb_score`` is the dict reference.
+``DataGraph.edge_id``.  A fit counts the attempt edges of the model's join,
+``graph.cascade_passes``, and scoring costs one slice update per
+activation.  ``icsb_score`` is the dict reference.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import repeat
 from pathlib import Path
 from typing import Iterable
 
 import numpy as np
 
 from .errors import DataError
-from .graph import Cascade, DataGraph, DiffusionTopology, read_records, write_lines
+from .graph import (Cascade, DataGraph, DiffusionTopology, cascade_passes, pack_cascades,
+                    read_records, write_lines)
 
 
 @dataclass(eq=False)
@@ -99,36 +99,20 @@ def _number(text: str) -> float:
         return math.nan
 
 
-# (cascade, node) table cells per pass, or one cascade's m if more: bounds the fit's memory.
-FIT_CHUNK = 4096
-
-
 def fit_static_bernoulli(graph: DataGraph,
                          train_cascades: Iterable[Cascade]) -> EdgeProbabilities:
     """Estimate p(u, v) = #(v after u in a cascade) / #(cascades with u).
 
     "After" requires only activation order, not adjacency in the sequence.
     Edges whose source never appears in training get probability zero.
-    A pass takes max(1, FIT_CHUNK // m) consecutive cascades and reads each
-    out-edge's target from a table of one m-cell block per cascade.
+    The counts are the attempt edges of ``graph.cascade_passes``, the join
+    that finds a ``CascadeTable``'s precedents, added pass by pass.
     """
-    m = graph.node_count
-    cascades = [c.nodes for c in train_cascades]
-    lengths = np.fromiter(map(len, cascades), np.intp, len(cascades))
-    nodes = np.fromiter(chain.from_iterable(cascades), np.intp, lengths.sum())
-    # Row i is node nodes[i] of cascade cid[i]; cascade c has rows first[c]..first[c + 1]-1.
-    first = np.append(0, np.cumsum(lengths))
-    cid = np.repeat(np.arange(len(cascades)), lengths)
-    step = max(1, FIT_CHUNK // m)
+    packed = pack_cascades(graph, train_cascades)
     follow_count = np.zeros(graph.edge_count, dtype=np.intp)
-    for c0 in range(0, len(cascades), step):
-        lo, hi = first[c0], first[min(c0 + step, len(cascades))]
-        key = (cid[lo:hi] - c0) * m                       # a row's block in the table
-        table = np.full(step * m, -1, dtype=np.intp)      # a node's row in its block, -1: none
-        table[key + nodes[lo:hi]] = np.arange(hi - lo)
-        row, target, edge = graph.out_edges(nodes[lo:hi])
-        np.add.at(follow_count, edge[table[key[row] + target] > row], 1)
-    active_count = np.bincount(nodes, minlength=m)[graph.edge_pairs()[0]]
+    for row, _, at, edge in cascade_passes(graph, *packed):
+        np.add.at(follow_count, edge[at > row], 1)
+    active_count = np.bincount(packed[1], minlength=graph.node_count)[graph.edge_pairs()[0]]
     probs = np.zeros(graph.edge_count)
     np.divide(follow_count, active_count, out=probs, where=active_count > 0)
     return EdgeProbabilities(graph, probs)

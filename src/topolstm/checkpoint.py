@@ -79,9 +79,10 @@ def _parse(data: bytes) -> tuple[Model, tuple[str, ...], dict]:
     (header_len,) = struct.unpack_from("<Q", data, len(MAGIC))
     header = json.loads(data[start:start + header_len].decode("utf-8"))
     cfg = header["config"]
-    config = ModelConfig(hidden_dim=int(cfg["hidden_dim"]),
-                         node_count=int(cfg["node_count"]),
-                         score_mode=str(cfg["score_mode"]))
+    sizes = {name: cfg[name] for name in ("hidden_dim", "node_count")}
+    if any(type(v) is not int for v in sizes.values()):    # a bool is no size either
+        raise CheckpointError(f"config sizes must be JSON integers, got {sizes}")
+    config = ModelConfig(**sizes, score_mode=str(cfg["score_mode"]))
     # The table fixes every slot's shape and place, so a payload of its
     # size holds each slot exactly once, back to back.
     layout = parameter_layout(config)

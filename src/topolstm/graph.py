@@ -12,7 +12,8 @@ either still inactive or was activated later than the source.  A node's
 precedents at t are the sources of its attempt edges, so the whole DAG at
 any t follows from the graph, the activation order and t.  The model keeps
 only the precedents, as one ``CascadeTable`` per cascade list: the cascades
-end to end, with every activation's precedents.
+end to end, with every activation's precedents.  One join finds the attempt
+edges, ``cascade_passes``, for the table and for the IC-SB fit's counts.
 ``build_topologies`` gives the same precedents as per-step views for the
 dict-based reference scorers; only the benchmark's gates call them.
 
@@ -275,6 +276,42 @@ class Cascade:
         return self.nodes[i]
 
 
+def pack_cascades(graph: DataGraph, cascades: Iterable[Cascade]) -> tuple[np.ndarray, ...]:
+    """A ``CascadeTable``'s (ptr, nodes, cid); DataError if a node is outside the graph."""
+    seqs = [c.nodes for c in cascades]     # tuples: len and iter without a Python call
+    ptr = np.fromiter(accumulate(map(len, seqs), initial=0), np.intp, len(seqs) + 1)
+    nodes = np.fromiter(chain.from_iterable(seqs), np.intp, ptr[-1])
+    if nodes.size and not (0 <= nodes.min() and nodes.max() < graph.node_count):
+        raise DataError("cascade references nodes outside the graph")
+    return ptr, nodes, np.arange(len(seqs)).repeat(ptr[1:] - ptr[:-1])
+
+
+FIT_CHUNK = 4096
+
+
+def cascade_passes(graph: DataGraph, ptr: np.ndarray, nodes: np.ndarray, cid: np.ndarray):
+    """The one join of packed cascades' rows with their out-edges.
+
+    A pass takes max(1, FIT_CHUNK // node_count) consecutive cascades, which
+    bounds its memory, and reads each out-edge's target row from one reused
+    table of node_count cells per cascade.  Yields (row, target, target row,
+    edge) per pass, in row order: CSR edge ``edge`` runs from row ``row``'s
+    node to ``target``, row ``target row`` of the same cascade or -1 if absent.
+    """
+    m, n, bounds = graph.node_count, ptr.size - 1, ptr.tolist()
+    step = max(1, FIT_CHUNK // m)
+    table = np.full(min(step, n) * m, -1, dtype=np.intp)
+    for c0 in range(0, n, step):
+        lo, hi = bounds[c0], bounds[min(c0 + step, n)]
+        block = (cid[lo:hi] - c0) * m
+        cell = block + nodes[lo:hi]
+        table[cell] = np.arange(lo, hi)
+        row, target, edge = graph.out_edges(nodes[lo:hi])
+        at = table[block[row] + target]
+        table[cell] = -1
+        yield row + lo, target, at, edge
+
+
 class CascadeRows(NamedTuple):
     """One cascade's slice of a ``CascadeTable``, in its positions 0..T-1."""
     nodes: np.ndarray
@@ -290,48 +327,26 @@ class CascadeTable:
     Cascade i holds rows ptr[i]..ptr[i + 1]-1; row r is node ``nodes[r]`` at
     position ``pos[r]`` of cascade ``cid[r]``.  Its precedents, its
     in-neighbours that activated before it in its cascade, are the rows
-    ``prec_row[prec_ptr[r]:prec_ptr[r + 1]]``, ascending.  One join finds
-    them: the rows' keys cid * node_count + node are sorted once, and each
-    out-edge looks its target's key up among them.  A row's out-edges are
-    its node's row of the graph's CSR, which ``rows`` reads for a cascade,
-    so a split's table holds no edge-long array; a one-cascade table keeps
-    its cascade's from the join.
+    ``prec_row[prec_ptr[r]:prec_ptr[r + 1]]``, ascending.  They are the
+    out-edges of ``cascade_passes`` whose target row is above their row.  A
+    row's out-edges are its node's row of the graph's CSR, which ``rows``
+    reads for a cascade, so a split's table holds no edge-long array; a
+    one-cascade table keeps its cascade's from its one pass.
     """
 
     def __init__(self, graph: DataGraph, cascades: Sequence[Cascade]):
-        m = graph.node_count
         self.graph, self.cascades = graph, cascades
-        n = len(cascades)
-        ptr = self.ptr = np.fromiter(accumulate(map(len, cascades), initial=0), np.intp, n + 1)
-        nodes = self.nodes = np.fromiter(chain.from_iterable(cascades), np.intp, ptr[-1])
-        if nodes.size and not (0 <= nodes.min() and nodes.max() < m):
-            raise DataError("cascade references nodes outside the graph")
-        cid = self.cid = np.arange(n).repeat(ptr[1:] - ptr[:-1])
-        base = cid * m
-        key = base + nodes             # distinct, as a cascade's nodes are
-        order = key.argsort()
-        sorted_key = key[order]
-        # The out-edges are looked up node_count rows at a time, as many as
-        # one cascade can have, which bounds the memory a split's build
-        # takes.  A want past the largest key is clipped onto it, which it
-        # does not equal.
-        target, source = [], []
-        for lo in range(0, max(nodes.size, 1), m):
-            src, dst = graph.out_edges(nodes[lo:lo + m])[:2]
-            src += lo
-            want = base[src] + dst
-            at = sorted_key.searchsorted(want)
-            hit = (sorted_key.take(at, mode="clip") == want).nonzero()[0]
-            row, tail = order[at[hit]], src[hit]
-            keep = row > tail
-            target.append(row[keep])
-            source.append(tail[keep])
-        # A lone cascade is one block, whose out-edges ``rows`` can reuse.
-        self._edges = (src, dst) if n == 1 else None
+        packed = self.ptr, self.nodes, self.cid = pack_cascades(graph, cascades)
+        source, target = [np.empty(0, np.intp)], [np.empty(0, np.intp)]
+        for row, dst, at, _ in cascade_passes(graph, *packed):
+            link = at > row
+            source.append(row[link])
+            target.append(at[link])
+        self._edges = (row, dst) if len(cascades) == 1 else None
         target, source = np.concatenate(target), np.concatenate(source)
         link = target.argsort(kind="stable")
         self.prec_row = source[link]
-        self.prec_ptr = target[link].searchsorted(np.arange(nodes.size + 1))
+        self.prec_ptr = target[link].searchsorted(np.arange(self.nodes.size + 1))
 
     @property
     def pos(self) -> np.ndarray:

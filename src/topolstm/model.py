@@ -303,8 +303,7 @@ def forward_cascade(model: Model, graph: DataGraph, cascade: Cascade,
     pos[nodes] = np.arange(T)
     # The sigmoid rows halved (module docstring); adding -0.0 leaves the
     # c_tilde block as tanh gave it, a -0.0 included.
-    scale = np.repeat((0.5, 0.5, 0.5, 1.0, 0.5), d)
-    shift = np.repeat((0.5, 0.5, 0.5, -0.0, 0.5), d)
+    scale, shift = np.array(((0.5, 0.5, 0.5, 1.0, 0.5), (0.5, 0.5, 0.5, -0.0, 0.5))).repeat(d, 1)
     U = params.fused("U") * scale[:, None]
     # Input and bias terms of every step's five gates, gathered at once;
     # both forget gates read the W_f/b_f rows.
@@ -339,7 +338,7 @@ def forward_cascade(model: Model, graph: DataGraph, cascade: Cascade,
         np.multiply(a[4 * d:], tanh_C[row], out=h)
         total += S[row]
 
-    if not np.all(np.isfinite(S)):
+    if not np.isfinite(S).all():
         bad = int(np.flatnonzero(~np.isfinite(S).all(axis=1))[0])
         _raise_nonfinite(cascade[bad], A[bad], C[bad])
     result = CascadeForwardResult(cascade=cascade, H=H, C=C, A=A, tanh_C=tanh_C,

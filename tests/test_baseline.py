@@ -7,7 +7,7 @@ import oracle
 from topolstm.baseline import (EdgeProbabilities, ICSBScorer,
                                fit_static_bernoulli, icsb_score)
 from topolstm.errors import DataError
-from topolstm.graph import Cascade, DataGraph, build_topologies
+from topolstm.graph import Cascade, CascadeTable, DataGraph, build_topologies
 
 from conftest import edge_probs, prob_dict, random_cascade, random_graph
 
@@ -77,7 +77,7 @@ class TestFitStaticBernoulli:
         g = random_graph(rng, 30, 150)
         cascades = [random_cascade(rng, 30, int(rng.integers(1, 20))) for _ in range(25)]
         whole = fit_static_bernoulli(g, cascades)
-        monkeypatch.setattr("topolstm.baseline.FIT_CHUNK", 5)
+        monkeypatch.setattr("topolstm.graph.FIT_CHUNK", 5)
         np.testing.assert_array_equal(fit_static_bernoulli(g, cascades).p, whole.p)
 
     @pytest.mark.parametrize("per_node, extra, passes", [
@@ -86,17 +86,26 @@ class TestFitStaticBernoulli:
     def test_passes_of_any_size_match_oracle(self, monkeypatch, per_node, extra, passes):
         # FIT_CHUNK = per_node * m + extra: one cascade, three cascades or all
         # 25 of them per pass, each pass reading its out-edges in one call.
+        # The fit and a CascadeTable share the passes.
         rng = np.random.default_rng(35)
         m = 30
         g = random_graph(rng, m, 150)
         cascades = [random_cascade(rng, m, int(rng.integers(1, 20))) for _ in range(25)]
-        monkeypatch.setattr("topolstm.baseline.FIT_CHUNK", per_node * m + extra)
+        monkeypatch.setattr("topolstm.graph.FIT_CHUNK", per_node * m + extra)
         calls = []
         out_edges = DataGraph.out_edges
         monkeypatch.setattr(DataGraph, "out_edges",
                             lambda graph, nodes: calls.append(nodes.size) or out_edges(graph, nodes))
         assert prob_dict(fit_static_bernoulli(g, cascades)) == oracle.recount_oracle(g, cascades)
-        assert len(calls) == passes and sum(calls) == sum(map(len, cascades))
+        table = CascadeTable(g, cascades)
+        assert len(calls) == 2 * passes and calls[:passes] == calls[passes:]
+        assert sum(calls) == 2 * sum(map(len, cascades))
+        prec_ptr, prec_row = table.prec_ptr.tolist(), table.prec_row.tolist()
+        for first, cascade in zip(table.ptr.tolist(), cascades):
+            for t, v in enumerate(cascade.nodes, start=1):
+                r = first + t - 1
+                assert prec_row[prec_ptr[r]:prec_ptr[r + 1]] == [
+                    first + cascade.nodes.index(u) for u in oracle.precedents(g, cascade, t, v)]
 
     def test_values_in_unit_interval(self):
         rng = np.random.default_rng(31)

@@ -171,8 +171,18 @@ class TestMalformed:
             self._load(tmp_path, join(header, payload))
 
     @pytest.mark.parametrize("blob", [b"\xff\xfe{", b"{not json", b"[1, 2]", b'"x"',
-                                      b'{"config": 3}', b'{"config": {"hidden_dim": 1e999}}'])
-    def test_corrupt_header(self, tmp_path, blob):
+                                      b'{"config": 3}', b'{"config": {"hidden_dim": 1e999}}',
+                                      {"hidden_dim": 4.9}, {"hidden_dim": "4"},
+                                      {"node_count": 6.0}, {"node_count": True}])
+    def test_corrupt_header(self, data, tmp_path, blob):
+        # A dict edits the saved model's config: a size that is no JSON integer
+        # is refused, even where int() would give the saved one back.
+        if isinstance(blob, dict):
+            header, payload = split(data)
+            header["config"].update(blob)
+            with pytest.raises(CheckpointError, match="must be JSON integers"):
+                self._load(tmp_path, join(header, payload))
+            return
         with pytest.raises(CheckpointError):
             self._load(tmp_path, MAGIC + struct.pack("<Q", len(blob)) + blob)
 
