@@ -93,10 +93,11 @@ def _parse(data: bytes) -> tuple[Model, tuple[str, ...], dict]:
     if len(payload) != 8 * packed.size:
         raise CheckpointError(
             f"payload holds {len(payload)} bytes, the slot table {8 * packed.size}")
-    labels = tuple(header.get("labels", ()))
-    if len(labels) != config.node_count:
-        raise CheckpointError("label table does not match node count")
+    labels = header.get("labels")
+    if not (type(labels) is list and len(labels) == config.node_count
+            and all(type(v) is str for v in labels) and len(set(labels)) == len(labels)):
+        raise CheckpointError(f"label table must be a list of {config.node_count} distinct strings")
     values = np.frombuffer(payload, dtype="<f8").astype(np.float64)
     params = ParameterStore(packed.views(values, packed.slots), layout)
     params.check_finite()
-    return Model(config, params), labels, header
+    return Model(config, params), tuple(labels), header

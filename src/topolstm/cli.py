@@ -24,7 +24,7 @@ import numpy as np
 from . import checkpoint as ckpt
 from . import datagen, evaluation, training
 from .baseline import EdgeProbabilities, ICSBScorer, fit_static_bernoulli
-from .errors import CheckpointError, DataError, DivergenceError, NumericError, TopoLstmError
+from .errors import CheckpointError, DataError, DivergenceError, TopoLstmError
 from .graph import (Cascade, drop_short, load_cascades_file, load_graph_file,
                     save_cascades_file, save_labels, write_json)
 from .model import SCORE_MODES, ModelConfig, predict_next
@@ -303,8 +303,6 @@ def cmd_predict(args) -> int:
     if args.top_n < 1:
         raise DataError("--top-n must be >= 1")
     cand, probs = predict_next(model, graph, prefix)
-    if not np.isfinite(probs).all():
-        raise NumericError("non-finite next-activation probabilities")
     top = np.lexsort((cand, -probs))[: args.top_n]   # ties by ascending node id
     for v, p in zip(cand[top].tolist(), probs[top].tolist()):
         print(f"{graph.labels[v]} {p!r}")

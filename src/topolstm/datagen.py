@@ -56,12 +56,6 @@ class SynthConfig:
         elif not (0.0 <= p <= 1.0):
             raise ConfigError(f"activation_prob {p} outside [0, 1]")
 
-    def echo(self) -> dict:
-        d = asdict(self)
-        if isinstance(d["activation_prob"], tuple):
-            d["activation_prob"] = list(d["activation_prob"])
-        return d
-
 
 PRESETS: dict[str, SynthConfig] = {
     # Fully separable: every cascade is a deterministic run down one chain.
@@ -205,7 +199,7 @@ def generate_dataset(config: SynthConfig, out_dir=None
                    header="ground-truth IC probabilities: u v p")
         touched = {v for c in cascades for v in c}
         write_json(out / "manifest.json", {
-            "config": config.echo(),
+            "config": asdict(config),
             "effective": {
                 "node_count": graph.node_count,
                 "edge_count": graph.edge_count,

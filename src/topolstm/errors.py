@@ -22,7 +22,8 @@ class ConfigError(TopoLstmError):
 
 
 class DivergenceError(TopoLstmError):
-    """Training produced a non-finite loss or cell state."""
+    """Training diverged: a non-finite loss, probability, cell state or
+    parameter, or a finite blow-up (a batch loss far above uniform guessing)."""
 
     def __init__(self, message, report=None):
         super().__init__(message)

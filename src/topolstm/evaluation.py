@@ -17,7 +17,6 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import NumericError
 from .graph import Cascade, DataGraph, drop_short, write_json
 from .model import Model, forward_cascade
 from .version import TOOL_VERSION
@@ -148,11 +147,7 @@ class ModelScorer:
         self.nll_sum, self.nll_steps = 0.0, 0   # over every step scored so far
 
     def step_scores(self, cascade: Cascade):
-        result = forward_cascade(self.model, self.graph, cascade)
-        # A row's probabilities are all finite exactly when its loss is not
-        # NaN: a NaN or +inf score, or a row of -inf scores, makes both NaN.
-        if np.isnan(result.losses).any():
-            raise NumericError(f"non-finite probabilities for the cascade from node {cascade[0]}")
+        result = forward_cascade(self.model, self.graph, cascade)   # raises on unusable scores
         self.nll_sum += float(result.losses.sum())
         self.nll_steps += result.losses.size
         # Candidates come from the cascade, not probs > 0: a probability can

@@ -70,6 +70,8 @@ class DataGraph:
         for arr in (self.out_ptr, self.out_idx, self.edge_key):
             arr.flags.writeable = False
         self.label_index = dict(zip(self.labels, range(len(self.labels))))
+        if len(self.label_index) != len(self.labels):
+            raise ValueError("labels must be distinct")
 
     @property
     def node_count(self) -> int:

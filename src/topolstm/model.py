@@ -42,16 +42,18 @@ informative when graph edges are missing.
 
 A cascade's precedents come from its slice of a ``graph.CascadeTable``, a
 CSR index over its positions: ``train()`` builds one table per split, and a
-cascade run alone gets a table of its own.  The per-step loop runs only the
-memory cell, pooling from those rows and from running state sums.  No score
-feeds back into the cell, so
-``_score_rows`` scores a cascade's T-1 steps as one (T-1) x m block, from
-cumulative sums over its rows, and ``predict_next``'s step as one more row;
-the backward pass takes every score gradient from that block with
-whole-cascade array operations, and its reverse loop keeps only the cell's,
-one [dh | dc] gradient row per step.  A loop step costs O(|P| d) for
-pooling and O(d^2) for the cell, and nothing grows with the number of nodes
-active before it.
+cascade run alone gets a table of its own.  A forward is a function of the
+model and that slice, which its result keeps.  The per-step loop runs only
+the memory cell, pooling from those rows and from running state sums.  No
+score feeds back into the cell, so ``_score_rows`` scores a cascade's T-1
+steps as one (T-1) x m block, from cumulative sums over its rows, and
+``predict_next``'s step as one more row.  It is the one place that refuses
+unusable scores: a row with no finite softmax raises NumericError, so
+``objective``, evaluation and ``predict_next`` all raise on it.  The
+backward pass takes every score gradient from that block with whole-cascade
+array operations, and its reverse loop keeps only the cell's, one [dh | dc]
+gradient row per step.  A loop step costs O(|P| d) for pooling and O(d^2)
+for the cell, and nothing grows with the number of nodes active before it.
 
 Gradients are derived by hand in `backward_cascade` and verified against
 central differences in the test suite.
@@ -155,11 +157,11 @@ class CellState:
 class CascadeForwardResult:
     """Sender states of a cascade plus what the backward pass needs.
 
-    Row t-1 of every (T, .) array belongs to v_t.  ``src``, ``dst``,
-    ``prec_ptr`` and ``prec_pos`` are the cascade's ``CascadeRows``, in its
-    own positions: the precedents of v_t are the positions
-    ``prec_pos[prec_ptr[t-1]:prec_ptr[t]]``, ascending, and every other
-    earlier position is one of its other active nodes.
+    ``rows`` is the ``CascadeRows`` slice the forward ran on, and row t-1
+    of every (T, .) array belongs to v_t = ``rows.nodes[t-1]``: the
+    precedents of v_t are the positions
+    ``rows.prec_pos[rows.prec_ptr[t-1]:rows.prec_ptr[t]]``, ascending, and
+    every other earlier position is one of its other active nodes.
 
     With losses, ``probs``, ``counts`` and ``losses`` are ``_score_rows``'s
     block of all T-1 steps: row s of ``probs`` is the softmax over all nodes
@@ -171,17 +173,13 @@ class CascadeForwardResult:
     one block [[h_p, h_q], [c_p, c_q]] of a (T, 2, 2, d) array; H, C, HX and
     CX are views of these two.
     """
-    cascade: Cascade
+    rows: CascadeRows
     H: np.ndarray               # (T, d) sender embeddings, state[:, :d]
     C: np.ndarray               # (T, d) memory cells, state[:, d:]
     A: np.ndarray               # (T, 5d) gates [i, f_p, f_q, c_tilde, o]
     tanh_C: np.ndarray          # (T, d)
     HX: np.ndarray              # (T, 2d) pooled [h_p; h_q], pooled[:, 0]
     CX: np.ndarray              # (T, 2d) pooled [c_p; c_q], pooled[:, 1]
-    prec_ptr: np.ndarray        # (T+1,) row offsets into prec_pos
-    prec_pos: np.ndarray        # precedent positions, row by row
-    src: np.ndarray             # out-edge source rows
-    dst: np.ndarray             # out-edge target nodes
     pos: np.ndarray             # (m,) node -> cascade position, T if inactive
     losses: np.ndarray          # (T-1,) per-step losses; empty without losses
     probs: np.ndarray | None = None    # (T-1, m) step probabilities
@@ -247,9 +245,12 @@ def _score_rows(model: Model, result: CascadeForwardResult, lo: int, hi: int
     the nodes inactive at that step, 0 at the active ones; pooled is the mean
     of H[0..s] (all-active) or of w's active in-neighbours' states, counted
     in ``counts`` with 0 read as 1 (precedent-only).  ``losses`` holds -log p
-    of the next activation for the rows that have one in the cascade.
+    of the next activation for the rows that have one in the cascade.  A row
+    whose normaliser is not finite raises NumericError: a NaN or +inf score,
+    or a row of -inf scores, makes it NaN, as it makes the row's loss NaN.  A
+    target scored -inf alone only makes its loss +inf.
     """
-    config, params = model.config, model.params
+    config, params, nodes = model.config, model.params, result.rows.nodes
     G, m, H = params["G"], config.node_count, result.H
     S, counts = hi - lo, None
     if config.score_mode == "all-active":
@@ -258,7 +259,7 @@ def _score_rows(model: Model, result: CascadeForwardResult, lo: int, hi: int
         # Edge u -> w puts its term in cell (max(u - lo, 0), w): at most one
         # per cell when lo = 0, and rows from hi on fall past the block.
         # Cumulative sums over rows then give each step's sums.
-        src, dst = result.src, result.dst
+        src, dst = result.rows.src, result.rows.dst
         cell = np.maximum(src - lo, 0) * m + dst
         terms = np.einsum("ij,ij->i", G[dst], H[src])
         X, counts = (np.bincount(cell, w, S * m)[:S * m].reshape(S, m).astype(float, copy=False)
@@ -271,10 +272,14 @@ def _score_rows(model: Model, result: CascadeForwardResult, lo: int, hi: int
     # Active nodes score -inf, so the row-wise log-sum-exp gives them 0.
     np.copyto(X, -np.inf, where=result.pos <= np.arange(lo, hi)[:, None])
     X -= X.max(axis=1, keepdims=True)
-    targets = np.asarray(result.cascade.nodes[lo + 1:hi + 1], dtype=np.intp)
+    targets = nodes[lo + 1:hi + 1]
     target_shifted = X[np.arange(targets.size), targets]
     np.exp(X, out=X)
     z = X.sum(axis=1)
+    if not np.isfinite(z).all():
+        step = lo + 2 + int(np.isfinite(z).argmin())
+        raise NumericError(f"non-finite probabilities at step {step} of the cascade "
+                           f"from node {nodes[0]}")
     X /= z[:, None]
     return X, counts, np.log(z[:targets.size]) - target_shifted
 
@@ -285,18 +290,18 @@ def forward_cascade(model: Model, graph: DataGraph, cascade: Cascade,
     """Run the cell over a cascade in activation order.
 
     ``rows`` is the cascade's slice of a ``CascadeTable``; without it, a
-    one-cascade table is built.  The loop runs only the cell: the precedent
-    aggregates sum the precedents' state rows once for h and c, and the
-    other-active aggregates are the running state sum minus that, so step t
-    costs O(|P| d) plus the cell.  When ``compute_loss`` is set,
-    ``_score_rows`` then scores all T-1 prediction steps as one block, step t
-    against the state *before* v_t activates, with the negative
-    log-probability of v_t as its loss.
+    one-cascade table is built from ``cascade``, which is read for nothing
+    else.  The loop runs only the cell: the precedent aggregates sum the
+    precedents' state rows once for h and c, and the other-active aggregates
+    are the running state sum minus that, so step t costs O(|P| d) plus the
+    cell.  When ``compute_loss`` is set, ``_score_rows`` then scores all T-1
+    prediction steps as one block, step t against the state *before* v_t
+    activates, with the negative log-probability of v_t as its loss.
     """
     if rows is None:
         rows = CascadeTable(graph, [cascade]).rows(0)
     nodes, prec_ptr, prec_pos = rows.nodes, rows.prec_ptr, rows.prec_pos
-    T = len(cascade)
+    T = nodes.size
     d, m = model.config.hidden_dim, model.config.node_count
     params = model.params
     pos = np.full(m, T, dtype=np.intp)
@@ -340,10 +345,9 @@ def forward_cascade(model: Model, graph: DataGraph, cascade: Cascade,
 
     if not np.isfinite(S).all():
         bad = int(np.flatnonzero(~np.isfinite(S).all(axis=1))[0])
-        _raise_nonfinite(cascade[bad], A[bad], C[bad])
-    result = CascadeForwardResult(cascade=cascade, H=H, C=C, A=A, tanh_C=tanh_C,
-                                  HX=HX, CX=CX, prec_ptr=prec_ptr, prec_pos=prec_pos,
-                                  src=rows.src, dst=rows.dst, pos=pos, losses=np.zeros(0))
+        _raise_nonfinite(int(nodes[bad]), A[bad], C[bad])
+    result = CascadeForwardResult(rows=rows, H=H, C=C, A=A, tanh_C=tanh_C, HX=HX, CX=CX,
+                                  pos=pos, losses=np.zeros(0))
     if compute_loss and T >= 2:
         result.probs, result.counts, result.losses = _score_rows(model, result, 0, T - 1)
     return result
@@ -369,9 +373,8 @@ def backward_cascade(result: CascadeForwardResult, model: Model,
     """
     if out is None:
         out = model.zero_grads()
-    config = model.config
-    params = model.params
-    T = len(result.cascade)
+    config, params, rows = model.config, model.params, result.rows
+    T = rows.nodes.size
     d = config.hidden_dim
     UT = params.fused("U").T
     dS = np.zeros((T, 2, d))   # row t is [dh | dc] of step t
@@ -385,7 +388,7 @@ def backward_cascade(result: CascadeForwardResult, model: Model,
         S, G, gG, gb_act = T - 1, params["G"], out["G"], out["b_act"]
         GV, counts = result.probs, result.counts
         result.probs = result.counts = None
-        GV[np.arange(S), result.cascade.nodes[1:]] -= 1.0
+        GV[np.arange(S), rows.nodes[1:]] -= 1.0
         gb_act += GV.sum(axis=0)
         if config.score_mode == "all-active":
             # Row s's d pooled = GV[s] . G / (s + 1) reaches rows 0..s.
@@ -400,8 +403,8 @@ def backward_cascade(result: CascadeForwardResult, model: Model,
             # edge u -> w makes |P_w| >= 1 from u's row on.
             alpha = np.divide(GV, counts, out=GV)
             np.cumsum(alpha[::-1], axis=0, out=alpha[::-1])
-            keep = result.src < S
-            src, dst = result.src[keep], result.dst[keep]
+            keep = rows.src < S
+            src, dst = rows.src[keep], rows.dst[keep]
             at_edges = alpha[src, dst]
             alpha.fill(0.0)
             alpha[src, dst] = at_edges
@@ -420,7 +423,7 @@ def backward_cascade(result: CascadeForwardResult, model: Model,
     Q, dc = np.empty((2, 2, d)), np.empty(d)
     dhx, Q_c, Q_p, Q_q = Q[0].reshape(2 * d), Q[1], Q[:, 0], Q[:, 1]
     acc, share, back = np.zeros((2, d)), np.empty((2, d)), np.empty((2, d))
-    ptr, prec_pos = result.prec_ptr.tolist(), result.prec_pos
+    ptr, prec_pos = rows.prec_ptr.tolist(), rows.prec_pos
 
     for pos in range(T - 1, -1, -1):
         row = dS[pos]
@@ -450,7 +453,7 @@ def backward_cascade(result: CascadeForwardResult, model: Model,
     # Both forget-gate rows of dz feed the shared W_f / b_f block.
     DZ4 = np.concatenate((DZ[:, :2 * d], DZ[:, 3 * d:]), axis=1)
     DZ4[:, d:2 * d] += DZ[:, 2 * d:3 * d]
-    out.fused("Wx")[:, np.asarray(result.cascade.nodes, dtype=np.intp)] += DZ4.T
+    out.fused("Wx")[:, rows.nodes] += DZ4.T
     gb = out.fused("b")
     gb += DZ4.sum(axis=0)
     return out

@@ -91,7 +91,8 @@ def objective(model: Model, graph: DataGraph, cascades: Sequence[Cascade],
     """Mean per-step negative log-likelihood plus lam * sum of squared L2 norms.
 
     With ``grads``, the store is zeroed and, when the value is finite,
-    receives its exact gradient.
+    receives its exact gradient.  A non-finite cell state or softmax row
+    raises NumericError.
     """
     cascades, _ = drop_short(cascades, "objective")
     if not cascades:
@@ -172,8 +173,9 @@ def train(graph: DataGraph, train_cascades: Sequence[Cascade],
     Batches shuffle under the config seed; early stopping fires after
     ``patience`` epochs without validation improvement.  Without a
     validation set the training loss is monitored instead.  A non-finite
-    loss, cell state or parameter norm raises DivergenceError with the report,
-    as does a batch whose mean NLL per step is over DIVERGED_NLL * log(node count).
+    loss, softmax row, cell state or parameter norm raises DivergenceError
+    with the report, as does a batch whose mean NLL per step is over
+    DIVERGED_NLL * log(node count).
     """
     train_cascades, dropped = drop_short(train_cascades, "training set")
     val_cascades, dropped_val = drop_short(val_cascades, "validation set")
@@ -188,7 +190,8 @@ def train(graph: DataGraph, train_cascades: Sequence[Cascade],
 
     def guarded_objective(table, batch, lam, out=None):
         """``_objective`` with float overflow read as divergence: no float
-        warning escapes, and a non-finite cell raises DivergenceError."""
+        warning escapes, and a non-finite cell or softmax row raises
+        DivergenceError."""
         try:
             with np.errstate(over="ignore", invalid="ignore"):
                 return _objective(model, graph, table, batch, lam, out)

@@ -41,10 +41,10 @@ def random_cascade(rng, node_count, length):
     return Cascade(tuple(int(x) for x in perm))
 
 
-def precedent_rows(result):
-    """The precedent positions of every step, as lists, from the result's CSR."""
-    ptr = result.prec_ptr.tolist()
-    return [result.prec_pos[ptr[r]:ptr[r + 1]].tolist() for r in range(len(ptr) - 1)]
+def precedent_rows(rows):
+    """The precedent positions of every step, as lists, from a ``CascadeRows``' CSR."""
+    ptr = rows.prec_ptr.tolist()
+    return [rows.prec_pos[ptr[r]:ptr[r + 1]].tolist() for r in range(len(ptr) - 1)]
 
 
 def edge_probs(graph, mapping):

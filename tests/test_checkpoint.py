@@ -173,10 +173,20 @@ class TestMalformed:
     @pytest.mark.parametrize("blob", [b"\xff\xfe{", b"{not json", b"[1, 2]", b'"x"',
                                       b'{"config": 3}', b'{"config": {"hidden_dim": 1e999}}',
                                       {"hidden_dim": 4.9}, {"hidden_dim": "4"},
-                                      {"node_count": 6.0}, {"node_count": True}])
+                                      {"node_count": 6.0}, {"node_count": True},
+                                      ("labels", "abcdef"), ("labels", [0, 1, 2, 3, 4, 5]),
+                                      ("labels", list("abcdea"))])
     def test_corrupt_header(self, data, tmp_path, blob):
         # A dict edits the saved model's config: a size that is no JSON integer
-        # is refused, even where int() would give the saved one back.
+        # is refused, even where int() would give the saved one back.  A
+        # ("labels", value) pair replaces the label table, which must be a
+        # list of node_count distinct strings.
+        if isinstance(blob, tuple):
+            header, payload = split(data)
+            header["labels"] = blob[1]
+            with pytest.raises(CheckpointError, match="label table must be a list of 6 distinct"):
+                self._load(tmp_path, join(header, payload))
+            return
         if isinstance(blob, dict):
             header, payload = split(data)
             header["config"].update(blob)

@@ -134,6 +134,13 @@ class TestOutAdjacency:
             DataGraph(("a", "b"), [0, 1, 1], row)
         DataGraph(("a", "b"), [0, 1, 1], [1])
 
+    def test_constructor_refuses_a_repeated_label(self):
+        # Two nodes labelled "a" would be saved as the self-loop "a a".
+        with pytest.raises(ValueError, match="labels must be distinct"):
+            DataGraph.from_edges(3, [(0, 1), (1, 2)], labels=("a", "a", "b"))
+        with pytest.raises(ValueError, match="labels must be distinct"):
+            DataGraph(("a", "b", "a"), [0, 1, 1, 1], [1])
+
     def test_edgeless_and_empty(self):
         for g in (DataGraph.from_edges(3, []), load_graph("")):
             assert g.out_ptr.tolist() == [0] * (g.node_count + 1) and g.out_idx.size == 0
@@ -391,7 +398,7 @@ class TestCascade:
 def index_rows(graph, cascade):
     """The production CSR precedent index of a cascade, one row per activation."""
     model = Model.initialize(ModelConfig(1, graph.node_count), np.random.default_rng(0))
-    return precedent_rows(forward_cascade(model, graph, cascade, compute_loss=False))
+    return precedent_rows(forward_cascade(model, graph, cascade, compute_loss=False).rows)
 
 
 def assert_view_matches_oracle(graph, cascade, view, t):

@@ -214,7 +214,7 @@ class TestAggregate:
         rng = np.random.default_rng(6)
         graph = DataGraph.from_edges(3, [(1, 0), (0, 1)])
         result = self._forward(rng, graph, Cascade((0, 1)), 2)
-        assert precedent_rows(result) == [[], [0]]
+        assert precedent_rows(result.rows) == [[], [0]]
         np.testing.assert_array_equal(result.HX[0], np.zeros(4))
 
 
@@ -370,6 +370,19 @@ class TestScoreBlock:
         assert without_precedents > 0
         assert not topos[6].precedents(late)
 
+    @pytest.mark.parametrize("mode", SCORE_MODES)
+    def test_non_finite_row_raises_naming_step_and_first_node(self, mode):
+        # A node scored +inf makes the softmax NaN at every step it is inactive.
+        graph, cascade, model = random_instance(np.random.default_rng(54), mode=mode)
+        outside = next(v for v in range(graph.node_count) if v not in cascade.nodes)
+        model.params["b_act"][outside] = np.inf
+        where = f"of the cascade from node {cascade[0]}$"
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(NumericError, match=f"non-finite probabilities at step 2 {where}"):
+                objective(model, graph, [cascade], 0.0)
+            with pytest.raises(NumericError, match=f"non-finite probabilities at step 4 {where}"):
+                predict_next(model, graph, Cascade(cascade.nodes[:3]))
+
     @pytest.mark.parametrize("mode, total_loss, grad_norm", [
         ("all-active", 1486.8297286718043, 36.662871031057456),
         ("precedent-only", 1485.872664431533, 36.87909090781418),
@@ -403,8 +416,10 @@ class TestTableSlices:
         for i in picked:
             alone = forward_cascade(model, graph, split[i])
             sliced = forward_cascade(model, graph, split[i], rows=table.rows(i))
-            for name in ("H", "C", "A", "HX", "CX", "losses", "probs", "prec_ptr", "prec_pos"):
+            for name in ("H", "C", "A", "HX", "CX", "losses", "probs"):
                 assert np.array_equal(getattr(sliced, name), getattr(alone, name)), name
+            for name, got, want in zip(sliced.rows._fields, sliced.rows, alone.rows):
+                assert np.array_equal(got, want), name
             assert np.array_equal(backward_cascade(sliced, model).flat,
                                   backward_cascade(alone, model).flat)
 
@@ -414,8 +429,8 @@ class TestPrecedentIndex:
         model = Model.initialize(ModelConfig(2, graph.node_count), rng)
         result = forward_cascade(model, graph, cascade, compute_loss=False)
         pos = {v: i for i, v in enumerate(cascade.nodes)}
-        assert result.prec_ptr[0] == 0
-        assert precedent_rows(result) == [
+        assert result.rows.prec_ptr[0] == 0
+        assert precedent_rows(result.rows) == [
             [pos[u] for u in oracle.precedents(graph, cascade, t, v)]
             for t, v in enumerate(cascade.nodes, start=1)]
         return result
@@ -434,7 +449,7 @@ class TestPrecedentIndex:
         g = DataGraph.from_edges(4, [(1, 0), (2, 0), (0, 3), (1, 2)])
         result = self._check_against_oracle(g, Cascade((0, 1, 2, 3)),
                                             np.random.default_rng(41))
-        assert precedent_rows(result) == [[], [], [1], [0]]
+        assert precedent_rows(result.rows) == [[], [], [1], [0]]
 
     def test_one_table_matches_the_oracle_for_every_cascade(self):
         rng = np.random.default_rng(43)
@@ -482,7 +497,7 @@ class TestPrecedentIndex:
         model = perturbed_model(ModelConfig(4, graph.node_count, mode), rng)
         result = forward_cascade(model, graph, cascade)
         d = model.config.hidden_dim
-        for row, prec in enumerate(precedent_rows(result)):
+        for row, prec in enumerate(precedent_rows(result.rows)):
             rest = sorted(set(range(row)) - set(prec))
             for got, S in ((result.HX[row], result.H), (result.CX[row], result.C)):
                 want = np.zeros(2 * d)
