@@ -18,8 +18,7 @@ from .graph import (Cascade, DataGraph, load_cascades, load_cascades_file,
                     load_graph, load_graph_file)
 from .model import (Model, ModelConfig, backward_cascade, forward_cascade,
                     predict_next)
-from .numeric import (Adam, FdCheckResult, GradientStore, ParameterStore,
-                      finite_difference_check)
+from .numeric import Adam, GradientStore, ParameterStore
 from .training import TrainConfig, TrainReport, objective, split_dataset, train
 from .version import TOOL_VERSION
 

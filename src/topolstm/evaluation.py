@@ -95,9 +95,9 @@ def evaluate(scorer, cascades: Sequence[Cascade], ks: Iterable[int] = DEFAULT_KS
     t = 2..T, a triple (candidate ids ascending, scores aligned with them,
     target id).  Sums run in instance order, so reordering the cascades can
     change a mean in its last bits.  A scorer with ``nll_sum`` and ``nll_steps``
-    gets its mean per-step NLL reported.  ``workers`` has one legal value, 1:
-    evaluation runs on one thread, and the keyword stays only because the
-    benchmark harness passes ``workers=1``.
+    has both zeroed, then gets its mean per-step NLL over this call reported.
+    ``workers`` has one legal value, 1: evaluation runs on one thread, and the
+    keyword stays only because the benchmark harness passes ``workers=1``.
     """
     if workers != 1:
         raise ValueError("workers must be 1: evaluation runs on one thread")
@@ -110,6 +110,8 @@ def evaluate(scorer, cascades: Sequence[Cascade], ks: Iterable[int] = DEFAULT_KS
     if not cascades:
         raise ValueError("empty test set")
 
+    if hasattr(scorer, "nll_steps"):
+        scorer.nll_sum, scorer.nll_steps = 0.0, 0
     ranks, lengths = [], []
     for cascade in cascades:
         steps = scorer.step_scores(cascade)
@@ -144,7 +146,7 @@ class ModelScorer:
     def __init__(self, model: Model, graph: DataGraph):
         self.model = model
         self.graph = graph
-        self.nll_sum, self.nll_steps = 0.0, 0   # over every step scored so far
+        self.nll_sum, self.nll_steps = 0.0, 0   # since evaluate last zeroed them
 
     def step_scores(self, cascade: Cascade):
         result = forward_cascade(self.model, self.graph, cascade)   # raises on unusable scores

@@ -289,7 +289,8 @@ def forward_cascade(model: Model, graph: DataGraph, cascade: Cascade,
                     ) -> CascadeForwardResult:
     """Run the cell over a cascade in activation order.
 
-    ``rows`` is the cascade's slice of a ``CascadeTable``; without it, a
+    ``rows`` is the cascade's slice of a ``CascadeTable`` over ``graph``,
+    whose node count must be the model's (else ValueError); without it, a
     one-cascade table is built from ``cascade``, which is read for nothing
     else.  The loop runs only the cell: the precedent aggregates sum the
     precedents' state rows once for h and c, and the other-active aggregates
@@ -298,6 +299,8 @@ def forward_cascade(model: Model, graph: DataGraph, cascade: Cascade,
     prediction steps as one block, step t against the state *before* v_t
     activates, with the negative log-probability of v_t as its loss.
     """
+    if model.config.node_count != graph.node_count:
+        raise ValueError(f"model has {model.config.node_count} nodes, graph {graph.node_count}")
     if rows is None:
         rows = CascadeTable(graph, [cascade]).rows(0)
     nodes, prec_ptr, prec_pos = rows.nodes, rows.prec_ptr, rows.prec_pos
@@ -362,7 +365,8 @@ def backward_cascade(result: CascadeForwardResult, model: Model,
     the fan-out of every sender state into all later aggregates and all
     later scoring steps.  The scoring gradients of all steps come first, as
     whole-cascade array operations on the result's probability block; the
-    loop then carries only the cell.  Step t's gradient [dh | dc] is one
+    loop then carries only the cell, every row from T-2 down to 0 (row T-1
+    feeds no score and no earlier row).  Step t's gradient [dh | dc] is one
     (2, d) row; from its gate derivatives dz, U^T dz and [f_p; f_q] * dc
     fill one block Q = [[dh_p, dh_q], [dc f_p, dc f_q]].  Q's q column over
     the other-active count is added to one running [acc_h; acc_c] owed to
@@ -425,11 +429,9 @@ def backward_cascade(result: CascadeForwardResult, model: Model,
     acc, share, back = np.zeros((2, d)), np.empty((2, d)), np.empty((2, d))
     ptr, prec_pos = rows.prec_ptr.tolist(), rows.prec_pos
 
-    for pos in range(T - 1, -1, -1):
+    for pos in range(T - 2, -1, -1):
         row = dS[pos]
         row += acc
-        if not np.count_nonzero(row):
-            continue
         dh = row[0]
         np.multiply(dh, dc_dh[pos], out=dc)
         dc += row[1]

@@ -97,15 +97,13 @@ def objective(model: Model, graph: DataGraph, cascades: Sequence[Cascade],
     cascades, _ = drop_short(cascades, "objective")
     if not cascades:
         raise ValueError("no cascade contributes prediction steps")
-    return _objective(model, graph, CascadeTable(graph, cascades), range(len(cascades)),
-                      lam, grads)[0]
+    return _objective(model, CascadeTable(graph, cascades), range(len(cascades)), lam, grads)[0]
 
 
-def _objective(model: Model, graph: DataGraph, table: CascadeTable, batch: Sequence[int],
-               lam: float, grads: GradientStore | None = None
-               ) -> tuple[float, float, int]:
+def _objective(model: Model, table: CascadeTable, batch: Sequence[int], lam: float,
+               grads: GradientStore | None = None) -> tuple[float, float, int]:
     """(objective, summed NLL, step count) over the cascades of ``table``
-    that ``batch`` indexes, in batch order.
+    that ``batch`` indexes, in batch order, on the graph the table was built on.
 
     Every cascade must have length >= 2.  With ``grads``, the store is
     zeroed and, when the objective is finite, receives its exact gradient.
@@ -116,12 +114,11 @@ def _objective(model: Model, graph: DataGraph, table: CascadeTable, batch: Seque
         grads.fill(0.0)
     total, steps = 0.0, 0
     for i in batch:
-        cascade = table.cascades[i]
-        result = forward_cascade(model, graph, cascade, rows=table.rows(i))
+        result = forward_cascade(model, table.graph, table.cascades[i], rows=table.rows(i))
         if grads is not None:
             backward_cascade(result, model, out=grads)
         total += result.total_loss
-        steps += len(cascade) - 1
+        steps += result.losses.size
         del result   # its (T-1) x m block must not outlive the turn
     value = total / steps
     if lam:
@@ -194,7 +191,7 @@ def train(graph: DataGraph, train_cascades: Sequence[Cascade],
         DivergenceError."""
         try:
             with np.errstate(over="ignore", invalid="ignore"):
-                return _objective(model, graph, table, batch, lam, out)
+                return _objective(model, table, batch, lam, out)
         except NumericError as exc:
             raise DivergenceError(f"{exc} in epoch {epoch}", report=report) from None
 

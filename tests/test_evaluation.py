@@ -315,6 +315,22 @@ class TestModelScorerIntegration:
         assert table.to_json_dict()["mean_nll"] is None
         assert table.text_rows()[-1].split() == ["NLL", "per", "step", "null"]
 
+    @pytest.mark.parametrize("mode", ["all-active", "precedent-only"])
+    def test_reused_scorer_reports_the_nll_of_its_own_call(self, mode):
+        # The NLL totals restart at every evaluate call, so a scorer that
+        # scored other cascades before reports a fresh scorer's bits.
+        rng = np.random.default_rng(59)
+        m = 14
+        graph = random_graph(rng, m, 3 * m)
+        cascades = [random_cascade(rng, m, int(rng.integers(2, 9))) for _ in range(12)]
+        model = Model.initialize(ModelConfig(4, m, mode), rng)
+        scorer = ModelScorer(model, graph)
+        evaluate(scorer, cascades[:4], ks=(1, 5))
+        reused = evaluate(scorer, cascades[4:], ks=(1, 5))
+        fresh = evaluate(ModelScorer(model, graph), cascades[4:], ks=(1, 5))
+        assert reused.mean_nll == fresh.mean_nll
+        assert reused.values == fresh.values
+
     def test_mean_nll_is_the_models_and_stays_out_of_values(self, tmp_path):
         rng = np.random.default_rng(58)
         m = 14

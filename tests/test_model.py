@@ -6,7 +6,7 @@ import pytest
 
 import oracle
 from topolstm.datagen import PRESETS, generate_dataset, generate_graph
-from topolstm.evaluation import ModelScorer, target_rank
+from topolstm.evaluation import ModelScorer, evaluate, target_rank
 from topolstm.errors import DataError, NumericError, ShapeError
 from topolstm.graph import Cascade, CascadeTable, DataGraph, build_topologies
 from topolstm.model import (SCORE_MODES, CellState, Model, ModelConfig, U_BLOCKS,
@@ -14,7 +14,7 @@ from topolstm.model import (SCORE_MODES, CellState, Model, ModelConfig, U_BLOCKS
                             score_inactive)
 from topolstm.numeric import (ParameterStore, finite_difference_check, softmax,
                               softmax_over_subset)
-from topolstm.training import objective, split_dataset
+from topolstm.training import TrainConfig, objective, split_dataset, train
 
 from conftest import blas_thread_readings, precedent_rows, random_cascade, random_graph
 
@@ -333,6 +333,27 @@ class TestForwardCascade:
         model = Model.initialize(ModelConfig(2, 3), np.random.default_rng(0))
         with pytest.raises(DataError):
             forward_cascade(model, g, Cascade((0, 5)))
+
+    @pytest.mark.parametrize("offset", [5, -5])
+    @pytest.mark.parametrize("entry", ["train", "objective", "evaluate", "predict_next"])
+    def test_model_and_graph_of_different_sizes_are_refused(self, entry, offset):
+        # Every entry point meets the graph in forward_cascade, which refuses
+        # a model with more or fewer nodes than the graph.
+        rng = np.random.default_rng(16)
+        m = 20
+        graph = random_graph(rng, m, 3 * m)
+        cascades = [random_cascade(rng, m, m) for _ in range(4)]
+        config = ModelConfig(3, m + offset)
+        model = Model.initialize(config, rng)
+        calls = {
+            "train": lambda: train(graph, cascades[:3], cascades[3:], TrainConfig(max_epochs=1),
+                                   config),
+            "objective": lambda: objective(model, graph, cascades, 0.0),
+            "evaluate": lambda: evaluate(ModelScorer(model, graph), cascades),
+            "predict_next": lambda: predict_next(model, graph, Cascade(cascades[0].nodes[:3])),
+        }
+        with pytest.raises(ValueError, match=f"model has {m + offset} nodes, graph {m}$"):
+            calls[entry]()
 
 
 class TestScoreBlock:
