@@ -45,10 +45,6 @@ class EdgeProbabilities:
             e = bad[0]
             raise ValueError(f"probability {p[e]} for edge ({src[e]}, {dst[e]}) outside [0, 1]")
 
-    def get(self, u: int, v: int) -> float:
-        e = self.graph.edge_id(u, v)
-        return float(self.p[e]) if e >= 0 else 0.0
-
     def save(self, path, header: str | None = None) -> None:
         """One 'u v p' line per edge, in CSR edge order."""
         src, dst = self.graph.edge_pairs()
@@ -61,7 +57,7 @@ class EdgeProbabilities:
         """Read 'u v p' lines; an edge the file does not name gets p = 0.
         The first bad line raises DataError, checked in this order: its
         field count, its labels (u first), its edge, then p."""
-        fields, ptr, lineno = read_records(Path(path).read_text(encoding="utf-8"))
+        fields, ptr, lineno = read_records(Path(path).read_text(encoding="utf-8-sig"))
         short = np.flatnonzero(np.diff(ptr) != 3)
         k = short[0] if short.size else lineno.size       # records before k have 3 fields
         get = graph.label_index.get
@@ -129,7 +125,8 @@ def icsb_score(probs: EdgeProbabilities,
             continue
         stay_quiet = 1.0
         for u in topo.precedents(v):
-            stay_quiet *= 1.0 - probs.get(u, v)
+            e = probs.graph.edge_id(u, v)
+            stay_quiet *= 1.0 - (float(probs.p[e]) if e >= 0 else 0.0)
         scores[v] = 1.0 - stay_quiet
     return scores
 

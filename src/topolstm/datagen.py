@@ -80,20 +80,16 @@ def generate_graph(config: SynthConfig,
     model = config.graph_model
 
     if model == "chain":
-        edges = [(i, i + 1) for i in range(n - 1)]
-        return DataGraph.from_edges(n, edges)
+        return DataGraph.from_edges(n, np.column_stack((np.arange(n - 1), np.arange(1, n))))
 
     if model == "grid":
         rows = max(1, int(math.isqrt(n)))
         cols = math.ceil(n / rows)
-        edges = []
-        for a in range(n):
-            r, c = divmod(a, cols)
-            for b in (a + 1 if c + 1 < cols else -1, a + cols):
-                if 0 <= b < n:
-                    edges.append((a, b))
-                    edges.append((b, a))
-        return DataGraph.from_edges(n, edges)
+        a = np.arange(n)
+        right = a[(a % cols + 1 < cols) & (a + 1 < n)]
+        down = a[a + cols < n]
+        pairs = np.column_stack((np.append(right, down), np.append(right + 1, down + cols)))
+        return DataGraph.from_edges(n, np.concatenate((pairs, pairs[:, ::-1])))
 
     if model == "uniform-random-edges":
         possible = n * (n - 1)
@@ -103,12 +99,8 @@ def generate_graph(config: SynthConfig,
             raise ConfigError(
                 f"{target} edges requested but only {possible} are possible")
         flat = rng.choice(possible, size=target, replace=False)
-        edges = []
-        for idx in sorted(int(x) for x in flat):
-            u, rest = divmod(idx, n - 1)
-            v = rest + (rest >= u)
-            edges.append((u, v))
-        return DataGraph.from_edges(n, edges)
+        u, rest = np.divmod(flat, n - 1)
+        return DataGraph.from_edges(n, np.column_stack((u, rest + (rest >= u))))
 
     # preferential attachment, both directions so diffusion can reach new nodes
     c = int(config.edge_param)
@@ -125,7 +117,7 @@ def generate_graph(config: SynthConfig,
             edges.add((t, new))
             repeated.append(t)
         repeated.extend([new] * c)
-    return DataGraph.from_edges(n, sorted(edges))
+    return DataGraph.from_edges(n, edges)
 
 
 def assign_edge_probs(graph: DataGraph, activation_prob,

@@ -241,7 +241,7 @@ def load_graph(text: str, undirected: bool = False) -> DataGraph:
 
 
 def load_graph_file(path, undirected: bool = False) -> DataGraph:
-    return load_graph(Path(path).read_text(encoding="utf-8"), undirected=undirected)
+    return load_graph(Path(path).read_text(encoding="utf-8-sig"), undirected=undirected)
 
 
 def save_graph_file(path, graph: DataGraph, header: str | None = None) -> None:
@@ -403,7 +403,7 @@ def load_cascades(text: str, graph: DataGraph) -> list[Cascade]:
 
 
 def load_cascades_file(path, graph: DataGraph) -> list[Cascade]:
-    return load_cascades(Path(path).read_text(encoding="utf-8"), graph)
+    return load_cascades(Path(path).read_text(encoding="utf-8-sig"), graph)
 
 
 def save_cascades_file(path, cascades: Iterable[Cascade], graph: DataGraph,

@@ -68,7 +68,7 @@ import numpy as np
 
 from .errors import NumericError
 from .graph import Cascade, CascadeRows, CascadeTable, DataGraph, DiffusionTopology
-from .numeric import GradientStore, Layout, ParameterStore, mean_pool
+from .numeric import GradientStore, Layout, ParameterStore
 
 SCORE_MODES = ("all-active", "precedent-only")
 
@@ -220,14 +220,15 @@ def score_inactive(states: Mapping[int, CellState], topo: DiffusionTopology,
     active = set(prefix)
     scores: dict[int, float] = {}
     if model.config.score_mode == "all-active":
-        pooled = mean_pool([states[v].h for v in prefix], d)
+        pooled = np.mean([states[v].h for v in prefix], axis=0)
         for v in range(model.config.node_count):
             if v not in active:
                 scores[v] = float(G[v] @ pooled + b[v])
     else:
         for v in range(model.config.node_count):
             if v not in active:
-                pooled = mean_pool([states[u].h for u in topo.precedents(v)], d)
+                hs = [states[u].h for u in topo.precedents(v)]
+                pooled = np.mean(hs, axis=0) if hs else np.zeros(d)
                 scores[v] = float(G[v] @ pooled + b[v])
     return scores
 

@@ -1,6 +1,6 @@
 """Dense numeric substrate: named parameter slots over one flat vector, the
-small set of operations the model needs, the Adam optimizer, and a
-central-difference gradient checker.
+Adam optimizer, and the reference subset softmax and central-difference
+gradient checker.
 
 Everything is float64.  Gradients for the model are hand-derived elsewhere;
 this module only provides the carriers and the verification tooling.
@@ -10,15 +10,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping
 
 import numpy as np
 
 from .errors import NumericError, ShapeError
 
 __all__ = [
-    "Layout", "ParameterStore", "GradientStore", "mean_pool",
-    "softmax", "softmax_over_subset", "Adam",
+    "Layout", "ParameterStore", "GradientStore", "softmax_over_subset", "Adam",
     "FdCheckResult", "finite_difference_check",
 ]
 
@@ -150,17 +149,6 @@ class ParameterStore:
         # einsum, not np.dot: BLAS rounds its dot differently per thread count.
         return float(np.einsum("i,i->", self.flat, self.flat))
 
-    def flat_coordinate(self, k: int) -> tuple[str, tuple]:
-        """Map a coordinate in [0, total_size), counted slot by slot in name
-        order, to (slot name, multi-index)."""
-        if not (0 <= k < self.total_size):
-            raise IndexError(k)
-        for name, arr in self._slots.items():
-            if k < arr.size:
-                return name, np.unravel_index(k, arr.shape)
-            k -= arr.size
-        raise AssertionError("unreachable")
-
     def check_finite(self) -> None:
         """Raise NumericError naming the first slot that holds a non-finite value."""
         if not np.isfinite(self.flat).all():
@@ -172,25 +160,8 @@ class ParameterStore:
 GradientStore = ParameterStore
 
 
-def mean_pool(vectors: Sequence[np.ndarray], dim: int) -> np.ndarray:
-    """Elementwise mean; the empty collection pools to the zero vector."""
-    if len(vectors) == 0:
-        return np.zeros(dim)
-    for i, v in enumerate(vectors):
-        if v.shape != (dim,):
-            raise ShapeError(f"vector {i}: expected shape ({dim},), got {v.shape}")
-    return np.mean(vectors, axis=0)
-
-
-def softmax(values: np.ndarray) -> np.ndarray:
-    """Max-shifted softmax over a 1-d array."""
-    shifted = values - np.max(values)
-    e = np.exp(shifted)
-    return e / e.sum()
-
-
 def softmax_over_subset(scores: Mapping[int, float], subset) -> dict[int, float]:
-    """Probability of each subset member under a softmax of its score."""
+    """Probability of each subset member under a max-shifted softmax of its score."""
     nodes = sorted(subset)
     if not nodes:
         raise ValueError("softmax over an empty subset")
@@ -198,7 +169,8 @@ def softmax_over_subset(scores: Mapping[int, float], subset) -> dict[int, float]
         vals = np.array([scores[v] for v in nodes], dtype=np.float64)
     except KeyError as exc:
         raise ValueError(f"no score for node {exc.args[0]}") from None
-    return dict(zip(nodes, softmax(vals)))
+    e = np.exp(vals - np.max(vals))
+    return dict(zip(nodes, e / e.sum()))
 
 
 class Adam:
@@ -280,8 +252,12 @@ def finite_difference_check(loss_fn: Callable[[ParameterStore], float],
 
     result = FdCheckResult(-1.0, "", (), 0.0, 0.0, n)
     for k in coords:
-        name, idx = params.flat_coordinate(int(k))
-        arr = params[name]
+        k = int(k)
+        for name, arr in params.items():    # k counts slot by slot, in name order
+            if k < arr.size:
+                break
+            k -= arr.size
+        idx = np.unravel_index(k, arr.shape)
         saved = arr[idx]
         arr[idx] = saved + h
         loss_plus = loss_fn(params)

@@ -243,7 +243,7 @@ def load_edge_probabilities(path, graph):
     """``EdgeProbabilities.load`` one line at a time."""
     p = np.zeros(graph.edge_count)
     given = np.zeros(graph.edge_count, dtype=bool)
-    for lineno, _, parts in records(Path(path).read_text(encoding="utf-8")):
+    for lineno, _, parts in records(Path(path).read_text(encoding="utf-8-sig")):
         if len(parts) != 3:
             raise DataError(f"probabilities line {lineno}: expected 'u v p'")
         try:

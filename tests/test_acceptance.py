@@ -128,6 +128,7 @@ def test_04_cell_equation_fidelity(running_example):
         assert topos[1].precedents(1) == (0,)     # second activation <- first
         assert topos[2].precedents(2) == (0, 1)   # third <- first two
         assert topos[3].precedents(3) == ()       # fourth is unreachable
+        assert index_rows(graph, cascade) == [[], [0], [0, 1], []]   # the same, as positions
 
 
 @pytest.mark.slow
@@ -221,12 +222,16 @@ def test_08_icsb_fidelity():
         probs = edge_probs(g, p_vals)
         for t, prefix in ((2, (0,)), (3, (0, 1)), (4, (0, 1, 2)),
                           (5, (0, 1, 2, 3))):
-            topo = build_topologies(g, Cascade(prefix + (4,)))[t - 1]
+            cascade = Cascade(prefix + (4,))
+            topo = build_topologies(g, cascade)[t - 1]
             expected = 1.0
             for u in prefix:
                 expected *= 1.0 - p_vals[(u, 4)]
             scores = icsb_score(probs, topo)
             assert scores[4] == pytest.approx(1.0 - expected, abs=1e-12)
+            cand, step, target = list(ICSBScorer(g, probs).step_scores(cascade))[-1]
+            assert target == 4
+            assert step[cand.tolist().index(4)] == pytest.approx(1.0 - expected, abs=1e-12)
 
 
 def test_09_reproducibility(tmp_path):

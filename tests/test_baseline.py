@@ -46,12 +46,12 @@ class TestFitStaticBernoulli:
                     Cascade((1, 0)), Cascade((2,))]
         probs = fit_static_bernoulli(g, cascades)
         # node 0 active in 4 cascades; node 1 follows it in 2 of them
-        assert probs.get(0, 1) == pytest.approx(0.5)
+        assert probs.p[g.edge_id(0, 1)] == pytest.approx(0.5)
 
     def test_source_never_active_gives_zero(self):
         g = DataGraph.from_edges(3, [(2, 0)])
         probs = fit_static_bernoulli(g, [Cascade((0, 1))])
-        assert probs.get(2, 0) == 0.0
+        assert probs.p[g.edge_id(2, 0)] == 0.0
 
     def test_matches_recount_oracle(self):
         rng = np.random.default_rng(30)
@@ -225,4 +225,4 @@ class TestEdgeProbabilitiesIO:
         path.write_text("1 2 0.75\n")
         probs = EdgeProbabilities.load(path, g)
         assert probs.p.tolist() == [0.0, 0.75, 0.0]
-        assert probs.get(1, 2) == 0.75 and probs.get(0, 1) == probs.get(0, 2) == 0.0
+        assert prob_dict(probs) == {(0, 1): 0.0, (1, 2): 0.75, (2, 0): 0.0}

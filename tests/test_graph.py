@@ -12,8 +12,8 @@ import oracle
 from topolstm.baseline import EdgeProbabilities
 from topolstm.errors import DataError
 from topolstm.graph import (Cascade, DataGraph, build_topologies, load_cascades,
-                            load_graph, load_graph_file, read_records, save_graph_file,
-                            stripped_line, write_lines)
+                            load_cascades_file, load_graph, load_graph_file, read_records,
+                            save_graph_file, stripped_line, write_lines)
 from topolstm.model import Model, ModelConfig, forward_cascade
 
 from conftest import precedent_rows, random_cascade, random_graph
@@ -243,6 +243,31 @@ class TestLoadCascades:
         g = load_graph("a b\nb c\n")
         with pytest.raises(DataError, match="line 1"):
             load_cascades("a b a\n", g)
+
+
+class TestByteOrderMark:
+    """A leading UTF-8 byte-order mark, which some editors write, is not part
+    of the file's first label."""
+
+    TEXTS = {"graph": "a b\nb c\nc a\n", "cascades": "a b c\nc a\n",
+             "probabilities": "a b 0.5\nc a 0.25\n"}
+
+    def load(self, path, kind):
+        graph = load_graph(self.TEXTS["graph"])
+        if kind == "graph":
+            loaded = load_graph_file(path)
+            return loaded.labels, csr_rows(loaded)
+        if kind == "cascades":
+            return load_cascades_file(path, graph)
+        return EdgeProbabilities.load(path, graph).p.tolist()
+
+    @pytest.mark.parametrize("kind", TEXTS)
+    def test_file_loads_the_same_with_a_leading_bom(self, tmp_path, kind):
+        loaded = []
+        for name, bom in (("plain.txt", ""), ("bom.txt", "\ufeff")):
+            (tmp_path / name).write_text(bom + self.TEXTS[kind], encoding="utf-8")
+            loaded.append(self.load(tmp_path / name, kind))
+        assert loaded[0] == loaded[1]
 
 
 # Fields and separators the line reader treats specially, mixed with any

@@ -5,8 +5,7 @@ import pytest
 
 from topolstm.errors import NumericError, ShapeError
 from topolstm.numeric import (Adam, FdCheckResult, GradientStore, Layout,
-                              ParameterStore, finite_difference_check,
-                              mean_pool, softmax, softmax_over_subset)
+                              ParameterStore, finite_difference_check, softmax_over_subset)
 
 from conftest import blas_thread_readings
 
@@ -46,15 +45,6 @@ class TestParameterStore:
                 "    print(model.params.squared_l2().hex())\n")
         readings = blas_thread_readings(code)
         assert readings[0] == readings[1]
-
-    def test_flat_coordinate_roundtrip(self):
-        store = ParameterStore({"a": np.arange(6, dtype=float).reshape(2, 3),
-                                "b": np.arange(2, dtype=float)})
-        seen = []
-        for k in range(store.total_size):
-            name, idx = store.flat_coordinate(k)
-            seen.append(float(store[name][idx]))
-        assert seen == [0, 1, 2, 3, 4, 5, 0, 1]
 
 
 class TestFlatBuffer:
@@ -117,32 +107,6 @@ class TestFlatBuffer:
         store["b"][1] = np.inf
         with pytest.raises(NumericError, match="'b'"):
             store.check_finite()
-
-
-class TestMeanPool:
-    def test_arithmetic_mean(self):
-        out = mean_pool([np.array([1.0, 2.0]), np.array([3.0, 4.0])], 2)
-        np.testing.assert_allclose(out, [2.0, 3.0])
-
-    def test_empty_gives_zero_vector(self):
-        np.testing.assert_array_equal(mean_pool([], 3), np.zeros(3))
-
-    def test_singleton_identity(self):
-        v = np.array([5.0, -1.0, 0.5])
-        np.testing.assert_allclose(mean_pool([v], 3), v)
-
-    def test_permutation_invariant(self):
-        rng = np.random.default_rng(2)
-        vecs = [rng.normal(size=4) for _ in range(6)]
-        base = mean_pool(vecs, 4)
-        for _ in range(5):
-            perm = list(rng.permutation(6))
-            np.testing.assert_allclose(mean_pool([vecs[i] for i in perm], 4),
-                                       base, atol=1e-13)
-
-    def test_length_mismatch(self):
-        with pytest.raises(ShapeError):
-            mean_pool([np.zeros(2), np.zeros(3)], 2)
 
 
 class TestSoftmaxOverSubset:

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import re
 import shlex
@@ -75,3 +76,34 @@ def test_package_root_exports_no_reference_name():
     for module, name in pairs:
         assert hasattr(importlib.import_module(f"topolstm.{module}"), name), (module, name)
         assert not hasattr(topolstm, name), f"topolstm exports {name}"
+
+
+def calls_outside(tree, names):
+    """(line, name) of each call to one of ``names`` that no function or
+    class of those names encloses."""
+    found = []
+
+    def visit(node, inside):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inside = inside or node.name in names
+        if isinstance(node, ast.Call) and not inside:
+            func = node.func
+            called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if called in names:
+                found.append((node.lineno, called))
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    visit(tree, False)
+    return found
+
+
+def test_reference_paths_are_called_only_from_reference_paths():
+    # The reference names stay for the benchmark's gates and the tests; no
+    # command may come to depend on them before they are deleted.
+    names = {name for module, name in readme_reference_names() if module != "np"}
+    package = Path(topolstm.__file__).parent
+    bad = [f"{path.name}:{line} calls {name}"
+           for path in sorted(package.glob("*.py"))
+           for line, name in calls_outside(ast.parse(path.read_text(encoding="utf-8")), names)]
+    assert not bad, bad
