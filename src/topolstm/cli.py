@@ -293,6 +293,8 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_predict(args) -> int:
+    if args.top_n < 1:
+        raise DataError("--top-n must be >= 1")
     model, graph = _load_checkpoint_with_graph(args)
     ids = []
     for label in args.prefix:
@@ -300,8 +302,6 @@ def cmd_predict(args) -> int:
     if len(set(ids)) != len(ids):
         raise DataError("prefix repeats a node")
     prefix = Cascade(tuple(ids))
-    if args.top_n < 1:
-        raise DataError("--top-n must be >= 1")
     cand, probs = predict_next(model, graph, prefix)
     top = np.lexsort((cand, -probs))[: args.top_n]   # ties by ascending node id
     for v, p in zip(cand[top].tolist(), probs[top].tolist()):

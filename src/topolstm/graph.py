@@ -12,8 +12,11 @@ either still inactive or was activated later than the source.  A node's
 precedents at t are the sources of its attempt edges, so the whole DAG at
 any t follows from the graph, the activation order and t.  The model keeps
 only the precedents, as one ``CascadeTable`` per cascade list: the cascades
-end to end, with every activation's precedents.  One join finds the attempt
-edges, ``cascade_passes``, for the table and for the IC-SB fit's counts.
+end to end, with every activation's precedents.  One blocked join finds the
+attempt edges, ``cascade_passes``, for the table and for the IC-SB fit's
+counts.  A prefix run alone, or grown one activation at a time, takes the
+lone-prefix join of ``CascadeRows.extend`` instead: one lookup of its
+out-edges' targets in a node -> position array.
 ``build_topologies`` gives the same precedents as per-step views for the
 dict-based reference scorers; only the benchmark's gates call them.
 
@@ -315,12 +318,38 @@ def cascade_passes(graph: DataGraph, ptr: np.ndarray, nodes: np.ndarray, cid: np
 
 
 class CascadeRows(NamedTuple):
-    """One cascade's slice of a ``CascadeTable``, in its positions 0..T-1."""
+    """One cascade's rows in its positions 0..T-1: a ``CascadeTable`` slice,
+    or a prefix's rows from ``extend``."""
     nodes: np.ndarray
     src: np.ndarray         # out-edges: row src[e] -> node dst[e], in row order
     dst: np.ndarray
     prec_ptr: np.ndarray    # row r's precedents: prec_pos[prec_ptr[r]:prec_ptr[r + 1]]
     prec_pos: np.ndarray
+
+    def extend(self, graph: DataGraph, nodes: np.ndarray, pos: np.ndarray) -> "CascadeRows":
+        """These T0 rows followed by one row per node of ``nodes``, by the
+        lone-prefix join: ``pos`` maps every node to its position in the
+        extended prefix of T rows, T or more at the inactive ones, and new
+        row r's precedents are the rows whose out-edge points at it.  So the
+        new rows' out-edges are appended, every out-edge with
+        T0 <= pos[dst] < T and pos[dst] above its own row is kept, and those
+        are stably sorted by target row.  From ``NO_ROWS``, this gives the
+        arrays of ``CascadeTable(graph, [prefix]).rows(0)``."""
+        T0, T = self.nodes.size, self.nodes.size + nodes.size
+        row, target, _ = graph.out_edges(nodes)
+        src, dst = np.concatenate((self.src, row + T0)), np.concatenate((self.dst, target))
+        at = pos[dst]
+        link = (at >= T0) & (at < T) & (at > src)
+        at = at[link]
+        order = at.argsort(kind="stable")
+        prec_ptr = at[order].searchsorted(np.arange(T0 + 1, T + 1)) + self.prec_ptr[-1]
+        return CascadeRows(np.concatenate((self.nodes, nodes)), src, dst,
+                           np.concatenate((self.prec_ptr, prec_ptr)),
+                           np.concatenate((self.prec_pos, src[link][order])))
+
+
+# The rows of the empty prefix, which every lone prefix extends; never written.
+NO_ROWS = CascadeRows(*(np.zeros(n, np.intp) for n in (0, 0, 0, 1, 0)))
 
 
 class CascadeTable:
@@ -332,19 +361,18 @@ class CascadeTable:
     ``prec_row[prec_ptr[r]:prec_ptr[r + 1]]``, ascending.  They are the
     out-edges of ``cascade_passes`` whose target row is above their row.  A
     row's out-edges are its node's row of the graph's CSR, which ``rows``
-    reads for a cascade, so a split's table holds no edge-long array; a
-    one-cascade table keeps its cascade's from its one pass.
+    reads for a cascade, so a table holds no edge-long array.  A cascade
+    run alone needs no table: ``CascadeRows.extend`` joins it by position.
     """
 
     def __init__(self, graph: DataGraph, cascades: Sequence[Cascade]):
         self.graph, self.cascades = graph, cascades
         packed = self.ptr, self.nodes, self.cid = pack_cascades(graph, cascades)
         source, target = [np.empty(0, np.intp)], [np.empty(0, np.intp)]
-        for row, dst, at, _ in cascade_passes(graph, *packed):
+        for row, _, at, _ in cascade_passes(graph, *packed):
             link = at > row
             source.append(row[link])
             target.append(at[link])
-        self._edges = (row, dst) if len(cascades) == 1 else None
         target, source = np.concatenate(target), np.concatenate(source)
         link = target.argsort(kind="stable")
         self.prec_row = source[link]
@@ -360,7 +388,7 @@ class CascadeTable:
         a, b = self.ptr[i:i + 2].tolist()
         prec_ptr, nodes = self.prec_ptr[a:b + 1], self.nodes[a:b]
         pa, pb = prec_ptr[0], prec_ptr[-1]
-        src, dst = self._edges or self.graph.out_edges(nodes)[:2]
+        src, dst, _ = self.graph.out_edges(nodes)
         return CascadeRows(nodes, src, dst, prec_ptr - pa, self.prec_row[pa:pb] - a)
 
 

@@ -40,20 +40,28 @@ states of v's precedents (bias-only when it has none) and "all-active"
 (the default) pools every active node's state, which keeps the score
 informative when graph edges are missing.
 
-A cascade's precedents come from its slice of a ``graph.CascadeTable``, a
-CSR index over its positions: ``train()`` builds one table per split, and a
-cascade run alone gets a table of its own.  A forward is a function of the
-model and that slice, which its result keeps.  The per-step loop runs only
-the memory cell, pooling from those rows and from running state sums.  No
-score feeds back into the cell, so ``_score_rows`` scores a cascade's T-1
-steps as one (T-1) x m block, from cumulative sums over its rows, and
-``predict_next``'s step as one more row.  It is the one place that refuses
-unusable scores: a row with no finite softmax raises NumericError, so
-``objective``, evaluation and ``predict_next`` all raise on it.  The
-backward pass takes every score gradient from that block with whole-cascade
-array operations, and its reverse loop keeps only the cell's, one [dh | dc]
-gradient row per step.  A loop step costs O(|P| d) for pooling and O(d^2)
-for the cell, and nothing grows with the number of nodes active before it.
+A cascade's precedents come from a CSR index over its positions, a
+``graph.CascadeRows``: ``train()`` slices it from one ``CascadeTable`` per
+split, and a cascade run alone gets it from the lone-prefix join of
+``CascadeRows.extend``.  A forward is a function of the model and those
+rows, which its result keeps.  It runs on a ``CascadeState``: the [h | c]
+rows and their running sum, ``pos``, the rows, and the next step's running
+score sums.  A forward is the empty state extended by the whole cascade, so
+there is one cell loop, and the loop runs only the memory cell, pooling
+from the precedents' rows and from the running sum.  No score feeds back
+into the cell, so ``_score_rows`` scores a cascade's T-1 steps as one
+(T-1) x m block, from cumulative sums over its rows.  ``predict_next``
+scores the step after a prefix as one row from the state's running sums; in
+precedent-only mode these add the block's terms in the block's order, so
+the row has the block's bits.  Given a state that already holds most of the
+prefix, it runs only the new activations' cells.  Both end in
+``_normalise``, the one place that refuses unusable scores: a row with no
+finite softmax raises NumericError, so ``objective``, evaluation and
+``predict_next`` all raise on it.  The backward pass takes every score
+gradient from the block with whole-cascade array operations, and its
+reverse loop keeps only the cell's, one [dh | dc] gradient row per step.  A
+loop step costs O(|P| d) for pooling and O(d^2) for the cell, and nothing
+grows with the number of nodes active before it.
 
 Gradients are derived by hand in `backward_cascade` and verified against
 central differences in the test suite.
@@ -62,12 +70,12 @@ central differences in the test suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import NumericError
-from .graph import Cascade, CascadeRows, CascadeTable, DataGraph, DiffusionTopology
+from .errors import DataError, NumericError
+from .graph import NO_ROWS, Cascade, CascadeRows, DataGraph, DiffusionTopology
 from .numeric import GradientStore, Layout, ParameterStore
 
 SCORE_MODES = ("all-active", "precedent-only")
@@ -233,36 +241,55 @@ def score_inactive(states: Mapping[int, CellState], topo: DiffusionTopology,
     return scores
 
 
-def _all_active_pooled(H: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """Row s - lo, for s = lo..hi-1: the all-active pooled state mean(H[0..s])."""
-    return np.cumsum(H[:hi], axis=0)[lo:] / np.arange(lo + 1, hi + 1)[:, None]
+def _all_active_pooled(H: np.ndarray, S: int) -> np.ndarray:
+    """Row s, for s = 0..S-1: the all-active pooled state mean(H[0..s])."""
+    return np.cumsum(H[:S], axis=0) / np.arange(1, S + 1)[:, None]
 
 
-def _score_rows(model: Model, result: CascadeForwardResult, lo: int, hi: int
-                ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
-    """(probs, counts, losses) of the steps that see rows 0..s, s = lo..hi-1.
+def _normalise(X: np.ndarray, step: int, first: int) -> tuple[np.ndarray, np.ndarray]:
+    """Turn score rows into probabilities in place, each a softmax shifted by
+    its max; return each row's normaliser and that max.
 
-    Row s - lo of ``probs`` is the softmax of G[w] . pooled + b_act[w] over
-    the nodes inactive at that step, 0 at the active ones; pooled is the mean
-    of H[0..s] (all-active) or of w's active in-neighbours' states, counted
-    in ``counts`` with 0 read as 1 (precedent-only).  ``losses`` holds -log p
-    of the next activation for the rows that have one in the cascade.  A row
-    whose normaliser is not finite raises NumericError: a NaN or +inf score,
-    or a row of -inf scores, makes it NaN, as it makes the row's loss NaN.  A
+    Active nodes score -inf, so they get 0.  A row whose normaliser is not
+    finite raises NumericError naming its step (the first row's is
+    ``step``) and the cascade's ``first`` node: a NaN or +inf score, or a
+    row of -inf scores, makes it NaN, as it makes the row's loss NaN.  A
     target scored -inf alone only makes its loss +inf.
     """
-    config, params, nodes = model.config, model.params, result.rows.nodes
+    top = X.max(axis=1)
+    X -= top[:, None]
+    np.exp(X, out=X)
+    z = X.sum(axis=1)
+    if not np.isfinite(z).all():
+        step += int(np.isfinite(z).argmin())
+        raise NumericError(f"non-finite probabilities at step {step} of the cascade "
+                           f"from node {first}")
+    X /= z[:, None]
+    return z, top
+
+
+def _score_rows(model: Model, result: CascadeForwardResult
+                ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
+    """(probs, counts, losses) of a cascade's T-1 steps, as one block.
+
+    Row s of ``probs`` is step s + 2, which sees rows 0..s; its pooled state
+    is the mean of H[0..s] (all-active) or of w's active in-neighbours'
+    states, counted in ``counts`` with 0 read as 1 (precedent-only).
+    The scores add ``b_act`` and are -inf at the nodes active by then, and
+    ``_normalise`` makes each row a softmax; ``losses`` holds -log p of
+    each step's next activation.
+    """
+    config, params, rows = model.config, model.params, result.rows
     G, m, H = params["G"], config.node_count, result.H
-    S, counts = hi - lo, None
+    S, counts = rows.nodes.size - 1, None
     if config.score_mode == "all-active":
-        X = _all_active_pooled(H, lo, hi) @ G.T
+        X = _all_active_pooled(H, S) @ G.T
     else:
-        # Edge u -> w puts its term in cell (max(u - lo, 0), w): at most one
-        # per cell when lo = 0, and rows from hi on fall past the block.
-        # Cumulative sums over rows then give each step's sums.
-        src, dst = result.rows.src, result.rows.dst
-        cell = np.maximum(src - lo, 0) * m + dst
-        terms = np.einsum("ij,ij->i", G[dst], H[src])
+        # Edge u -> w puts its term in cell (u, w), at most one per cell,
+        # and rows from S on fall past the block.  Cumulative sums over
+        # rows then give each step's sums.
+        cell = rows.src * m + rows.dst
+        terms = np.einsum("ij,ij->i", G[rows.dst], H[rows.src])
         X, counts = (np.bincount(cell, w, S * m)[:S * m].reshape(S, m).astype(float, copy=False)
                      for w in (terms, np.ones(cell.size)))   # int64 with no edge
         np.add.accumulate(X, axis=0, out=X)
@@ -270,19 +297,146 @@ def _score_rows(model: Model, result: CascadeForwardResult, lo: int, hi: int
         np.maximum(counts, 1.0, out=counts)
         X /= counts
     X += params["b_act"]
-    # Active nodes score -inf, so the row-wise log-sum-exp gives them 0.
-    np.copyto(X, -np.inf, where=result.pos <= np.arange(lo, hi)[:, None])
-    X -= X.max(axis=1, keepdims=True)
-    targets = nodes[lo + 1:hi + 1]
-    target_shifted = X[np.arange(targets.size), targets]
-    np.exp(X, out=X)
-    z = X.sum(axis=1)
-    if not np.isfinite(z).all():
-        step = lo + 2 + int(np.isfinite(z).argmin())
-        raise NumericError(f"non-finite probabilities at step {step} of the cascade "
-                           f"from node {nodes[0]}")
-    X /= z[:, None]
-    return X, counts, np.log(z[:targets.size]) - target_shifted
+    np.copyto(X, -np.inf, where=result.pos <= np.arange(S)[:, None])
+    target = X[np.arange(S), rows.nodes[1:]]
+    z, top = _normalise(X, 2, rows.nodes[0])
+    return X, counts, np.log(z) - (target - top)
+
+
+class CascadeState:
+    """A cascade's forward pass so far, which later activations extend.
+
+    It holds the [h | c] state rows and their running sum, ``pos`` (node ->
+    position, node_count at inactive nodes), the prefix's ``CascadeRows``
+    and the next step's running score sums.  Those are the sum of H
+    (all-active), or per candidate the sum of G[w] . h_u over its active
+    in-neighbours u and their count, added row by row in the order of
+    ``_score_rows``'s ``np.bincount`` (precedent-only).  An extension runs
+    one cell per new activation and reads only the earlier rows' states.
+    The model's parameters must not change while a state is in use.
+    """
+
+    def __init__(self, model: Model, graph: DataGraph, capacity: int = 0):
+        if model.config.node_count != graph.node_count:
+            raise ValueError(f"model has {model.config.node_count} nodes, "
+                             f"graph {graph.node_count}")
+        self.model, self.graph = model, graph
+        d, m = model.config.hidden_dim, model.config.node_count
+        self.rows = NO_ROWS
+        self.pos = np.full(m, m, dtype=np.intp)
+        self.total = np.zeros(2 * d)      # the sum of the [h | c] rows
+        self.sums = self.counts = None   # precedent-only, from the first score row on
+        self.folded = 0                  # out-edges added to them
+        self._buffers = ()
+        self._grow(capacity)
+
+    def _grow(self, capacity: int) -> None:
+        """Room for ``capacity`` rows, keeping the rows so far: the (T, 2d)
+        states, (T, 2, 2, d) pooled inputs, (T, 5d) gates and (T, d) tanh(c),
+        then the views H, C, HX and CX."""
+        d, T = self.model.config.hidden_dim, self.rows.nodes.size
+        S, P = np.zeros((capacity, 2 * d)), np.zeros((capacity, 2, 2, d))
+        A, tanh_C = np.empty((capacity, 5 * d)), np.empty((capacity, d))
+        for new, old in zip((S, P, A, tanh_C), self._buffers):
+            new[:T] = old[:T]
+        self._buffers = (S, P, A, tanh_C, S[:, :d], S[:, d:],
+                         P[:, 0].reshape(capacity, 2 * d), P[:, 1].reshape(capacity, 2 * d))
+
+    def result(self) -> CascadeForwardResult:
+        """The forward result of the prefix so far, without losses; its
+        arrays are views that a later extension may leave behind."""
+        T = self.rows.nodes.size
+        _, _, A, tanh_C, H, C, HX, CX = self._buffers
+        return CascadeForwardResult(rows=self.rows, H=H[:T], C=C[:T], A=A[:T], tanh_C=tanh_C[:T],
+                                    HX=HX[:T], CX=CX[:T], pos=np.minimum(self.pos, T),
+                                    losses=np.zeros(0))
+
+    def _extend(self, nodes: Sequence[int], rows: CascadeRows | None = None) -> None:
+        """Run the cell on the activations ``nodes``, distinct and inactive.
+
+        ``rows``, a whole cascade's slice of a ``CascadeTable``, is given to
+        an empty state in place of ``nodes``; else the lone-prefix join
+        appends the new rows.  A node outside the graph raises DataError and
+        a non-finite cell NumericError, both leaving the state as it was.
+        The precedent aggregates sum the precedents' state rows once for h
+        and c, and the other-active aggregates are the running state sum
+        minus that, so a row costs O(|P| d) plus the cell.
+        """
+        d, m = self.model.config.hidden_dim, self.model.config.node_count
+        params, pos, T0 = self.model.params, self.pos, self.rows.nodes.size
+        if rows is None:
+            if nodes and not (0 <= min(nodes) and max(nodes) < m):
+                raise DataError("cascade references nodes outside the graph")
+            nodes = np.fromiter(nodes, np.intp, len(nodes))
+        else:
+            nodes = rows.nodes
+        T = T0 + nodes.size
+        pos[nodes] = np.arange(T0, T)
+        if rows is None:
+            rows = self.rows.extend(self.graph, nodes, pos)
+        prec_ptr, prec_pos = rows.prec_ptr, rows.prec_pos
+        if T > len(self._buffers[0]):
+            self._grow(max(T, 2 * len(self._buffers[0])))
+        S, P, A, tanh_C, H, C, HX, CX = self._buffers
+        # The sigmoid rows halved (module docstring); adding -0.0 leaves the
+        # c_tilde block as tanh gave it, a -0.0 included.
+        scale, shift = np.array(((0.5, 0.5, 0.5, 1.0, 0.5),
+                                 (0.5, 0.5, 0.5, -0.0, 0.5))).repeat(d, 1)
+        U = params.fused("U") * scale[:, None]
+        # Input and bias terms of the new steps' five gates, gathered at
+        # once; both forget gates read the W_f/b_f rows.
+        WB = params.fused("Wx")[:, nodes] + params.fused("b")[:, None]
+        XB = np.concatenate((WB[:2 * d], WB[d:])).T * scale
+        total, fc = self.total.copy(), np.empty(2 * d)   # running sum of S[:row]; f * c_x
+
+        for row in range(T0, T):
+            prec = prec_pos[prec_ptr[row]:prec_ptr[row + 1]]
+            rest = row - prec.size
+            sums = S[prec].sum(axis=0)
+            if prec.size:
+                np.divide(sums.reshape(2, d), prec.size, out=P[row, :, 0])
+            if rest:
+                np.subtract(total, sums, out=sums)
+                np.divide(sums.reshape(2, d), rest, out=P[row, :, 1])
+
+            a, h, c = A[row], H[row], C[row]
+            np.matmul(U, HX[row], out=a)
+            a += XB[row - T0]
+            np.tanh(a, out=a)
+            a *= scale
+            a += shift
+            np.multiply(a[d:3 * d], CX[row], out=fc)
+            np.multiply(a[:d], a[3 * d:4 * d], out=c)
+            c += fc[:d]
+            c += fc[d:]
+            np.tanh(c, out=tanh_C[row])
+            np.multiply(a[4 * d:], tanh_C[row], out=h)
+            total += S[row]
+
+        if not np.isfinite(S[T0:T]).all():
+            bad = T0 + int(np.flatnonzero(~np.isfinite(S[T0:T]).all(axis=1))[0])
+            pos[nodes] = m
+            _raise_nonfinite(int(rows.nodes[bad]), A[bad], C[bad])
+        self.rows, self.total = rows, total
+
+    def _next_scores(self) -> np.ndarray:
+        """The pooled scores of the step after the prefix, as one (1, m) row."""
+        config, rows, G = self.model.config, self.rows, self.model.params["G"]
+        d, m = config.hidden_dim, config.node_count
+        if config.score_mode == "all-active":
+            return (self.total[None, :d] / rows.nodes.size) @ G.T
+        # Add the out-edges of the rows added since the last call, in row
+        # order: np.bincount for the first, np.add.at onto the sums after.
+        src, dst = rows.src[self.folded:], rows.dst[self.folded:]
+        terms = np.einsum("ij,ij->i", G[dst], self._buffers[4][src])   # H[src]
+        if self.sums is None:
+            self.sums = np.bincount(dst, terms, m).astype(float, copy=False)  # int64 with no edge
+            self.counts = np.bincount(dst, minlength=m)
+        else:
+            np.add.at(self.sums, dst, terms)
+            np.add.at(self.counts, dst, 1)
+        self.folded = rows.src.size
+        return (self.sums / np.maximum(self.counts, 1))[None]
 
 
 def forward_cascade(model: Model, graph: DataGraph, cascade: Cascade,
@@ -291,69 +445,20 @@ def forward_cascade(model: Model, graph: DataGraph, cascade: Cascade,
     """Run the cell over a cascade in activation order.
 
     ``rows`` is the cascade's slice of a ``CascadeTable`` over ``graph``,
-    whose node count must be the model's (else ValueError); without it, a
-    one-cascade table is built from ``cascade``, which is read for nothing
-    else.  The loop runs only the cell: the precedent aggregates sum the
-    precedents' state rows once for h and c, and the other-active aggregates
-    are the running state sum minus that, so step t costs O(|P| d) plus the
-    cell.  When ``compute_loss`` is set, ``_score_rows`` then scores all T-1
-    prediction steps as one block, step t against the state *before* v_t
-    activates, with the negative log-probability of v_t as its loss.
+    and ``cascade`` is then read for nothing else; without it, the
+    lone-prefix join of ``CascadeRows.extend`` builds the rows from
+    ``cascade``.  This is the empty ``CascadeState`` extended by the whole
+    cascade: a model whose node count is not the graph's raises ValueError,
+    and a node outside the graph DataError.  When ``compute_loss`` is set, ``_score_rows`` then
+    scores all T-1 prediction steps as one block, step t against the state
+    *before* v_t activates, with the negative log-probability of v_t as its
+    loss.
     """
-    if model.config.node_count != graph.node_count:
-        raise ValueError(f"model has {model.config.node_count} nodes, graph {graph.node_count}")
-    if rows is None:
-        rows = CascadeTable(graph, [cascade]).rows(0)
-    nodes, prec_ptr, prec_pos = rows.nodes, rows.prec_ptr, rows.prec_pos
-    T = nodes.size
-    d, m = model.config.hidden_dim, model.config.node_count
-    params = model.params
-    pos = np.full(m, T, dtype=np.intp)
-    pos[nodes] = np.arange(T)
-    # The sigmoid rows halved (module docstring); adding -0.0 leaves the
-    # c_tilde block as tanh gave it, a -0.0 included.
-    scale, shift = np.array(((0.5, 0.5, 0.5, 1.0, 0.5), (0.5, 0.5, 0.5, -0.0, 0.5))).repeat(d, 1)
-    U = params.fused("U") * scale[:, None]
-    # Input and bias terms of every step's five gates, gathered at once;
-    # both forget gates read the W_f/b_f rows.
-    WB = params.fused("Wx")[:, nodes] + params.fused("b")[:, None]
-    XB = np.concatenate((WB[:2 * d], WB[d:])).T * scale
-    S, P = np.zeros((T, 2 * d)), np.zeros((T, 2, 2, d))
-    H, C, HX, CX = S[:, :d], S[:, d:], P[:, 0].reshape(T, 2 * d), P[:, 1].reshape(T, 2 * d)
-    A, tanh_C = np.empty((T, 5 * d)), np.empty((T, d))
-    total, fc = np.zeros(2 * d), np.empty(2 * d)   # running sum of S[:row]; f * c_x
-
-    for row in range(T):
-        prec = prec_pos[prec_ptr[row]:prec_ptr[row + 1]]
-        rest = row - prec.size
-        sums = S[prec].sum(axis=0)
-        if prec.size:
-            np.divide(sums.reshape(2, d), prec.size, out=P[row, :, 0])
-        if rest:
-            np.subtract(total, sums, out=sums)
-            np.divide(sums.reshape(2, d), rest, out=P[row, :, 1])
-
-        a, h, c = A[row], H[row], C[row]
-        np.matmul(U, HX[row], out=a)
-        a += XB[row]
-        np.tanh(a, out=a)
-        a *= scale
-        a += shift
-        np.multiply(a[d:3 * d], CX[row], out=fc)
-        np.multiply(a[:d], a[3 * d:4 * d], out=c)
-        c += fc[:d]
-        c += fc[d:]
-        np.tanh(c, out=tanh_C[row])
-        np.multiply(a[4 * d:], tanh_C[row], out=h)
-        total += S[row]
-
-    if not np.isfinite(S).all():
-        bad = int(np.flatnonzero(~np.isfinite(S).all(axis=1))[0])
-        _raise_nonfinite(int(nodes[bad]), A[bad], C[bad])
-    result = CascadeForwardResult(rows=rows, H=H, C=C, A=A, tanh_C=tanh_C, HX=HX, CX=CX,
-                                  pos=pos, losses=np.zeros(0))
-    if compute_loss and T >= 2:
-        result.probs, result.counts, result.losses = _score_rows(model, result, 0, T - 1)
+    state = CascadeState(model, graph, len(cascade) if rows is None else rows.nodes.size)
+    state._extend(cascade.nodes, rows)
+    result = state.result()
+    if compute_loss and result.H.shape[0] >= 2:
+        result.probs, result.counts, result.losses = _score_rows(model, result)
     return result
 
 
@@ -397,7 +502,7 @@ def backward_cascade(result: CascadeForwardResult, model: Model,
         gb_act += GV.sum(axis=0)
         if config.score_mode == "all-active":
             # Row s's d pooled = GV[s] . G / (s + 1) reaches rows 0..s.
-            gG += GV.T @ _all_active_pooled(result.H, 0, S)
+            gG += GV.T @ _all_active_pooled(result.H, S)
             DP = (GV @ G) / np.arange(1, S + 1)[:, None]
             dH[:S] += np.cumsum(DP[::-1], axis=0)[::-1]
         else:
@@ -462,17 +567,34 @@ def backward_cascade(result: CascadeForwardResult, model: Model,
     return out
 
 
-def predict_next(model: Model, graph: DataGraph, prefix: Cascade
-                 ) -> tuple[np.ndarray, np.ndarray]:
+def predict_next(model: Model, graph: DataGraph, prefix: Cascade, *,
+                 state: CascadeState | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Distribution over the next activation after an observed prefix.
 
     Returns (candidate ids ascending, probabilities): every inactive node,
-    scored by ``_score_rows`` as the one step after the prefix.
+    scored from the prefix's running score sums as one row, which
+    ``_normalise`` turns into probabilities as it does ``_score_rows``'s
+    block.  ``state``, a ``CascadeState`` of this model and graph whose
+    activations begin ``prefix`` (else ValueError), is extended by the rest
+    of ``prefix`` and kept: a client that follows a cascade passes the same
+    state with each longer prefix and pays one cell and one score row per
+    new activation.  The probabilities are the same bits either way.
     """
-    result = forward_cascade(model, graph, prefix, compute_loss=False)
+    if state is None:
+        state = CascadeState(model, graph, len(prefix))
+    elif state.model is not model or state.graph is not graph:
+        raise ValueError("state belongs to another model or graph")
+    T0 = state.rows.nodes.size
+    if state.rows.nodes.tolist() != list(prefix.nodes[:T0]):
+        raise ValueError("prefix does not begin with the state's activations")
     T = len(prefix)
-    cand = np.flatnonzero(result.pos == T)
+    if T > T0:
+        state._extend(prefix.nodes[T0:])
+    cand = np.flatnonzero(state.pos == model.config.node_count)
     if cand.size == 0:
         raise ValueError("no inactive nodes left to predict")
-    probs, _, _ = _score_rows(model, result, T - 1, T)
+    probs = state._next_scores()
+    probs += model.params["b_act"]
+    probs[0, state.rows.nodes] = -np.inf
+    _normalise(probs, T + 1, prefix[0])
     return cand, probs[0, cand]

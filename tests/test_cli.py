@@ -610,6 +610,38 @@ class TestPredict:
                          "--prefix", "0", "0"])
         assert code == 2
 
+    @pytest.mark.parametrize("top_n", ["0", "-1"])
+    def test_top_n_below_one_exit_2_before_any_file_is_read(self, tmp_path, capsys, top_n):
+        # A malformed checkpoint would exit 4, but the flag is refused first.
+        junk = tmp_path / "junk.bin"
+        junk.write_text("junk")
+        code = cli.main(["predict", "--checkpoint", str(junk), "--graph",
+                         str(tmp_path / "missing.txt"), "--prefix", "0", "--top-n", top_n])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == ["error: --top-n must be >= 1"]
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.sampled_from([str(v) for v in range(20)] + ["zzz"]), min_size=1,
+                    max_size=21))
+    def test_exit_codes_and_lines_follow_predict_next(self, data_dir, run_dir, prefix):
+        # 0 with predict_next's top three; 2 for an unknown label, a repeated
+        # one, or a prefix of every node, which leaves nothing to predict.
+        model, labels, _ = load_model(run_dir / "checkpoint.bin")
+        graph = load_graph_file(data_dir / "graph.txt")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["predict", "--checkpoint", str(run_dir / "checkpoint.bin"),
+                             "--graph", str(data_dir / "graph.txt"),
+                             *(f"--prefix={label}" for label in prefix), "--top-n", "3"])
+        if "zzz" in prefix or len(set(prefix)) < len(prefix) or len(prefix) == 20:
+            assert code == 2 and len(err.getvalue().splitlines()) == 1
+            return
+        assert code == 0
+        cand, probs = predict_next(model, graph, Cascade(tuple(map(graph.id_of, prefix))))
+        top = np.lexsort((cand, -probs))[:3]
+        assert out.getvalue().splitlines() == [f"{graph.labels[v]} {p!r}" for v, p
+                                               in zip(cand[top].tolist(), probs[top].tolist())]
+
 
 @pytest.mark.parametrize("kind", ["missing", "directory"])
 @pytest.mark.parametrize("command,flag", [

@@ -3,13 +3,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracle
 from topolstm.datagen import PRESETS, generate_dataset, generate_graph
 from topolstm.evaluation import ModelScorer, evaluate, target_rank
 from topolstm.errors import DataError, NumericError, ShapeError
 from topolstm.graph import Cascade, CascadeTable, DataGraph, build_topologies
-from topolstm.model import (SCORE_MODES, CellState, Model, ModelConfig, U_BLOCKS,
+from topolstm.model import (SCORE_MODES, CascadeState, CellState, Model, ModelConfig, U_BLOCKS,
                             backward_cascade, forward_cascade, predict_next,
                             score_inactive)
 from topolstm.numeric import ParameterStore, finite_difference_check, softmax_over_subset
@@ -691,13 +693,14 @@ class TestPredictNext:
 
     def test_same_bits_at_any_blas_thread_count(self):
         # Scores of a 1000-node graph run through matmuls large enough for
-        # OpenBLAS to split across threads; evaluate's table sums them up.
+        # OpenBLAS to split across threads; evaluate's table sums them up,
+        # and a state grown one activation at a time predicts every step.
         code = ("import hashlib\n"
                 "import numpy as np\n"
                 "from topolstm import datagen\n"
                 "from topolstm.evaluation import ModelScorer, evaluate\n"
                 "from topolstm.graph import Cascade\n"
-                "from topolstm.model import Model, ModelConfig, predict_next\n"
+                "from topolstm.model import CascadeState, Model, ModelConfig, predict_next\n"
                 "config = datagen.SynthConfig(\n"
                 "    node_count=1000, graph_model='preferential-attachment', edge_param=3,\n"
                 "    activation_prob=(0.2, 0.8), cascade_count=8, max_cascade_length=100,\n"
@@ -712,6 +715,11 @@ class TestPredictNext:
                 "            digest.update(probs.tobytes())\n"
                 "        prefix = Cascade(cascade.nodes[:len(cascade) // 2 + 1])\n"
                 "        digest.update(predict_next(model, graph, prefix)[1].tobytes())\n"
+                "        state = CascadeState(model, graph)\n"
+                "        for k in range(1, len(cascade)):\n"
+                "            prefix = Cascade(cascade.nodes[:k])\n"
+                "            _, probs = predict_next(model, graph, prefix, state=state)\n"
+                "            digest.update(probs.tobytes())\n"
                 "    table = evaluate(ModelScorer(model, graph), cascades, ks=(1, 10, 100))\n"
                 "    digest.update(repr((table.values, table.by_prefix_length,\n"
                 "                        table.mean_nll)).encode())\n"
@@ -719,3 +727,154 @@ class TestPredictNext:
         readings = blas_thread_readings(code)
         assert len(readings[0]) == 6 and int(readings[0][1]) > 50
         assert readings[0] == readings[1]
+
+
+@st.composite
+def state_instances(draw):
+    """(graph, cascade, model, cut points): a graph of up to 12 nodes, with no
+    edges at times, a cascade over it, and where a state grown along it
+    takes several activations at once."""
+    m = draw(st.integers(2, 12))
+    pairs = st.tuples(st.integers(0, m - 1), st.integers(0, m - 1)).filter(lambda e: e[0] != e[1])
+    graph = DataGraph.from_edges(m, draw(st.lists(pairs, max_size=3 * m)))
+    order = draw(st.permutations(range(m)))
+    cascade = Cascade(tuple(order[:draw(st.integers(1, m))]))
+    cuts = draw(st.lists(st.integers(1, len(cascade)), max_size=3))
+    mode = draw(st.sampled_from(SCORE_MODES))
+    model = perturbed_model(ModelConfig(draw(st.integers(1, 4)), m, mode),
+                            np.random.default_rng(draw(st.integers(0, 2 ** 16))))
+    return graph, cascade, model, sorted(set(cuts))
+
+
+FORWARD_ARRAYS = ("H", "C", "A", "tanh_C", "HX", "CX", "pos")
+
+
+def grow(model, graph, prefix, state):
+    """predict_next on ``prefix`` through ``state``, or None when the prefix
+    holds every node: the state is extended before that ValueError."""
+    try:
+        return predict_next(model, graph, prefix, state=state)
+    except ValueError as exc:
+        assert str(exc) == "no inactive nodes left to predict"
+        return None
+
+
+class TestCascadeState:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(state_instances())
+    def test_lone_prefix_rows_are_the_table_rows(self, instance):
+        graph, cascade, model, cuts = instance
+        want = CascadeTable(graph, [cascade]).rows(0)
+        alone = forward_cascade(model, graph, cascade, compute_loss=False).rows
+        state = CascadeState(model, graph)
+        for k in cuts + [len(cascade)]:
+            grow(model, graph, Cascade(cascade.nodes[:k]), state)
+        for rows in (alone, state.rows):
+            for name, got, expected in zip(want._fields, rows, want):
+                assert got.dtype == expected.dtype and np.array_equal(got, expected), name
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(state_instances())
+    def test_a_state_grown_row_by_row_gives_the_same_bits(self, instance):
+        # One state takes one activation per call, another several at the
+        # cut points; both give predict_next's bits from scratch, and the
+        # grown state holds a full forward's arrays.
+        graph, cascade, model, cuts = instance
+        grown, chunked = CascadeState(model, graph), CascadeState(model, graph)
+        for k in range(1, len(cascade) + 1):
+            prefix = Cascade(cascade.nodes[:k])
+            want = grow(model, graph, prefix, None)
+            for state in (grown, chunked) if k in cuts else (grown,):
+                got = grow(model, graph, prefix, state)
+                assert (got is None) == (want is None)
+                if want is not None:
+                    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        full = forward_cascade(model, graph, cascade, compute_loss=False)
+        got = grown.result()
+        for name in FORWARD_ARRAYS:
+            assert np.array_equal(getattr(got, name), getattr(full, name)), name
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(state_instances())
+    def test_refused_calls_leave_the_state_as_it_was(self, instance):
+        graph, cascade, model, cuts = instance
+        m, k = model.config.node_count, cuts[0] if cuts else 1
+        state = CascadeState(model, graph)
+        grow(model, graph, Cascade(cascade.nodes[:k]), state)
+        kept = [np.copy(a) for a in (*state.rows, *(getattr(state.result(), name)
+                                                      for name in FORWARD_ARRAYS))]
+        twin = DataGraph(graph.labels, graph.out_ptr, graph.out_idx)   # equal, not the same
+        first = next(v for v in range(m) if v != cascade[0])
+        refusals = [
+            (model.copy(), graph, cascade, ValueError, "state belongs to another model or graph"),
+            (model, twin, cascade, ValueError, "state belongs to another model or graph"),
+            (model, graph, Cascade((first,)), ValueError, "prefix does not begin with"),
+            (model, graph, Cascade(cascade.nodes[:k] + (m,)), DataError, "outside the graph"),
+            (model, graph, Cascade(cascade.nodes[:k] + (-1,)), DataError, "outside the graph"),
+        ]
+        if k >= 2:
+            refusals.append((model, graph, Cascade(cascade.nodes[:k - 1]), ValueError,
+                             "prefix does not begin with"))
+        for other_model, other_graph, prefix, error, message in refusals:
+            with pytest.raises(error, match=message):
+                predict_next(other_model, other_graph, prefix, state=state)
+        now = [*state.rows, *(getattr(state.result(), name) for name in FORWARD_ARRAYS)]
+        assert all(np.array_equal(a, b) for a, b in zip(kept, now))
+        grow(model, graph, cascade, state)
+        full = forward_cascade(model, graph, cascade, compute_loss=False)
+        for name in FORWARD_ARRAYS:
+            assert np.array_equal(getattr(state.result(), name), getattr(full, name)), name
+
+    @pytest.mark.parametrize("mode", SCORE_MODES)
+    def test_an_extension_computes_one_cell(self, mode):
+        # The gate and tanh(c) rows feed only the backward pass.  Poisoned
+        # with NaN in every earlier row, they stay NaN through an extension,
+        # so it recomputed no earlier cell, and its one new row is a full
+        # forward's.
+        rng = np.random.default_rng(70)
+        graph, cascade, model = random_instance(rng, m=30, d=5, T=12, mode=mode)
+        full = forward_cascade(model, graph, cascade, compute_loss=False)
+        state = CascadeState(model, graph)
+        for k in range(1, len(cascade) + 1):
+            before = state.result()
+            before.A[...] = np.nan
+            before.tanh_C[...] = np.nan
+            predict_next(model, graph, Cascade(cascade.nodes[:k]), state=state)
+            after = state.result()
+            assert np.isnan(after.A[:k - 1]).all() and np.isnan(after.tanh_C[:k - 1]).all()
+            for name in ("H", "C", "A", "tanh_C", "HX", "CX"):
+                assert np.array_equal(getattr(after, name)[k - 1], getattr(full, name)[k - 1])
+            np.testing.assert_array_equal(after.H, full.H[:k])
+
+    @pytest.mark.parametrize("mode", SCORE_MODES)
+    def test_extensions_of_several_rows_give_the_same_bits(self, mode):
+        # On a dense graph, the rows of one extension share many targets, so
+        # their precedent-only terms must be added row by row, as the block
+        # adds them, for the sums to keep their bits.
+        rng = np.random.default_rng(71)
+        graph = random_graph(rng, 40, 600)
+        cascade = random_cascade(rng, 40, 30)
+        model = perturbed_model(ModelConfig(4, 40, mode), rng)
+        state = CascadeState(model, graph)
+        for k in (1, 2, 7, 19, 30):
+            prefix = Cascade(cascade.nodes[:k])
+            got, want = predict_next(model, graph, prefix, state=state), predict_next(
+                model, graph, prefix)
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1]), k
+
+    @pytest.mark.parametrize("mode", SCORE_MODES)
+    def test_a_non_finite_cell_leaves_the_state_as_it_was(self, mode):
+        rng = np.random.default_rng(72)
+        graph, cascade, model = random_instance(rng, m=12, d=3, T=6, mode=mode)
+        bad = next(v for v in range(12) if v not in cascade.nodes)
+        model.params["W_c"][:, bad] = np.nan
+        state = CascadeState(model, graph)
+        predict_next(model, graph, Cascade(cascade.nodes[:3]), state=state)
+        with pytest.raises(NumericError, match=f"non-finite candidate cell at node {bad}$"):
+            predict_next(model, graph, Cascade(cascade.nodes[:3] + (bad,)), state=state)
+        got = predict_next(model, graph, cascade, state=state)
+        want = predict_next(model, graph, cascade)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        full = forward_cascade(model, graph, cascade, compute_loss=False)
+        for name in FORWARD_ARRAYS:
+            assert np.array_equal(getattr(state.result(), name), getattr(full, name)), name
