@@ -334,7 +334,9 @@ class CascadeRows(NamedTuple):
         new rows' out-edges are appended, every out-edge with
         T0 <= pos[dst] < T and pos[dst] above its own row is kept, and those
         are stably sorted by target row.  From ``NO_ROWS``, this gives the
-        arrays of ``CascadeTable(graph, [prefix]).rows(0)``."""
+        arrays of ``CascadeTable(graph, [prefix]).rows(0)``.  The old
+        out-edges are copied and tested again, so one call costs
+        O(out-edges of all T rows), however few ``nodes`` it adds."""
         T0, T = self.nodes.size, self.nodes.size + nodes.size
         row, target, _ = graph.out_edges(nodes)
         src, dst = np.concatenate((self.src, row + T0)), np.concatenate((self.dst, target))
@@ -348,8 +350,12 @@ class CascadeRows(NamedTuple):
                            np.concatenate((self.prec_pos, src[link][order])))
 
 
-# The rows of the empty prefix, which every lone prefix extends; never written.
+# The rows of the empty prefix, which every lone prefix extends; read-only,
+# as every empty state and lone forward shares them.
 NO_ROWS = CascadeRows(*(np.zeros(n, np.intp) for n in (0, 0, 0, 1, 0)))
+for _a in NO_ROWS:
+    _a.flags.writeable = False
+del _a
 
 
 class CascadeTable:

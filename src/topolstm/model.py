@@ -312,11 +312,13 @@ class CascadeState:
     (all-active), or per candidate the sum of G[w] . h_u over its active
     in-neighbours u and their count, added row by row in the order of
     ``_score_rows``'s ``np.bincount`` (precedent-only).  An extension runs
-    one cell per new activation and reads only the earlier rows' states.
-    The model's parameters must not change while a state is in use.
+    one cell per new activation and reads only the earlier rows' states;
+    its join still copies and scans every out-edge of the prefix, so an
+    extension costs its cells plus O(out-edges of the prefix).  The
+    model's parameters must not change while a state is in use.
     """
 
-    def __init__(self, model: Model, graph: DataGraph, capacity: int = 0):
+    def __init__(self, model: Model, graph: DataGraph):
         if model.config.node_count != graph.node_count:
             raise ValueError(f"model has {model.config.node_count} nodes, "
                              f"graph {graph.node_count}")
@@ -327,8 +329,7 @@ class CascadeState:
         self.total = np.zeros(2 * d)      # the sum of the [h | c] rows
         self.sums = self.counts = None   # precedent-only, from the first score row on
         self.folded = 0                  # out-edges added to them
-        self._buffers = ()
-        self._grow(capacity)
+        self._buffers = ()               # sized by the first extension
 
     def _grow(self, capacity: int) -> None:
         """Room for ``capacity`` rows, keeping the rows so far: the (T, 2d)
@@ -346,6 +347,8 @@ class CascadeState:
         """The forward result of the prefix so far, without losses; its
         arrays are views that a later extension may leave behind."""
         T = self.rows.nodes.size
+        if not self._buffers:
+            self._grow(0)
         _, _, A, tanh_C, H, C, HX, CX = self._buffers
         return CascadeForwardResult(rows=self.rows, H=H[:T], C=C[:T], A=A[:T], tanh_C=tanh_C[:T],
                                     HX=HX[:T], CX=CX[:T], pos=np.minimum(self.pos, T),
@@ -375,8 +378,9 @@ class CascadeState:
         if rows is None:
             rows = self.rows.extend(self.graph, nodes, pos)
         prec_ptr, prec_pos = rows.prec_ptr, rows.prec_pos
-        if T > len(self._buffers[0]):
-            self._grow(max(T, 2 * len(self._buffers[0])))
+        room = len(self._buffers[0]) if self._buffers else 0
+        if T > room or not self._buffers:
+            self._grow(max(T, 2 * room))
         S, P, A, tanh_C, H, C, HX, CX = self._buffers
         # The sigmoid rows halved (module docstring); adding -0.0 leaves the
         # c_tilde block as tanh gave it, a -0.0 included.
@@ -454,7 +458,7 @@ def forward_cascade(model: Model, graph: DataGraph, cascade: Cascade,
     *before* v_t activates, with the negative log-probability of v_t as its
     loss.
     """
-    state = CascadeState(model, graph, len(cascade) if rows is None else rows.nodes.size)
+    state = CascadeState(model, graph)
     state._extend(cascade.nodes, rows)
     result = state.result()
     if compute_loss and result.H.shape[0] >= 2:
@@ -577,11 +581,13 @@ def predict_next(model: Model, graph: DataGraph, prefix: Cascade, *,
     block.  ``state``, a ``CascadeState`` of this model and graph whose
     activations begin ``prefix`` (else ValueError), is extended by the rest
     of ``prefix`` and kept: a client that follows a cascade passes the same
-    state with each longer prefix and pays one cell and one score row per
-    new activation.  The probabilities are the same bits either way.
+    state with each longer prefix and pays one cell per new activation
+    and, per call, one score row plus a scan over the prefix's out-edges
+    (the join) and over the prefix itself (the check).  The probabilities
+    are the same bits either way.
     """
     if state is None:
-        state = CascadeState(model, graph, len(prefix))
+        state = CascadeState(model, graph)
     elif state.model is not model or state.graph is not graph:
         raise ValueError("state belongs to another model or graph")
     T0 = state.rows.nodes.size

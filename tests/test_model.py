@@ -846,6 +846,15 @@ class TestCascadeState:
                 assert np.array_equal(getattr(after, name)[k - 1], getattr(full, name)[k - 1])
             np.testing.assert_array_equal(after.H, full.H[:k])
 
+    def test_the_shared_empty_rows_are_read_only(self):
+        # Every empty state and lone forward starts from the same arrays, so
+        # a write through one of them would reach all later joins.
+        rng = np.random.default_rng(73)
+        graph, _, model = random_instance(rng, m=8, d=2, T=3, mode="precedent-only")
+        for array in CascadeState(model, graph).rows:
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 5
+
     @pytest.mark.parametrize("mode", SCORE_MODES)
     def test_extensions_of_several_rows_give_the_same_bits(self, mode):
         # On a dense graph, the rows of one extension share many targets, so
