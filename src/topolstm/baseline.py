@@ -8,7 +8,8 @@ precedents' edge probabilities.
 The probabilities are one float array over the graph's CSR edge ids
 (``DataGraph.out_ptr``/``out_idx``), which run in (u, v) order, so a saved
 file lists its edges in that order and a loaded one finds each (u, v) by
-``DataGraph.edge_id``.  A fit counts the attempt edges of the model's join,
+``DataGraph.edge_id``.  A fit counts the attempt edges that give the
+model's precedents, over all training cascades at once by the blocked join
 ``graph.cascade_passes``, and scoring costs one slice update per
 activation.  ``icsb_score`` is the dict reference.
 """
@@ -101,8 +102,8 @@ def fit_static_bernoulli(graph: DataGraph,
 
     "After" requires only activation order, not adjacency in the sequence.
     Edges whose source never appears in training get probability zero.
-    The counts are the attempt edges of ``graph.cascade_passes``, the join
-    that finds a ``CascadeTable``'s precedents, added pass by pass.
+    The counts are the attempt edges of ``graph.cascade_passes``, added
+    pass by pass.
     """
     packed = pack_cascades(graph, train_cascades)
     follow_count = np.zeros(graph.edge_count, dtype=np.intp)

@@ -11,12 +11,11 @@ form a DAG: every edge runs from a node activated before t to a node that is
 either still inactive or was activated later than the source.  A node's
 precedents at t are the sources of its attempt edges, so the whole DAG at
 any t follows from the graph, the activation order and t.  The model keeps
-only the precedents, as one ``CascadeTable`` per cascade list: the cascades
-end to end, with every activation's precedents.  One blocked join finds the
-attempt edges, ``cascade_passes``, for the table and for the IC-SB fit's
-counts.  A prefix run alone, or grown one activation at a time, takes the
-lone-prefix join of ``CascadeRows.extend`` instead: one lookup of its
-out-edges' targets in a node -> position array.
+only the precedents, as one ``CascadeRows`` per cascade, built by the
+lone-prefix join of ``CascadeRows.extend``: one lookup of the cascade's
+out-edges' targets in a node -> position array, whether the cascade is run
+whole or grown one activation at a time.  The IC-SB fit counts attempt
+edges over many cascades at once, by the blocked join ``cascade_passes``.
 ``build_topologies`` gives the same precedents as per-step views for the
 dict-based reference scorers; only the benchmark's gates call them.
 
@@ -282,7 +281,9 @@ class Cascade:
 
 
 def pack_cascades(graph: DataGraph, cascades: Iterable[Cascade]) -> tuple[np.ndarray, ...]:
-    """A ``CascadeTable``'s (ptr, nodes, cid); DataError if a node is outside the graph."""
+    """Cascades packed end to end for ``cascade_passes``: cascade i holds
+    rows ptr[i]..ptr[i + 1]-1, row r is node nodes[r] of cascade cid[r].
+    DataError if a node is outside the graph."""
     seqs = [c.nodes for c in cascades]     # tuples: len and iter without a Python call
     ptr = np.fromiter(accumulate(map(len, seqs), initial=0), np.intp, len(seqs) + 1)
     nodes = np.fromiter(chain.from_iterable(seqs), np.intp, ptr[-1])
@@ -295,7 +296,7 @@ FIT_CHUNK = 4096
 
 
 def cascade_passes(graph: DataGraph, ptr: np.ndarray, nodes: np.ndarray, cid: np.ndarray):
-    """The one join of packed cascades' rows with their out-edges.
+    """The IC-SB fit's join of packed cascades' rows with their out-edges.
 
     A pass takes max(1, FIT_CHUNK // node_count) consecutive cascades, which
     bounds its memory, and reads each out-edge's target row from one reused
@@ -318,8 +319,9 @@ def cascade_passes(graph: DataGraph, ptr: np.ndarray, nodes: np.ndarray, cid: np
 
 
 class CascadeRows(NamedTuple):
-    """One cascade's rows in its positions 0..T-1: a ``CascadeTable`` slice,
-    or a prefix's rows from ``extend``."""
+    """One cascade's rows in its positions 0..T-1, built from ``NO_ROWS`` by
+    ``extend``.  Row r's precedents are its in-neighbours that activated
+    before it, as ascending positions."""
     nodes: np.ndarray
     src: np.ndarray         # out-edges: row src[e] -> node dst[e], in row order
     dst: np.ndarray
@@ -333,9 +335,8 @@ class CascadeRows(NamedTuple):
         row r's precedents are the rows whose out-edge points at it.  So the
         new rows' out-edges are appended, every out-edge with
         T0 <= pos[dst] < T and pos[dst] above its own row is kept, and those
-        are stably sorted by target row.  From ``NO_ROWS``, this gives the
-        arrays of ``CascadeTable(graph, [prefix]).rows(0)``.  The old
-        out-edges are copied and tested again, so one call costs
+        are stably sorted by target row, so each row's precedents ascend.
+        The old out-edges are copied and tested again, so one call costs
         O(out-edges of all T rows), however few ``nodes`` it adds."""
         T0, T = self.nodes.size, self.nodes.size + nodes.size
         row, target, _ = graph.out_edges(nodes)
@@ -356,46 +357,6 @@ NO_ROWS = CascadeRows(*(np.zeros(n, np.intp) for n in (0, 0, 0, 1, 0)))
 for _a in NO_ROWS:
     _a.flags.writeable = False
 del _a
-
-
-class CascadeTable:
-    """A cascade list packed end to end, with its diffusion topology.
-
-    Cascade i holds rows ptr[i]..ptr[i + 1]-1; row r is node ``nodes[r]`` at
-    position ``pos[r]`` of cascade ``cid[r]``.  Its precedents, its
-    in-neighbours that activated before it in its cascade, are the rows
-    ``prec_row[prec_ptr[r]:prec_ptr[r + 1]]``, ascending.  They are the
-    out-edges of ``cascade_passes`` whose target row is above their row.  A
-    row's out-edges are its node's row of the graph's CSR, which ``rows``
-    reads for a cascade, so a table holds no edge-long array.  A cascade
-    run alone needs no table: ``CascadeRows.extend`` joins it by position.
-    """
-
-    def __init__(self, graph: DataGraph, cascades: Sequence[Cascade]):
-        self.graph, self.cascades = graph, cascades
-        packed = self.ptr, self.nodes, self.cid = pack_cascades(graph, cascades)
-        source, target = [np.empty(0, np.intp)], [np.empty(0, np.intp)]
-        for row, _, at, _ in cascade_passes(graph, *packed):
-            link = at > row
-            source.append(row[link])
-            target.append(at[link])
-        target, source = np.concatenate(target), np.concatenate(source)
-        link = target.argsort(kind="stable")
-        self.prec_row = source[link]
-        self.prec_ptr = target[link].searchsorted(np.arange(self.nodes.size + 1))
-
-    @property
-    def pos(self) -> np.ndarray:
-        """Each row's position in its cascade."""
-        return np.arange(self.nodes.size) - self.ptr[self.cid]
-
-    def rows(self, i: int) -> CascadeRows:
-        """Cascade i's slice, in its own positions."""
-        a, b = self.ptr[i:i + 2].tolist()
-        prec_ptr, nodes = self.prec_ptr[a:b + 1], self.nodes[a:b]
-        pa, pb = prec_ptr[0], prec_ptr[-1]
-        src, dst, _ = self.graph.out_edges(nodes)
-        return CascadeRows(nodes, src, dst, prec_ptr - pa, self.prec_row[pa:pb] - a)
 
 
 def drop_short(cascades: Sequence[Cascade], what: str) -> tuple[list[Cascade], int]:
@@ -454,7 +415,7 @@ class DiffusionTopology:
     the nodes activated strictly before t, and a node's precedents are those
     in-neighbours in that prefix, ordered by activation time.  Only the
     benchmark's dict-based reference scorers read these views; the model
-    reads the precedents from a ``CascadeTable``.
+    reads the precedents from a ``CascadeRows``.
     """
 
     __slots__ = ("graph", "_order", "_in_rows", "time")

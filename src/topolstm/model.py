@@ -41,10 +41,10 @@ states of v's precedents (bias-only when it has none) and "all-active"
 informative when graph edges are missing.
 
 A cascade's precedents come from a CSR index over its positions, a
-``graph.CascadeRows``: ``train()`` slices it from one ``CascadeTable`` per
-split, and a cascade run alone gets it from the lone-prefix join of
-``CascadeRows.extend``.  A forward is a function of the model and those
-rows, which its result keeps.  It runs on a ``CascadeState``: the [h | c]
+``graph.CascadeRows``, built by the lone-prefix join of
+``CascadeRows.extend`` for every forward, in training, evaluation and
+prediction alike.  A forward is a function of the model and those rows,
+which its result keeps.  It runs on a ``CascadeState``: the [h | c]
 rows and their running sum, ``pos``, the rows, and the next step's running
 score sums.  A forward is the empty state extended by the whole cascade, so
 there is one cell loop, and the loop runs only the memory cell, pooling
@@ -165,7 +165,7 @@ class CellState:
 class CascadeForwardResult:
     """Sender states of a cascade plus what the backward pass needs.
 
-    ``rows`` is the ``CascadeRows`` slice the forward ran on, and row t-1
+    ``rows`` is the ``CascadeRows`` the forward ran on, and row t-1
     of every (T, .) array belongs to v_t = ``rows.nodes[t-1]``: the
     precedents of v_t are the positions
     ``rows.prec_pos[rows.prec_ptr[t-1]:rows.prec_ptr[t]]``, ascending, and
@@ -315,7 +315,8 @@ class CascadeState:
     one cell per new activation and reads only the earlier rows' states;
     its join still copies and scans every out-edge of the prefix, so an
     extension costs its cells plus O(out-edges of the prefix).  The
-    model's parameters must not change while a state is in use.
+    model's parameters must not change while a state is in use, so the
+    halved fused U is made once, here.
     """
 
     def __init__(self, model: Model, graph: DataGraph):
@@ -324,6 +325,11 @@ class CascadeState:
                              f"graph {graph.node_count}")
         self.model, self.graph = model, graph
         d, m = model.config.hidden_dim, model.config.node_count
+        # The sigmoid rows halved (module docstring); adding -0.0 leaves the
+        # c_tilde block as tanh gave it, a -0.0 included.
+        self._scale, self._shift = np.array(((0.5, 0.5, 0.5, 1.0, 0.5),
+                                             (0.5, 0.5, 0.5, -0.0, 0.5))).repeat(d, 1)
+        self._U = model.params.fused("U") * self._scale[:, None]
         self.rows = NO_ROWS
         self.pos = np.full(m, m, dtype=np.intp)
         self.total = np.zeros(2 * d)      # the sum of the [h | c] rows
@@ -354,39 +360,29 @@ class CascadeState:
                                     HX=HX[:T], CX=CX[:T], pos=np.minimum(self.pos, T),
                                     losses=np.zeros(0))
 
-    def _extend(self, nodes: Sequence[int], rows: CascadeRows | None = None) -> None:
+    def _extend(self, nodes: Sequence[int]) -> None:
         """Run the cell on the activations ``nodes``, distinct and inactive.
 
-        ``rows``, a whole cascade's slice of a ``CascadeTable``, is given to
-        an empty state in place of ``nodes``; else the lone-prefix join
-        appends the new rows.  A node outside the graph raises DataError and
-        a non-finite cell NumericError, both leaving the state as it was.
-        The precedent aggregates sum the precedents' state rows once for h
-        and c, and the other-active aggregates are the running state sum
-        minus that, so a row costs O(|P| d) plus the cell.
+        The lone-prefix join appends their rows.  A node outside the graph
+        raises DataError and a non-finite cell NumericError, both leaving
+        the state as it was.  The precedent aggregates sum the precedents'
+        state rows once for h and c, and the other-active aggregates are the
+        running state sum minus that, so a row costs O(|P| d) plus the cell.
         """
         d, m = self.model.config.hidden_dim, self.model.config.node_count
         params, pos, T0 = self.model.params, self.pos, self.rows.nodes.size
-        if rows is None:
-            if nodes and not (0 <= min(nodes) and max(nodes) < m):
-                raise DataError("cascade references nodes outside the graph")
-            nodes = np.fromiter(nodes, np.intp, len(nodes))
-        else:
-            nodes = rows.nodes
+        if nodes and not (0 <= min(nodes) and max(nodes) < m):
+            raise DataError("cascade references nodes outside the graph")
+        nodes = np.fromiter(nodes, np.intp, len(nodes))
         T = T0 + nodes.size
         pos[nodes] = np.arange(T0, T)
-        if rows is None:
-            rows = self.rows.extend(self.graph, nodes, pos)
+        rows = self.rows.extend(self.graph, nodes, pos)
         prec_ptr, prec_pos = rows.prec_ptr, rows.prec_pos
         room = len(self._buffers[0]) if self._buffers else 0
         if T > room or not self._buffers:
             self._grow(max(T, 2 * room))
         S, P, A, tanh_C, H, C, HX, CX = self._buffers
-        # The sigmoid rows halved (module docstring); adding -0.0 leaves the
-        # c_tilde block as tanh gave it, a -0.0 included.
-        scale, shift = np.array(((0.5, 0.5, 0.5, 1.0, 0.5),
-                                 (0.5, 0.5, 0.5, -0.0, 0.5))).repeat(d, 1)
-        U = params.fused("U") * scale[:, None]
+        U, scale, shift = self._U, self._scale, self._shift
         # Input and bias terms of the new steps' five gates, gathered at
         # once; both forget gates read the W_f/b_f rows.
         WB = params.fused("Wx")[:, nodes] + params.fused("b")[:, None]
@@ -444,22 +440,19 @@ class CascadeState:
 
 
 def forward_cascade(model: Model, graph: DataGraph, cascade: Cascade,
-                    compute_loss: bool = True, *, rows: CascadeRows | None = None
-                    ) -> CascadeForwardResult:
+                    compute_loss: bool = True) -> CascadeForwardResult:
     """Run the cell over a cascade in activation order.
 
-    ``rows`` is the cascade's slice of a ``CascadeTable`` over ``graph``,
-    and ``cascade`` is then read for nothing else; without it, the
-    lone-prefix join of ``CascadeRows.extend`` builds the rows from
-    ``cascade``.  This is the empty ``CascadeState`` extended by the whole
-    cascade: a model whose node count is not the graph's raises ValueError,
-    and a node outside the graph DataError.  When ``compute_loss`` is set, ``_score_rows`` then
-    scores all T-1 prediction steps as one block, step t against the state
-    *before* v_t activates, with the negative log-probability of v_t as its
-    loss.
+    This is the empty ``CascadeState`` extended by the whole cascade, whose
+    rows the lone-prefix join of ``CascadeRows.extend`` builds: a model
+    whose node count is not the graph's raises ValueError, and a node
+    outside the graph DataError.  When ``compute_loss`` is set,
+    ``_score_rows`` then scores all T-1 prediction steps as one block, step
+    t against the state *before* v_t activates, with the negative
+    log-probability of v_t as its loss.
     """
     state = CascadeState(model, graph)
-    state._extend(cascade.nodes, rows)
+    state._extend(cascade.nodes)
     result = state.result()
     if compute_loss and result.H.shape[0] >= 2:
         result.probs, result.counts, result.losses = _score_rows(model, result)

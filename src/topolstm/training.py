@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DivergenceError, NumericError
-from .graph import Cascade, CascadeTable, DataGraph, drop_short
+from .graph import Cascade, DataGraph, drop_short, pack_cascades
 from .model import Model, ModelConfig, backward_cascade, forward_cascade
 from .numeric import Adam, GradientStore
 
@@ -97,13 +97,12 @@ def objective(model: Model, graph: DataGraph, cascades: Sequence[Cascade],
     cascades, _ = drop_short(cascades, "objective")
     if not cascades:
         raise ValueError("no cascade contributes prediction steps")
-    return _objective(model, CascadeTable(graph, cascades), range(len(cascades)), lam, grads)[0]
+    return _objective(model, graph, cascades, lam, grads)[0]
 
 
-def _objective(model: Model, table: CascadeTable, batch: Sequence[int], lam: float,
+def _objective(model: Model, graph: DataGraph, cascades: Sequence[Cascade], lam: float,
                grads: GradientStore | None = None) -> tuple[float, float, int]:
-    """(objective, summed NLL, step count) over the cascades of ``table``
-    that ``batch`` indexes, in batch order, on the graph the table was built on.
+    """(objective, summed NLL, step count) over ``cascades``, in order.
 
     Every cascade must have length >= 2.  With ``grads``, the store is
     zeroed and, when the objective is finite, receives its exact gradient.
@@ -113,8 +112,8 @@ def _objective(model: Model, table: CascadeTable, batch: Sequence[int], lam: flo
     if grads is not None:
         grads.fill(0.0)
     total, steps = 0.0, 0
-    for i in batch:
-        result = forward_cascade(model, table.graph, table.cascades[i], rows=table.rows(i))
+    for cascade in cascades:
+        result = forward_cascade(model, graph, cascade)
         if grads is not None:
             backward_cascade(result, model, out=grads)
         total += result.total_loss
@@ -183,15 +182,15 @@ def train(graph: DataGraph, train_cascades: Sequence[Cascade],
     model = Model.initialize(model_config, rng)
     optimizer = Adam(model.params, lr=config.learning_rate)
     report = TrainReport(dropped_short_cascades=dropped + dropped_val)
-    train_table, val_table = (CascadeTable(graph, c) for c in (train_cascades, val_cascades))
+    pack_cascades(graph, train_cascades + val_cascades)   # a node outside the graph raises now
 
-    def guarded_objective(table, batch, lam, out=None):
+    def guarded_objective(cascades, lam, out=None):
         """``_objective`` with float overflow read as divergence: no float
         warning escapes, and a non-finite cell or softmax row raises
         DivergenceError."""
         try:
             with np.errstate(over="ignore", invalid="ignore"):
-                return _objective(model, table, batch, lam, out)
+                return _objective(model, graph, cascades, lam, out)
         except NumericError as exc:
             raise DivergenceError(f"{exc} in epoch {epoch}", report=report) from None
 
@@ -209,9 +208,8 @@ def train(graph: DataGraph, train_cascades: Sequence[Cascade],
         epoch_nll, epoch_steps = 0.0, 0
 
         for lo in range(0, len(order), config.batch_size):
-            batch = order[lo: lo + config.batch_size]
-            batch_obj, batch_nll, batch_steps = guarded_objective(train_table, batch, config.lam,
-                                                                  grads)
+            batch = [train_cascades[i] for i in order[lo: lo + config.batch_size]]
+            batch_obj, batch_nll, batch_steps = guarded_objective(batch, config.lam, grads)
             if not np.isfinite(batch_obj):
                 raise DivergenceError(
                     f"non-finite batch loss at epoch {epoch}", report=report)
@@ -232,7 +230,7 @@ def train(graph: DataGraph, train_cascades: Sequence[Cascade],
 
         train_loss = epoch_nll / epoch_steps + reg_before
         if val_cascades:
-            val_loss = guarded_objective(val_table, range(len(val_cascades)), 0.0)[0]
+            val_loss = guarded_objective(val_cascades, 0.0)[0]
             monitor = val_loss
         else:
             val_loss = None

@@ -7,7 +7,7 @@ import oracle
 from topolstm.baseline import (EdgeProbabilities, ICSBScorer,
                                fit_static_bernoulli, icsb_score)
 from topolstm.errors import DataError
-from topolstm.graph import Cascade, CascadeTable, DataGraph, build_topologies
+from topolstm.graph import Cascade, DataGraph, build_topologies
 
 from conftest import edge_probs, prob_dict, random_cascade, random_graph
 
@@ -86,7 +86,6 @@ class TestFitStaticBernoulli:
     def test_passes_of_any_size_match_oracle(self, monkeypatch, per_node, extra, passes):
         # FIT_CHUNK = per_node * m + extra: one cascade, three cascades or all
         # 25 of them per pass, each pass reading its out-edges in one call.
-        # The fit and a CascadeTable share the passes.
         rng = np.random.default_rng(35)
         m = 30
         g = random_graph(rng, m, 150)
@@ -97,15 +96,8 @@ class TestFitStaticBernoulli:
         monkeypatch.setattr(DataGraph, "out_edges",
                             lambda graph, nodes: calls.append(nodes.size) or out_edges(graph, nodes))
         assert prob_dict(fit_static_bernoulli(g, cascades)) == oracle.recount_oracle(g, cascades)
-        table = CascadeTable(g, cascades)
-        assert len(calls) == 2 * passes and calls[:passes] == calls[passes:]
-        assert sum(calls) == 2 * sum(map(len, cascades))
-        prec_ptr, prec_row = table.prec_ptr.tolist(), table.prec_row.tolist()
-        for first, cascade in zip(table.ptr.tolist(), cascades):
-            for t, v in enumerate(cascade.nodes, start=1):
-                r = first + t - 1
-                assert prec_row[prec_ptr[r]:prec_ptr[r + 1]] == [
-                    first + cascade.nodes.index(u) for u in oracle.precedents(g, cascade, t, v)]
+        assert len(calls) == passes
+        assert sum(calls) == sum(map(len, cascades))
 
     def test_values_in_unit_interval(self):
         rng = np.random.default_rng(31)

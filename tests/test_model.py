@@ -10,12 +10,12 @@ import oracle
 from topolstm.datagen import PRESETS, generate_dataset, generate_graph
 from topolstm.evaluation import ModelScorer, evaluate, target_rank
 from topolstm.errors import DataError, NumericError, ShapeError
-from topolstm.graph import Cascade, CascadeTable, DataGraph, build_topologies
+from topolstm.graph import Cascade, DataGraph, build_topologies
 from topolstm.model import (SCORE_MODES, CascadeState, CellState, Model, ModelConfig, U_BLOCKS,
                             backward_cascade, forward_cascade, predict_next,
                             score_inactive)
 from topolstm.numeric import ParameterStore, finite_difference_check, softmax_over_subset
-from topolstm.training import TrainConfig, objective, split_dataset, train
+from topolstm.training import TrainConfig, objective, train
 
 from conftest import blas_thread_readings, precedent_rows, random_cascade, random_graph
 
@@ -427,36 +427,24 @@ class TestScoreBlock:
         assert math.sqrt(grads.squared_l2()) == pytest.approx(grad_norm, rel=1e-10)
 
 
-class TestTableSlices:
-    @pytest.mark.parametrize("mode", SCORE_MODES)
-    def test_slice_of_a_split_table_gives_the_same_bits(self, mode):
-        graph, cascades, _ = generate_dataset(PRESETS["desk-default"])
-        split = split_dataset(cascades, seed=0)[0]
-        table = CascadeTable(graph, split)
-        model = perturbed_model(ModelConfig(8, graph.node_count, mode),
-                                np.random.default_rng(62))
-        picked = [i for i, c in enumerate(split) if len(c) >= 2][::12]
-        assert len(picked) > 20 and max(len(split[i]) for i in picked) == 15
-        for i in picked:
-            alone = forward_cascade(model, graph, split[i])
-            sliced = forward_cascade(model, graph, split[i], rows=table.rows(i))
-            for name in ("H", "C", "A", "HX", "CX", "losses", "probs"):
-                assert np.array_equal(getattr(sliced, name), getattr(alone, name)), name
-            for name, got, want in zip(sliced.rows._fields, sliced.rows, alone.rows):
-                assert np.array_equal(got, want), name
-            assert np.array_equal(backward_cascade(sliced, model).flat,
-                                  backward_cascade(alone, model).flat)
+def check_rows_against_oracle(graph, cascade, rows):
+    """A cascade's ``CascadeRows`` against the oracle: its nodes, every
+    out-edge of its rows in row order, and each row's precedents."""
+    pos = {v: i for i, v in enumerate(cascade.nodes)}
+    assert rows.nodes.tolist() == list(cascade.nodes)
+    assert list(zip(rows.src.tolist(), rows.dst.tolist())) == sorted(
+        (pos[u], w) for u, w in oracle.edge_set(graph) if u in pos)
+    assert rows.prec_ptr[0] == 0
+    assert precedent_rows(rows) == [
+        [pos[u] for u in oracle.precedents(graph, cascade, t, v)]
+        for t, v in enumerate(cascade.nodes, start=1)]
 
 
 class TestPrecedentIndex:
     def _check_against_oracle(self, graph, cascade, rng):
         model = Model.initialize(ModelConfig(2, graph.node_count), rng)
         result = forward_cascade(model, graph, cascade, compute_loss=False)
-        pos = {v: i for i, v in enumerate(cascade.nodes)}
-        assert result.rows.prec_ptr[0] == 0
-        assert precedent_rows(result.rows) == [
-            [pos[u] for u in oracle.precedents(graph, cascade, t, v)]
-            for t, v in enumerate(cascade.nodes, start=1)]
+        check_rows_against_oracle(graph, cascade, result.rows)
         return result
 
     def test_matches_topology_oracle_on_random_pairs(self):
@@ -474,44 +462,6 @@ class TestPrecedentIndex:
         result = self._check_against_oracle(g, Cascade((0, 1, 2, 3)),
                                             np.random.default_rng(41))
         assert precedent_rows(result.rows) == [[], [], [1], [0]]
-
-    def test_one_table_matches_the_oracle_for_every_cascade(self):
-        rng = np.random.default_rng(43)
-        for k in range(60):
-            m = int(rng.integers(2, 16))
-            # Every tenth graph is edgeless; the cascades share the m nodes,
-            # and every fifth has T = 1.
-            graph = random_graph(rng, m, 0 if k % 10 == 0 else int(rng.integers(1, 4 * m)))
-            cascades = [random_cascade(rng, m, 1 if j % 5 == 0 else int(rng.integers(1, m + 1)))
-                        for j in range(int(rng.integers(1, 25)))]
-            table = CascadeTable(graph, cascades)
-            assert table.cid.tolist() == [i for i, c in enumerate(cascades) for _ in c]
-            assert table.pos.tolist() == [r for c in cascades for r in range(len(c))]
-            for i, cascade in enumerate(cascades):
-                rows = table.rows(i)
-                pos = {v: r for r, v in enumerate(cascade.nodes)}
-                assert rows.nodes.tolist() == list(cascade.nodes)
-                assert list(zip(rows.src.tolist(), rows.dst.tolist())) == sorted(
-                    (pos[u], w) for u, w in oracle.edge_set(graph) if u in pos)
-                assert rows.prec_ptr[0] == 0
-                assert precedent_rows(rows) == [
-                    [pos[u] for u in oracle.precedents(graph, cascade, t, v)]
-                    for t, v in enumerate(cascade.nodes, start=1)]
-
-    def test_one_table_keeps_each_cascade_to_itself(self):
-        # Node 0's in-neighbours 1 and 2 activate after it in the first
-        # cascade and before it in the others.
-        g = DataGraph.from_edges(4, [(1, 0), (2, 0), (0, 3), (1, 2)])
-        cascades = [Cascade((0, 1, 2, 3)), Cascade((1, 0)), Cascade((3,)), Cascade((2, 1, 0))]
-        table = CascadeTable(g, cascades)
-        assert [precedent_rows(table.rows(i)) for i in range(4)] == [
-            [[], [], [1], [0]], [[], [0]], [[]], [[], [], [0, 1]]]
-        assert table.prec_row.tolist() == [1, 0, 4, 7, 8]
-        empty = CascadeTable(g, [])
-        assert empty.ptr.tolist() == empty.prec_ptr.tolist() == [0]
-        for nodes in ((0, 4), (-1,)):
-            with pytest.raises(DataError, match="outside the graph"):
-                CascadeTable(g, [Cascade((1, 2)), Cascade(nodes)])
 
     @pytest.mark.parametrize("mode", SCORE_MODES)
     def test_aggregates_are_direct_means_on_a_long_cascade(self, mode):
@@ -762,16 +712,17 @@ def grow(model, graph, prefix, state):
 class TestCascadeState:
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(state_instances())
-    def test_lone_prefix_rows_are_the_table_rows(self, instance):
+    def test_lone_prefix_rows_match_the_oracle(self, instance):
+        # Whole or grown at the cut points, the rows are the oracle's, in
+        # intp arrays.
         graph, cascade, model, cuts = instance
-        want = CascadeTable(graph, [cascade]).rows(0)
         alone = forward_cascade(model, graph, cascade, compute_loss=False).rows
         state = CascadeState(model, graph)
         for k in cuts + [len(cascade)]:
             grow(model, graph, Cascade(cascade.nodes[:k]), state)
         for rows in (alone, state.rows):
-            for name, got, expected in zip(want._fields, rows, want):
-                assert got.dtype == expected.dtype and np.array_equal(got, expected), name
+            check_rows_against_oracle(graph, cascade, rows)
+            assert all(array.dtype == np.intp for array in rows)
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(state_instances())

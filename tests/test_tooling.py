@@ -8,10 +8,15 @@ import sys
 import textwrap
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import topolstm
 from topolstm import cli
+from topolstm.checkpoint import save_model
+from topolstm.datagen import PRESETS, generate_dataset
+from topolstm.graph import Cascade, load_graph_file
+from topolstm.model import Model, ModelConfig, predict_next
 
 README = Path(__file__).parents[1] / "README.md"
 
@@ -59,6 +64,29 @@ def test_readme_commands_parse():
             cli.build_parser().parse_args(argv)
         except SystemExit:
             pytest.fail(f"README command does not parse: topolstm {shlex.join(argv)}")
+
+
+def test_readme_follow_a_cascade_block_runs(tmp_path, monkeypatch, capsys):
+    # The documented CascadeState loop runs as written on a generated
+    # dataset and a seeded checkpoint, and names each prefix's most likely
+    # next node, as a call without the state does.
+    text = README.read_text(encoding="utf-8")
+    [block] = [b for b in re.findall(r"^```python\n(.*?)^```", text, re.MULTILINE | re.DOTALL)
+               if "CascadeState" in b]
+    generate_dataset(PRESETS["desk-default"], tmp_path / "data")
+    graph = load_graph_file(tmp_path / "data" / "graph.txt")
+    model = Model.initialize(ModelConfig(8, graph.node_count, "precedent-only"),
+                             np.random.default_rng(0))
+    (tmp_path / "run").mkdir()
+    save_model(tmp_path / "run" / "checkpoint.bin", model, graph.labels)
+    monkeypatch.chdir(tmp_path)
+    exec(compile(block, "README.md", "exec"), {})
+    labels = ("17", "4", "92")   # the block's activations
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == len(labels)
+    for k, (label, line) in enumerate(zip(labels, lines), start=1):
+        cand, probs = predict_next(model, graph, Cascade(tuple(map(graph.id_of, labels[:k]))))
+        assert line == f"{label} -> {graph.labels[cand[probs.argmax()]]}"
 
 
 def readme_reference_names():

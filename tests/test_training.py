@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from topolstm.datagen import SynthConfig, generate_dataset
-from topolstm.errors import DivergenceError
+from topolstm.errors import DataError, DivergenceError
 from topolstm.graph import Cascade, DataGraph
 from topolstm.model import Model, ModelConfig, backward_cascade, forward_cascade
 from topolstm.numeric import Adam
@@ -256,6 +256,27 @@ class TestTrain:
         with pytest.raises(ValueError):
             train(graph, [], cascades[:2], self._config(),
                   ModelConfig(3, graph.node_count))
+
+    @pytest.mark.parametrize("outside", ["m", "-1"])
+    def test_a_node_outside_the_graph_is_refused(self, monkeypatch, outside):
+        # In a training or a validation cascade, train() refuses it before
+        # its first forward; objective() refuses it too.
+        graph, cascades, _ = small_chain_data()
+        train_set, val_set, _ = split_dataset(cascades, seed=0)
+        m = graph.node_count
+        bad = Cascade((1, m if outside == "m" else -1))
+        calls = []
+        monkeypatch.setattr(training, "forward_cascade",
+                            lambda *args: calls.append(args) or forward_cascade(*args))
+        mc = ModelConfig(3, m)
+        for train_part, val_part in ((train_set + [bad], val_set), (train_set, [bad] + val_set)):
+            with pytest.raises(DataError, match="outside the graph"):
+                train(graph, train_part, val_part, self._config(max_epochs=1), mc)
+        assert calls == []
+        model = Model.initialize(mc, np.random.default_rng(0))
+        for part in ([bad], train_set[:2] + [bad]):
+            with pytest.raises(DataError, match="outside the graph"):
+                objective(model, graph, part, 0.0, model.zero_grads())
 
     def test_length_one_cascades_counted(self):
         graph, cascades, _ = small_chain_data()
