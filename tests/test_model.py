@@ -10,7 +10,7 @@ import oracle
 from topolstm.datagen import PRESETS, generate_dataset, generate_graph
 from topolstm.evaluation import ModelScorer, evaluate, target_rank
 from topolstm.errors import DataError, NumericError, ShapeError
-from topolstm.graph import Cascade, DataGraph, build_topologies
+from topolstm.graph import Cascade, DataGraph, build_topologies, pack_cascades
 from topolstm.model import (SCORE_MODES, CascadeState, CellState, Model, ModelConfig, U_BLOCKS,
                             backward_cascade, forward_cascade, predict_next,
                             score_inactive)
@@ -462,6 +462,23 @@ class TestPrecedentIndex:
         result = self._check_against_oracle(g, Cascade((0, 1, 2, 3)),
                                             np.random.default_rng(41))
         assert precedent_rows(result.rows) == [[], [], [1], [0]]
+
+    def test_one_table_matches_the_oracle_for_every_cascade(self):
+        # Many cascades on one graph: packed end to end they keep their
+        # nodes in order, and each one's lone rows are the oracle's.
+        rng = np.random.default_rng(43)
+        for k in range(60):
+            m = int(rng.integers(2, 16))
+            # Every tenth graph is edgeless; the cascades share the m nodes,
+            # and every fifth has T = 1.
+            graph = random_graph(rng, m, 0 if k % 10 == 0 else int(rng.integers(1, 4 * m)))
+            cascades = [random_cascade(rng, m, 1 if j % 5 == 0 else int(rng.integers(1, m + 1)))
+                        for j in range(int(rng.integers(1, 25)))]
+            ptr, nodes, cid = pack_cascades(graph, cascades)
+            assert cid.tolist() == [i for i, c in enumerate(cascades) for _ in c]
+            for i, cascade in enumerate(cascades):
+                assert nodes[ptr[i]:ptr[i + 1]].tolist() == list(cascade.nodes)
+                self._check_against_oracle(graph, cascade, rng)
 
     @pytest.mark.parametrize("mode", SCORE_MODES)
     def test_aggregates_are_direct_means_on_a_long_cascade(self, mode):
