@@ -10,8 +10,10 @@ save/load round trip is bit-exact.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import os
 import struct
 from dataclasses import asdict
 
@@ -33,7 +35,9 @@ def _slot_table(packed: Layout) -> list[dict]:
 
 def save_model(path, model: Model, labels: tuple[str, ...],
                extra: dict | None = None) -> None:
-    """Write model parameters, node labels, and a config echo to ``path``."""
+    """Write model parameters, node labels, and a config echo to ``path``,
+    through a sibling ``path``.tmp that then replaces it: a save that fails
+    or is interrupted midway leaves an earlier file at ``path`` whole."""
     if len(labels) != model.config.node_count:
         raise CheckpointError(
             f"{len(labels)} labels for a model over {model.config.node_count} nodes")
@@ -46,12 +50,19 @@ def save_model(path, model: Model, labels: tuple[str, ...],
         "slots": _slot_table(Layout.packed(model.params.shapes())),
     }
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<Q", len(blob)))
-        fh.write(blob)
-        for _, arr in model.params.items():
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<Q", len(blob)))
+            fh.write(blob)
+            for _, arr in model.params.items():
+                fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+        os.replace(tmp, path)
+    except BaseException:   # KeyboardInterrupt too
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def load_model(path) -> tuple[Model, tuple[str, ...], dict]:

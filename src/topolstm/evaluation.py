@@ -149,16 +149,16 @@ class ModelScorer:
         self.nll_sum, self.nll_steps = 0.0, 0   # since evaluate last zeroed them
 
     def step_scores(self, cascade: Cascade):
-        result = forward_cascade(self.model, self.graph, cascade)   # raises on unusable scores
-        self.nll_sum += float(result.losses.sum())
-        self.nll_steps += result.losses.size
+        state = forward_cascade(self.model, self.graph, cascade)   # raises on unusable scores
+        self.nll_sum += state.total_loss
+        self.nll_steps += state.losses.size
         # Candidates come from the cascade, not probs > 0: a probability can
         # underflow to 0.  Softmax is strictly increasing, so probabilities
         # rank like scores.
         nodes = cascade.nodes
         for s in range(len(nodes) - 1):
-            cand = (result.pos > s).nonzero()[0]
-            yield cand, result.probs[s, cand], nodes[s + 1]
+            cand = (state.pos > s).nonzero()[0]
+            yield cand, state.probs[s, cand], nodes[s + 1]
 
 
 def write_metrics_json(path, tables: Sequence[MetricsTable], config_echo: dict) -> None:

@@ -43,25 +43,23 @@ informative when graph edges are missing.
 A cascade's precedents come from a CSR index over its positions, a
 ``graph.CascadeRows``, built by the lone-prefix join of
 ``CascadeRows.extend`` for every forward, in training, evaluation and
-prediction alike.  A forward is a function of the model and those rows,
-which its result keeps.  It runs on a ``CascadeState``: the [h | c]
-rows and their running sum, ``pos``, the rows, and the next step's running
-score sums.  A forward is the empty state extended by the whole cascade, so
-there is one cell loop, and the loop runs only the memory cell, pooling
-from the precedents' rows and from the running sum.  No score feeds back
-into the cell, so ``_score_rows`` scores a cascade's T-1 steps as one
-(T-1) x m block, from cumulative sums over its rows.  ``predict_next``
-scores the step after a prefix as one row from the state's running sums; in
-precedent-only mode these add the block's terms in the block's order, so
-the row has the block's bits.  Given a state that already holds most of the
-prefix, it runs only the new activations' cells.  Both end in
-``_normalise``, the one place that refuses unusable scores: a row with no
-finite softmax raises NumericError, so ``objective``, evaluation and
-``predict_next`` all raise on it.  The backward pass takes every score
-gradient from the block with whole-cascade array operations, and its
-reverse loop keeps only the cell's, one [dh | dc] gradient row per step.  A
-loop step costs O(|P| d) for pooling and O(d^2) for the cell, and nothing
-grows with the number of nodes active before it.
+prediction alike.  A forward is a function of the model and those rows: the
+empty ``CascadeState`` extended by the whole cascade, which it returns.  So
+there is one cell loop, and the loop runs only the memory cell, pooling from
+the precedents' rows and from the running sum.  No score feeds back into the
+cell, so ``_score_rows`` scores a cascade's T-1 steps as one (T-1) x m
+block, from cumulative sums over its rows.  ``predict_next`` scores the step
+after a prefix as one row from the state's running sums; in precedent-only
+mode these add the block's terms in the block's order, so the row has the
+block's bits.  Given a state that already holds most of the prefix, it runs
+only the new activations' cells.  Both end in ``_normalise``, the one place
+that refuses unusable scores: a row with no finite softmax raises
+NumericError, so ``objective``, evaluation and ``predict_next`` all raise on
+it.  The backward pass takes every score gradient from the block with
+whole-cascade array operations, and its reverse loop keeps only the cell's,
+one [dh | dc] gradient row per step.  A loop step costs O(|P| d) for pooling
+and O(d^2) for the cell, and nothing grows with the number of nodes active
+before it.
 
 Gradients are derived by hand in `backward_cascade` and verified against
 central differences in the test suite.
@@ -75,7 +73,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import DataError, NumericError
-from .graph import NO_ROWS, Cascade, CascadeRows, DataGraph, DiffusionTopology
+from .graph import NO_ROWS, Cascade, DataGraph, DiffusionTopology
 from .numeric import GradientStore, Layout, ParameterStore
 
 SCORE_MODES = ("all-active", "precedent-only")
@@ -161,43 +159,6 @@ class CellState:
     c: np.ndarray
 
 
-@dataclass
-class CascadeForwardResult:
-    """Sender states of a cascade plus what the backward pass needs.
-
-    ``rows`` is the ``CascadeRows`` the forward ran on, and row t-1
-    of every (T, .) array belongs to v_t = ``rows.nodes[t-1]``: the
-    precedents of v_t are the positions
-    ``rows.prec_pos[rows.prec_ptr[t-1]:rows.prec_ptr[t]]``, ascending, and
-    every other earlier position is one of its other active nodes.
-
-    With losses, ``probs``, ``counts`` and ``losses`` are ``_score_rows``'s
-    block of all T-1 steps: row s of ``probs`` is the softmax over all nodes
-    at step t = s + 2, exactly 0 at the nodes active by then (``pos <= s``).
-    ``backward_cascade`` reuses ``probs`` and ``counts`` as its workspace, so
-    a result is backpropagated once.
-
-    A step's state is one row [h | c] of a (T, 2d) array, its pooled input
-    one block [[h_p, h_q], [c_p, c_q]] of a (T, 2, 2, d) array; H, C, HX and
-    CX are views of these two.
-    """
-    rows: CascadeRows
-    H: np.ndarray               # (T, d) sender embeddings, state[:, :d]
-    C: np.ndarray               # (T, d) memory cells, state[:, d:]
-    A: np.ndarray               # (T, 5d) gates [i, f_p, f_q, c_tilde, o]
-    tanh_C: np.ndarray          # (T, d)
-    HX: np.ndarray              # (T, 2d) pooled [h_p; h_q], pooled[:, 0]
-    CX: np.ndarray              # (T, 2d) pooled [c_p; c_q], pooled[:, 1]
-    pos: np.ndarray             # (m,) node -> cascade position, T if inactive
-    losses: np.ndarray          # (T-1,) per-step losses; empty without losses
-    probs: np.ndarray | None = None    # (T-1, m) step probabilities
-    counts: np.ndarray | None = None   # (T-1, m) precedent-only |P|, at least 1
-
-    @property
-    def total_loss(self) -> float:
-        return float(self.losses.sum())
-
-
 def _raise_nonfinite(node: int, a: np.ndarray, c: np.ndarray) -> None:
     d = c.size
     names = ("input gate", "forget gate (p)", "forget gate (q)", "candidate cell",
@@ -268,8 +229,7 @@ def _normalise(X: np.ndarray, step: int, first: int) -> tuple[np.ndarray, np.nda
     return z, top
 
 
-def _score_rows(model: Model, result: CascadeForwardResult
-                ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
+def _score_rows(state: CascadeState) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
     """(probs, counts, losses) of a cascade's T-1 steps, as one block.
 
     Row s of ``probs`` is step s + 2, which sees rows 0..s; its pooled state
@@ -279,8 +239,8 @@ def _score_rows(model: Model, result: CascadeForwardResult
     ``_normalise`` makes each row a softmax; ``losses`` holds -log p of
     each step's next activation.
     """
-    config, params, rows = model.config, model.params, result.rows
-    G, m, H = params["G"], config.node_count, result.H
+    config, params, rows = state.model.config, state.model.params, state.rows
+    G, m, H = params["G"], config.node_count, state.H
     S, counts = rows.nodes.size - 1, None
     if config.score_mode == "all-active":
         X = _all_active_pooled(H, S) @ G.T
@@ -297,7 +257,7 @@ def _score_rows(model: Model, result: CascadeForwardResult
         np.maximum(counts, 1.0, out=counts)
         X /= counts
     X += params["b_act"]
-    np.copyto(X, -np.inf, where=result.pos <= np.arange(S)[:, None])
+    np.copyto(X, -np.inf, where=state.pos <= np.arange(S)[:, None])
     target = X[np.arange(S), rows.nodes[1:]]
     z, top = _normalise(X, 2, rows.nodes[0])
     return X, counts, np.log(z) - (target - top)
@@ -306,17 +266,37 @@ def _score_rows(model: Model, result: CascadeForwardResult
 class CascadeState:
     """A cascade's forward pass so far, which later activations extend.
 
-    It holds the [h | c] state rows and their running sum, ``pos`` (node ->
-    position, node_count at inactive nodes), the prefix's ``CascadeRows``
-    and the next step's running score sums.  Those are the sum of H
-    (all-active), or per candidate the sum of G[w] . h_u over its active
-    in-neighbours u and their count, added row by row in the order of
-    ``_score_rows``'s ``np.bincount`` (precedent-only).  An extension runs
-    one cell per new activation and reads only the earlier rows' states;
-    its join still copies and scans every out-edge of the prefix, so an
-    extension costs its cells plus O(out-edges of the prefix).  The
-    model's parameters must not change while a state is in use, so the
-    halved fused U is made once, here.
+    ``rows`` is the prefix's ``CascadeRows`` and ``pos`` maps node ->
+    position (node_count at inactive nodes).  From the first extension on,
+    the state holds the prefix's (T, .) arrays, views of a (T, 2d) [h | c]
+    buffer and a (T, 2, 2, d) [[h_p, h_q], [c_p, c_q]] one that a later
+    extension may leave behind:
+
+        H, C    (T, d)   sender embeddings and memory cells
+        A       (T, 5d)  gates [i, f_p, f_q, c_tilde, o]
+        tanh_C  (T, d)
+        HX, CX  (T, 2d)  pooled [h_p; h_q] and [c_p; c_q]
+
+    Row t-1 belongs to v_t = ``rows.nodes[t-1]``, whose precedents are the
+    positions ``rows.prec_pos[rows.prec_ptr[t-1]:rows.prec_ptr[t]]``,
+    ascending; every other earlier position is one of its other active nodes.
+
+    ``forward_cascade`` sets ``probs``, ``counts`` and ``losses`` (empty
+    before) to ``_score_rows``'s block of all T-1 steps: row s of ``probs``
+    is the softmax over all nodes at step s + 2, exactly 0 at the nodes
+    active by then (``pos <= s``), and ``counts`` is precedent-only |P|, at
+    least 1.  ``backward_cascade`` reuses both as its workspace, so a state
+    is backpropagated once.  No caller extends a scored state.
+
+    ``predict_next`` reads the running sum of the [h | c] rows and the next
+    step's running score sums: the sum of H (all-active), or per candidate
+    the sum of G[w] . h_u over its active in-neighbours u and their count,
+    added row by row in the order of ``_score_rows``'s ``np.bincount``
+    (precedent-only).  An extension runs one cell per new activation and
+    reads only the earlier rows' states; its join still copies and scans
+    every out-edge of the prefix, so it costs its cells plus O(out-edges of
+    the prefix).  The model's parameters must not change while a state is
+    in use, so the halved fused U is made once, here.
     """
 
     def __init__(self, model: Model, graph: DataGraph):
@@ -332,36 +312,18 @@ class CascadeState:
         self._U = model.params.fused("U") * self._scale[:, None]
         self.rows = NO_ROWS
         self.pos = np.full(m, m, dtype=np.intp)
+        self.probs, self.counts, self.losses = None, None, np.zeros(0)   # set by forward_cascade
         self.total = np.zeros(2 * d)      # the sum of the [h | c] rows
-        self.sums = self.counts = None   # precedent-only, from the first score row on
-        self.folded = 0                  # out-edges added to them
-        self._buffers = ()               # sized by the first extension
+        self._sums, self._counts = np.zeros(m), np.zeros(m, np.intp)   # precedent-only
+        self._folded = 0                  # out-edges added to them
+        self._buffers = ()                # sized by the first extension
 
-    def _grow(self, capacity: int) -> None:
-        """Room for ``capacity`` rows, keeping the rows so far: the (T, 2d)
-        states, (T, 2, 2, d) pooled inputs, (T, 5d) gates and (T, d) tanh(c),
-        then the views H, C, HX and CX."""
-        d, T = self.model.config.hidden_dim, self.rows.nodes.size
-        S, P = np.zeros((capacity, 2 * d)), np.zeros((capacity, 2, 2, d))
-        A, tanh_C = np.empty((capacity, 5 * d)), np.empty((capacity, d))
-        for new, old in zip((S, P, A, tanh_C), self._buffers):
-            new[:T] = old[:T]
-        self._buffers = (S, P, A, tanh_C, S[:, :d], S[:, d:],
-                         P[:, 0].reshape(capacity, 2 * d), P[:, 1].reshape(capacity, 2 * d))
-
-    def result(self) -> CascadeForwardResult:
-        """The forward result of the prefix so far, without losses; its
-        arrays are views that a later extension may leave behind."""
-        T = self.rows.nodes.size
-        if not self._buffers:
-            self._grow(0)
-        _, _, A, tanh_C, H, C, HX, CX = self._buffers
-        return CascadeForwardResult(rows=self.rows, H=H[:T], C=C[:T], A=A[:T], tanh_C=tanh_C[:T],
-                                    HX=HX[:T], CX=CX[:T], pos=np.minimum(self.pos, T),
-                                    losses=np.zeros(0))
+    @property
+    def total_loss(self) -> float:
+        return float(self.losses.sum())
 
     def _extend(self, nodes: Sequence[int]) -> None:
-        """Run the cell on the activations ``nodes``, distinct and inactive.
+        """Run the cell on one or more activations ``nodes``, distinct and inactive.
 
         The lone-prefix join appends their rows.  A node outside the graph
         raises DataError and a non-finite cell NumericError, both leaving
@@ -371,7 +333,7 @@ class CascadeState:
         """
         d, m = self.model.config.hidden_dim, self.model.config.node_count
         params, pos, T0 = self.model.params, self.pos, self.rows.nodes.size
-        if nodes and not (0 <= min(nodes) and max(nodes) < m):
+        if not (0 <= min(nodes) and max(nodes) < m):
             raise DataError("cascade references nodes outside the graph")
         nodes = np.fromiter(nodes, np.intp, len(nodes))
         T = T0 + nodes.size
@@ -379,8 +341,16 @@ class CascadeState:
         rows = self.rows.extend(self.graph, nodes, pos)
         prec_ptr, prec_pos = rows.prec_ptr, rows.prec_pos
         room = len(self._buffers[0]) if self._buffers else 0
-        if T > room or not self._buffers:
-            self._grow(max(T, 2 * room))
+        if T > room:
+            # Double the room, keeping the rows so far: the (T, 2d) states, (T, 2,
+            # 2, d) pooled inputs, (T, 5d) gates, (T, d) tanh(c), views H, C, HX, CX.
+            n = max(T, 2 * room)
+            S, P, A, tanh_C = (np.zeros((n, 2 * d)), np.zeros((n, 2, 2, d)),
+                               np.empty((n, 5 * d)), np.empty((n, d)))
+            for new, old in zip((S, P, A, tanh_C), self._buffers):
+                new[:T0] = old[:T0]
+            self._buffers = (S, P, A, tanh_C, S[:, :d], S[:, d:],
+                             P[:, 0].reshape(n, 2 * d), P[:, 1].reshape(n, 2 * d))
         S, P, A, tanh_C, H, C, HX, CX = self._buffers
         U, scale, shift = self._U, self._scale, self._shift
         # Input and bias terms of the new steps' five gates, gathered at
@@ -418,29 +388,24 @@ class CascadeState:
             pos[nodes] = m
             _raise_nonfinite(int(rows.nodes[bad]), A[bad], C[bad])
         self.rows, self.total = rows, total
+        self.A, self.tanh_C, self.H, self.C, self.HX, self.CX = (
+            view[:T] for view in self._buffers[2:])
 
     def _next_scores(self) -> np.ndarray:
         """The pooled scores of the step after the prefix, as one (1, m) row."""
         config, rows, G = self.model.config, self.rows, self.model.params["G"]
-        d, m = config.hidden_dim, config.node_count
         if config.score_mode == "all-active":
-            return (self.total[None, :d] / rows.nodes.size) @ G.T
-        # Add the out-edges of the rows added since the last call, in row
-        # order: np.bincount for the first, np.add.at onto the sums after.
-        src, dst = rows.src[self.folded:], rows.dst[self.folded:]
-        terms = np.einsum("ij,ij->i", G[dst], self._buffers[4][src])   # H[src]
-        if self.sums is None:
-            self.sums = np.bincount(dst, terms, m).astype(float, copy=False)  # int64 with no edge
-            self.counts = np.bincount(dst, minlength=m)
-        else:
-            np.add.at(self.sums, dst, terms)
-            np.add.at(self.counts, dst, 1)
-        self.folded = rows.src.size
-        return (self.sums / np.maximum(self.counts, 1))[None]
+            return (self.total[None, :config.hidden_dim] / rows.nodes.size) @ G.T
+        # Add the out-edges of the rows added since the last call, in row order.
+        src, dst = rows.src[self._folded:], rows.dst[self._folded:]
+        np.add.at(self._sums, dst, np.einsum("ij,ij->i", G[dst], self.H[src]))
+        np.add.at(self._counts, dst, 1)
+        self._folded = rows.src.size
+        return (self._sums / np.maximum(self._counts, 1))[None]
 
 
 def forward_cascade(model: Model, graph: DataGraph, cascade: Cascade,
-                    compute_loss: bool = True) -> CascadeForwardResult:
+                    compute_loss: bool = True) -> CascadeState:
     """Run the cell over a cascade in activation order.
 
     This is the empty ``CascadeState`` extended by the whole cascade, whose
@@ -449,17 +414,16 @@ def forward_cascade(model: Model, graph: DataGraph, cascade: Cascade,
     outside the graph DataError.  When ``compute_loss`` is set,
     ``_score_rows`` then scores all T-1 prediction steps as one block, step
     t against the state *before* v_t activates, with the negative
-    log-probability of v_t as its loss.
+    log-probability of v_t as its loss.  The extended state is returned.
     """
     state = CascadeState(model, graph)
     state._extend(cascade.nodes)
-    result = state.result()
-    if compute_loss and result.H.shape[0] >= 2:
-        result.probs, result.counts, result.losses = _score_rows(model, result)
-    return result
+    if compute_loss and len(cascade) >= 2:
+        state.probs, state.counts, state.losses = _score_rows(state)
+    return state
 
 
-def backward_cascade(result: CascadeForwardResult, model: Model,
+def backward_cascade(result: CascadeState, model: Model,
                      out: GradientStore | None = None) -> GradientStore:
     """Exact reverse-mode gradient of the cascade's summed loss terms.
 
@@ -467,7 +431,7 @@ def backward_cascade(result: CascadeForwardResult, model: Model,
     normalisation, so contributions from repeated cascades add up.  Handles
     the fan-out of every sender state into all later aggregates and all
     later scoring steps.  The scoring gradients of all steps come first, as
-    whole-cascade array operations on the result's probability block; the
+    whole-cascade array operations on the state's probability block; the
     loop then carries only the cell, every row from T-2 down to 0 (row T-1
     feeds no score and no earlier row).  Step t's gradient [dh | dc] is one
     (2, d) row; from its gate derivatives dz, U^T dz and [f_p; f_q] * dc
@@ -490,7 +454,7 @@ def backward_cascade(result: CascadeForwardResult, model: Model,
     DZ_dc, DZ_o = DZ[:, :4 * d].reshape(T, 4, d), DZ[:, 4 * d:]   # by dc, by dh
     if result.losses.size:
         if result.probs is None:
-            raise ValueError("this forward result was already backpropagated")
+            raise ValueError("this forward state was already backpropagated")
         # GV = probs - onehot(target), d loss / d scores, 0 at active nodes.
         S, G, gG, gb_act = T - 1, params["G"], out["G"], out["b_act"]
         GV, counts = result.probs, result.counts

@@ -113,12 +113,12 @@ def _objective(model: Model, graph: DataGraph, cascades: Sequence[Cascade], lam:
         grads.fill(0.0)
     total, steps = 0.0, 0
     for cascade in cascades:
-        result = forward_cascade(model, graph, cascade)
+        state = forward_cascade(model, graph, cascade)
         if grads is not None:
-            backward_cascade(result, model, out=grads)
-        total += result.total_loss
-        steps += result.losses.size
-        del result   # its (T-1) x m block must not outlive the turn
+            backward_cascade(state, model, out=grads)
+        total += state.total_loss
+        steps += state.losses.size
+        del state   # its (T-1) x m block must not outlive the turn
     value = total / steps
     if lam:
         value += lam * model.params.squared_l2()

@@ -13,6 +13,7 @@ from topolstm import cli
 from topolstm.checkpoint import load_model, save_model
 from topolstm.errors import CheckpointError
 from topolstm.model import Model, ModelConfig
+from topolstm.numeric import ParameterStore
 from topolstm.version import TOOL_VERSION
 
 
@@ -98,6 +99,32 @@ class TestCheckpointRoundTrip:
         path.write_bytes(data[:-64])
         with pytest.raises(CheckpointError):
             load_model(path)
+
+    @pytest.mark.parametrize("error", [OSError(28, "No space left on device"),
+                                       KeyboardInterrupt()])
+    def test_a_save_cut_midway_keeps_the_old_file(self, model, tmp_path, monkeypatch, error):
+        # The write fails after the header and the first slot; the earlier
+        # checkpoint keeps its bytes and no temporary file is left behind.
+        path = tmp_path / "checkpoint.bin"
+        save_model(path, model, LABELS)
+        old = path.read_bytes()
+        items = ParameterStore.items
+
+        def cut_items(store):
+            slots = iter(items(store))
+            yield next(slots)
+            raise error
+
+        monkeypatch.setattr(ParameterStore, "items", cut_items)
+        newer = Model.initialize(model.config, np.random.default_rng(1))
+        with pytest.raises(type(error)):
+            save_model(path, newer, LABELS)
+        assert path.read_bytes() == old
+        assert list(tmp_path.iterdir()) == [path]
+        monkeypatch.undo()
+        save_model(path, newer, LABELS)
+        reference_save(tmp_path / "reference.bin", newer, LABELS)
+        assert path.read_bytes() == (tmp_path / "reference.bin").read_bytes()
 
 
 class TestFormat:

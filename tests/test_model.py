@@ -105,7 +105,7 @@ class TestParameterLayout:
 
 
 def gates(result, d):
-    """The (T, d) blocks [i, f_p, f_q, c_tilde, o] of a forward result's gates."""
+    """The (T, d) blocks [i, f_p, f_q, c_tilde, o] of a forward state's gates."""
     return [result.A[:, k * d:(k + 1) * d] for k in range(5)]
 
 
@@ -758,9 +758,8 @@ class TestCascadeState:
                 if want is not None:
                     assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
         full = forward_cascade(model, graph, cascade, compute_loss=False)
-        got = grown.result()
         for name in FORWARD_ARRAYS:
-            assert np.array_equal(getattr(got, name), getattr(full, name)), name
+            assert np.array_equal(getattr(grown, name), getattr(full, name)), name
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(state_instances())
@@ -769,7 +768,7 @@ class TestCascadeState:
         m, k = model.config.node_count, cuts[0] if cuts else 1
         state = CascadeState(model, graph)
         grow(model, graph, Cascade(cascade.nodes[:k]), state)
-        kept = [np.copy(a) for a in (*state.rows, *(getattr(state.result(), name)
+        kept = [np.copy(a) for a in (*state.rows, *(getattr(state, name)
                                                       for name in FORWARD_ARRAYS))]
         twin = DataGraph(graph.labels, graph.out_ptr, graph.out_idx)   # equal, not the same
         first = next(v for v in range(m) if v != cascade[0])
@@ -786,33 +785,33 @@ class TestCascadeState:
         for other_model, other_graph, prefix, error, message in refusals:
             with pytest.raises(error, match=message):
                 predict_next(other_model, other_graph, prefix, state=state)
-        now = [*state.rows, *(getattr(state.result(), name) for name in FORWARD_ARRAYS)]
+        now = [*state.rows, *(getattr(state, name) for name in FORWARD_ARRAYS)]
         assert all(np.array_equal(a, b) for a, b in zip(kept, now))
         grow(model, graph, cascade, state)
         full = forward_cascade(model, graph, cascade, compute_loss=False)
         for name in FORWARD_ARRAYS:
-            assert np.array_equal(getattr(state.result(), name), getattr(full, name)), name
+            assert np.array_equal(getattr(state, name), getattr(full, name)), name
 
     @pytest.mark.parametrize("mode", SCORE_MODES)
     def test_an_extension_computes_one_cell(self, mode):
         # The gate and tanh(c) rows feed only the backward pass.  Poisoned
         # with NaN in every earlier row, they stay NaN through an extension,
         # so it recomputed no earlier cell, and its one new row is a full
-        # forward's.
+        # forward's.  A state has arrays from its first activation on, so
+        # the poisoning starts at the second.
         rng = np.random.default_rng(70)
         graph, cascade, model = random_instance(rng, m=30, d=5, T=12, mode=mode)
         full = forward_cascade(model, graph, cascade, compute_loss=False)
         state = CascadeState(model, graph)
         for k in range(1, len(cascade) + 1):
-            before = state.result()
-            before.A[...] = np.nan
-            before.tanh_C[...] = np.nan
+            if k > 1:
+                state.A[...] = np.nan
+                state.tanh_C[...] = np.nan
             predict_next(model, graph, Cascade(cascade.nodes[:k]), state=state)
-            after = state.result()
-            assert np.isnan(after.A[:k - 1]).all() and np.isnan(after.tanh_C[:k - 1]).all()
+            assert np.isnan(state.A[:k - 1]).all() and np.isnan(state.tanh_C[:k - 1]).all()
             for name in ("H", "C", "A", "tanh_C", "HX", "CX"):
-                assert np.array_equal(getattr(after, name)[k - 1], getattr(full, name)[k - 1])
-            np.testing.assert_array_equal(after.H, full.H[:k])
+                assert np.array_equal(getattr(state, name)[k - 1], getattr(full, name)[k - 1])
+            np.testing.assert_array_equal(state.H, full.H[:k])
 
     def test_the_shared_empty_rows_are_read_only(self):
         # Every empty state and lone forward starts from the same arrays, so
@@ -854,4 +853,4 @@ class TestCascadeState:
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
         full = forward_cascade(model, graph, cascade, compute_loss=False)
         for name in FORWARD_ARRAYS:
-            assert np.array_equal(getattr(state.result(), name), getattr(full, name)), name
+            assert np.array_equal(getattr(state, name), getattr(full, name)), name

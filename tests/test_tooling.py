@@ -66,6 +66,16 @@ def test_readme_commands_parse():
             pytest.fail(f"README command does not parse: topolstm {shlex.join(argv)}")
 
 
+def test_readme_package_layout_names_every_module():
+    # Each module of the package has one line in the README's layout block,
+    # and the block names no module that is gone.
+    text = README.read_text(encoding="utf-8")
+    [block] = re.findall(r"^## Package layout\n\n```\n(.*?)^```", text, re.MULTILINE | re.DOTALL)
+    listed = re.findall(r"^  (\w+\.py) ", block, re.MULTILINE)
+    modules = Path(topolstm.__file__).parent.glob("*.py")
+    assert sorted(listed) == sorted(p.name for p in modules if p.name != "__init__.py")
+
+
 def test_readme_follow_a_cascade_block_runs(tmp_path, monkeypatch, capsys):
     # The documented CascadeState loop runs as written on a generated
     # dataset and a seeded checkpoint, and names each prefix's most likely
