@@ -11,11 +11,10 @@ form a DAG: every edge runs from a node activated before t to a node that is
 either still inactive or was activated later than the source.  A node's
 precedents at t are the sources of its attempt edges, so the whole DAG at
 any t follows from the graph, the activation order and t.  The model keeps
-only the precedents, as one ``CascadeRows`` per cascade, built by the
-lone-prefix join of ``CascadeRows.extend``: one lookup of the cascade's
-out-edges' targets in a node -> position array, whether the cascade is run
-whole or grown one activation at a time.  The IC-SB fit counts attempt
-edges over many cascades at once, by the blocked join ``cascade_passes``.
+only the precedents, in each forward's ``model.CascadeState``, which joins
+the out-edges of its activations (``DataGraph.out_edges``) with its node ->
+position array.  The IC-SB fit counts attempt edges over many cascades at
+once, by the blocked join ``cascade_passes``.
 ``build_topologies`` gives the same precedents as per-step views for the
 dict-based reference scorers; only the benchmark's gates call them.
 
@@ -36,7 +35,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from itertools import accumulate, chain, count
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -318,47 +317,6 @@ def cascade_passes(graph: DataGraph, ptr: np.ndarray, nodes: np.ndarray, cid: np
         yield row + lo, target, at, edge
 
 
-class CascadeRows(NamedTuple):
-    """One cascade's rows in its positions 0..T-1, built from ``NO_ROWS`` by
-    ``extend``.  Row r's precedents are its in-neighbours that activated
-    before it, as ascending positions."""
-    nodes: np.ndarray
-    src: np.ndarray         # out-edges: row src[e] -> node dst[e], in row order
-    dst: np.ndarray
-    prec_ptr: np.ndarray    # row r's precedents: prec_pos[prec_ptr[r]:prec_ptr[r + 1]]
-    prec_pos: np.ndarray
-
-    def extend(self, graph: DataGraph, nodes: np.ndarray, pos: np.ndarray) -> "CascadeRows":
-        """These T0 rows followed by one row per node of ``nodes``, by the
-        lone-prefix join: ``pos`` maps every node to its position in the
-        extended prefix of T rows, T or more at the inactive ones, and new
-        row r's precedents are the rows whose out-edge points at it.  So the
-        new rows' out-edges are appended, every out-edge with
-        T0 <= pos[dst] < T and pos[dst] above its own row is kept, and those
-        are stably sorted by target row, so each row's precedents ascend.
-        The old out-edges are copied and tested again, so one call costs
-        O(out-edges of all T rows), however few ``nodes`` it adds."""
-        T0, T = self.nodes.size, self.nodes.size + nodes.size
-        row, target, _ = graph.out_edges(nodes)
-        src, dst = np.concatenate((self.src, row + T0)), np.concatenate((self.dst, target))
-        at = pos[dst]
-        link = (at >= T0) & (at < T) & (at > src)
-        at = at[link]
-        order = at.argsort(kind="stable")
-        prec_ptr = at[order].searchsorted(np.arange(T0 + 1, T + 1)) + self.prec_ptr[-1]
-        return CascadeRows(np.concatenate((self.nodes, nodes)), src, dst,
-                           np.concatenate((self.prec_ptr, prec_ptr)),
-                           np.concatenate((self.prec_pos, src[link][order])))
-
-
-# The rows of the empty prefix, which every lone prefix extends; read-only,
-# as every empty state and lone forward shares them.
-NO_ROWS = CascadeRows(*(np.zeros(n, np.intp) for n in (0, 0, 0, 1, 0)))
-for _a in NO_ROWS:
-    _a.flags.writeable = False
-del _a
-
-
 def drop_short(cascades: Sequence[Cascade], what: str) -> tuple[list[Cascade], int]:
     """(the cascades of length >= 2, how many were dropped).  A length-1
     cascade has no prediction step; dropping any is logged once, naming ``what``."""
@@ -415,7 +373,7 @@ class DiffusionTopology:
     the nodes activated strictly before t, and a node's precedents are those
     in-neighbours in that prefix, ordered by activation time.  Only the
     benchmark's dict-based reference scorers read these views; the model
-    reads the precedents from a ``CascadeRows``.
+    reads the precedents from its ``CascadeState``.
     """
 
     __slots__ = ("graph", "_order", "_in_rows", "time")

@@ -40,11 +40,10 @@ states of v's precedents (bias-only when it has none) and "all-active"
 (the default) pools every active node's state, which keeps the score
 informative when graph edges are missing.
 
-A cascade's precedents come from a CSR index over its positions, a
-``graph.CascadeRows``, built by the lone-prefix join of
-``CascadeRows.extend`` for every forward, in training, evaluation and
-prediction alike.  A forward is a function of the model and those rows: the
-empty ``CascadeState`` extended by the whole cascade, which it returns.  So
+A cascade's precedents come from a CSR index over its positions, which a
+``CascadeState`` builds and holds: every forward, in training, evaluation
+and prediction alike, is the empty state extended by the whole cascade, and
+the extension's lone-prefix join appends the new rows' precedents.  So
 there is one cell loop, and the loop runs only the memory cell, pooling from
 the precedents' rows and from the running sum.  No score feeds back into the
 cell, so ``_score_rows`` scores a cascade's T-1 steps as one (T-1) x m
@@ -73,7 +72,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import DataError, NumericError
-from .graph import NO_ROWS, Cascade, DataGraph, DiffusionTopology
+from .graph import Cascade, DataGraph, DiffusionTopology
 from .numeric import GradientStore, Layout, ParameterStore
 
 SCORE_MODES = ("all-active", "precedent-only")
@@ -239,17 +238,17 @@ def _score_rows(state: CascadeState) -> tuple[np.ndarray, np.ndarray | None, np.
     ``_normalise`` makes each row a softmax; ``losses`` holds -log p of
     each step's next activation.
     """
-    config, params, rows = state.model.config, state.model.params, state.rows
-    G, m, H = params["G"], config.node_count, state.H
-    S, counts = rows.nodes.size - 1, None
+    config, params = state.model.config, state.model.params
+    G, m, H, src, dst = params["G"], config.node_count, state.H, state.src, state.dst
+    S, counts = state.nodes.size - 1, None
     if config.score_mode == "all-active":
         X = _all_active_pooled(H, S) @ G.T
     else:
         # Edge u -> w puts its term in cell (u, w), at most one per cell,
         # and rows from S on fall past the block.  Cumulative sums over
         # rows then give each step's sums.
-        cell = rows.src * m + rows.dst
-        terms = np.einsum("ij,ij->i", G[rows.dst], H[rows.src])
+        cell = src * m + dst
+        terms = np.einsum("ij,ij->i", G[dst], H[src])
         X, counts = (np.bincount(cell, w, S * m)[:S * m].reshape(S, m).astype(float, copy=False)
                      for w in (terms, np.ones(cell.size)))   # int64 with no edge
         np.add.accumulate(X, axis=0, out=X)
@@ -258,17 +257,22 @@ def _score_rows(state: CascadeState) -> tuple[np.ndarray, np.ndarray | None, np.
         X /= counts
     X += params["b_act"]
     np.copyto(X, -np.inf, where=state.pos <= np.arange(S)[:, None])
-    target = X[np.arange(S), rows.nodes[1:]]
-    z, top = _normalise(X, 2, rows.nodes[0])
+    target = X[np.arange(S), state.nodes[1:]]
+    z, top = _normalise(X, 2, state.nodes[0])
     return X, counts, np.log(z) - (target - top)
 
 
 class CascadeState:
     """A cascade's forward pass so far, which later activations extend.
 
-    ``rows`` is the prefix's ``CascadeRows`` and ``pos`` maps node ->
-    position (node_count at inactive nodes).  From the first extension on,
-    the state holds the prefix's (T, .) arrays, views of a (T, 2d) [h | c]
+    Row t-1 belongs to v_t = ``nodes[t-1]``, and ``pos`` maps node ->
+    position (node_count at inactive nodes).  The state's own precedent
+    index, which ``_extend`` grows, holds every row's out-edges, row
+    ``src[e]`` -> node ``dst[e]`` in row order, and row r's precedents, its
+    in-neighbours active before it, at the ascending positions
+    ``prec_pos[prec_ptr[r]:prec_ptr[r + 1]]``; every other earlier position
+    is one of its other active nodes.  From the first extension on, the
+    state holds the prefix's (T, .) arrays, views of a (T, 2d) [h | c]
     buffer and a (T, 2, 2, d) [[h_p, h_q], [c_p, c_q]] one that a later
     extension may leave behind:
 
@@ -276,10 +280,6 @@ class CascadeState:
         A       (T, 5d)  gates [i, f_p, f_q, c_tilde, o]
         tanh_C  (T, d)
         HX, CX  (T, 2d)  pooled [h_p; h_q] and [c_p; c_q]
-
-    Row t-1 belongs to v_t = ``rows.nodes[t-1]``, whose precedents are the
-    positions ``rows.prec_pos[rows.prec_ptr[t-1]:rows.prec_ptr[t]]``,
-    ascending; every other earlier position is one of its other active nodes.
 
     ``forward_cascade`` sets ``probs``, ``counts`` and ``losses`` (empty
     before) to ``_score_rows``'s block of all T-1 steps: row s of ``probs``
@@ -292,11 +292,10 @@ class CascadeState:
     step's running score sums: the sum of H (all-active), or per candidate
     the sum of G[w] . h_u over its active in-neighbours u and their count,
     added row by row in the order of ``_score_rows``'s ``np.bincount``
-    (precedent-only).  An extension runs one cell per new activation and
-    reads only the earlier rows' states; its join still copies and scans
-    every out-edge of the prefix, so it costs its cells plus O(out-edges of
-    the prefix).  The model's parameters must not change while a state is
-    in use, so the halved fused U is made once, here.
+    (precedent-only).  An extension runs one cell per new activation, plus
+    its join, and reads only the earlier rows' states.  The model's
+    parameters must not change while a state is in use, so the halved fused
+    U is made once, here.
     """
 
     def __init__(self, model: Model, graph: DataGraph):
@@ -310,7 +309,8 @@ class CascadeState:
         self._scale, self._shift = np.array(((0.5, 0.5, 0.5, 1.0, 0.5),
                                              (0.5, 0.5, 0.5, -0.0, 0.5))).repeat(d, 1)
         self._U = model.params.fused("U") * self._scale[:, None]
-        self.rows = NO_ROWS
+        self.nodes, self.src, self.dst, self.prec_ptr, self.prec_pos = (
+            np.zeros(n, np.intp) for n in (0, 0, 0, 1, 0))
         self.pos = np.full(m, m, dtype=np.intp)
         self.probs, self.counts, self.losses = None, None, np.zeros(0)   # set by forward_cascade
         self.total = np.zeros(2 * d)      # the sum of the [h | c] rows
@@ -325,21 +325,34 @@ class CascadeState:
     def _extend(self, nodes: Sequence[int]) -> None:
         """Run the cell on one or more activations ``nodes``, distinct and inactive.
 
-        The lone-prefix join appends their rows.  A node outside the graph
-        raises DataError and a non-finite cell NumericError, both leaving
-        the state as it was.  The precedent aggregates sum the precedents'
-        state rows once for h and c, and the other-active aggregates are the
-        running state sum minus that, so a row costs O(|P| d) plus the cell.
+        The lone-prefix join appends their rows to the index.  With ``pos``
+        at the T rows' positions, T or more at inactive nodes, the new rows'
+        out-edges are appended, every out-edge with T0 <= pos[dst] < T above
+        its own row is kept, and those are stably sorted by target row, so
+        each row's precedents ascend.  It tests the old out-edges again, so
+        it costs O(out-edges of all T rows).  A row's precedent aggregates
+        sum its precedents' state rows once for h and c, and the
+        other-active ones are the running sum minus that: O(|P| d) plus the
+        cell.  A node outside the graph raises DataError and a non-finite
+        cell NumericError; the index and rows are committed only after the
+        cells, and ``pos`` is restored, so both leave the state as it was.
         """
         d, m = self.model.config.hidden_dim, self.model.config.node_count
-        params, pos, T0 = self.model.params, self.pos, self.rows.nodes.size
+        params, pos, T0 = self.model.params, self.pos, self.nodes.size
         if not (0 <= min(nodes) and max(nodes) < m):
             raise DataError("cascade references nodes outside the graph")
         nodes = np.fromiter(nodes, np.intp, len(nodes))
         T = T0 + nodes.size
         pos[nodes] = np.arange(T0, T)
-        rows = self.rows.extend(self.graph, nodes, pos)
-        prec_ptr, prec_pos = rows.prec_ptr, rows.prec_pos
+        row, target, _ = self.graph.out_edges(nodes)
+        src, dst = np.concatenate((self.src, row + T0)), np.concatenate((self.dst, target))
+        at = pos[dst]
+        link = (at >= T0) & (at < T) & (at > src)
+        at = at[link]
+        order = at.argsort(kind="stable")
+        prec_ptr = np.concatenate((self.prec_ptr, at[order].searchsorted(np.arange(T0 + 1, T + 1))
+                                   + self.prec_ptr[-1]))
+        prec_pos = np.concatenate((self.prec_pos, src[link][order]))
         room = len(self._buffers[0]) if self._buffers else 0
         if T > room:
             # Double the room, keeping the rows so far: the (T, 2d) states, (T, 2,
@@ -386,21 +399,22 @@ class CascadeState:
         if not np.isfinite(S[T0:T]).all():
             bad = T0 + int(np.flatnonzero(~np.isfinite(S[T0:T]).all(axis=1))[0])
             pos[nodes] = m
-            _raise_nonfinite(int(rows.nodes[bad]), A[bad], C[bad])
-        self.rows, self.total = rows, total
+            _raise_nonfinite(int(nodes[bad - T0]), A[bad], C[bad])
+        self.nodes, self.src, self.dst = np.concatenate((self.nodes, nodes)), src, dst
+        self.prec_ptr, self.prec_pos, self.total = prec_ptr, prec_pos, total
         self.A, self.tanh_C, self.H, self.C, self.HX, self.CX = (
             view[:T] for view in self._buffers[2:])
 
     def _next_scores(self) -> np.ndarray:
         """The pooled scores of the step after the prefix, as one (1, m) row."""
-        config, rows, G = self.model.config, self.rows, self.model.params["G"]
+        config, G = self.model.config, self.model.params["G"]
         if config.score_mode == "all-active":
-            return (self.total[None, :config.hidden_dim] / rows.nodes.size) @ G.T
+            return (self.total[None, :config.hidden_dim] / self.nodes.size) @ G.T
         # Add the out-edges of the rows added since the last call, in row order.
-        src, dst = rows.src[self._folded:], rows.dst[self._folded:]
+        src, dst = self.src[self._folded:], self.dst[self._folded:]
         np.add.at(self._sums, dst, np.einsum("ij,ij->i", G[dst], self.H[src]))
         np.add.at(self._counts, dst, 1)
-        self._folded = rows.src.size
+        self._folded = self.src.size
         return (self._sums / np.maximum(self._counts, 1))[None]
 
 
@@ -409,9 +423,9 @@ def forward_cascade(model: Model, graph: DataGraph, cascade: Cascade,
     """Run the cell over a cascade in activation order.
 
     This is the empty ``CascadeState`` extended by the whole cascade, whose
-    rows the lone-prefix join of ``CascadeRows.extend`` builds: a model
-    whose node count is not the graph's raises ValueError, and a node
-    outside the graph DataError.  When ``compute_loss`` is set,
+    precedent index its lone-prefix join builds: a model whose node count
+    is not the graph's raises ValueError, and a node outside the graph
+    DataError.  When ``compute_loss`` is set,
     ``_score_rows`` then scores all T-1 prediction steps as one block, step
     t against the state *before* v_t activates, with the negative
     log-probability of v_t as its loss.  The extended state is returned.
@@ -444,8 +458,7 @@ def backward_cascade(result: CascadeState, model: Model,
     """
     if out is None:
         out = model.zero_grads()
-    config, params, rows = model.config, model.params, result.rows
-    T = rows.nodes.size
+    config, params, T = model.config, model.params, result.nodes.size
     d = config.hidden_dim
     UT = params.fused("U").T
     dS = np.zeros((T, 2, d))   # row t is [dh | dc] of step t
@@ -459,7 +472,7 @@ def backward_cascade(result: CascadeState, model: Model,
         S, G, gG, gb_act = T - 1, params["G"], out["G"], out["b_act"]
         GV, counts = result.probs, result.counts
         result.probs = result.counts = None
-        GV[np.arange(S), rows.nodes[1:]] -= 1.0
+        GV[np.arange(S), result.nodes[1:]] -= 1.0
         gb_act += GV.sum(axis=0)
         if config.score_mode == "all-active":
             # Row s's d pooled = GV[s] . G / (s + 1) reaches rows 0..s.
@@ -474,8 +487,8 @@ def backward_cascade(result: CascadeState, model: Model,
             # edge u -> w makes |P_w| >= 1 from u's row on.
             alpha = np.divide(GV, counts, out=GV)
             np.cumsum(alpha[::-1], axis=0, out=alpha[::-1])
-            keep = rows.src < S
-            src, dst = rows.src[keep], rows.dst[keep]
+            keep = result.src < S
+            src, dst = result.src[keep], result.dst[keep]
             at_edges = alpha[src, dst]
             alpha.fill(0.0)
             alpha[src, dst] = at_edges
@@ -494,7 +507,7 @@ def backward_cascade(result: CascadeState, model: Model,
     Q, dc = np.empty((2, 2, d)), np.empty(d)
     dhx, Q_c, Q_p, Q_q = Q[0].reshape(2 * d), Q[1], Q[:, 0], Q[:, 1]
     acc, share, back = np.zeros((2, d)), np.empty((2, d)), np.empty((2, d))
-    ptr, prec_pos = rows.prec_ptr.tolist(), rows.prec_pos
+    ptr, prec_pos = result.prec_ptr.tolist(), result.prec_pos
 
     for pos in range(T - 2, -1, -1):
         row = dS[pos]
@@ -522,7 +535,7 @@ def backward_cascade(result: CascadeState, model: Model,
     # Both forget-gate rows of dz feed the shared W_f / b_f block.
     DZ4 = np.concatenate((DZ[:, :2 * d], DZ[:, 3 * d:]), axis=1)
     DZ4[:, d:2 * d] += DZ[:, 2 * d:3 * d]
-    out.fused("Wx")[:, rows.nodes] += DZ4.T
+    out.fused("Wx")[:, result.nodes] += DZ4.T
     gb = out.fused("b")
     gb += DZ4.sum(axis=0)
     return out
@@ -547,8 +560,8 @@ def predict_next(model: Model, graph: DataGraph, prefix: Cascade, *,
         state = CascadeState(model, graph)
     elif state.model is not model or state.graph is not graph:
         raise ValueError("state belongs to another model or graph")
-    T0 = state.rows.nodes.size
-    if state.rows.nodes.tolist() != list(prefix.nodes[:T0]):
+    T0 = state.nodes.size
+    if state.nodes.tolist() != list(prefix.nodes[:T0]):
         raise ValueError("prefix does not begin with the state's activations")
     T = len(prefix)
     if T > T0:
@@ -558,6 +571,6 @@ def predict_next(model: Model, graph: DataGraph, prefix: Cascade, *,
         raise ValueError("no inactive nodes left to predict")
     probs = state._next_scores()
     probs += model.params["b_act"]
-    probs[0, state.rows.nodes] = -np.inf
+    probs[0, state.nodes] = -np.inf
     _normalise(probs, T + 1, prefix[0])
     return cand, probs[0, cand]

@@ -41,10 +41,10 @@ def random_cascade(rng, node_count, length):
     return Cascade(tuple(int(x) for x in perm))
 
 
-def precedent_rows(rows):
-    """The precedent positions of every step, as lists, from a ``CascadeRows``' CSR."""
-    ptr = rows.prec_ptr.tolist()
-    return [rows.prec_pos[ptr[r]:ptr[r + 1]].tolist() for r in range(len(ptr) - 1)]
+def precedent_rows(state):
+    """The precedent positions of every step, as lists, from a ``CascadeState``'s CSR."""
+    ptr = state.prec_ptr.tolist()
+    return [state.prec_pos[ptr[r]:ptr[r + 1]].tolist() for r in range(len(ptr) - 1)]
 
 
 def edge_probs(graph, mapping):

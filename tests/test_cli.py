@@ -674,6 +674,21 @@ def test_unreadable_input_path_exit_2_names_it(command, flag, kind, data_dir,
     assert len(errors) == 1 and str(bad) in errors[0]
 
 
+def test_model_too_large_for_memory_exit_2_names_the_allocation(data_dir, tmp_path, capsys,
+                                                                monkeypatch):
+    # An oversized --hidden-dim ends in one error line, not a traceback.
+    failure = "Unable to allocate 149. GiB for an array with shape (100000000, 200)"
+
+    def too_large(cls, config, rng):
+        raise MemoryError(failure)
+    monkeypatch.setattr(Model, "initialize", classmethod(too_large))
+    code = cli.main(["train", "--graph", str(data_dir / "graph.txt"),
+                     "--cascades", str(data_dir / "cascades.txt"),
+                     "--hidden-dim", "4", "--epochs", "1", "--out", str(tmp_path / "t")])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: out of memory: {failure}"]
+
+
 @pytest.mark.parametrize("command, override, code", [
     ("evaluate", {"--checkpoint": "junk.bin"}, 4),
     ("evaluate", {"--graph": "other.txt"}, 4),

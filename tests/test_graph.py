@@ -423,7 +423,7 @@ class TestCascade:
 def index_rows(graph, cascade):
     """The production CSR precedent index of a cascade, one row per activation."""
     model = Model.initialize(ModelConfig(1, graph.node_count), np.random.default_rng(0))
-    return precedent_rows(forward_cascade(model, graph, cascade, compute_loss=False).rows)
+    return precedent_rows(forward_cascade(model, graph, cascade, compute_loss=False))
 
 
 def assert_view_matches_oracle(graph, cascade, view, t):

@@ -215,7 +215,7 @@ class TestAggregate:
         rng = np.random.default_rng(6)
         graph = DataGraph.from_edges(3, [(1, 0), (0, 1)])
         result = self._forward(rng, graph, Cascade((0, 1)), 2)
-        assert precedent_rows(result.rows) == [[], [0]]
+        assert precedent_rows(result) == [[], [0]]
         np.testing.assert_array_equal(result.HX[0], np.zeros(4))
 
 
@@ -427,15 +427,15 @@ class TestScoreBlock:
         assert math.sqrt(grads.squared_l2()) == pytest.approx(grad_norm, rel=1e-10)
 
 
-def check_rows_against_oracle(graph, cascade, rows):
-    """A cascade's ``CascadeRows`` against the oracle: its nodes, every
-    out-edge of its rows in row order, and each row's precedents."""
+def check_rows_against_oracle(graph, cascade, state):
+    """A cascade's ``CascadeState`` index against the oracle: its nodes,
+    every out-edge of its rows in row order, and each row's precedents."""
     pos = {v: i for i, v in enumerate(cascade.nodes)}
-    assert rows.nodes.tolist() == list(cascade.nodes)
-    assert list(zip(rows.src.tolist(), rows.dst.tolist())) == sorted(
+    assert state.nodes.tolist() == list(cascade.nodes)
+    assert list(zip(state.src.tolist(), state.dst.tolist())) == sorted(
         (pos[u], w) for u, w in oracle.edge_set(graph) if u in pos)
-    assert rows.prec_ptr[0] == 0
-    assert precedent_rows(rows) == [
+    assert state.prec_ptr[0] == 0
+    assert precedent_rows(state) == [
         [pos[u] for u in oracle.precedents(graph, cascade, t, v)]
         for t, v in enumerate(cascade.nodes, start=1)]
 
@@ -444,7 +444,7 @@ class TestPrecedentIndex:
     def _check_against_oracle(self, graph, cascade, rng):
         model = Model.initialize(ModelConfig(2, graph.node_count), rng)
         result = forward_cascade(model, graph, cascade, compute_loss=False)
-        check_rows_against_oracle(graph, cascade, result.rows)
+        check_rows_against_oracle(graph, cascade, result)
         return result
 
     def test_matches_topology_oracle_on_random_pairs(self):
@@ -461,7 +461,7 @@ class TestPrecedentIndex:
         g = DataGraph.from_edges(4, [(1, 0), (2, 0), (0, 3), (1, 2)])
         result = self._check_against_oracle(g, Cascade((0, 1, 2, 3)),
                                             np.random.default_rng(41))
-        assert precedent_rows(result.rows) == [[], [], [1], [0]]
+        assert precedent_rows(result) == [[], [], [1], [0]]
 
     def test_one_table_matches_the_oracle_for_every_cascade(self):
         # Many cascades on one graph: packed end to end they keep their
@@ -488,7 +488,7 @@ class TestPrecedentIndex:
         model = perturbed_model(ModelConfig(4, graph.node_count, mode), rng)
         result = forward_cascade(model, graph, cascade)
         d = model.config.hidden_dim
-        for row, prec in enumerate(precedent_rows(result.rows)):
+        for row, prec in enumerate(precedent_rows(result)):
             rest = sorted(set(range(row)) - set(prec))
             for got, S in ((result.HX[row], result.H), (result.CX[row], result.C)):
                 want = np.zeros(2 * d)
@@ -714,6 +714,7 @@ def state_instances(draw):
 
 
 FORWARD_ARRAYS = ("H", "C", "A", "tanh_C", "HX", "CX", "pos")
+INDEX_ARRAYS = ("nodes", "src", "dst", "prec_ptr", "prec_pos")
 
 
 def grow(model, graph, prefix, state):
@@ -733,13 +734,13 @@ class TestCascadeState:
         # Whole or grown at the cut points, the rows are the oracle's, in
         # intp arrays.
         graph, cascade, model, cuts = instance
-        alone = forward_cascade(model, graph, cascade, compute_loss=False).rows
+        alone = forward_cascade(model, graph, cascade, compute_loss=False)
         state = CascadeState(model, graph)
         for k in cuts + [len(cascade)]:
             grow(model, graph, Cascade(cascade.nodes[:k]), state)
-        for rows in (alone, state.rows):
-            check_rows_against_oracle(graph, cascade, rows)
-            assert all(array.dtype == np.intp for array in rows)
+        for built in (alone, state):
+            check_rows_against_oracle(graph, cascade, built)
+            assert all(getattr(built, name).dtype == np.intp for name in INDEX_ARRAYS)
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(state_instances())
@@ -768,8 +769,7 @@ class TestCascadeState:
         m, k = model.config.node_count, cuts[0] if cuts else 1
         state = CascadeState(model, graph)
         grow(model, graph, Cascade(cascade.nodes[:k]), state)
-        kept = [np.copy(a) for a in (*state.rows, *(getattr(state, name)
-                                                      for name in FORWARD_ARRAYS))]
+        kept = [np.copy(getattr(state, name)) for name in INDEX_ARRAYS + FORWARD_ARRAYS]
         twin = DataGraph(graph.labels, graph.out_ptr, graph.out_idx)   # equal, not the same
         first = next(v for v in range(m) if v != cascade[0])
         refusals = [
@@ -785,7 +785,7 @@ class TestCascadeState:
         for other_model, other_graph, prefix, error, message in refusals:
             with pytest.raises(error, match=message):
                 predict_next(other_model, other_graph, prefix, state=state)
-        now = [*state.rows, *(getattr(state, name) for name in FORWARD_ARRAYS)]
+        now = [getattr(state, name) for name in INDEX_ARRAYS + FORWARD_ARRAYS]
         assert all(np.array_equal(a, b) for a, b in zip(kept, now))
         grow(model, graph, cascade, state)
         full = forward_cascade(model, graph, cascade, compute_loss=False)
@@ -812,15 +812,6 @@ class TestCascadeState:
             for name in ("H", "C", "A", "tanh_C", "HX", "CX"):
                 assert np.array_equal(getattr(state, name)[k - 1], getattr(full, name)[k - 1])
             np.testing.assert_array_equal(state.H, full.H[:k])
-
-    def test_the_shared_empty_rows_are_read_only(self):
-        # Every empty state and lone forward starts from the same arrays, so
-        # a write through one of them would reach all later joins.
-        rng = np.random.default_rng(73)
-        graph, _, model = random_instance(rng, m=8, d=2, T=3, mode="precedent-only")
-        for array in CascadeState(model, graph).rows:
-            with pytest.raises(ValueError, match="read-only"):
-                array[...] = 5
 
     @pytest.mark.parametrize("mode", SCORE_MODES)
     def test_extensions_of_several_rows_give_the_same_bits(self, mode):

@@ -76,6 +76,25 @@ def test_readme_package_layout_names_every_module():
     assert sorted(listed) == sorted(p.name for p in modules if p.name != "__init__.py")
 
 
+FILE_SUFFIXES = ("py", "bin", "json", "txt", "csv", "log")
+
+
+def test_readme_module_names_resolve():
+    # Every backticked `module.name` whose module is one of the package's
+    # resolves, so a name deleted from the package does not linger in the
+    # README.  File names such as `graph.py` and `checkpoint.bin` are none.
+    text = README.read_text(encoding="utf-8")
+    modules = {p.stem for p in Path(topolstm.__file__).parent.glob("*.py")}
+    names = [(module, path) for module, path in re.findall(r"`(\w+)\.([\w.]+)`", text)
+             if module in modules and path.rsplit(".", 1)[-1] not in FILE_SUFFIXES]
+    assert len(names) >= 10
+    for module, path in names:
+        obj = importlib.import_module(f"topolstm.{module}")
+        for part in path.split("."):
+            assert hasattr(obj, part), f"README names {module}.{path}"
+            obj = getattr(obj, part)
+
+
 def test_readme_follow_a_cascade_block_runs(tmp_path, monkeypatch, capsys):
     # The documented CascadeState loop runs as written on a generated
     # dataset and a seeded checkpoint, and names each prefix's most likely
