@@ -11,8 +11,8 @@ from .baseline import EdgeProbabilities, ICSBScorer, fit_static_bernoulli
 from .checkpoint import load_model, save_model
 from .datagen import (GRAPH_MODELS, PRESETS, SynthConfig, generate_dataset,
                       generate_graph, simulate_ic_cascade)
-from .errors import (CheckpointError, ConfigError, DataError, DivergenceError,
-                     NumericError, ShapeError, TopoLstmError)
+from .errors import (CheckpointError, DataError, DivergenceError, NumericError,
+                     TopoLstmError)
 from .evaluation import MetricsTable, ModelScorer, evaluate
 from .graph import (Cascade, DataGraph, load_cascades, load_cascades_file,
                     load_graph, load_graph_file)

@@ -47,7 +47,7 @@ def save_model(path, model: Model, labels: tuple[str, ...],
         "config": asdict(model.config),
         "labels": list(labels),
         "extra": extra or {},
-        "slots": _slot_table(Layout.packed(model.params.shapes())),
+        "slots": _slot_table(Layout.packed(model.params.layout.shapes())),
     }
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     tmp = f"{path}.tmp"

@@ -16,7 +16,6 @@ from pathlib import Path
 import numpy as np
 
 from .baseline import EdgeProbabilities
-from .errors import ConfigError
 from .graph import Cascade, DataGraph, save_cascades_file, save_graph_file, write_json
 
 GRAPH_MODELS = ("uniform-random-edges", "preferential-attachment", "chain", "grid")
@@ -36,25 +35,25 @@ class SynthConfig:
 
     def __post_init__(self):
         if self.node_count < 1:
-            raise ConfigError("node_count must be positive")
+            raise ValueError("node_count must be positive")
         if self.graph_model not in GRAPH_MODELS:
-            raise ConfigError(f"graph_model must be one of {GRAPH_MODELS}")
+            raise ValueError(f"graph_model must be one of {GRAPH_MODELS}")
         if self.cascade_count < 0:
-            raise ConfigError("cascade_count must be >= 0")
+            raise ValueError("cascade_count must be >= 0")
         if self.max_cascade_length < 2:
-            raise ConfigError(
+            raise ValueError(
                 f"max_cascade_length must be >= 2, got {self.max_cascade_length}")
         if not (math.isfinite(self.edge_param) and self.edge_param >= 0):
-            raise ConfigError(f"edge_param must be finite and >= 0, got {self.edge_param}")
+            raise ValueError(f"edge_param must be finite and >= 0, got {self.edge_param}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         p = self.activation_prob
         if isinstance(p, tuple):
             lo, hi = p
             if not (0.0 <= lo <= hi <= 1.0):
-                raise ConfigError(f"activation_prob range [{lo}, {hi}] invalid")
+                raise ValueError(f"activation_prob range [{lo}, {hi}] invalid")
         elif not (0.0 <= p <= 1.0):
-            raise ConfigError(f"activation_prob {p} outside [0, 1]")
+            raise ValueError(f"activation_prob {p} outside [0, 1]")
 
 
 PRESETS: dict[str, SynthConfig] = {
@@ -96,7 +95,7 @@ def generate_graph(config: SynthConfig,
         target = (int(round(config.edge_param * possible))
                   if config.edge_param < 1 else int(config.edge_param))
         if target > possible:
-            raise ConfigError(
+            raise ValueError(
                 f"{target} edges requested but only {possible} are possible")
         flat = rng.choice(possible, size=target, replace=False)
         u, rest = np.divmod(flat, n - 1)
@@ -105,7 +104,7 @@ def generate_graph(config: SynthConfig,
     # preferential attachment, both directions so diffusion can reach new nodes
     c = int(config.edge_param)
     if c < 1 or c >= n:
-        raise ConfigError("attachment count must satisfy 1 <= c < node_count")
+        raise ValueError("attachment count must satisfy 1 <= c < node_count")
     edges = set()
     repeated: list[int] = list(range(c))
     for new in range(c, n):
@@ -176,7 +175,7 @@ def generate_dataset(config: SynthConfig, out_dir=None
                 cascade = candidate
                 break
         if cascade is None:
-            raise ConfigError(
+            raise ValueError(
                 f"could not draw a cascade of length >= 2 in {_RETRY_CAP} attempts; "
                 "raise activation_prob or check graph connectivity")
         cascades.append(cascade)

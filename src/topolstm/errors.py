@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+A refusal raises ``ValueError`` for an invalid argument or configuration,
+or one of the four ``TopoLstmError`` subclasses below; the CLI maps each of
+these five to an exit code (README, "Exit codes").
+"""
 
 
 class TopoLstmError(Exception):
@@ -9,16 +14,8 @@ class DataError(TopoLstmError):
     """Malformed or inconsistent input data (graph files, cascade files)."""
 
 
-class ShapeError(TopoLstmError):
-    """Dimension mismatch between named parameter slots or vectors."""
-
-
 class NumericError(TopoLstmError):
     """Non-finite value encountered where finite math is required."""
-
-
-class ConfigError(TopoLstmError):
-    """Invalid or impossible configuration."""
 
 
 class DivergenceError(TopoLstmError):

@@ -55,9 +55,6 @@ class MetricsTable:
     by_prefix_length: dict[int, dict] = field(default_factory=dict)
     mean_nll: float | None = None   # model scorers only, so not in values
 
-    def value(self, metric: str, k: int) -> float:
-        return self.values[(metric, k)]
-
     def to_json_dict(self) -> dict:
         finite = self.mean_nll is not None and np.isfinite(self.mean_nll)
         nll = {} if self.mean_nll is None else {"mean_nll": self.mean_nll if finite else None}

@@ -14,7 +14,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .errors import NumericError, ShapeError
+from .errors import NumericError
 
 __all__ = [
     "Layout", "ParameterStore", "GradientStore", "softmax_over_subset", "Adam",
@@ -69,7 +69,7 @@ class ParameterStore:
         if layout is None:
             layout = Layout.packed({name: arr.shape for name, arr in arrays.items()})
         elif list(arrays) != list(layout.shapes()):
-            raise ShapeError(f"slots {list(arrays)} do not match the layout's "
+            raise ValueError(f"slots {list(arrays)} do not match the layout's "
                              f"{list(layout.shapes())}")
         self._bind(np.zeros(layout.size), layout)
         for name, arr in arrays.items():
@@ -91,38 +91,25 @@ class ParameterStore:
         return name in self._slots
 
     def __getitem__(self, name: str) -> np.ndarray:
-        try:
-            return self._slots[name]
-        except KeyError:
-            raise ShapeError(f"unknown slot {name!r}") from None
+        return self._slots[name]
 
     def __setitem__(self, name: str, value: np.ndarray) -> None:
         current = self[name]
         value = np.asarray(value, dtype=np.float64)
         if value.shape != current.shape:
-            raise ShapeError(
+            raise ValueError(
                 f"slot {name!r}: expected shape {current.shape}, got {value.shape}")
         current[...] = value
 
     def fused(self, name: str) -> np.ndarray:
         """A view spanning several slots, as declared by the layout."""
-        try:
-            return self._fused[name]
-        except KeyError:
-            raise ShapeError(f"no fused view {name!r} in this layout") from None
+        return self._fused[name]
 
     def names(self) -> list[str]:
         return list(self._slots)
 
     def items(self):
         return self._slots.items()
-
-    def shapes(self) -> dict[str, tuple]:
-        return self.layout.shapes()
-
-    @property
-    def total_size(self) -> int:
-        return self.layout.size
 
     def zeros_like(self) -> "ParameterStore":
         return ParameterStore._wrap(np.zeros_like(self.flat), self.layout)
@@ -132,8 +119,8 @@ class ParameterStore:
 
     def _require_congruent(self, other: "ParameterStore") -> None:
         if self.layout is not other.layout and self.layout != other.layout:
-            raise ShapeError(f"stores differ in layout: slot shapes {self.shapes()} "
-                             f"vs {other.shapes()}")
+            raise ValueError(f"stores differ in layout: slot shapes {self.layout.shapes()} "
+                             f"vs {other.layout.shapes()}")
 
     def accumulate(self, other: "ParameterStore", scale: float = 1.0) -> None:
         self._require_congruent(other)
@@ -246,7 +233,7 @@ def finite_difference_check(loss_fn: Callable[[ParameterStore], float],
         raise ValueError("h must be positive")
     if rng is None:
         rng = np.random.default_rng(0)
-    total = params.total_size
+    total = params.flat.size
     n = min(samples, total)
     coords = rng.choice(total, size=n, replace=False)
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -147,17 +147,10 @@ class TrainReport:
     dropped_short_cascades: int = 0
 
     def to_json_dict(self) -> dict:
-        return {
-            "epochs": [
-                {"epoch": e.epoch, "train_loss": e.train_loss,
-                 "train_reg": e.train_reg, "val_loss": e.val_loss}
-                for e in self.epochs
-            ],
-            "best_epoch": self.best_epoch,
-            "best_val_loss": self.best_val_loss,
-            "stopped_early": self.stopped_early,
-            "dropped_short_cascades": self.dropped_short_cascades,
-        }
+        doc = asdict(self)
+        for epoch in doc["epochs"]:
+            del epoch["seconds"]   # wall-clock: report.json stays the same bytes on a rerun
+        return doc
 
 
 def train(graph: DataGraph, train_cascades: Sequence[Cascade],

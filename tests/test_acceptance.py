@@ -145,8 +145,8 @@ def test_05_learnability_on_separable_data():
         assert len(report.epochs) <= 200
         table = evaluate(ModelScorer(model, graph), test_set, ks=(1, 10))
         elapsed = time.perf_counter() - started
-        hits1 = table.value("hits", 1)
-        map10 = table.value("map", 10)
+        hits1 = table.values[("hits", 1)]
+        map10 = table.values[("map", 10)]
         print(f"  chain: Hits@1={hits1:.4f} MAP@10={map10:.4f} "
               f"final_train={report.epochs[-1].train_loss:.4f} ({elapsed:.0f}s)")
         assert hits1 >= 0.95
@@ -174,8 +174,8 @@ def test_06_relative_ordering_vs_baseline():
                                          score_mode="precedent-only"))
             model_table = evaluate(ModelScorer(model, graph), test_set,
                                    ks=(10,))
-            model_maps.append(model_table.value("map", 10))
-            baseline_maps.append(baseline_table.value("map", 10))
+            model_maps.append(model_table.values[("map", 10)])
+            baseline_maps.append(baseline_table.values[("map", 10)])
             print(f"  seed {seed}: model MAP@10={model_maps[-1]:.4f} "
                   f"ic-sb MAP@10={baseline_maps[-1]:.4f}")
         elapsed = time.perf_counter() - started

@@ -131,7 +131,7 @@ class TestFormat:
     def _seeded(self):
         config = ModelConfig(hidden_dim=3, node_count=6, score_mode="all-active")
         model = Model.initialize(config, np.random.default_rng(7))
-        model.params.flat[:] += np.random.default_rng(8).normal(size=model.params.total_size)
+        model.params.flat[:] += np.random.default_rng(8).normal(size=model.params.flat.size)
         return model
 
     def test_save_matches_the_per_slot_reference_writer(self, tmp_path):

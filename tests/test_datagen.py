@@ -9,7 +9,6 @@ from topolstm.baseline import EdgeProbabilities
 from topolstm.datagen import (PRESETS, SynthConfig, assign_edge_probs,
                               generate_dataset, generate_graph,
                               simulate_ic_cascade)
-from topolstm.errors import ConfigError
 from topolstm.graph import DataGraph
 
 
@@ -39,7 +38,7 @@ class TestGenerateGraph:
         assert g.edge_count == 100
 
     def test_impossible_density_rejected(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError):
             generate_graph(cfg(node_count=5, edge_param=100))
 
     def test_same_seed_identical(self):
@@ -63,7 +62,7 @@ class TestGenerateGraph:
         assert (np.diff(g.out_ptr)[3:] >= 3).all()
 
     def test_pa_attachment_count_validated(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError):
             generate_graph(cfg(graph_model="preferential-attachment",
                                edge_param=0))
 
@@ -140,7 +139,7 @@ class TestGenerateDataset:
         assert manifest["effective"]["cascade_count"] == 0
 
     def test_retry_cap_reported_as_config_error(self):
-        with pytest.raises(ConfigError, match="activation_prob"):
+        with pytest.raises(ValueError, match="activation_prob"):
             generate_dataset(cfg(activation_prob=0.0, cascade_count=1))
 
     def test_min_length_two(self):
@@ -174,26 +173,26 @@ class TestGenerateDataset:
 
 class TestSynthConfigValidation:
     def test_bad_probability(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError):
             cfg(activation_prob=1.5)
 
     def test_bad_range(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError):
             cfg(activation_prob=(0.8, 0.2))
 
     @pytest.mark.parametrize("value", [float("inf"), float("nan"), -1.0])
     def test_bad_edge_param(self, value):
-        with pytest.raises(ConfigError, match=f"edge_param must be finite and >= 0, got {value}"):
+        with pytest.raises(ValueError, match=f"edge_param must be finite and >= 0, got {value}"):
             cfg(edge_param=value)
-        with pytest.raises(ConfigError, match="edge_param"):
+        with pytest.raises(ValueError, match="edge_param"):
             cfg(graph_model="chain", edge_param=value)
 
     def test_bad_model(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError):
             cfg(graph_model="smallworld")
 
     @pytest.mark.parametrize("length", [1, 0])
     def test_max_length_below_two(self, length):
-        with pytest.raises(ConfigError,
+        with pytest.raises(ValueError,
                            match=f"max_cascade_length must be >= 2, got {length}"):
             cfg(max_cascade_length=length)

@@ -87,8 +87,8 @@ def check_hand_fixture():
     assert [hit for hit, _ in terms] == [hit for _, hit, _ in HAND_FIXTURE]
     assert [ap for _, ap in terms] == pytest.approx([ap for _, _, ap in HAND_FIXTURE])
     assert table.instances == len(HAND_FIXTURE)
-    assert table.value("hits", 10) == pytest.approx(8 / 12)
-    assert table.value("map", 10) == pytest.approx((1 + 0.5 + 1/3 + 0.2 + 0.1 + 0.25
+    assert table.values[("hits", 10)] == pytest.approx(8 / 12)
+    assert table.values[("map", 10)] == pytest.approx((1 + 0.5 + 1/3 + 0.2 + 0.1 + 0.25
                                                     + 1/6 + 1/7) / 12)
 
 
@@ -171,10 +171,10 @@ class TestEvaluate:
         table = evaluate(scorer, cascades, ks=(1, 5, 10, 50))
         ks = table.ks
         for metric in ("map", "hits"):
-            vals = [table.value(metric, k) for k in ks]
+            vals = [table.values[(metric, k)] for k in ks]
             assert vals == sorted(vals)
         for k in ks:
-            assert table.value("map", k) <= table.value("hits", k) + 1e-12
+            assert table.values[("map", k)] <= table.values[("hits", k)] + 1e-12
 
     def test_order_invariance(self):
         rng = np.random.default_rng(45)
@@ -204,7 +204,7 @@ class TestEvaluate:
                 cand = sorted(set(range(graph.node_count)) - active)
                 rank = cand.index(c[t - 1]) + 1
                 hits.append(1 if rank <= 5 else 0)
-        assert table.value("hits", 5) == pytest.approx(np.mean(hits))
+        assert table.values[("hits", 5)] == pytest.approx(np.mean(hits))
 
     def test_workers_other_than_one_rejected(self):
         rng = np.random.default_rng(48)
@@ -270,7 +270,7 @@ class TestModelScorerIntegration:
         cascades = [random_cascade(rng, 12, 5) for _ in range(4)]
         model = Model.initialize(ModelConfig(4, 12), rng)
         table = evaluate(ModelScorer(model, graph), cascades, ks=(1, 5))
-        assert 0.0 <= table.value("hits", 5) <= 1.0
+        assert 0.0 <= table.values[("hits", 5)] <= 1.0
         assert table.scorer == "topo-lstm"
 
     @staticmethod
@@ -439,7 +439,7 @@ class TestReports:
         assert sum(b["instances"] for b in table.by_prefix_length.values()) == table.instances
         for metric in ("map", "hits"):
             for k in ks:
-                assert table.value(metric, k) == pytest.approx(
+                assert table.values[(metric, k)] == pytest.approx(
                     mean(everything, metric, k), rel=0, abs=1e-12)
                 for length, ranks in by_length.items():
                     bucket = table.by_prefix_length[length]

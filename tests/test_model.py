@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import oracle
 from topolstm.datagen import PRESETS, generate_dataset, generate_graph
 from topolstm.evaluation import ModelScorer, evaluate, target_rank
-from topolstm.errors import DataError, NumericError, ShapeError
+from topolstm.errors import DataError, NumericError
 from topolstm.graph import Cascade, DataGraph, build_topologies, pack_cascades
 from topolstm.model import (SCORE_MODES, CascadeState, CellState, Model, ModelConfig, U_BLOCKS,
                             backward_cascade, forward_cascade, predict_next,
@@ -41,7 +41,7 @@ class TestParameterLayout:
     def test_every_slot_is_a_view_and_covers_the_vector_once(self):
         model = self._model()
         params = model.params
-        cover = np.zeros(params.total_size)
+        cover = np.zeros(params.flat.size)
         for name, arr in params.items():
             assert np.shares_memory(arr, params.flat), name
             view = params.layout.views(cover, [e for e in params.layout.slots
@@ -100,7 +100,7 @@ class TestParameterLayout:
         model = self._model()
         packed = ParameterStore(dict(model.params.items()))
         graph = DataGraph.from_edges(5, [(0, 1)])
-        with pytest.raises(ShapeError, match="fused"):
+        with pytest.raises(KeyError, match="'U'"):
             forward_cascade(Model(model.config, packed), graph, Cascade((0, 1)))
 
 
@@ -791,6 +791,18 @@ class TestCascadeState:
         full = forward_cascade(model, graph, cascade, compute_loss=False)
         for name in FORWARD_ARRAYS:
             assert np.array_equal(getattr(state, name), getattr(full, name)), name
+
+    def test_buffers_hold_no_more_rows_than_the_graph_has_nodes(self):
+        # The buffers double as the cascade grows, up to one row per node:
+        # a cascade's nodes are distinct, so it never needs more.
+        m = 12
+        graph = DataGraph.from_edges(m, [(v, (v + 1) % m) for v in range(m)])
+        model = perturbed_model(ModelConfig(3, m), np.random.default_rng(72))
+        state = CascadeState(model, graph)
+        for k in range(1, m + 1):
+            grow(model, graph, Cascade(tuple(range(k))), state)
+            rows = {len(buffer) for buffer in state._buffers}
+            assert rows == {min(2 ** (k - 1).bit_length(), m)}, k
 
     @pytest.mark.parametrize("mode", SCORE_MODES)
     def test_an_extension_computes_one_cell(self, mode):

@@ -164,3 +164,24 @@ def test_reference_paths_are_called_only_from_reference_paths():
            for path in sorted(package.glob("*.py"))
            for line, name in calls_outside(ast.parse(path.read_text(encoding="utf-8")), names)]
     assert not bad, bad
+
+
+REFUSAL_TYPES = {"ValueError", "DataError", "NumericError", "CheckpointError", "DivergenceError"}
+
+
+def test_refusal_vocabulary_is_closed():
+    # Every raise in the package names one of five exceptions (or re-raises),
+    # so the CLI's exit-code map covers them all, and errors.py defines no
+    # exception type beyond those four and their base.
+    package = Path(topolstm.__file__).parent
+    bad = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if not (isinstance(exc, ast.Name) and exc.id in REFUSAL_TYPES):
+                    bad.append(f"{path.name}:{node.lineno} raises {ast.unparse(node.exc)}")
+    assert not bad, bad
+    tree = ast.parse((package / "errors.py").read_text(encoding="utf-8"))
+    defined = {node.name for node in tree.body if isinstance(node, ast.ClassDef)}
+    assert defined == REFUSAL_TYPES - {"ValueError"} | {"TopoLstmError"}
